@@ -185,7 +185,7 @@ def cmd_wdim(args) -> int:
             else {"a": _item_json(cert.a), "b": _item_json(cert.b), "delta": cert.delta},
             "provenance": provenance,
         })
-    stats = {"engine": args.engine, "workers": _workers(args)}
+    stats = {"engine": args.engine}
     if kv is not None:
         stats["variant_kappa"] = kv
     if nodes:
@@ -198,8 +198,14 @@ def cmd_wdim(args) -> int:
     return EXIT_OK
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ParameterOutOfRange(f"k must be positive, got {k}")
+
+
 def cmd_verify(args) -> int:
     started = time.perf_counter()
+    _check_k(args.k)
     g, input_block = _load_graph(args)
     variant = Variant(args.variant)
     with open(args.set_file, "r", encoding="utf-8") as fh:
@@ -226,6 +232,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_lp(args) -> int:
+    _check_k(args.k)
     g, input_block = _load_graph(args)
     variant = Variant(args.variant)
     text = write_lp(g, variant, args.k)
@@ -275,13 +282,7 @@ def _add_input_options(sp) -> None:
     grp.add_argument("--file", help="edge-list file ('n m' header, then 'u v' lines)")
 
 
-def _add_common(sp) -> None:
-    sp.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker threads for the pair scan (default: WKDIM_WORKERS or 1)",
-    )
+def _add_timing(sp) -> None:
     sp.add_argument(
         "--timing", action="store_true", help="include elapsed_ms in stats"
     )
@@ -296,12 +297,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kappa", help="largest feasible k, with classification")
     _add_input_options(p)
-    _add_common(p)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="worker threads for the pair scan (default: WKDIM_WORKERS or 1)",
+    )
+    _add_timing(p)
     p.set_defaults(func=cmd_kappa)
 
     p = sub.add_parser("wdim", help="weak k-metric dimension and a basis")
     _add_input_options(p)
-    _add_common(p)
+    _add_timing(p)
     p.add_argument("--k", required=True, help="threshold K or inclusive range A..B")
     p.add_argument(
         "--variant", choices=[v.value for v in Variant], default="vertex"
@@ -319,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a vertex set at threshold k")
     _add_input_options(p)
-    _add_common(p)
+    _add_timing(p)
     p.add_argument("--set-file", required=True, help="whitespace-separated vertex ids")
     p.add_argument("--k", type=int, required=True)
     p.add_argument(

@@ -108,27 +108,56 @@ def delta_over_set(g: Graph, x: int, y: int, S: Iterable[int]) -> int:
     return int(np.abs(d[x, ids] - d[y, ids]).sum())
 
 
-def _scan_rows(d: np.ndarray, rows: Sequence[int]):
-    """Per-chunk minima of pair totals and supports, with lex-first pairs."""
-    best_total = None
-    best_total_pair = None
-    best_support = None
-    best_support_pair = None
-    for x in rows:
-        diffs = np.abs(d[x + 1:] - d[x])
-        if diffs.shape[0] == 0:
-            continue
-        totals = diffs.sum(axis=1)
-        supports = (diffs > 0).sum(axis=1)
-        i = int(totals.argmin())
-        if best_total is None or totals[i] < best_total:
-            best_total = int(totals[i])
-            best_total_pair = (x, x + 1 + i)
-        j = int(supports.argmin())
-        if best_support is None or supports[j] < best_support:
-            best_support = int(supports[j])
-            best_support_pair = (x, x + 1 + j)
-    return best_total, best_total_pair, best_support, best_support_pair
+def pair_blocks(rows: np.ndarray, start: int = 0, step: int = 1):
+    """Yield ``(a, |rows[a+1:] - rows[a]|)``: block row j is the profile of
+    the item pair (a, a + 1 + j), so the blocks run in lex pair order.
+    ``start``/``step`` select every step-th head item from ``start``."""
+    for a in range(start, len(rows) - 1, step):
+        yield a, np.abs(rows[a + 1:] - rows[a])
+
+
+def pair_sum(block: np.ndarray) -> np.ndarray:
+    """Per-pair difference total (the weak, sum-based criterion)."""
+    return block.sum(axis=1)
+
+
+def pair_count(block: np.ndarray) -> np.ndarray:
+    """Per-pair distinguisher count (the count-based criterion)."""
+    return (block > 0).sum(axis=1)
+
+
+def _lex_min_part(rows, reducers, start, step):
+    best = [None] * len(reducers)
+    for a, block in pair_blocks(rows, start, step):
+        for r, reduce in enumerate(reducers):
+            vals = reduce(block)
+            i = int(vals.argmin())
+            if best[r] is None or vals[i] < best[r][0]:
+                best[r] = (int(vals[i]), (a, a + 1 + i))
+    return best
+
+
+def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1) -> list:
+    """Per reducer, the lex-first minimizing ``(value, (a, b))`` over item
+    pairs a < b of ``rows``, or None when there are fewer than two items.
+
+    Each block is computed once and fed to every reducer. With
+    ``workers > 1`` the head items are split round-robin across threads
+    and the parts are merged by ``(value, pair)``, so the result does not
+    depend on the worker count.
+    """
+    workers = min(workers, len(rows) - 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(
+                lambda i: _lex_min_part(rows, reducers, i, workers), range(workers)
+            ))
+    else:
+        parts = [_lex_min_part(rows, reducers, 0, 1)]
+    return [
+        min((p[r] for p in parts if p[r] is not None), default=None)
+        for r in range(len(reducers))
+    ]
 
 
 def weak3_structure_witness(g: Graph) -> tuple[int, int, int] | None:
@@ -176,78 +205,38 @@ def compute_kappa(g: Graph, workers: int = 1) -> KappaReport:
     """
     if g.n < 2:
         raise TrivialGraph("kappa is undefined on a single vertex")
-    d = g.distance_matrix
-    rows = range(g.n - 1)
-    if workers > 1:
-        chunks = [list(rows)[i::workers] for i in range(workers)]
-        chunks = [sorted(c) for c in chunks if c]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda c: _scan_rows(d, c), chunks))
-    else:
-        parts = [_scan_rows(d, list(rows))]
-
-    best_total, best_pair = None, None
-    best_support, best_support_pair = None, None
-    for total, tpair, support, spair in parts:
-        if total is None:
-            continue
-        if best_total is None or total < best_total or (
-            total == best_total and tpair < best_pair
-        ):
-            best_total, best_pair = total, tpair
-        if best_support is None or support < best_support or (
-            support == best_support and spair < best_support_pair
-        ):
-            best_support, best_support_pair = support, spair
-
-    classification, evidence = _classify(g, best_total)
+    (kappa, pair), (kappa_prime, _) = lex_min(
+        g.distance_matrix, [pair_sum, pair_count], workers
+    )
+    classification, evidence = _classify(g, kappa)
     return KappaReport(
-        kappa=best_total,
-        kappa_prime=best_support,
-        witness_pair=best_pair,
+        kappa=kappa,
+        kappa_prime=kappa_prime,
+        witness_pair=pair,
         classification=classification,
         evidence=evidence,
     )
 
 
-def _min_pair_scan(g: Graph, cols: np.ndarray, count: bool) -> tuple[int, tuple[int, int]] | None:
-    """Lex-first minimizer of the set sum (or distinguisher count) over pairs."""
-    best = None
-    best_pair = None
-    for x in range(g.n - 1):
-        diffs = np.abs(cols[x + 1:] - cols[x])
-        if diffs.shape[0] == 0:
-            continue
-        vals = (diffs > 0).sum(axis=1) if count else diffs.sum(axis=1)
-        i = int(vals.argmin())
-        if best is None or vals[i] < best:
-            best = int(vals[i])
-            best_pair = (x, x + 1 + i)
-    if best is None:
-        return None
-    return best, best_pair
+def _verify_vertex_pairs(g: Graph, S: Iterable[int], k: int, reducer) -> VerifyResult:
+    ids = _check_set(g, S)
+    (hit,) = lex_min(g.distance_matrix[:, ids], [reducer])
+    if hit is None:
+        return VerifyResult(True, None, None)
+    value, pair = hit
+    if value >= k:
+        return VerifyResult(True, None, value)
+    return VerifyResult(False, pair, value)
 
 
 def verify_weak_k_resolving(g: Graph, S: Iterable[int], k: int) -> VerifyResult:
     """Check delta_S(x, y) >= k for every vertex pair."""
-    ids = _check_set(g, S)
-    if g.n < 2:
-        return VerifyResult(True, None, None)
-    value, pair = _min_pair_scan(g, g.distance_matrix[:, ids], count=False)
-    if value >= k:
-        return VerifyResult(True, None, value)
-    return VerifyResult(False, pair, value)
+    return _verify_vertex_pairs(g, S, k, pair_sum)
 
 
 def verify_k_resolving(g: Graph, S: Iterable[int], k: int) -> VerifyResult:
     """Check every pair is distinguished by >= k distinct members of S."""
-    ids = _check_set(g, S)
-    if g.n < 2:
-        return VerifyResult(True, None, None)
-    value, pair = _min_pair_scan(g, g.distance_matrix[:, ids], count=True)
-    if value >= k:
-        return VerifyResult(True, None, value)
-    return VerifyResult(False, pair, value)
+    return _verify_vertex_pairs(g, S, k, pair_count)
 
 
 def verify_local_k_resolving(g: Graph, S: Iterable[int], k: int) -> VerifyResult:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import KaboveKappa, KaboveKappaPrime, ParameterOutOfRange, TooLarge
 from .graph import Graph
-from .resolve import VerifyResult, _check_set
+from .resolve import VerifyResult, _check_set, lex_min, pair_blocks, pair_count, pair_sum
 
 Item = Union[int, tuple[int, int]]
 
@@ -78,38 +78,45 @@ def item_label(item: Item) -> str:
     return f"v{item}"
 
 
-def _items(g: Graph, variant: Variant) -> list[Item]:
-    if variant == Variant.VERTEX:
-        return list(range(g.n))
-    edges = g.edges()
-    if variant == Variant.EDGE:
-        return edges
-    return list(range(g.n)) + edges
+def _item_rows(g: Graph, variant: Variant) -> tuple[list[Item], np.ndarray]:
+    """Items of the variant and their distance rows, the one cover model.
 
-
-def _pair_matrix(g: Graph, variant: Variant):
-    """Items, index pairs (lex order), and the (npairs x n) profile matrix."""
-    items = _items(g, variant)
+    A vertex's row is its distance-matrix row (the vertex variant returns
+    the matrix itself, no copy); an edge vw gets min(d[v], d[w]). The
+    profile of item pair (a, b) is |rows[a] - rows[b]|.
+    """
     d = g.distance_matrix
-    rows = np.empty((len(items), g.n), dtype=np.int32)
-    for idx, it in enumerate(items):
-        rows[idx] = np.minimum(d[it[0]], d[it[1]]) if isinstance(it, tuple) else d[it]
-    pairs = list(combinations(range(len(items)), 2))
-    if pairs:
-        ai = [a for a, _ in pairs]
-        bi = [b for _, b in pairs]
-        profile = np.abs(rows[ai] - rows[bi])
-    else:
-        profile = np.zeros((0, g.n), dtype=np.int32)
-    return items, pairs, profile
+    if variant == Variant.VERTEX:
+        return list(range(g.n)), d
+    edges = g.edges()
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    edge_rows = np.minimum(d[ends[:, 0]], d[ends[:, 1]])
+    if variant == Variant.EDGE:
+        return edges, edge_rows
+    return list(range(g.n)) + edges, np.concatenate([d, edge_rows])
+
+
+def _item_pairs(items: list[Item], rows: np.ndarray):
+    """Yield (a, b, profile) for every item pair, in lex order."""
+    for a, block in pair_blocks(rows):
+        for j, profile in enumerate(block):
+            yield items[a], items[a + 1 + j], profile
+
+
+def _worst_pair(items, rows, cols=slice(None), reducer=pair_sum) -> "Certificate | None":
+    """Lex-first item pair minimizing ``reducer`` over the columns ``cols``."""
+    (hit,) = lex_min(rows[:, cols], [reducer])
+    if hit is None:
+        return None
+    value, (a, b) = hit
+    return Certificate(items[a], items[b], value)
 
 
 def pair_profiles(g: Graph, variant: Variant = Variant.VERTEX) -> list[ItemPair]:
     """All unordered item pairs of the variant with full profiles."""
-    items, pairs, profile = _pair_matrix(g, variant)
     return [
-        ItemPair(items[a], items[b], tuple(int(x) for x in profile[i]))
-        for i, (a, b) in enumerate(pairs)
+        ItemPair(a, b, tuple(profile.tolist()))
+        for a, b, profile in _item_pairs(*_item_rows(g, variant))
     ]
 
 
@@ -117,56 +124,52 @@ def variant_kappa(g: Graph, variant: Variant = Variant.VERTEX):
     """Largest feasible k for the variant: min over item pairs of the
     profile total. Returns (kappa, witness_pair), or (None, None) when
     the variant has no item pairs (every k is then vacuously feasible)."""
-    items, pairs, profile = _pair_matrix(g, variant)
-    if not pairs:
+    worst = _worst_pair(*_item_rows(g, variant))
+    if worst is None:
         return None, None
-    totals = profile.sum(axis=1)
-    i = int(totals.argmin())
-    return int(totals[i]), (items[pairs[i][0]], items[pairs[i][1]])
+    return worst.delta, (worst.a, worst.b)
 
 
 def verify_set(g: Graph, variant: Variant, S: Iterable[int], k: int) -> VerifyResult:
     """Variant-aware feasibility check of a candidate vertex set."""
-    ids = _check_set(g, S)
-    items, pairs, profile = _pair_matrix(g, variant)
-    if not pairs:
+    worst = certificate_for(g, variant, S)
+    if worst is None:
         return VerifyResult(True, None, None)
-    sums = profile[:, ids].sum(axis=1)
-    i = int(sums.argmin())
-    value = int(sums[i])
-    witness = (items[pairs[i][0]], items[pairs[i][1]])
-    if value >= k:
-        return VerifyResult(True, None, value)
-    return VerifyResult(False, witness, value)
+    if worst.delta >= k:
+        return VerifyResult(True, None, worst.delta)
+    return VerifyResult(False, (worst.a, worst.b), worst.delta)
 
 
 def certificate_for(g: Graph, variant: Variant, S: Iterable[int]) -> "Certificate | None":
     """Worst item pair of ``S``: the lex-first minimizer of delta_S."""
     ids = _check_set(g, S)
-    items, pairs, profile = _pair_matrix(g, variant)
-    if not pairs:
-        return None
-    sums = profile[:, ids].sum(axis=1)
-    i = int(sums.argmin())
-    a, b = pairs[i]
-    return Certificate(items[a], items[b], int(sums[i]))
+    return _worst_pair(*_item_rows(g, variant), ids)
 
 
-def _feasibility_precheck(items, pairs, profile, k):
-    """Reject k above the variant's kappa, mirroring the full-set bound."""
-    totals = profile.sum(axis=1)
-    i = int(totals.argmin())
-    kv = int(totals[i])
-    if k > kv:
-        witness = (items[pairs[i][0]], items[pairs[i][1]])
-        raise KaboveKappa(k, kv, witness)
+def _cover_model(g: Graph, variant: Variant, k: int, reducer=pair_sum):
+    """Items, rows and the dense (npairs x n) profile of the criterion
+    (``pair_sum``: differences; ``pair_count``: 0/1 support), or a None
+    profile when there are no item pairs. One scan of the rows both
+    collects the profile blocks and finds the criterion's limit, which
+    ``k`` may not exceed (KaboveKappa / KaboveKappaPrime)."""
+    items, rows = _item_rows(g, variant)
+    blocks = []
 
+    def keep(block):
+        blocks.append(block)
+        return reducer(block)
 
-def _certificate(items, pairs, profile, basis) -> Certificate:
-    sums = profile[:, list(basis)].sum(axis=1)
-    i = int(sums.argmin())
-    a, b = pairs[i]
-    return Certificate(items[a], items[b], int(sums[i]))
+    (hit,) = lex_min(rows, [keep])
+    if hit is None:
+        return items, rows, None
+    limit, (a, b) = hit
+    if k > limit:
+        error = KaboveKappaPrime if reducer is pair_count else KaboveKappa
+        raise error(k, limit, (items[a], items[b]))
+    profile = np.concatenate(blocks)
+    if reducer is pair_count:
+        profile = (profile > 0).astype(np.int8)
+    return items, rows, profile
 
 
 def _empty_result(variant: Variant, k: int, oracle: str) -> DimensionResult:
@@ -174,21 +177,16 @@ def _empty_result(variant: Variant, k: int, oracle: str) -> DimensionResult:
     return DimensionResult(variant, k, 0, (), None, {"oracle": oracle})
 
 
-def solve_bruteforce(
-    g: Graph,
-    variant: Variant = Variant.VERTEX,
-    k: int = 1,
-    size_cap: int = DEFAULT_SIZE_CAP,
-) -> DimensionResult:
-    """Exhaustive minimum search; canonical lex-smallest optimal basis."""
+def _brute(g: Graph, variant: Variant, k: int, size_cap: int, reducer) -> DimensionResult:
+    """Subsets in increasing size, then lex order: the first whose profile
+    column sums reach k on every pair is the lex-smallest optimal basis."""
     if k < 1:
         raise ParameterOutOfRange(f"k must be positive, got {k}")
     if g.n > size_cap:
         raise TooLarge(f"n={g.n} exceeds size_cap={size_cap}")
-    items, pairs, profile = _pair_matrix(g, variant)
-    if not pairs:
+    items, rows, profile = _cover_model(g, variant, k, reducer)
+    if profile is None:
         return _empty_result(variant, k, "brute")
-    _feasibility_precheck(items, pairs, profile, k)
 
     totals = profile.sum(axis=1)
     tight = int(totals.argmin())
@@ -206,11 +204,21 @@ def solve_bruteforce(
                     variant,
                     k,
                     size,
-                    tuple(combo),
-                    _certificate(items, pairs, profile, combo),
+                    combo,
+                    _worst_pair(items, rows, cols, reducer),
                     {"oracle": "brute", "subsets": checked},
                 )
     raise AssertionError("unreachable: full vertex set is feasible for k <= kappa")
+
+
+def solve_bruteforce(
+    g: Graph,
+    variant: Variant = Variant.VERTEX,
+    k: int = 1,
+    size_cap: int = DEFAULT_SIZE_CAP,
+) -> DimensionResult:
+    """Exhaustive minimum search; canonical lex-smallest optimal basis."""
+    return _brute(g, variant, k, size_cap, pair_sum)
 
 
 def _greedy_cover(profile: np.ndarray, k: int) -> list[int]:
@@ -232,10 +240,9 @@ def solve_bnb(g: Graph, variant: Variant = Variant.VERTEX, k: int = 1) -> Dimens
     """Branch-and-bound with admissible bounds; certified optimal value."""
     if k < 1:
         raise ParameterOutOfRange(f"k must be positive, got {k}")
-    items, pairs, profile = _pair_matrix(g, variant)
-    if not pairs:
+    items, rows, profile = _cover_model(g, variant, k)
+    if profile is None:
         return _empty_result(variant, k, "bnb")
-    _feasibility_precheck(items, pairs, profile, k)
 
     n = g.n
     incumbent = _greedy_cover(profile, k)
@@ -275,13 +282,13 @@ def solve_bnb(g: Graph, variant: Variant = Variant.VERTEX, k: int = 1) -> Dimens
         visit(count + 1, chosen + [v], rest, np.maximum(residual - profile[:, v], 0))
         visit(count, chosen, rest, residual)
 
-    visit(0, [], np.ones(n, dtype=bool), np.full(len(pairs), k, dtype=np.int64))
+    visit(0, [], np.ones(n, dtype=bool), np.full(len(profile), k, dtype=np.int64))
     return DimensionResult(
         variant,
         k,
         best_val,
         best_basis,
-        _certificate(items, pairs, profile, best_basis),
+        _worst_pair(items, rows, list(best_basis)),
         {"oracle": "bnb", "nodes": nodes},
     )
 
@@ -291,38 +298,7 @@ def solve_kmetric_dim(
 ) -> DimensionResult:
     """Exhaustive minimum set where every vertex pair has >= k distinct
     distinguishing members (the count-based criterion, not the sum)."""
-    if k < 1:
-        raise ParameterOutOfRange(f"k must be positive, got {k}")
-    if g.n > size_cap:
-        raise TooLarge(f"n={g.n} exceeds size_cap={size_cap}")
-    items, pairs, profile = _pair_matrix(g, Variant.VERTEX)
-    if not pairs:
-        return _empty_result(Variant.VERTEX, k, "brute")
-    support = (profile > 0).astype(np.int8)
-    counts = support.sum(axis=1)
-    i = int(counts.argmin())
-    kappa_prime = int(counts[i])
-    if k > kappa_prime:
-        witness = (items[pairs[i][0]], items[pairs[i][1]])
-        raise KaboveKappaPrime(k, kappa_prime, witness)
-    checked = 0
-    for size in range(k, g.n + 1):
-        for combo in combinations(range(g.n), size):
-            checked += 1
-            cols = list(combo)
-            if (support[:, cols].sum(axis=1) >= k).all():
-                sums = support[:, cols].sum(axis=1)
-                j = int(sums.argmin())
-                a, b = pairs[j]
-                return DimensionResult(
-                    Variant.VERTEX,
-                    k,
-                    size,
-                    tuple(combo),
-                    Certificate(items[a], items[b], int(sums[j])),
-                    {"oracle": "brute", "subsets": checked},
-                )
-    raise AssertionError("unreachable: full vertex set is feasible for k <= kappa'")
+    return _brute(g, Variant.VERTEX, k, size_cap, pair_count)
 
 
 def _wrap_terms(prefix: str, terms: list[str], suffix: str = "",
@@ -339,18 +315,17 @@ def _wrap_terms(prefix: str, terms: list[str], suffix: str = "",
 def write_lp(g: Graph, variant: Variant = Variant.VERTEX, k: int = 1) -> str:
     """Render the covering model in CPLEX-LP text: one binary per vertex,
     one row per item pair, coefficients equal to the profile entries."""
-    items, pairs, profile = _pair_matrix(g, variant)
+    items, rows = _item_rows(g, variant)
     out = [
         f"\\ minimum weak {k}-resolving set, variant={variant.value}",
-        f"\\ n={g.n} items={len(items)} pairs={len(pairs)}",
+        f"\\ n={g.n} items={len(items)} pairs={len(items) * (len(items) - 1) // 2}",
         "Minimize",
     ]
     out.extend(_wrap_terms(" obj: ", [f"x{i}" for i in range(g.n)]))
     out.append("Subject To")
-    for idx, (a, b) in enumerate(pairs):
-        coeffs = profile[idx]
+    for idx, (a, b, coeffs) in enumerate(_item_pairs(items, rows)):
         terms = [f"{int(c)} x{i}" for i, c in enumerate(coeffs) if c != 0]
-        out.append(f"\\ pair {item_label(items[a])} -- {item_label(items[b])}")
+        out.append(f"\\ pair {item_label(a)} -- {item_label(b)}")
         out.extend(_wrap_terms(f" p{idx}: ", terms, suffix=f" >= {k}"))
     out.append("Binaries")
     names = [f"x{i}" for i in range(g.n)]

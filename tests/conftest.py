@@ -59,6 +59,20 @@ def plain_distances(g: Graph) -> list[list[int]]:
     return out
 
 
+def plain_item_rows(g: Graph, variant: str):
+    """Items of the variant ("vertex", "edge" or "mixed") and their distance
+    rows, with d(u, vw) = min(d(u, v), d(u, w)); edges are (v, w), v < w,
+    in lex order, after the vertices for the mixed variant."""
+    d = plain_distances(g)
+    vertices = list(range(g.n)) if variant != "edge" else []
+    edges = [] if variant == "vertex" else [
+        (v, w) for v in range(g.n) for w in sorted(g.adjacency[v]) if v < w
+    ]
+    rows = [d[v] for v in vertices]
+    rows += [[min(a, b) for a, b in zip(d[v], d[w])] for v, w in edges]
+    return vertices + edges, rows
+
+
 def plain_delta_set(d: list[list[int]], x: int, y: int, S) -> int:
     return sum(abs(d[x][s] - d[y][s]) for s in S)
 

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 
 from weakdim import cli
 from weakdim.graph import parse_edgelist
@@ -131,6 +132,14 @@ class TestWdimCommand:
         report = run_json(capsys, "kappa", "--family", "grid:4x4")
         assert report["stats"]["workers"] == 3
 
+    def test_wdim_has_no_workers(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["wdim", "--family", "path:5", "--k", "2", "--workers", "2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        report = run_json(capsys, "wdim", "--family", "path:5", "--k", "2")
+        assert "workers" not in report["stats"]
+
 
 class TestVerifyCommand:
     def test_full_set_at_kappa(self, capsys, tmp_path):
@@ -165,6 +174,16 @@ class TestVerifyCommand:
         assert code == 2 and "error" in err
 
 
+    def test_k_below_one_exit_2(self, capsys, tmp_path):
+        set_file = tmp_path / "s.txt"
+        set_file.write_text("0 1 2 3")
+        code, out, err = run_cli(
+            capsys, "verify", "--family", "path:4",
+            "--set-file", str(set_file), "--k", "0",
+        )
+        assert code == 2 and out == "" and "k must be positive" in err
+
+
 class TestExportLp:
     def test_path_model(self, capsys, tmp_path):
         out_path = tmp_path / "p3.lp"
@@ -185,6 +204,16 @@ class TestExportLp:
         assert code == 0
         rows = [ln for ln in out.splitlines() if ln.lstrip().startswith("p")]
         assert len(rows) == 1
+
+
+    def test_k_below_one_exit_2(self, capsys, tmp_path):
+        out_path = tmp_path / "p3.lp"
+        code, _, err = run_cli(
+            capsys, "export-lp", "--family", "path:3", "--k", "0",
+            "--out", str(out_path),
+        )
+        assert code == 2 and "k must be positive" in err
+        assert not out_path.exists()
 
 
 class TestGenCommand:

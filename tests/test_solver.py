@@ -1,16 +1,25 @@
 """Brute-force and branch-and-bound solvers, dim_k oracle, LP export."""
 
+import random
 from itertools import combinations
 
 import pytest
 
-from conftest import petersen, plain_delta_set, plain_distances, random_graph_corpus
+from conftest import (
+    petersen,
+    plain_delta_set,
+    plain_distances,
+    plain_item_rows,
+    random_graph_corpus,
+)
 
 from weakdim import (
+    Certificate,
     KaboveKappa,
     KaboveKappaPrime,
     TooLarge,
     Variant,
+    certificate_for,
     complete,
     cycle,
     generate,
@@ -248,3 +257,83 @@ class TestLpExport:
             f"{c} x{i}" for i, c in enumerate(profile) if c
         )
         assert first == f" p0: {expected} >= 2"
+
+
+def plain_worst_pair(items, rows, S):
+    """Lex-first item pair minimizing the difference sum over S, as
+    (value, a, b); None with fewer than two items."""
+    best = None
+    for i, j in combinations(range(len(items)), 2):
+        value = sum(abs(rows[i][s] - rows[j][s]) for s in S)
+        if best is None or value < best[0]:
+            best = (value, items[i], items[j])
+    return best
+
+
+def plain_label(item) -> str:
+    return f"e{item[0]}_{item[1]}" if isinstance(item, tuple) else f"v{item}"
+
+
+def lp_rows(text: str):
+    """(pair label, {column: coefficient, ">=": rhs}) per constraint, in order."""
+    body = text.split("Subject To\n", 1)[1].split("Binaries\n", 1)[0]
+    rows = []
+    for line in body.splitlines():
+        if line.startswith("\\ pair "):
+            rows.append((line[len("\\ pair "):], {}))
+            continue
+        terms = line.split(":", 1)[-1]
+        if ">=" in terms:
+            terms, rhs = terms.split(">=")
+            rows[-1][1][">="] = int(rhs)
+        for term in terms.split("+"):
+            if term.strip():
+                c, x = term.split()
+                rows[-1][1][int(x[1:])] = int(c)
+    return rows
+
+
+VARIANTS = [Variant.VERTEX, Variant.EDGE, Variant.MIXED]
+
+
+class TestVariantsAgainstPlainOracle:
+    """Edge and mixed items (d(u, vw) = min) checked against plain Python."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_variant_kappa_and_witness(self, variant):
+        for g in random_graph_corpus():
+            items, rows = plain_item_rows(g, variant.value)
+            worst = plain_worst_pair(items, rows, range(g.n))
+            expected = (None, None) if worst is None else (worst[0], worst[1:])
+            assert variant_kappa(g, variant) == expected
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_verify_set_and_certificate(self, variant):
+        rng = random.Random(4127)
+        for g in random_graph_corpus():
+            items, rows = plain_item_rows(g, variant.value)
+            for _ in range(3):
+                S = sorted(rng.sample(range(g.n), rng.randint(0, g.n)))
+                worst = plain_worst_pair(items, rows, S)
+                if worst is None:
+                    assert certificate_for(g, variant, S) is None
+                    assert verify_set(g, variant, S, 1) == (True, None, None)
+                    continue
+                value, a, b = worst
+                assert certificate_for(g, variant, S) == Certificate(a, b, value)
+                assert verify_set(g, variant, S, value) == (True, None, value)
+                assert verify_set(g, variant, S, value + 1) == (False, (a, b), value)
+
+    @pytest.mark.parametrize("variant", [Variant.EDGE, Variant.MIXED])
+    def test_write_lp_rows_in_pair_order(self, variant):
+        for g in random_graph_corpus():
+            items, rows = plain_item_rows(g, variant.value)
+            expected = []
+            for i, j in combinations(range(len(items)), 2):
+                coeffs = {s: abs(rows[i][s] - rows[j][s]) for s in range(g.n)}
+                coeffs = {s: c for s, c in coeffs.items() if c}
+                coeffs[">="] = 3
+                expected.append(
+                    (f"{plain_label(items[i])} -- {plain_label(items[j])}", coeffs)
+                )
+            assert lp_rows(write_lp(g, variant, 3)) == expected
