@@ -120,27 +120,21 @@ def cmd_kappa(args) -> int:
 
 
 def _solve_one(g: Graph, variant: Variant, k: int, engine: str, size_cap: int):
-    """Returns (provenance, value, basis, solver_stats)."""
-    if engine == "formula":
-        if variant != Variant.VERTEX:
-            raise FormulaNotCovered("closed forms exist for the vertex variant only")
-        basis = formula_basis(g, k)
-        return "formula", len(basis), basis, {}
+    """Returns (provenance, basis, solver_stats). ``auto`` takes the closed
+    form wherever ``closedform`` covers the input, else bnb."""
     if engine == "brute":
         res = solve_bruteforce(g, variant, k, size_cap=size_cap)
-        return "brute", res.value, res.basis, dict(res.stats)
-    if engine == "bnb":
-        res = solve_bnb(g, variant, k)
-        return "bnb", res.value, res.basis, dict(res.stats)
-    # auto: prefer the closed form when a family is attached, else bnb
-    if variant == Variant.VERTEX and g.family is not None:
+        return "brute", res.basis, dict(res.stats)
+    if engine in ("formula", "auto"):
         try:
-            basis = formula_basis(g, k)
-            return "formula", len(basis), basis, {}
+            if variant != Variant.VERTEX:
+                raise FormulaNotCovered("closed forms exist for the vertex variant only")
+            return "formula", formula_basis(g, k), {}
         except FormulaNotCovered:
-            pass
+            if engine == "formula":
+                raise
     res = solve_bnb(g, variant, k)
-    return "bnb", res.value, res.basis, dict(res.stats)
+    return "bnb", res.basis, dict(res.stats)
 
 
 def cmd_wdim(args) -> int:
@@ -164,21 +158,20 @@ def cmd_wdim(args) -> int:
     nodes = 0
     subsets = 0
     for k in range(lo, hi + 1):
-        provenance, value, basis, solver_stats = _solve_one(
+        provenance, basis, solver_stats = _solve_one(
             g, variant, k, args.engine, args.size_cap
         )
-        check = verify_set(g, variant, basis, k)
-        if not check.ok:
+        cert = certificate_for(g, variant, basis)
+        if cert is not None and cert.delta < k:
             raise AssertionError(
                 f"internal error: {provenance} basis failed verification at k={k}"
             )
         nodes += solver_stats.get("nodes", 0)
         subsets += solver_stats.get("subsets", 0)
-        cert = certificate_for(g, variant, basis)
         rows.append({
             "k": k,
             "variant": variant.value,
-            "value": value,
+            "value": len(basis),
             "basis": list(basis),
             "certificate": None
             if cert is None

@@ -1,7 +1,7 @@
 """Closed-form kappa and weak k-metric dimension values for solved families.
 
 Covered: paths, cycles (n >= 5 for dimension values), stars (n >= 5),
-complete and complete-bipartite graphs, arbitrary trees (via thread
+complete and complete-bipartite graphs, trees on n >= 2 vertices (via thread
 decomposition), and grids. Boundary parameters the formulas exclude
 (star on 4 vertices, cycles on 3 or 4, one-sided complete bipartite)
 raise ``FormulaNotCovered`` and are expected to be solver-routed.
@@ -38,6 +38,8 @@ class GridBorderLabeling:
 
 
 def _shape_for(g: Graph) -> TreeShape:
+    if g.n < 2:
+        raise FormulaNotCovered("no closed form: a tree file needs n >= 2")
     try:
         return decompose_tree(g)
     except NotATree as exc:
@@ -185,8 +187,6 @@ def grid_basis(q: int, r: int, k: int) -> tuple[int, ...]:
 def _path_order(g: Graph) -> list[int]:
     """Vertices of a path-shaped tree walked endpoint to endpoint,
     starting at the smaller-id leaf."""
-    if g.n == 1:
-        return [0]
     start = min(v for v in range(g.n) if g.degree(v) == 1)
     order = [start]
     prev = None

@@ -1,11 +1,21 @@
 """CLI subcommands: JSON schema, exit codes, round trips, engine agreement."""
 
+import contextlib
+import io
 import json
+import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weakdim import cli
-from weakdim.graph import parse_edgelist
+from conftest import random_tree_graph, tree_from_prufer
+
+from weakdim import cli, cycle, generate, spider
+from weakdim.graph import format_edgelist, parse_edgelist
+from weakdim.solver import DimensionResult
 
 
 def run_cli(capsys, *argv):
@@ -258,3 +268,86 @@ class TestErrors:
             "--variant", "edge", "--engine", "formula",
         )
         assert code == 2
+
+
+def write_graph(directory, name, g):
+    f = Path(directory) / name
+    f.write_text(format_edgelist(g))
+    return str(f)
+
+
+def sweep(capsys, f, engine):
+    return run_json(capsys, "wdim", "--file", f, "--k", "1..30", "--engine", engine)
+
+
+class TestAutoRouting:
+    def test_tree_file_uses_formula_at_every_k(self, capsys, tmp_path):
+        f = write_graph(tmp_path, "tree40.txt", random_tree_graph(random.Random(5), 40))
+        auto = sweep(capsys, f, "auto")
+        formula = sweep(capsys, f, "formula")
+        assert {r["provenance"] for r in auto["results"]} == {"formula"}
+        assert auto["results"] == formula["results"]
+
+    def test_three_thread_spider_file(self, capsys, tmp_path):
+        f = write_graph(tmp_path, "spider.txt", generate(spider(1, 2, 5)))
+        rows = sweep(capsys, f, "auto")["results"]
+        assert [r["provenance"] for r in rows] == ["bnb"] + ["formula"] * (len(rows) - 1)
+        bnb = sweep(capsys, f, "bnb")["results"]
+        assert [r["value"] for r in rows] == [r["value"] for r in bnb]
+
+    def test_non_tree_file_stays_bnb(self, capsys, tmp_path):
+        f = write_graph(tmp_path, "cycle.txt", generate(cycle(6)))
+        rows = sweep(capsys, f, "auto")["results"]
+        assert {r["provenance"] for r in rows} == {"bnb"}
+
+    def test_one_vertex_file(self, capsys, tmp_path):
+        f = tmp_path / "one.txt"
+        f.write_text("1 0\n")
+        code, _, err = run_cli(
+            capsys, "wdim", "--file", str(f), "--k", "1..3", "--engine", "formula"
+        )
+        assert code == 2 and "n >= 2" in err
+        rows = run_json(capsys, "wdim", "--file", str(f), "--k", "1..3")["results"]
+        assert [(r["k"], r["value"], r["provenance"]) for r in rows] == [
+            (1, 0, "bnb"), (2, 0, "bnb"), (3, 0, "bnb"),
+        ]
+
+
+def _prufer_trees():
+    return st.integers(2, 10).flatmap(
+        lambda n: st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2).map(
+            lambda seq: tree_from_prufer(seq, n)
+        )
+    )
+
+
+def _values(f, n, engine):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["wdim", "--file", f, "--k", f"1..{n}", "--engine", engine])
+    assert code == 0
+    return [(r["k"], r["value"]) for r in json.loads(out.getvalue())["results"]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_prufer_trees())
+def test_auto_matches_brute_on_random_trees(g):
+    # kappa(T) <= n for every tree, so 1..n sweeps every k <= kappa
+    with tempfile.TemporaryDirectory() as directory:
+        f = write_graph(directory, "tree.txt", g)
+        assert _values(f, g.n, "auto") == _values(f, g.n, "brute")
+
+
+class TestReverificationGuard:
+    def test_deficient_formula_basis(self, monkeypatch):
+        monkeypatch.setattr(cli, "formula_basis", lambda g, k: (0,))
+        with pytest.raises(AssertionError, match="failed verification"):
+            cli.main(["wdim", "--family", "path:9", "--k", "3"])
+
+    def test_deficient_bnb_basis(self, monkeypatch):
+        def deficient(g, variant, k):
+            return DimensionResult(variant, k, 1, (0,), None, {"oracle": "bnb"})
+
+        monkeypatch.setattr(cli, "solve_bnb", deficient)
+        with pytest.raises(AssertionError, match="failed verification"):
+            cli.main(["wdim", "--family", "cycle:6", "--k", "3", "--engine", "bnb"])

@@ -8,6 +8,7 @@ from weakdim import (
     FormulaNotCovered,
     KaboveKappa,
     Variant,
+    build_graph,
     complete,
     complete_bipartite,
     compute_kappa,
@@ -195,3 +196,12 @@ class TestFormulaBasis:
         raw = type(g)(g.n, g.edges())  # same cycle without family provenance
         with pytest.raises(FormulaNotCovered):
             formula_basis(raw, 1)
+
+    def test_one_vertex_graph_not_covered(self):
+        g = build_graph(1, [])  # no pairs: the dimension is 0, not 1
+        with pytest.raises(FormulaNotCovered):
+            kappa_formula(g)
+        with pytest.raises(FormulaNotCovered):
+            wdim_formula(g, 1)
+        with pytest.raises(FormulaNotCovered):
+            formula_basis(g, 1)
