@@ -199,7 +199,8 @@ def _path_order(g: Graph) -> list[int]:
 
 
 def formula_basis(g: Graph, k: int) -> tuple[int, ...]:
-    """A constructive basis matching ``wdim_formula`` for the same input.
+    """A constructive basis matching ``wdim_formula`` for the same input,
+    sorted ascending like the engines' bases.
 
     Used by the formula engine; callers re-verify before reporting.
     Raises ``FormulaNotCovered`` where no construction is given (the
@@ -210,7 +211,7 @@ def formula_basis(g: Graph, k: int) -> tuple[int, ...]:
     if spec is None or spec.kind == "spider":
         shape = _shape_for(g)
         if shape.is_path:
-            return tuple(_path_order(g)[:k])
+            return tuple(sorted(_path_order(g)[:k]))
         if shape.is_spider3:
             if k == 1:
                 raise FormulaNotCovered(
@@ -231,7 +232,7 @@ def formula_basis(g: Graph, k: int) -> tuple[int, ...]:
         if spec.n == 2:
             return tuple(range(k))
         if spec.n == 3:
-            return tuple([1, 0, 2][:k])  # path order around the center
+            return tuple(sorted([1, 0, 2][:k]))  # path order around the center
         return tuple(range(1, spec.n - 1)) if k <= 2 else tuple(range(1, spec.n))
     if kind == "complete_bipartite":
         q, r = spec.q, spec.r

@@ -2,12 +2,12 @@
 
 Vertices are dense integer ids ``0..n-1``. The all-pairs shortest-path
 matrix is computed once (one BFS per source) and cached on the graph;
-everything downstream indexes into it.
+everything downstream indexes into it. Its dtype is the narrowest signed
+integer holding n - 1, an upper bound on every hop count.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -22,6 +22,15 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .families import FamilySpec
+
+
+def _distance_dtype(n: int) -> type[np.signedinteger]:
+    """Narrowest signed integer dtype holding n - 1, the largest possible
+    hop count (and difference of two hop counts) in an n-vertex graph."""
+    for dtype in (np.int8, np.int16):
+        if n - 1 <= np.iinfo(dtype).max:
+            return dtype
+    return np.int32
 
 
 class Graph:
@@ -58,27 +67,33 @@ class Graph:
         self.edge_count = m
         self.family = family
         self._dist: np.ndarray | None = None
-        if n > 1 and self._bfs(0).min() < 0:
+        if n > 1 and -1 in self._bfs(0):
             raise NotConnected("graph is not connected")
 
-    def _bfs(self, source: int) -> np.ndarray:
-        dist = np.full(self.n, -1, dtype=np.int32)
+    def _bfs(self, source: int) -> list[int]:
+        """Hop counts from ``source``, -1 where unreachable (level by level)."""
+        adjacency = self.adjacency
+        dist = [-1] * self.n
         dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            du = dist[u] + 1
-            for v in self.adjacency[u]:
-                if dist[v] < 0:
-                    dist[v] = du
-                    queue.append(v)
+        frontier = [source]
+        level = 0
+        while frontier:
+            level += 1
+            reached = []
+            for u in frontier:
+                for v in adjacency[u]:
+                    if dist[v] < 0:
+                        dist[v] = level
+                        reached.append(v)
+            frontier = reached
         return dist
 
     @property
     def distance_matrix(self) -> np.ndarray:
-        """n x n matrix of hop counts (computed once, then cached)."""
+        """Read-only n x n matrix of hop counts, computed once and cached."""
         if self._dist is None:
-            d = np.empty((self.n, self.n), dtype=np.int32)
+            # row by row: a list of all n rows would hold 8 bytes per entry
+            d = np.empty((self.n, self.n), dtype=_distance_dtype(self.n))
             for s in range(self.n):
                 d[s] = self._bfs(s)
             d.setflags(write=False)

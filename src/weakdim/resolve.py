@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import SameVertex, TrivialGraph, VertexOutOfRange
 from .graph import Graph, find_twins
+from .timing import timed
 
 
 @dataclass(frozen=True)
@@ -113,27 +114,52 @@ def pair_blocks(rows: np.ndarray, start: int = 0, step: int = 1):
     the item pair (a, a + 1 + j), so the blocks run in lex pair order.
     ``start``/``step`` select every step-th head item from ``start``."""
     for a in range(start, len(rows) - 1, step):
-        yield a, np.abs(rows[a + 1:] - rows[a])
+        yield a, _abs_diff(rows[a + 1:], rows[a])
+
+
+def _abs_diff(others: np.ndarray, head: np.ndarray) -> np.ndarray:
+    block = others - head
+    return np.abs(block, out=block)
 
 
 def pair_sum(block: np.ndarray) -> np.ndarray:
     """Per-pair difference total (the weak, sum-based criterion)."""
-    return block.sum(axis=1)
+    return block.sum(axis=1, dtype=np.int64)
 
 
 def pair_count(block: np.ndarray) -> np.ndarray:
     """Per-pair distinguisher count (the count-based criterion)."""
-    return (block > 0).sum(axis=1)
+    return np.count_nonzero(block, axis=1)
 
 
 def _lex_min_part(rows, reducers, start, step):
     best = [None] * len(reducers)
-    for a, block in pair_blocks(rows, start, step):
-        for r, reduce in enumerate(reducers):
-            vals = reduce(block)
-            i = int(vals.argmin())
-            if best[r] is None or vals[i] < best[r][0]:
-                best[r] = (int(vals[i]), (a, a + 1 + i))
+    ncols = rows.shape[1]
+    for a in range(start, len(rows) - 1, step):
+        others, head = rows[a + 1:], rows[a]
+        if None in best:
+            width = ncols
+        else:
+            width = min(ncols, max(64, 2 * max(v for v, _ in best)))
+        block = _abs_diff(others[:, :width], head[:width])
+        vals = [reduce(block) for reduce in reducers]
+        survivors = None
+        if width < ncols:
+            # Sums over a column prefix are lower bounds; a pair at or above
+            # an incumbent cannot win, as it comes later in lex order.
+            alive = np.zeros(len(block), dtype=bool)
+            for v, (incumbent, _) in zip(vals, best):
+                alive |= v < incumbent
+            survivors = np.flatnonzero(alive)
+            if survivors.size == 0:
+                continue
+            rest = _abs_diff(others[survivors, width:], head[width:])
+            vals = [v[survivors] + reduce(rest) for v, reduce in zip(vals, reducers)]
+        for r, v in enumerate(vals):
+            i = int(v.argmin())
+            if best[r] is None or v[i] < best[r][0]:
+                j = i if survivors is None else int(survivors[i])
+                best[r] = (int(v[i]), (a, a + 1 + j))
     return best
 
 
@@ -141,10 +167,14 @@ def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1) -> list:
     """Per reducer, the lex-first minimizing ``(value, (a, b))`` over item
     pairs a < b of ``rows``, or None when there are fewer than two items.
 
-    Each block is computed once and fed to every reducer. With
-    ``workers > 1`` the head items are split round-robin across threads
-    and the parts are merged by ``(value, pair)``, so the result does not
-    depend on the worker count.
+    A reducer maps a block of per-column differences (one pair per row)
+    to per-pair values and must be column-additive with non-negative
+    terms, as ``pair_sum`` and ``pair_count`` are: the scan evaluates
+    each head row's block on a first column slice and abandons the pairs
+    that already reach every reducer's incumbent, then finishes the rest.
+    With ``workers > 1`` the head items are split round-robin across
+    threads and the parts are merged by ``(value, pair)``, so the result
+    does not depend on the worker count.
     """
     workers = min(workers, len(rows) - 1)
     if workers > 1:
@@ -180,8 +210,9 @@ def weak3_structure_witness(g: Graph) -> tuple[int, int, int] | None:
     return None
 
 
-def _classify(g: Graph, kappa: int) -> tuple[KappaClass, tuple[int, ...] | None]:
-    true_pairs, false_pairs = find_twins(g)
+def _classify(g: Graph, kappa: int, twins: tuple[list, list]
+              ) -> tuple[KappaClass, tuple[int, ...] | None]:
+    true_pairs, false_pairs = twins
     if kappa == 2:
         if true_pairs:
             return KappaClass.TRUE_TWINS, true_pairs[0]
@@ -196,19 +227,27 @@ def _classify(g: Graph, kappa: int) -> tuple[KappaClass, tuple[int, ...] | None]
     return KappaClass.OTHER, None
 
 
-def compute_kappa(g: Graph, workers: int = 1) -> KappaReport:
+def compute_kappa(g: Graph, workers: int = 1, twins: tuple[list, list] | None = None,
+                  phases: dict | None = None) -> KappaReport:
     """Exact kappa and kappa' with a minimizing pair and classification.
 
     The O(n^2) pair scan may be partitioned across ``workers`` threads;
     the reduction is performed in chunk order, so the reported witness
     pair (lex-smallest minimizer) does not depend on the worker count.
+    ``twins`` is ``find_twins(g)`` when the caller already has it; with a
+    ``phases`` dict the scan and the classification add their
+    milliseconds to ``phases["kappa"]`` and ``phases["classify"]``.
     """
     if g.n < 2:
         raise TrivialGraph("kappa is undefined on a single vertex")
-    (kappa, pair), (kappa_prime, _) = lex_min(
-        g.distance_matrix, [pair_sum, pair_count], workers
-    )
-    classification, evidence = _classify(g, kappa)
+    with timed(phases, "kappa"):
+        (kappa, pair), (kappa_prime, _) = lex_min(
+            g.distance_matrix, [pair_sum, pair_count], workers
+        )
+    with timed(phases, "classify"):
+        classification, evidence = _classify(
+            g, kappa, find_twins(g) if twins is None else twins
+        )
     return KappaReport(
         kappa=kappa,
         kappa_prime=kappa_prime,

@@ -149,24 +149,20 @@ def certificate_for(g: Graph, variant: Variant, S: Iterable[int]) -> "Certificat
 def _cover_model(g: Graph, variant: Variant, k: int, reducer=pair_sum):
     """Items, rows and the dense (npairs x n) profile of the criterion
     (``pair_sum``: differences; ``pair_count``: 0/1 support), or a None
-    profile when there are no item pairs. One scan of the rows both
-    collects the profile blocks and finds the criterion's limit, which
-    ``k`` may not exceed (KaboveKappa / KaboveKappaPrime)."""
+    profile when there are no item pairs. The criterion's limit, which
+    ``k`` may not exceed (KaboveKappa / KaboveKappaPrime), is the
+    lex-first minimum of the reducer over the profile's rows, which
+    ``pair_blocks`` lays out in lex pair order."""
     items, rows = _item_rows(g, variant)
-    blocks = []
-
-    def keep(block):
-        blocks.append(block)
-        return reducer(block)
-
-    (hit,) = lex_min(rows, [keep])
-    if hit is None:
+    if len(items) < 2:
         return items, rows, None
-    limit, (a, b) = hit
-    if k > limit:
+    profile = np.concatenate([block for _, block in pair_blocks(rows)])
+    vals = reducer(profile)
+    i = int(vals.argmin())
+    if k > vals[i]:
+        a, b = (int(ends[i]) for ends in np.triu_indices(len(items), 1))
         error = KaboveKappaPrime if reducer is pair_count else KaboveKappa
-        raise error(k, limit, (items[a], items[b]))
-    profile = np.concatenate(blocks)
+        raise error(k, int(vals[i]), (items[a], items[b]))
     if reducer is pair_count:
         profile = (profile > 0).astype(np.int8)
     return items, rows, profile

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import random_tree_graph, tree_from_prufer
 
-from weakdim import cli, cycle, generate, spider
-from weakdim.graph import format_edgelist, parse_edgelist
+from weakdim import cli, cycle, generate, resolve, spider
+from weakdim.graph import find_twins, format_edgelist, parse_edgelist
 from weakdim.solver import DimensionResult
 
 
@@ -52,6 +52,28 @@ class TestKappaCommand:
         report = run_json(capsys, "kappa", "--family", "star:6")
         assert list(report) == ["input", "operation", "results", "warnings", "stats"]
         assert report["operation"] == "kappa"
+
+    def test_timing_phases(self, capsys):
+        stats = run_json(capsys, "kappa", "--family", "grid:6x6", "--timing")["stats"]
+        phases = stats["phases_ms"]
+        assert list(phases) == ["load", "apsp", "kappa", "classify"]
+        assert all(isinstance(v, float) and v >= 0 for v in phases.values())
+        assert sum(phases.values()) <= stats["elapsed_ms"] + 0.5
+        plain = run_json(capsys, "kappa", "--family", "grid:6x6")["stats"]
+        assert list(plain) == ["true_twin_pairs", "false_twin_pairs", "workers"]
+
+    def test_twins_found_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(g):
+            calls.append(g.n)
+            return find_twins(g)
+
+        monkeypatch.setattr(cli, "find_twins", counting)
+        monkeypatch.setattr(resolve, "find_twins", counting)
+        row = run_json(capsys, "kappa", "--family", "kqr:2,3")["results"][0]
+        assert row["classification"] == "Weak4FalseTwins"
+        assert calls == [5]
 
 
 class TestWdimCommand:
@@ -311,6 +333,17 @@ class TestAutoRouting:
         assert [(r["k"], r["value"], r["provenance"]) for r in rows] == [
             (1, 0, "bnb"), (2, 0, "bnb"), (3, 0, "bnb"),
         ]
+
+    @pytest.mark.parametrize("engine", ["auto", "formula", "bnb", "brute"])
+    def test_bases_ascending_under_every_engine(self, capsys, tmp_path, engine):
+        f = tmp_path / "p3.txt"
+        f.write_text("3 2\n0 1\n0 2\n")
+        for source in (["--family", "star:3"], ["--file", str(f)]):
+            rows = run_json(capsys, "wdim", *source, "--k", "1..3",
+                            "--engine", engine)["results"]
+            assert len(rows) == 3
+            for row in rows:
+                assert row["basis"] == sorted(row["basis"])
 
 
 def _prufer_trees():

@@ -5,7 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from conftest import family_corpus, plain_distances, random_connected_graph
+from conftest import (
+    family_corpus,
+    plain_delta_set,
+    plain_distances,
+    random_connected_graph,
+)
 
 from weakdim import (
     DuplicateEdge,
@@ -18,6 +23,8 @@ from weakdim import (
     complete,
     complete_bipartite,
     cycle,
+    delta_over_set,
+    delta_pair,
     find_twins,
     format_edgelist,
     generate,
@@ -102,6 +109,36 @@ class TestDistances:
                 y = rng.randrange(g.n)
                 assert int(d[x, y]) == plain[x][y]
                 checked += 1
+
+
+class TestDistanceDtype:
+    @pytest.mark.parametrize("n", [127, 128, 129, 300])
+    @pytest.mark.parametrize("family", [path, cycle])
+    def test_narrow_matrix_matches_plain_bfs(self, family, n):
+        g = generate(family(n))
+        d = all_pairs_distances(g)
+        assert np.array_equal(d, np.array(plain_distances(g)))
+        assert d.dtype == (np.int8 if n <= 128 else np.int16)
+        assert np.iinfo(d.dtype).max >= n - 1 >= int(d.max())
+        assert not d.flags.writeable
+        with pytest.raises(ValueError):
+            d[0, 1] = 0
+
+    @pytest.mark.parametrize("n", [127, 128, 129, 300])
+    @pytest.mark.parametrize("family", [path, cycle])
+    def test_differences_are_python_ints(self, family, n):
+        g = generate(family(n))
+        plain = plain_distances(g)
+        for x, y in [(0, n - 1), (1, n // 2)]:
+            per = tuple(abs(a - b) for a, b in zip(plain[x], plain[y]))
+            prof = delta_pair(g, x, y)
+            assert prof.per_vertex == per and prof.total == sum(per)
+            assert prof.support_size == sum(1 for v in per if v)
+            S = range(0, n, 3)
+            total = delta_over_set(g, x, y, S)
+            assert total == plain_delta_set(plain, x, y, S)
+            values = [*prof.per_vertex, prof.total, prof.support_size, total]
+            assert all(type(v) is int for v in values)
 
 
 class TestGenerators:

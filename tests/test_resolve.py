@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -12,6 +13,7 @@ from conftest import (
     plain_distances,
     plain_distinguisher_count,
     random_graph_corpus,
+    random_tree_graph,
 )
 
 from weakdim import (
@@ -28,6 +30,7 @@ from weakdim import (
     find_twins,
     generate,
     grid,
+    parse_family,
     path,
     star,
     verify_k_resolving,
@@ -35,6 +38,8 @@ from weakdim import (
     verify_weak_k_resolving,
     weak3_structure_witness,
 )
+from weakdim.resolve import lex_min, pair_sum
+from weakdim.solver import Certificate, Variant, certificate_for
 
 
 class TestDeltaPair:
@@ -275,3 +280,90 @@ class TestClassificationSoundness:
             assert rep.classification == KappaClass.FALSE_TWINS
             assert tuple(rep.evidence) in find_twins(g)[1]
             assert weak3_structure_witness(g) is None
+
+
+def sparse_graph(seed: int, n: int):
+    """Seeded random tree plus n // 4 extra edges."""
+    rng = random.Random(seed)
+    edges = set(random_tree_graph(rng, n).edges())
+    while len(edges) < n - 1 + n // 4:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return build_graph(n, sorted(edges))
+
+
+def dense_lex_min(d, cols):
+    """Plain dense scan over every pair: the lex-first (value, pair)
+    minimizing the difference sum and the distinguisher count over ``cols``."""
+    D = np.array(d, dtype=np.int64)[:, list(cols)]
+    blocks = [np.abs(D[a + 1:] - D[a]) for a in range(len(D) - 1)]
+    sums = np.concatenate([b.sum(axis=1) for b in blocks])
+    counts = np.concatenate([(b != 0).sum(axis=1) for b in blocks])
+    pairs = [(a, b) for a in range(len(D)) for b in range(a + 1, len(D))]
+    i, j = int(sums.argmin()), int(counts.argmin())
+    return (int(sums[i]), pairs[i]), (int(counts[j]), pairs[j])
+
+
+# Tie-heavy families (n <= 64 or kappa' near n: the scan stays dense) and
+# inputs with n > 64 and small incumbents, where it abandons pairs.
+SCAN_FAMILIES = ["cycle:7", "cycle:8", "cycle:31", "complete:6", "kqr:3,4",
+                 "grid:9x7", "path:130", "complete:100", "kqr:40,40",
+                 "star:90", "grid:20x20"]
+SCAN_SPARSE = [(1, 60), (2, 97), (3, 150), (4, 200)]
+
+
+def scan_graphs():
+    return ([pytest.param(generate(parse_family(f)), id=f) for f in SCAN_FAMILIES]
+            + [pytest.param(sparse_graph(s, n), id=f"sparse{n}") for s, n in SCAN_SPARSE])
+
+
+class TestScanAgainstDenseOracle:
+    @pytest.mark.parametrize("g", scan_graphs())
+    def test_compute_kappa(self, g):
+        (kappa, pair), (kappa_prime, _) = dense_lex_min(plain_distances(g), range(g.n))
+        for workers in (1, 2, 3):
+            rep = compute_kappa(g, workers=workers)
+            assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (
+                kappa, kappa_prime, pair)
+
+    @pytest.mark.parametrize("g", scan_graphs())
+    def test_verifiers_and_certificate_on_random_subsets(self, g):
+        rng = random.Random(g.n)
+        d = plain_distances(g)
+        sizes = [1, 2, rng.randint(3, g.n), g.n]
+        for S in [sorted(rng.sample(range(g.n), m)) for m in sizes]:
+            (total, pair), (count, count_pair) = dense_lex_min(d, S)
+            assert verify_weak_k_resolving(g, S, total) == (True, None, total)
+            assert verify_weak_k_resolving(g, S, total + 1) == (False, pair, total)
+            assert verify_k_resolving(g, S, count) == (True, None, count)
+            assert verify_k_resolving(g, S, count + 1) == (False, count_pair, count)
+            assert certificate_for(g, Variant.VERTEX, S) == Certificate(*pair, total)
+
+    @pytest.mark.parametrize("g", [pytest.param(generate(parse_family(f)), id=f)
+                                   for f in ("grid:20x20", "kqr:40,40")]
+                             + [pytest.param(sparse_graph(4, 200), id="sparse200")])
+    def test_scan_abandons_pairs_that_reach_the_incumbent(self, g):
+        """Per head row the scan reads a first column slice of width
+        min(n, max(64, 2 * incumbent)) and finishes only the pairs whose
+        slice sum is below the incumbent: a tie comes later in lex order."""
+        D = np.array(plain_distances(g), dtype=np.int64)
+        n = g.n
+        expected, incumbent = [], None
+        for a in range(n - 1):
+            block = np.abs(D[a + 1:] - D[a])
+            width = n if incumbent is None else min(n, max(64, 2 * incumbent))
+            expected.append((n - 1 - a, width))
+            if width < n:
+                survivors = int((block[:, :width].sum(axis=1) < incumbent).sum())
+                if survivors:
+                    expected.append((survivors, n - width))
+            low = int(block.sum(axis=1).min())
+            incumbent = low if incumbent is None else min(incumbent, low)
+        seen = []
+
+        def recording_sum(block):
+            seen.append(block.shape)
+            return pair_sum(block)
+
+        lex_min(g.distance_matrix, [recording_sum])
+        assert seen == expected
