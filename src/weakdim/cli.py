@@ -150,11 +150,16 @@ def _solve_one(g: Graph, variant: Variant, k: int, engine: str, size_cap: int):
 
 def cmd_wdim(args) -> int:
     started = time.perf_counter()
-    g, input_block = _load_graph(args)
+    phases = {} if args.timing else None
+    with timed(phases, "load"):
+        g, input_block = _load_graph(args)
+    with timed(phases, "apsp"):
+        all_pairs_distances(g)
     variant = Variant(args.variant)
     lo, hi, is_range = _parse_k_spec(args.k)
     warnings = []
-    kv, witness = variant_kappa(g, variant)
+    with timed(phases, "kappa"):
+        kv, witness = variant_kappa(g, variant)
     if variant != Variant.VERTEX:
         warnings.append(
             "kappa for the edge/mixed variants extends the vertex-pair "
@@ -169,10 +174,12 @@ def cmd_wdim(args) -> int:
     nodes = 0
     subsets = 0
     for k in range(lo, hi + 1):
-        provenance, basis, solver_stats = _solve_one(
-            g, variant, k, args.engine, args.size_cap
-        )
-        cert = certificate_for(g, variant, basis)
+        with timed(phases, "solve"):
+            provenance, basis, solver_stats = _solve_one(
+                g, variant, k, args.engine, args.size_cap
+            )
+        with timed(phases, "verify"):
+            cert = certificate_for(g, variant, basis)
         if cert is not None and cert.delta < k:
             raise AssertionError(
                 f"internal error: {provenance} basis failed verification at k={k}"
@@ -198,6 +205,10 @@ def cmd_wdim(args) -> int:
         stats["brute_subsets"] = subsets
     if args.timing:
         stats["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 1)
+        stats["phases_ms"] = {
+            name: round(phases[name], 1)
+            for name in ("load", "apsp", "kappa", "solve", "verify")
+        }
     _emit(input_block, "wdim", rows, warnings, stats)
     return EXIT_OK
 
@@ -289,7 +300,7 @@ def _add_input_options(sp) -> None:
 def _add_timing(sp) -> None:
     sp.add_argument(
         "--timing", action="store_true",
-        help="include elapsed_ms (and, for kappa, phases_ms) in stats"
+        help="include elapsed_ms (and, for kappa and wdim, phases_ms) in stats"
     )
 
 

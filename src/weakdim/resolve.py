@@ -132,15 +132,46 @@ def pair_count(block: np.ndarray) -> np.ndarray:
     return np.count_nonzero(block, axis=1)
 
 
-def _lex_min_part(rows, reducers, start, step):
+_MIN_SLICE = 64  # narrowest first column slice of the early-abandoning scan
+_BATCH = 1 << 16  # entries in one block of the dense scan
+
+
+def _dense_part(rows, reducers, start, step):
+    """``_lex_min_part`` where every slice would cover all columns: the pairs
+    of several head rows are reduced in one block of at most about
+    ``_BATCH`` entries, and the first flat argmin is the lex-first pair."""
     best = [None] * len(reducers)
+    nrows, ncols = rows.shape
+    heads = np.arange(start, nrows - 1, step)
+    per_batch = max(1, _BATCH // (nrows * max(1, ncols)))
+    for i in range(0, len(heads), per_batch):
+        batch = heads[i:i + per_batch]
+        first = int(batch[0])
+        others = rows[first + 1:]
+        block = _abs_diff(others[None], rows[batch][:, None])
+        # block[r, j] is the pair (batch[r], first + 1 + j); keep b > a only
+        shape = (len(batch), len(others))
+        lower = np.arange(shape[1]) < (batch - first)[:, None]
+        for r, reduce in enumerate(reducers):
+            vals = reduce(block.reshape(shape[0] * shape[1], ncols)).reshape(shape)
+            vals[lower] = np.iinfo(vals.dtype).max
+            h, j = np.unravel_index(int(vals.argmin()), shape)
+            if best[r] is None or vals[h, j] < best[r][0]:
+                best[r] = (int(vals[h, j]), (int(batch[h]), first + 1 + int(j)))
+    return best
+
+
+def _lex_min_part(rows, reducers, start, step):
     ncols = rows.shape[1]
+    if ncols <= _MIN_SLICE:
+        return _dense_part(rows, reducers, start, step)
+    best = [None] * len(reducers)
     for a in range(start, len(rows) - 1, step):
         others, head = rows[a + 1:], rows[a]
         if None in best:
             width = ncols
         else:
-            width = min(ncols, max(64, 2 * max(v for v, _ in best)))
+            width = min(ncols, max(_MIN_SLICE, 2 * max(v for v, _ in best)))
         block = _abs_diff(others[:, :width], head[:width])
         vals = [reduce(block) for reduce in reducers]
         survivors = None

@@ -9,10 +9,18 @@ min(d(., v), d(., w)).
 Two engines certify optima. ``solve_bruteforce`` enumerates subsets in
 increasing size and lexicographic order, so it returns the canonical
 (lex-smallest) optimal set. ``solve_bnb`` is a depth-first
-branch-and-bound over include/exclude decisions with two admissible
-lower bounds: the per-pair ratio bound ceil(residual / max entry) and a
-mass bound ceil(total residual / best clipped column sum). It returns
-its first incumbent at the optimal value.
+branch-and-bound over include/exclude decisions, starting from a greedy
+cover. Each row's threshold k is first rounded up to a multiple of the
+row's gcd, since every column sum of the row is such a multiple (on
+bipartite graphs, pairs at even distance have only even entries). A node
+carries the rows still short of their threshold and what they lack, and
+is pruned when some row cannot be covered by the columns left, or when
+one of two admissible lower bounds on the columns still needed meets
+the incumbent: the cardinality bound (the most columns any single row
+needs, taking its largest entries clipped at its residual) and the mass
+bound ceil(total residual / best clipped column sum). It branches on
+the column with the largest raw sum over the short rows and returns its
+first incumbent at the optimal value.
 """
 
 from __future__ import annotations
@@ -232,60 +240,106 @@ def _greedy_cover(profile: np.ndarray, k: int) -> list[int]:
     return chosen
 
 
+def _row_rhs(profile: np.ndarray, k: int) -> np.ndarray:
+    """k rounded up to a multiple of each row's gcd. Every column sum of a
+    row is a multiple of its gcd, so it reaches k exactly when it reaches
+    the rounded value (on bipartite graphs, pairs at even distance have
+    only even entries)."""
+    g = np.gcd.reduce(profile.astype(np.int64), axis=1)
+    return -(-k // g) * g
+
+
+def _lower_bounds(sub: np.ndarray, res: np.ndarray) -> "tuple[int, int] | None":
+    """(cardinality, mass) lower bounds on the columns still to pick so that
+    every row of ``sub`` reaches its residual ``res``, or None when some row
+    cannot. Entries are clipped at their row's residual. The cardinality
+    bound is the most columns any single row needs (its largest clipped
+    entries first); the mass bound divides the total residual by the best
+    clipped column sum."""
+    clipped = np.minimum(sub, res[:, None])
+    if (clipped.sum(axis=1) < res).any():
+        return None
+    reach = np.cumsum(np.sort(clipped, axis=1)[:, ::-1], axis=1)
+    need = int((reach < res[:, None]).sum(axis=1).max()) + 1
+    mass = math.ceil(int(res.sum()) / int(clipped.sum(axis=0).max()))
+    return need, mass
+
+
 def solve_bnb(g: Graph, variant: Variant = Variant.VERTEX, k: int = 1) -> DimensionResult:
-    """Branch-and-bound with admissible bounds; certified optimal value."""
+    """Branch-and-bound with admissible bounds; certified optimal value.
+
+    ``stats`` counts the search: ``nodes`` visited, the ``root_bound``,
+    the ``incumbent_updates`` found by the search (after the greedy start)
+    and the nodes cut per reason in ``prunes`` (``infeasible``: some row
+    cannot be covered; ``card`` / ``mass``: that bound meets the
+    incumbent). Every node is a leaf (an incumbent update), a prune, or
+    a branch with two children.
+    """
     if k < 1:
         raise ParameterOutOfRange(f"k must be positive, got {k}")
     items, rows, profile = _cover_model(g, variant, k)
     if profile is None:
         return _empty_result(variant, k, "bnb")
 
-    n = g.n
     incumbent = _greedy_cover(profile, k)
     best_val = len(incumbent)
     best_basis = tuple(sorted(incumbent))
-    nodes = 0
+    nodes = updates = 0
+    prunes = {"infeasible": 0, "card": 0, "mass": 0}
+    rhs = _row_rhs(profile, k)
+    root_bound = max(_lower_bounds(profile, rhs))
 
-    def visit(count: int, chosen: list[int], avail: np.ndarray, residual: np.ndarray):
-        nonlocal best_val, best_basis, nodes
+    def visit(count: int, chosen: list[int], avail: np.ndarray,
+              act: np.ndarray, res: np.ndarray):
+        # act: indices of the rows still short of their rhs; res: what they lack
+        nonlocal best_val, best_basis, nodes, updates
         nodes += 1
-        if not residual.any():
-            if count < best_val:
-                best_val = count
-                best_basis = tuple(sorted(chosen))
+        if act.size == 0:
+            # reached only by an include whose parent had count + card < best_val
+            best_val = count
+            best_basis = tuple(sorted(chosen))
+            updates += 1
             return
-        if count + 1 >= best_val:
+        if count + 1 >= best_val:  # the cardinality bound is at least 1
+            prunes["card"] += 1
             return
         avail_ids = np.flatnonzero(avail)
-        if avail_ids.size == 0:
+        sub = profile[np.ix_(act, avail_ids)]
+        bounds = _lower_bounds(sub, res)
+        if bounds is None:
+            prunes["infeasible"] += 1
             return
-        active = residual > 0
-        sub = profile[np.ix_(active, avail_ids)]
-        res = residual[active]
-        max_entry = sub.max(axis=1)
-        if (max_entry == 0).any():
+        need, mass = bounds
+        if count + need >= best_val:
+            prunes["card"] += 1
             return
-        ratio_bound = int(np.ceil(res / max_entry).max())
-        caps = np.minimum(sub, res[:, None]).sum(axis=0)
-        mass_bound = math.ceil(int(res.sum()) / int(caps.max()))
-        if count + max(ratio_bound, mass_bound) >= best_val:
+        if count + mass >= best_val:
+            prunes["mass"] += 1
             return
         # branch on the vertex covering the most residual demand (raw sum);
         # argmax takes the first occurrence, i.e. the smallest id on ties
         v = int(avail_ids[int(sub.sum(axis=0).argmax())])
         rest = avail.copy()
         rest[v] = False
-        visit(count + 1, chosen + [v], rest, np.maximum(residual - profile[:, v], 0))
-        visit(count, chosen, rest, residual)
+        left = res - profile[act, v]
+        keep = left > 0
+        visit(count + 1, chosen + [v], rest, act[keep], left[keep])
+        visit(count, chosen, rest, act, res)
 
-    visit(0, [], np.ones(n, dtype=bool), np.full(len(profile), k, dtype=np.int64))
+    visit(0, [], np.ones(g.n, dtype=bool), np.arange(len(profile)), rhs)
     return DimensionResult(
         variant,
         k,
         best_val,
         best_basis,
         _worst_pair(items, rows, list(best_basis)),
-        {"oracle": "bnb", "nodes": nodes},
+        {
+            "oracle": "bnb",
+            "nodes": nodes,
+            "root_bound": root_bound,
+            "incumbent_updates": updates,
+            "prunes": prunes,
+        },
     )
 
 

@@ -113,6 +113,16 @@ class TestWdimCommand:
         assert len(report["results"]) == 4  # kappa(C5) = 4
         assert any("clipped" in w for w in report["warnings"])
 
+    def test_timing_phases(self, capsys):
+        argv = ["wdim", "--family", "grid:4x4", "--k", "1..4", "--engine", "bnb"]
+        stats = run_json(capsys, *argv, "--timing")["stats"]
+        phases = stats["phases_ms"]
+        assert list(phases) == ["load", "apsp", "kappa", "solve", "verify"]
+        assert all(isinstance(v, float) and v >= 0 for v in phases.values())
+        assert sum(phases.values()) <= stats["elapsed_ms"] + 0.5
+        plain = run_json(capsys, *argv)["stats"]
+        assert list(plain) == ["engine", "variant_kappa", "bnb_nodes"]
+
     def test_single_infeasible_k_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "wdim", "--family", "complete:4", "--k", "3")
         assert code == 3

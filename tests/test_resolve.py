@@ -38,7 +38,8 @@ from weakdim import (
     verify_weak_k_resolving,
     weak3_structure_witness,
 )
-from weakdim.resolve import lex_min, pair_sum
+from weakdim import resolve
+from weakdim.resolve import lex_min, pair_count, pair_sum
 from weakdim.solver import Certificate, Variant, certificate_for
 
 
@@ -338,6 +339,28 @@ class TestScanAgainstDenseOracle:
             assert verify_k_resolving(g, S, count) == (True, None, count)
             assert verify_k_resolving(g, S, count + 1) == (False, count_pair, count)
             assert certificate_for(g, Variant.VERTEX, S) == Certificate(*pair, total)
+
+    @pytest.mark.parametrize("batch", [1, 50, 700])
+    def test_dense_batches_keep_the_lex_first_pair(self, monkeypatch, batch):
+        """With at most 64 columns the scan reduces the pairs of several head
+        rows in one block of about ``_BATCH`` entries: wherever the batches
+        split the heads, the witness stays the lex-first minimizer."""
+        monkeypatch.setattr(resolve, "_BATCH", batch)
+        for f in ("cycle:8", "complete:6", "kqr:3,4", "grid:9x7"):
+            g = generate(parse_family(f))
+            (kappa, pair), (kappa_prime, _) = dense_lex_min(plain_distances(g), range(g.n))
+            for workers in (1, 2, 3):
+                rep = compute_kappa(g, workers=workers)
+                assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (
+                    kappa, kappa_prime, pair)
+        rng = random.Random(batch)
+        for f in ("path:130", "grid:20x20"):
+            g = generate(parse_family(f))
+            d = plain_distances(g)
+            for m in (0, 1, 2, 40, 64):
+                S = sorted(rng.sample(range(g.n), m))
+                hits = lex_min(g.distance_matrix[:, S], [pair_sum, pair_count])
+                assert hits == list(dense_lex_min(d, S))
 
     @pytest.mark.parametrize("g", [pytest.param(generate(parse_family(f)), id=f)
                                    for f in ("grid:20x20", "kqr:40,40")]

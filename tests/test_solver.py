@@ -3,18 +3,24 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     petersen,
     plain_delta_set,
     plain_distances,
     plain_item_rows,
+    random_connected_graph,
     random_graph_corpus,
+    tree_from_prufer,
 )
 
 from weakdim import (
     Certificate,
+    build_graph,
     KaboveKappa,
     KaboveKappaPrime,
     TooLarge,
@@ -25,6 +31,7 @@ from weakdim import (
     generate,
     grid,
     pair_profiles,
+    parse_family,
     path,
     solve_bnb,
     solve_bruteforce,
@@ -35,6 +42,7 @@ from weakdim import (
     verify_set,
     write_lp,
 )
+from weakdim import solver
 
 # regression constants fixed by exhaustive search over the 10-vertex
 # Petersen graph (increasing subset size)
@@ -337,3 +345,219 @@ class TestVariantsAgainstPlainOracle:
                     (f"{plain_label(items[i])} -- {plain_label(items[j])}", coeffs)
                 )
             assert lp_rows(write_lp(g, variant, 3)) == expected
+
+
+# bnb bases captured from commit 32308e8, whose bnb had only the ratio and
+# mass bounds. A valid, stronger bound cuts nodes but never a subtree that
+# holds a better set, and the branching rule is unchanged, so the search
+# finds the same incumbents: every basis must stay as it was.
+# (family, variant, first k) -> bases at k, k + 1, ...
+GOLDEN_FAMILY_BASES = {
+    ("grid:5x4", "vertex", 1): [
+        (0, 3),
+        (0, 3),
+        (0, 1, 3, 17),
+        (0, 1, 3, 17),
+        (0, 1, 3, 16, 17, 19),
+        (0, 1, 3, 16, 17, 19),
+        (0, 1, 2, 3, 16, 17, 18, 19),
+        (0, 1, 2, 3, 16, 17, 18, 19),
+        (0, 1, 2, 3, 4, 7, 16, 17, 18, 19),
+        (0, 1, 2, 3, 4, 7, 16, 17, 18, 19),
+    ],
+    ("grid:6x4", "vertex", 5): [
+        (0, 1, 3, 20, 21, 23),
+        (0, 1, 3, 20, 21, 23),
+        (0, 1, 2, 3, 20, 21, 22, 23),
+        (0, 1, 2, 3, 20, 21, 22, 23),
+        (0, 1, 2, 3, 4, 7, 20, 21, 22, 23),
+        (0, 1, 2, 3, 4, 7, 20, 21, 22, 23),
+        (0, 1, 2, 3, 4, 7, 8, 11, 20, 21, 22, 23),
+        (0, 1, 2, 3, 4, 7, 8, 11, 20, 21, 22, 23),
+        (0, 1, 2, 3, 4, 7, 8, 11, 16, 19, 20, 21, 22, 23),
+        (0, 1, 2, 3, 4, 7, 8, 11, 12, 15, 20, 21, 22, 23),
+        (0, 1, 2, 3, 4, 7, 8, 11, 12, 15, 16, 19, 20, 21, 22, 23),
+    ],
+    ("grid:4x4", "mixed", 1): [
+        (0, 3, 12),
+        (0, 3, 12, 15),
+        (0, 1, 3, 4, 7, 12, 13, 15),
+        (0, 1, 2, 3, 4, 7, 8, 11, 12, 13, 14, 15),
+    ],
+}
+# golden_random_graphs()[i] -> bases at k = 1..kappa
+GOLDEN_RANDOM_BASES = [
+    [(6, 8, 9), (5, 6, 7, 8, 9), (0, 4, 5, 6, 7, 8, 9), (1, 2, 3, 4, 5, 6, 7, 8, 9)],
+    [(0, 1, 5), (0, 2, 3, 4, 8), (0, 1, 2, 4, 5, 8, 9), (0, 1, 2, 3, 4, 5, 6, 8, 9)],
+    [
+        (1, 2, 8),
+        (0, 1, 4, 8),
+        (0, 1, 4, 5, 6, 8),
+        (0, 1, 4, 5, 6, 7, 8),
+        (0, 1, 3, 4, 5, 6, 7, 8, 9),
+    ],
+    [
+        (3, 5, 9),
+        (1, 7, 8, 9),
+        (0, 1, 2, 8, 9),
+        (0, 1, 2, 4, 7, 8, 9),
+        (0, 1, 2, 3, 4, 5, 7, 8, 9),
+    ],
+    [(3, 4, 6), (1, 3, 4, 8), (3, 4, 5, 6, 7), (1, 3, 4, 5, 6, 7)],
+    [
+        (0, 3),
+        (0, 3, 4),
+        (0, 1, 2, 3),
+        (0, 1, 3, 4, 5),
+        (0, 1, 2, 3, 4, 5, 6),
+        (0, 1, 2, 3, 4, 5, 6, 8),
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9),
+    ],
+    [(1, 3, 5), (1, 3, 4, 5), (1, 3, 4, 5, 8, 9)],
+    [(0, 1, 2), (1, 5, 6, 9), (0, 1, 2, 5, 6, 9), (0, 1, 2, 3, 5, 6, 8, 9)],
+    [(0, 2, 3), (0, 1, 3, 5), (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5, 6)],
+    [
+        (2, 6),
+        (2, 6),
+        (2, 4, 6, 7),
+        (2, 3, 4, 6),
+        (0, 2, 4, 6, 7, 8),
+        (0, 2, 4, 6, 7, 8),
+        (0, 2, 3, 4, 6, 7, 8, 9),
+        (0, 2, 3, 4, 6, 7, 8, 9),
+    ],
+    [(0, 4, 6), (5, 6, 7, 8, 9)],
+    [(0, 1, 7), (0, 1, 2, 3, 7), (0, 1, 2, 3, 4, 7, 9), (0, 1, 2, 4, 6, 7, 8, 9)],
+    [(1, 2, 6, 7), (1, 2, 4, 6, 7, 9), (0, 1, 2, 4, 5, 6, 7, 8, 9)],
+    [
+        (0, 2, 4),
+        (0, 2, 6, 9),
+        (0, 1, 2, 4, 8, 9),
+        (0, 1, 2, 3, 4, 6, 8, 9),
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9),
+    ],
+    [(0, 2, 3), (0, 2, 3, 4), (0, 3, 4, 5, 8, 9)],
+    [(0, 1, 5, 7), (0, 2, 3, 8, 9), (0, 1, 2, 5, 7, 8, 9), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)],
+    [(0, 1, 2), (0, 1, 3, 7), (0, 1, 3, 4, 7, 8)],
+    [(0, 1, 5, 9), (2, 3, 5, 9), (0, 2, 3, 5, 7, 8, 9), (0, 2, 3, 4, 5, 6, 7, 8, 9)],
+    [(1, 2, 9), (0, 2, 5, 8, 9), (0, 1, 2, 4, 5, 7, 9), (0, 1, 2, 4, 5, 7, 8, 9)],
+    [
+        (0, 1, 4),
+        (0, 1, 3, 4),
+        (1, 2, 3, 7, 8),
+        (0, 2, 4, 5, 7, 8),
+        (0, 1, 2, 3, 4, 5, 7, 8),
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9),
+    ],
+]
+
+
+def golden_random_graphs():
+    rng = random.Random(5150)
+    return [random_connected_graph(rng, 10) for _ in range(20)]
+
+
+def counters_add_up(stats) -> bool:
+    """Every node is a leaf (an incumbent update), a prune or a branch, and
+    each branch has two children."""
+    branches, odd = divmod(stats["nodes"] - 1, 2)
+    leaves_and_prunes = stats["incumbent_updates"] + sum(stats["prunes"].values())
+    return odd == 0 and stats["nodes"] == leaves_and_prunes + branches
+
+
+class TestBnbBounds:
+    @pytest.mark.parametrize("spec, variant, lo", list(GOLDEN_FAMILY_BASES))
+    def test_family_bases_pinned(self, spec, variant, lo):
+        g = generate(parse_family(spec))
+        for k, basis in enumerate(GOLDEN_FAMILY_BASES[spec, variant, lo], start=lo):
+            assert solve_bnb(g, Variant(variant), k).basis == basis, k
+
+    def test_random_bases_pinned(self):
+        for g, bases in zip(golden_random_graphs(), GOLDEN_RANDOM_BASES):
+            kappa, _ = variant_kappa(g, Variant.VERTEX)
+            assert [solve_bnb(g, k=k).basis for k in range(1, kappa + 1)] == bases
+
+    # the ratio and mass bounds alone visit 13,243 and 72,589 nodes here
+    @pytest.mark.parametrize("k, ceiling", [(7, 3000), (11, 1500)])
+    def test_odd_k_grid_node_ceiling(self, k, ceiling):
+        res = solve_bnb(generate(grid(6, 4)), k=k)
+        assert res.value == k + 1
+        assert res.stats["nodes"] <= ceiling
+
+    def test_root_bound_proves_the_even_k_grid_greedy_cover(self):
+        # without the cardinality bound the mass bound alone needs 2,131 nodes
+        res = solve_bnb(generate(grid(6, 4)), k=8)
+        assert (res.value, res.stats["root_bound"], res.stats["nodes"]) == (8, 8, 1)
+
+    def test_lower_bounds_on_small_matrices(self):
+        # row 0 needs its three unit columns; the best column sum is 3
+        sub = np.array([[1, 1, 1, 0, 0, 0], [0, 0, 0, 3, 3, 3]], dtype=np.int8)
+        assert solver._lower_bounds(sub, np.array([3, 3])) == (3, 2)
+        # entries are clipped at the residual: 5 counts as 2
+        sub = np.array([[5, 1, 1], [1, 1, 0]], dtype=np.int8)
+        assert solver._lower_bounds(sub, np.array([2, 2])) == (2, 2)
+        assert solver._lower_bounds(sub, np.array([2, 3])) is None
+
+    def test_counters_add_up(self, monkeypatch):
+        bounds, lower_bounds = [], solver._lower_bounds
+
+        def recording_bounds(sub, res):
+            bounds.append(lower_bounds(sub, res))
+            return bounds[-1]
+
+        monkeypatch.setattr(solver, "_lower_bounds", recording_bounds)
+        cases = [(generate(grid(6, 4)), Variant.VERTEX, k) for k in (5, 6, 7)]
+        cases += [(g, variant, k) for g in random_graph_corpus(count=8)
+                  for variant in Variant for k in (1, 2, 3)]
+        for g, variant, k in cases:
+            kappa, _ = variant_kappa(g, variant)
+            if kappa is None or k > kappa:
+                continue
+            bounds.clear()
+            res = solve_bnb(g, variant, k)
+            stats = res.stats
+            assert set(stats["prunes"]) == {"infeasible", "card", "mass"}
+            assert counters_add_up(stats), (g, variant, k, stats)
+            assert stats["prunes"]["infeasible"] == bounds.count(None)
+            assert bounds[0] is not None and stats["root_bound"] == max(bounds[0])
+            assert stats["root_bound"] <= res.value
+            greedy = len(solver._greedy_cover(solver._cover_model(g, variant, k)[2], k))
+            assert (stats["incumbent_updates"] == 0) == (res.value == greedy)
+
+    def test_rhs_rounds_up_to_the_row_gcd(self):
+        # grid:3x3 is bipartite: a pair at even distance differs by an even
+        # amount at every probe, so reaching k = 3 means reaching 4
+        g = generate(grid(3, 3))
+        d = plain_distances(g)
+        rhs = solver._row_rhs(solver._cover_model(g, Variant.VERTEX, 3)[2], 3)
+        pairs = list(combinations(range(g.n), 2))
+        assert [int(r) for r in rhs] == [4 if d[x][y] % 2 == 0 else 3 for x, y in pairs]
+
+
+def _random_graphs(max_n: int = 9):
+    """A random labelled tree on 2..max_n vertices plus any set of extra edges."""
+    def build(n, prufer, extra):
+        edges = set(tree_from_prufer(prufer, n).edges())
+        edges |= {pair for pair, keep in zip(combinations(range(n), 2), extra) if keep}
+        return build_graph(n, sorted(edges))
+
+    return st.integers(2, max_n).flatmap(lambda n: st.builds(
+        build,
+        st.just(n),
+        st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2),
+        st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+    ))
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=_random_graphs(), data=st.data())
+def test_bnb_root_bound_and_value_against_brute(g, data):
+    for variant in Variant:
+        kappa, _ = variant_kappa(g, variant)
+        if kappa is None:
+            continue
+        k = data.draw(st.integers(1, kappa), label=variant.value)
+        optimum = solve_bruteforce(g, variant, k).value
+        res = solve_bnb(g, variant, k)
+        assert res.stats["root_bound"] <= optimum
+        assert res.value == optimum
