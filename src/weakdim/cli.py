@@ -173,6 +173,8 @@ def cmd_wdim(args) -> int:
     rows = []
     nodes = 0
     subsets = 0
+    # bnb search counters, reported under --timing
+    bnb = {"incumbent_updates": 0, "prunes": {}, "root_bounds": []}
     for k in range(lo, hi + 1):
         with timed(phases, "solve"):
             provenance, basis, solver_stats = _solve_one(
@@ -186,6 +188,11 @@ def cmd_wdim(args) -> int:
             )
         nodes += solver_stats.get("nodes", 0)
         subsets += solver_stats.get("subsets", 0)
+        if "root_bound" in solver_stats:  # a bnb row that ran a search
+            bnb["incumbent_updates"] += solver_stats["incumbent_updates"]
+            for reason, count in solver_stats["prunes"].items():
+                bnb["prunes"][reason] = bnb["prunes"].get(reason, 0) + count
+            bnb["root_bounds"].append(solver_stats["root_bound"])
         rows.append({
             "k": k,
             "variant": variant.value,
@@ -209,6 +216,8 @@ def cmd_wdim(args) -> int:
             name: round(phases[name], 1)
             for name in ("load", "apsp", "kappa", "solve", "verify")
         }
+        if bnb["root_bounds"]:
+            stats["bnb"] = bnb
     _emit(input_block, "wdim", rows, warnings, stats)
     return EXIT_OK
 
@@ -220,12 +229,17 @@ def _check_k(k: int) -> None:
 
 def cmd_verify(args) -> int:
     started = time.perf_counter()
+    phases = {} if args.timing else None
     _check_k(args.k)
-    g, input_block = _load_graph(args)
+    with timed(phases, "load"):
+        g, input_block = _load_graph(args)
+        with open(args.set_file, "r", encoding="utf-8") as fh:
+            S = parse_vertex_set(fh.read(), g.n)
+    with timed(phases, "apsp"):
+        all_pairs_distances(g)
     variant = Variant(args.variant)
-    with open(args.set_file, "r", encoding="utf-8") as fh:
-        S = parse_vertex_set(fh.read(), g.n)
-    res = verify_set(g, variant, S, args.k)
+    with timed(phases, "verify"):
+        res = verify_set(g, variant, S, args.k)
     row = {
         "ok": res.ok,
         "k": args.k,
@@ -242,6 +256,9 @@ def cmd_verify(args) -> int:
     stats = {}
     if args.timing:
         stats["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 1)
+        stats["phases_ms"] = {
+            name: round(phases[name], 1) for name in ("load", "apsp", "verify")
+        }
     _emit(input_block, "verify", [row], [], stats)
     return EXIT_OK if res.ok else EXIT_VERIFY_FAIL
 
@@ -300,7 +317,8 @@ def _add_input_options(sp) -> None:
 def _add_timing(sp) -> None:
     sp.add_argument(
         "--timing", action="store_true",
-        help="include elapsed_ms (and, for kappa and wdim, phases_ms) in stats"
+        help="include elapsed_ms and phases_ms in stats (and, for wdim rows "
+             "solved by bnb, the search counters under bnb)"
     )
 
 

@@ -15,12 +15,21 @@ row's gcd, since every column sum of the row is such a multiple (on
 bipartite graphs, pairs at even distance have only even entries). A node
 carries the rows still short of their threshold and what they lack, and
 is pruned when some row cannot be covered by the columns left, or when
-one of two admissible lower bounds on the columns still needed meets
-the incumbent: the cardinality bound (the most columns any single row
-needs, taking its largest entries clipped at its residual) and the mass
-bound ceil(total residual / best clipped column sum). It branches on
-the column with the largest raw sum over the short rows and returns its
-first incumbent at the optimal value.
+an admissible lower bound on the columns still needed meets the
+incumbent. Entries are clipped at their row's residual. The cheap
+bounds come first: the cardinality bound (the most columns any single
+row needs, taking its largest entries first) and the mass bound
+ceil(total residual / best clipped column sum). Where both fail, the
+Lagrangian bound L(u) = u.res + sum_c min(0, 1 - (u^T C)_c), for row
+multipliers u in [0, 1], has the LP relaxation's value as its maximum:
+projected subgradient steps with a Polyak step size raise it, about 60
+at the root and a few at every other node, warm-started from the
+parent's multipliers on the rows still short. Any u gives a valid
+bound, so exactness never rests on convergence; the prune decision
+itself is exact, made in integers on u snapped down to multiples of
+2^-20. The search is an explicit-stack DFS that takes the include
+child first; it branches on the column with the largest raw sum over
+the short rows and returns its first incumbent at the optimal value.
 """
 
 from __future__ import annotations
@@ -252,10 +261,10 @@ def _row_rhs(profile: np.ndarray, k: int) -> np.ndarray:
 def _lower_bounds(sub: np.ndarray, res: np.ndarray) -> "tuple[int, int] | None":
     """(cardinality, mass) lower bounds on the columns still to pick so that
     every row of ``sub`` reaches its residual ``res``, or None when some row
-    cannot. Entries are clipped at their row's residual. The cardinality
-    bound is the most columns any single row needs (its largest clipped
-    entries first); the mass bound divides the total residual by the best
-    clipped column sum."""
+    cannot. Entries are clipped at their row's residual (a no-op on a matrix
+    already clipped). The cardinality bound is the most columns any single
+    row needs (its largest clipped entries first); the mass bound divides
+    the total residual by the best clipped column sum."""
     clipped = np.minimum(sub, res[:, None])
     if (clipped.sum(axis=1) < res).any():
         return None
@@ -265,15 +274,94 @@ def _lower_bounds(sub: np.ndarray, res: np.ndarray) -> "tuple[int, int] | None":
     return need, mass
 
 
+# Multipliers are snapped down to w / _LAG_Q with integer 0 <= w <= _LAG_Q.
+_LAG_Q = 1 << 20
+# Subgradient steps at the root and at every other node that runs them.
+_ROOT_STEPS = 60
+_NODE_STEPS = 4
+_WINDOW = 5
+
+
+def _subgradient(clipped: np.ndarray, res: np.ndarray, u: np.ndarray,
+                 steps: int, target: int) -> tuple[float, np.ndarray]:
+    """Best Lagrangian value L(u) found by at most ``steps`` projected
+    subgradient steps from ``u``, and its multipliers.
+
+    For u >= 0 over the rows, L(u) = u.res + sum_c min(0, 1 - (u^T C)_c)
+    is the LP relaxation with the rows moved into the objective, so every
+    u gives a lower bound on the columns still needed. A row's multiplier
+    is kept in [0, 1]: above 1 every column meeting the row has a negative
+    reduced cost (positive entries are at least 1), and L cannot grow with
+    it. The Polyak step aims at ``target`` (best value - count). The
+    search stops once L clears target - 1 by more than snapping can lose,
+    or when its gain over the last _WINDOW steps, kept up for the steps
+    left, would not carry it past the next integer (or target - 1 if
+    that is lower): the bound is used only through its ceiling.
+    """
+    C = clipped.astype(np.float64)
+    resf = res.astype(np.float64)
+    limit = target - 1
+    clear = limit + (float(resf.sum()) + 1) / _LAG_Q
+    best, best_u = -math.inf, u
+    trail = []  # best value after each step
+    avg = None
+    for step_no in range(1, steps + 1):
+        red = 1.0 - u @ C
+        x = red < 0  # the relaxed solution: columns of negative reduced cost
+        value = float(u @ resf) + float(red @ x)
+        if value > best:
+            best, best_u = value, u
+            if value > clear:
+                break
+        trail.append(best)
+        if step_no > _WINDOW:
+            goal = min(limit, math.floor(best) + 1)
+            rate = (best - trail[-1 - _WINDOW]) / _WINDOW
+            if goal - best > rate * (steps - step_no):
+                break
+        # step along res - C avg, with avg a running mean of the relaxed
+        # solutions (it damps the zig-zag between ties), less the
+        # components that the clip at 0 would cancel
+        avg = x.astype(np.float64) if avg is None else 0.5 * (avg + x)
+        grad = resf - C @ avg
+        grad[(u <= 0.0) & (grad < 0.0)] = 0.0
+        norm = float(grad @ grad)
+        if norm == 0.0:
+            break
+        u = u + (target - value) / norm * grad
+        np.minimum(np.maximum(u, 0.0, out=u), 1.0, out=u)
+    return best, best_u
+
+
+def _snapped_bound(clipped: np.ndarray, res: np.ndarray, u: np.ndarray) -> int:
+    """_LAG_Q * L(w / _LAG_Q) for w = floor(_LAG_Q * u), exactly.
+
+    With 0 <= w <= _LAG_Q and 0 <= C <= res, every int64 partial sum is at
+    most _LAG_Q * (ncols + 1) * sum(res) in magnitude; ``solve_bnb`` runs
+    the Lagrangian only when that fits below 2**63.
+    """
+    w = np.floor(u * _LAG_Q).astype(np.int64)
+    red = _LAG_Q - w @ clipped.astype(np.int64, copy=False)
+    return int(w @ res.astype(np.int64, copy=False)) + int(red[red < 0].sum())
+
+
+def _lagrangian_prunes(clipped: np.ndarray, res: np.ndarray, u: np.ndarray,
+                       limit: int) -> bool:
+    """Exact test of L(u) > limit on the snapped multipliers: then the
+    node needs more than ``limit`` further columns."""
+    return _snapped_bound(clipped, res, u) > _LAG_Q * limit
+
+
 def solve_bnb(g: Graph, variant: Variant = Variant.VERTEX, k: int = 1) -> DimensionResult:
     """Branch-and-bound with admissible bounds; certified optimal value.
 
-    ``stats`` counts the search: ``nodes`` visited, the ``root_bound``,
-    the ``incumbent_updates`` found by the search (after the greedy start)
+    ``stats`` counts the search: ``nodes`` visited, the ``root_bound``
+    (the largest bound at the root, the Lagrangian's included when the
+    root gets that far), the ``incumbent_updates`` found by the search (after the greedy start)
     and the nodes cut per reason in ``prunes`` (``infeasible``: some row
-    cannot be covered; ``card`` / ``mass``: that bound meets the
-    incumbent). Every node is a leaf (an incumbent update), a prune, or
-    a branch with two children.
+    cannot be covered; ``card`` / ``mass`` / ``lagrangian``: that bound
+    meets the incumbent). Every node is a leaf (an incumbent update), a
+    prune, or a branch with two children.
     """
     if k < 1:
         raise ParameterOutOfRange(f"k must be positive, got {k}")
@@ -285,37 +373,55 @@ def solve_bnb(g: Graph, variant: Variant = Variant.VERTEX, k: int = 1) -> Dimens
     best_val = len(incumbent)
     best_basis = tuple(sorted(incumbent))
     nodes = updates = 0
-    prunes = {"infeasible": 0, "card": 0, "mass": 0}
+    prunes = {"infeasible": 0, "card": 0, "mass": 0, "lagrangian": 0}
     rhs = _row_rhs(profile, k)
     root_bound = max(_lower_bounds(profile, rhs))
+    # _snapped_bound's int64 sums fit (they do unless the model is far too
+    # large to search)
+    lagrangian = _LAG_Q * (g.n + 1) * int(rhs.sum()) < 2**63
 
-    def visit(count: int, chosen: list[int], avail: np.ndarray,
-              act: np.ndarray, res: np.ndarray):
-        # act: indices of the rows still short of their rhs; res: what they lack
-        nonlocal best_val, best_basis, nodes, updates
+    # a node: (count, chosen, avail, act, res, u); act holds the indices of
+    # the rows still short of their rhs, res what they lack, u their
+    # multipliers. The include child is pushed last, so it is searched
+    # first, as in a recursive include-first DFS.
+    stack = [(0, (), np.ones(g.n, dtype=bool), np.arange(len(profile)), rhs,
+              np.zeros(len(profile)))]
+    while stack:
+        count, chosen, avail, act, res, u = stack.pop()
+        root = nodes == 0
         nodes += 1
         if act.size == 0:
             # reached only by an include whose parent had count + card < best_val
             best_val = count
             best_basis = tuple(sorted(chosen))
             updates += 1
-            return
+            continue
         if count + 1 >= best_val:  # the cardinality bound is at least 1
             prunes["card"] += 1
-            return
+            continue
         avail_ids = np.flatnonzero(avail)
-        sub = profile[np.ix_(act, avail_ids)]
-        bounds = _lower_bounds(sub, res)
+        sub = profile.take(act, axis=0).take(avail_ids, axis=1)
+        clipped = np.minimum(sub, res[:, None])
+        bounds = _lower_bounds(clipped, res)
         if bounds is None:
             prunes["infeasible"] += 1
-            return
+            continue
         need, mass = bounds
         if count + need >= best_val:
             prunes["card"] += 1
-            return
+            continue
         if count + mass >= best_val:
             prunes["mass"] += 1
-            return
+            continue
+        if lagrangian:
+            limit = best_val - count - 1
+            value, u = _subgradient(clipped, res, u, _ROOT_STEPS if root else _NODE_STEPS,
+                                    best_val - count)
+            if root:
+                root_bound = max(root_bound, -(-_snapped_bound(clipped, res, u) // _LAG_Q))
+            if value > limit and _lagrangian_prunes(clipped, res, u, limit):
+                prunes["lagrangian"] += 1
+                continue
         # branch on the vertex covering the most residual demand (raw sum);
         # argmax takes the first occurrence, i.e. the smallest id on ties
         v = int(avail_ids[int(sub.sum(axis=0).argmax())])
@@ -323,10 +429,9 @@ def solve_bnb(g: Graph, variant: Variant = Variant.VERTEX, k: int = 1) -> Dimens
         rest[v] = False
         left = res - profile[act, v]
         keep = left > 0
-        visit(count + 1, chosen + [v], rest, act[keep], left[keep])
-        visit(count, chosen, rest, act, res)
+        stack.append((count, chosen, rest, act, res, u))
+        stack.append((count + 1, chosen + (v,), rest, act[keep], left[keep], u[keep]))
 
-    visit(0, [], np.ones(g.n, dtype=bool), np.arange(len(profile)), rhs)
     return DimensionResult(
         variant,
         k,

@@ -123,6 +123,33 @@ class TestWdimCommand:
         plain = run_json(capsys, *argv)["stats"]
         assert list(plain) == ["engine", "variant_kappa", "bnb_nodes"]
 
+    def test_timing_bnb_counters(self, capsys, monkeypatch):
+        solved = []
+        solve_bnb = cli.solve_bnb
+
+        def recording(g, variant, k):
+            res = solve_bnb(g, variant, k)
+            solved.append(res.stats)
+            return res
+
+        argv = ["wdim", "--family", "grid:4x4", "--k", "1..4", "--variant", "mixed",
+                "--engine", "bnb"]
+        bnb = run_json(capsys, *argv, "--timing")["stats"]["bnb"]
+        assert list(bnb) == ["incumbent_updates", "prunes", "root_bounds"]
+        monkeypatch.setattr(cli, "solve_bnb", recording)
+        run_cli(capsys, *argv)
+        assert bnb["incumbent_updates"] == sum(s["incumbent_updates"] for s in solved)
+        assert bnb["prunes"] == {
+            reason: sum(s["prunes"][reason] for s in solved) for reason in solved[0]["prunes"]
+        }
+        assert bnb["root_bounds"] == [s["root_bound"] for s in solved]
+
+    def test_timing_bnb_counters_absent_without_bnb_rows(self, capsys):
+        # grid:12x12 at k <= 4 is served by the closed form
+        stats = run_json(capsys, "wdim", "--family", "grid:12x12", "--k", "1..4",
+                         "--timing")["stats"]
+        assert "phases_ms" in stats and "bnb" not in stats
+
     def test_single_infeasible_k_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "wdim", "--family", "complete:4", "--k", "3")
         assert code == 3
@@ -205,6 +232,17 @@ class TestVerifyCommand:
         assert code == 1
         failing = json.loads(out)["results"][0]["failing"]
         assert failing == {"a": 4, "b": 5, "delta": 0}
+
+    def test_timing_phases(self, capsys, tmp_path):
+        set_file = tmp_path / "all.txt"
+        set_file.write_text(" ".join(str(v) for v in range(8)))
+        argv = ["verify", "--family", "cycle:8", "--set-file", str(set_file), "--k", "8"]
+        stats = run_json(capsys, *argv, "--timing")["stats"]
+        phases = stats["phases_ms"]
+        assert list(phases) == ["load", "apsp", "verify"]
+        assert all(isinstance(v, float) and v >= 0 for v in phases.values())
+        assert sum(phases.values()) <= stats["elapsed_ms"] + 0.5
+        assert run_json(capsys, *argv)["stats"] == {}
 
     def test_malformed_set_file(self, capsys, tmp_path):
         set_file = tmp_path / "bad.txt"

@@ -457,6 +457,23 @@ def golden_random_graphs():
     return [random_connected_graph(rng, 10) for _ in range(20)]
 
 
+# bnb node counts at the same instances, captured from commit 0a3afbc (the
+# cardinality and mass bounds only): a stronger admissible bound may only
+# lower them
+GOLDEN_FAMILY_NODES = {
+    ("grid:5x4", "vertex", 1): [1, 1, 145, 1, 399, 1, 835, 1, 389, 1],
+    ("grid:6x4", "vertex", 5): [701, 1, 2313, 1, 1481, 1, 737, 167, 237, 1, 91],
+    ("grid:4x4", "mixed", 1): [13, 45, 93, 17],
+}
+GOLDEN_RANDOM_NODES = [
+    [25, 97, 89, 31], [11, 75, 91, 41], [15, 55, 159, 79, 15], [13, 41, 35, 51, 15],
+    [15, 21, 35, 23], [1, 15, 15, 11, 141, 61, 17], [9, 23, 15], [13, 67, 75, 31],
+    [9, 31, 45, 25], [1, 1, 37, 1, 51, 1, 13, 1], [13, 109], [15, 91, 127, 49],
+    [47, 137, 57], [13, 41, 53, 57, 15], [11, 29, 61], [49, 61, 97, 17], [15, 43, 93],
+    [43, 23, 61, 15], [13, 85, 139, 57], [17, 43, 81, 59, 59, 17],
+]
+
+
 def counters_add_up(stats) -> bool:
     """Every node is a leaf (an incumbent update), a prune or a branch, and
     each branch has two children."""
@@ -477,12 +494,35 @@ class TestBnbBounds:
             kappa, _ = variant_kappa(g, Variant.VERTEX)
             assert [solve_bnb(g, k=k).basis for k in range(1, kappa + 1)] == bases
 
+    @pytest.mark.parametrize("spec, variant, lo", list(GOLDEN_FAMILY_NODES))
+    def test_family_node_ceilings(self, spec, variant, lo):
+        g = generate(parse_family(spec))
+        for k, ceiling in enumerate(GOLDEN_FAMILY_NODES[spec, variant, lo], start=lo):
+            assert solve_bnb(g, Variant(variant), k).stats["nodes"] <= ceiling, k
+
+    def test_random_node_ceilings(self):
+        for i, g in enumerate(golden_random_graphs()):
+            nodes = [solve_bnb(g, k=k).stats["nodes"]
+                     for k in range(1, len(GOLDEN_RANDOM_NODES[i]) + 1)]
+            assert all(map(int.__le__, nodes, GOLDEN_RANDOM_NODES[i])), (i, nodes)
+
     # the ratio and mass bounds alone visit 13,243 and 72,589 nodes here
     @pytest.mark.parametrize("k, ceiling", [(7, 3000), (11, 1500)])
     def test_odd_k_grid_node_ceiling(self, k, ceiling):
         res = solve_bnb(generate(grid(6, 4)), k=k)
         assert res.value == k + 1
         assert res.stats["nodes"] <= ceiling
+
+    # the LP bound of grid:6x4 is k + 1 at odd k; the Lagrangian reaches it
+    # at the root, where the greedy cover is optimal up to k = 9 (at k = 11
+    # it has 13 vertices, so the search must still find a 12-set)
+    @pytest.mark.parametrize("k", [5, 7, 9, 11])
+    def test_odd_k_grid_root_bound(self, k):
+        res = solve_bnb(generate(grid(6, 4)), k=k)
+        assert (res.value, res.stats["root_bound"]) == (k + 1, k + 1)
+        if k < 11:
+            assert res.stats["nodes"] == 1
+            assert res.stats["prunes"]["lagrangian"] == 1
 
     def test_root_bound_proves_the_even_k_grid_greedy_cover(self):
         # without the cardinality bound the mass bound alone needs 2,131 nodes
@@ -498,14 +538,64 @@ class TestBnbBounds:
         assert solver._lower_bounds(sub, np.array([2, 2])) == (2, 2)
         assert solver._lower_bounds(sub, np.array([2, 3])) is None
 
+    def test_lagrangian_prune_is_exact(self):
+        # one row needing 3 of three unit columns: L(u) = 3u for u <= 1
+        clipped, res = np.array([[1, 1, 1]]), np.array([3])
+        q = solver._LAG_Q
+        u = np.array([2 / 3 + 1e-12])
+        # in floats L(u) clears 2, but u snaps down to floor(2q/3) / q and
+        # 3 floor(2q/3) < 2q: the exact test must not prune
+        assert 3 * u[0] > 2
+        assert solver._snapped_bound(clipped, res, u) == 3 * (2 * q // 3) < 2 * q
+        assert not solver._lagrangian_prunes(clipped, res, u, 2)
+        assert solver._lagrangian_prunes(clipped, res, np.array([1.0]), 2)
+        assert not solver._lagrangian_prunes(clipped, res, np.array([1.0]), 3)
+
+    def test_snapped_bound_against_python_ints(self):
+        rng = np.random.default_rng(5)
+        q = solver._LAG_Q
+        for _ in range(50):
+            rows, cols = rng.integers(1, 8), rng.integers(1, 8)
+            res = rng.integers(1, 6, rows)
+            clipped = np.minimum(rng.integers(0, 6, (rows, cols)), res[:, None])
+            u = rng.random(rows)
+            w = [int(x * q) for x in u.tolist()]
+            expected = sum(wr * int(r) for wr, r in zip(w, res)) + sum(
+                min(0, q - sum(wr * int(clipped[r, c]) for r, wr in enumerate(w)))
+                for c in range(cols)
+            )
+            assert solver._snapped_bound(clipped, res, u) == expected
+
+    def test_subgradient_value_is_a_lower_bound(self):
+        # L(u) <= the LP optimum for any u; grid:3x3 at k = 5 needs 6
+        g = generate(grid(3, 3))
+        profile = solver._cover_model(g, Variant.VERTEX, 5)[2]
+        rhs = solver._row_rhs(profile, 5)
+        clipped = np.minimum(profile, rhs[:, None])
+        value, u = solver._subgradient(clipped, rhs, np.zeros(len(rhs)), 60, 6)
+        assert 0 <= u.min() and u.max() <= 1
+        assert value <= 6 and solver._snapped_bound(clipped, rhs, u) <= 6 * solver._LAG_Q
+
     def test_counters_add_up(self, monkeypatch):
         bounds, lower_bounds = [], solver._lower_bounds
+        snapped, snapped_bound = [], solver._snapped_bound
+        decisions, lagrangian_prunes = [], solver._lagrangian_prunes
 
         def recording_bounds(sub, res):
             bounds.append(lower_bounds(sub, res))
             return bounds[-1]
 
+        def recording_snapped(clipped, res, u):
+            snapped.append(snapped_bound(clipped, res, u))
+            return snapped[-1]
+
+        def recording_prunes(clipped, res, u, limit):
+            decisions.append(lagrangian_prunes(clipped, res, u, limit))
+            return decisions[-1]
+
         monkeypatch.setattr(solver, "_lower_bounds", recording_bounds)
+        monkeypatch.setattr(solver, "_snapped_bound", recording_snapped)
+        monkeypatch.setattr(solver, "_lagrangian_prunes", recording_prunes)
         cases = [(generate(grid(6, 4)), Variant.VERTEX, k) for k in (5, 6, 7)]
         cases += [(g, variant, k) for g in random_graph_corpus(count=8)
                   for variant in Variant for k in (1, 2, 3)]
@@ -514,12 +604,19 @@ class TestBnbBounds:
             if kappa is None or k > kappa:
                 continue
             bounds.clear()
+            snapped.clear()
+            decisions.clear()
             res = solve_bnb(g, variant, k)
             stats = res.stats
-            assert set(stats["prunes"]) == {"infeasible", "card", "mass"}
+            assert set(stats["prunes"]) == {"infeasible", "card", "mass", "lagrangian"}
             assert counters_add_up(stats), (g, variant, k, stats)
             assert stats["prunes"]["infeasible"] == bounds.count(None)
-            assert bounds[0] is not None and stats["root_bound"] == max(bounds[0])
+            assert stats["prunes"]["lagrangian"] == decisions.count(True)
+            # the root's Lagrangian, when the root gets that far, computes
+            # its snapped bound first
+            lagrangian_root = [-(-value // solver._LAG_Q) for value in snapped[:1]]
+            assert bounds[0] is not None
+            assert stats["root_bound"] == max(*bounds[0], *lagrangian_root)
             assert stats["root_bound"] <= res.value
             greedy = len(solver._greedy_cover(solver._cover_model(g, variant, k)[2], k))
             assert (stats["incumbent_updates"] == 0) == (res.value == greedy)
