@@ -22,7 +22,6 @@ from .errors import (
     FormulaNotCovered,
     InvalidFamilyParameters,
     KaboveKappa,
-    KaboveKappaPrime,
     NotATree,
     NotConnected,
     ParameterOutOfRange,

@@ -17,7 +17,6 @@ from .closedform import formula_basis
 from .errors import (
     FormulaNotCovered,
     KaboveKappa,
-    KaboveKappaPrime,
     ParameterOutOfRange,
     WeakDimError,
 )
@@ -389,7 +388,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (KaboveKappa, KaboveKappaPrime) as exc:
+    except KaboveKappa as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except WeakDimError as exc:

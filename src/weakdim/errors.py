@@ -54,34 +54,23 @@ class FormulaNotCovered(WeakDimError):
 
 
 class TooLarge(WeakDimError):
-    """Instance exceeds the exhaustive-search size cap."""
+    """Instance exceeds a size limit: the exhaustive search's vertex cap,
+    or the cover model's estimated memory."""
 
 
 class KaboveKappa(WeakDimError):
-    """Requested threshold k exceeds kappa, so no feasible set exists.
+    """Requested threshold k exceeds the criterion's limit, kappa for the
+    difference sum (``criterion`` "sum") or kappa' for the distinguisher
+    count ("count"), so no feasible set exists. Carries the limit and,
+    when available, a witness pair whose sum (or count) equals it."""
 
-    Carries the limiting value and, when available, a witness pair whose
-    total distance difference equals it.
-    """
-
-    def __init__(self, k, kappa, witness=None):
+    def __init__(self, k, kappa, witness=None, criterion="sum"):
         self.k = k
         self.kappa = kappa
         self.witness = witness
-        msg = f"k={k} infeasible: kappa={kappa}"
-        if witness is not None:
-            msg += f" (witness pair {witness})"
-        super().__init__(msg)
-
-
-class KaboveKappaPrime(WeakDimError):
-    """Requested k exceeds kappa', the largest k admitting a k-resolving set."""
-
-    def __init__(self, k, kappa_prime, witness=None):
-        self.k = k
-        self.kappa_prime = kappa_prime
-        self.witness = witness
-        msg = f"k={k} infeasible: kappa'={kappa_prime}"
+        self.criterion = criterion
+        name = "kappa'" if criterion == "count" else "kappa"
+        msg = f"k={k} infeasible: {name}={kappa}"
         if witness is not None:
             msg += f" (witness pair {witness})"
         super().__init__(msg)

@@ -109,14 +109,6 @@ def delta_over_set(g: Graph, x: int, y: int, S: Iterable[int]) -> int:
     return int(np.abs(d[x, ids] - d[y, ids]).sum())
 
 
-def pair_blocks(rows: np.ndarray, start: int = 0, step: int = 1):
-    """Yield ``(a, |rows[a+1:] - rows[a]|)``: block row j is the profile of
-    the item pair (a, a + 1 + j), so the blocks run in lex pair order.
-    ``start``/``step`` select every step-th head item from ``start``."""
-    for a in range(start, len(rows) - 1, step):
-        yield a, _abs_diff(rows[a + 1:], rows[a])
-
-
 def _abs_diff(others: np.ndarray, head: np.ndarray) -> np.ndarray:
     block = others - head
     return np.abs(block, out=block)

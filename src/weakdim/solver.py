@@ -1,10 +1,11 @@
 """Exact solvers for the weak k-metric dimension (vertex, edge, mixed).
 
-The underlying model is a covering problem: pick the fewest vertices so
-that for every item pair (items are vertices, edges, or both, depending
-on the variant) the per-vertex distance differences summed over the
-picked vertices reach k. Distance from a vertex to an edge vw is
-min(d(., v), d(., w)).
+The engines, their certificates and LP export read one ``CoverModel``:
+a row per item pair (items are vertices, edges or both, by variant), in
+lex order, holding the pair's distance difference at each vertex (to an
+edge vw the distance is min(d(., v), d(., w))). A set is feasible when
+its column sum reaches k on every row; the count criterion (k distinct
+distinguishers) is the same model on the profile's 0/1 support.
 
 Two engines certify optima. ``solve_bruteforce`` enumerates subsets in
 increasing size and lexicographic order, so it returns the canonical
@@ -37,18 +38,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import KaboveKappa, KaboveKappaPrime, ParameterOutOfRange, TooLarge
+from .errors import KaboveKappa, ParameterOutOfRange, TooLarge
 from .graph import Graph
-from .resolve import VerifyResult, _check_set, lex_min, pair_blocks, pair_count, pair_sum
+from .resolve import VerifyResult, _check_set, lex_min, pair_sum
 
 Item = Union[int, tuple[int, int]]
 
 DEFAULT_SIZE_CAP = 16
+
+# The largest estimated peak, in bytes, that cover_model admits. The
+# estimate is the profile plus, per entry, three int64 working copies the
+# engines make of it (the greedy start's clipped gains; the root bound's
+# clipped, sorted and cumulated matrices).
+MAX_MODEL_BYTES = 1 << 30
 
 
 class Variant(str, Enum):
@@ -96,12 +103,9 @@ def item_label(item: Item) -> str:
 
 
 def _item_rows(g: Graph, variant: Variant) -> tuple[list[Item], np.ndarray]:
-    """Items of the variant and their distance rows, the one cover model.
-
-    A vertex's row is its distance-matrix row (the vertex variant returns
-    the matrix itself, no copy); an edge vw gets min(d[v], d[w]). The
-    profile of item pair (a, b) is |rows[a] - rows[b]|.
-    """
+    """Items of the variant and their distance rows: a vertex's row is its
+    distance-matrix row (the vertex variant returns the matrix itself, no
+    copy); an edge vw gets min(d[v], d[w])."""
     d = g.distance_matrix
     if variant == Variant.VERTEX:
         return list(range(g.n)), d
@@ -113,27 +117,62 @@ def _item_rows(g: Graph, variant: Variant) -> tuple[list[Item], np.ndarray]:
     return list(range(g.n)) + edges, np.concatenate([d, edge_rows])
 
 
-def _item_pairs(items: list[Item], rows: np.ndarray):
-    """Yield (a, b, profile) for every item pair, in lex order."""
-    for a, block in pair_blocks(rows):
-        for j, profile in enumerate(block):
-            yield items[a], items[a + 1 + j], profile
+@dataclass(frozen=True)
+class CoverModel:
+    """A graph's covering model for one variant and criterion: ``profile``
+    row i is the i-th item pair in lex order, holding its distance
+    differences ("sum") or their 0/1 support ("count") per vertex."""
+
+    criterion: str
+    items: list[Item]
+    profile: np.ndarray
+
+    def pairs(self):
+        """(a, b, profile row) per item pair, in lex order."""
+        return ((a, b, row) for (a, b), row in zip(combinations(self.items, 2), self.profile))
+
+    def certificate(self, cols=slice(None)) -> "Certificate | None":
+        """Lex-first item pair of smallest row sum over ``cols`` (the first
+        argmin), or None without item pairs."""
+        if not len(self.profile):
+            return None
+        sums = self.profile[:, cols].sum(axis=1, dtype=np.int64)
+        i = int(sums.argmin())
+        a, b = next(islice(combinations(self.items, 2), i, None))
+        return Certificate(a, b, int(sums[i]))
+
+    def check(self, k: int) -> None:
+        """Raise unless 1 <= k <= the criterion's limit, the smallest row
+        sum (KaboveKappa, with its lex-first pair as the witness)."""
+        if k < 1:
+            raise ParameterOutOfRange(f"k must be positive, got {k}")
+        worst = self.certificate()
+        if worst is not None and k > worst.delta:
+            raise KaboveKappa(k, worst.delta, (worst.a, worst.b), self.criterion)
 
 
-def _worst_pair(items, rows, cols=slice(None), reducer=pair_sum) -> "Certificate | None":
-    """Lex-first item pair minimizing ``reducer`` over the columns ``cols``."""
-    (hit,) = lex_min(rows[:, cols], [reducer])
-    if hit is None:
-        return None
-    value, (a, b) = hit
-    return Certificate(items[a], items[b], value)
+def cover_model(g: Graph, variant: Variant, criterion: str = "sum") -> CoverModel:
+    """The model under ``criterion`` ("sum" or "count"); TooLarge, before
+    anything is allocated, when its estimated peak exceeds MAX_MODEL_BYTES."""
+    items, rows = _item_rows(g, variant)
+    npairs = len(items) * (len(items) - 1) // 2
+    peak = npairs * g.n * (rows.itemsize + 3 * 8)
+    if peak > MAX_MODEL_BYTES:
+        raise TooLarge(f"the cover model of {npairs} item pairs x {g.n} vertices needs "
+                       f"about {peak / 2**30:.1f} GiB, over the {MAX_MODEL_BYTES >> 30} GiB limit")
+    # item a's block holds the pairs (a, b > a), so rows run in lex pair order
+    blocks = [np.abs(rows[a + 1:] - rows[a]) for a in range(len(items) - 1)]
+    profile = np.concatenate([np.empty((0, g.n), rows.dtype), *blocks])
+    if criterion == "count":
+        profile = (profile > 0).astype(np.int8)
+    return CoverModel(criterion, items, profile)
 
 
 def pair_profiles(g: Graph, variant: Variant = Variant.VERTEX) -> list[ItemPair]:
     """All unordered item pairs of the variant with full profiles."""
     return [
         ItemPair(a, b, tuple(profile.tolist()))
-        for a, b, profile in _item_pairs(*_item_rows(g, variant))
+        for a, b, profile in cover_model(g, variant).pairs()
     ]
 
 
@@ -141,7 +180,7 @@ def variant_kappa(g: Graph, variant: Variant = Variant.VERTEX):
     """Largest feasible k for the variant: min over item pairs of the
     profile total. Returns (kappa, witness_pair), or (None, None) when
     the variant has no item pairs (every k is then vacuously feasible)."""
-    worst = _worst_pair(*_item_rows(g, variant))
+    worst = certificate_for(g, variant, range(g.n))
     if worst is None:
         return None, None
     return worst.delta, (worst.a, worst.b)
@@ -158,48 +197,26 @@ def verify_set(g: Graph, variant: Variant, S: Iterable[int], k: int) -> VerifyRe
 
 
 def certificate_for(g: Graph, variant: Variant, S: Iterable[int]) -> "Certificate | None":
-    """Worst item pair of ``S``: the lex-first minimizer of delta_S."""
-    ids = _check_set(g, S)
-    return _worst_pair(*_item_rows(g, variant), ids)
-
-
-def _cover_model(g: Graph, variant: Variant, k: int, reducer=pair_sum):
-    """Items, rows and the dense (npairs x n) profile of the criterion
-    (``pair_sum``: differences; ``pair_count``: 0/1 support), or a None
-    profile when there are no item pairs. The criterion's limit, which
-    ``k`` may not exceed (KaboveKappa / KaboveKappaPrime), is the
-    lex-first minimum of the reducer over the profile's rows, which
-    ``pair_blocks`` lays out in lex pair order."""
+    """Worst item pair of ``S``: the lex-first minimizer of delta_S, by the
+    pair scan (no dense model)."""
     items, rows = _item_rows(g, variant)
-    if len(items) < 2:
-        return items, rows, None
-    profile = np.concatenate([block for _, block in pair_blocks(rows)])
-    vals = reducer(profile)
-    i = int(vals.argmin())
-    if k > vals[i]:
-        a, b = (int(ends[i]) for ends in np.triu_indices(len(items), 1))
-        error = KaboveKappaPrime if reducer is pair_count else KaboveKappa
-        raise error(k, int(vals[i]), (items[a], items[b]))
-    if reducer is pair_count:
-        profile = (profile > 0).astype(np.int8)
-    return items, rows, profile
+    (hit,) = lex_min(rows[:, _check_set(g, S)], [pair_sum])
+    if hit is None:
+        return None
+    value, (a, b) = hit
+    return Certificate(items[a], items[b], value)
 
 
-def _empty_result(variant: Variant, k: int, oracle: str) -> DimensionResult:
-    # No item pairs: the empty set satisfies every threshold vacuously.
-    return DimensionResult(variant, k, 0, (), None, {"oracle": oracle})
-
-
-def _brute(g: Graph, variant: Variant, k: int, size_cap: int, reducer) -> DimensionResult:
+def _brute(g: Graph, variant: Variant, k: int, size_cap: int, criterion: str) -> DimensionResult:
     """Subsets in increasing size, then lex order: the first whose profile
     column sums reach k on every pair is the lex-smallest optimal basis."""
-    if k < 1:
-        raise ParameterOutOfRange(f"k must be positive, got {k}")
     if g.n > size_cap:
         raise TooLarge(f"n={g.n} exceeds size_cap={size_cap}")
-    items, rows, profile = _cover_model(g, variant, k, reducer)
-    if profile is None:
-        return _empty_result(variant, k, "brute")
+    model = cover_model(g, variant, criterion)
+    model.check(k)
+    profile = model.profile
+    if not len(profile):  # no item pairs: the empty set meets every k vacuously
+        return DimensionResult(variant, k, 0, (), None, {"oracle": "brute"})
 
     totals = profile.sum(axis=1)
     tight = int(totals.argmin())
@@ -218,7 +235,7 @@ def _brute(g: Graph, variant: Variant, k: int, size_cap: int, reducer) -> Dimens
                     k,
                     size,
                     combo,
-                    _worst_pair(items, rows, cols, reducer),
+                    model.certificate(cols),
                     {"oracle": "brute", "subsets": checked},
                 )
     raise AssertionError("unreachable: full vertex set is feasible for k <= kappa")
@@ -231,7 +248,7 @@ def solve_bruteforce(
     size_cap: int = DEFAULT_SIZE_CAP,
 ) -> DimensionResult:
     """Exhaustive minimum search; canonical lex-smallest optimal basis."""
-    return _brute(g, variant, k, size_cap, pair_sum)
+    return _brute(g, variant, k, size_cap, "sum")
 
 
 def _greedy_cover(profile: np.ndarray, k: int) -> list[int]:
@@ -258,14 +275,13 @@ def _row_rhs(profile: np.ndarray, k: int) -> np.ndarray:
     return -(-k // g) * g
 
 
-def _lower_bounds(sub: np.ndarray, res: np.ndarray) -> "tuple[int, int] | None":
+def _lower_bounds(clipped: np.ndarray, res: np.ndarray) -> "tuple[int, int] | None":
     """(cardinality, mass) lower bounds on the columns still to pick so that
-    every row of ``sub`` reaches its residual ``res``, or None when some row
-    cannot. Entries are clipped at their row's residual (a no-op on a matrix
-    already clipped). The cardinality bound is the most columns any single
-    row needs (its largest clipped entries first); the mass bound divides
-    the total residual by the best clipped column sum."""
-    clipped = np.minimum(sub, res[:, None])
+    every row of ``clipped`` reaches its residual ``res``, or None when some
+    row cannot. Entries must already be clipped at their row's residual.
+    The cardinality bound is the most columns any single row needs (its
+    largest entries first); the mass bound divides the total residual by
+    the best column sum."""
     if (clipped.sum(axis=1) < res).any():
         return None
     reach = np.cumsum(np.sort(clipped, axis=1)[:, ::-1], axis=1)
@@ -357,17 +373,17 @@ def solve_bnb(g: Graph, variant: Variant = Variant.VERTEX, k: int = 1) -> Dimens
 
     ``stats`` counts the search: ``nodes`` visited, the ``root_bound``
     (the largest bound at the root, the Lagrangian's included when the
-    root gets that far), the ``incumbent_updates`` found by the search (after the greedy start)
-    and the nodes cut per reason in ``prunes`` (``infeasible``: some row
-    cannot be covered; ``card`` / ``mass`` / ``lagrangian``: that bound
-    meets the incumbent). Every node is a leaf (an incumbent update), a
-    prune, or a branch with two children.
+    root gets that far), the ``incumbent_updates`` found by the search
+    (after the greedy start) and the nodes cut per reason in ``prunes``
+    (``infeasible``: some row cannot be covered; ``card`` / ``mass`` /
+    ``lagrangian``: that bound meets the incumbent). Every node is a leaf
+    (an incumbent update), a prune, or a branch with two children.
     """
-    if k < 1:
-        raise ParameterOutOfRange(f"k must be positive, got {k}")
-    items, rows, profile = _cover_model(g, variant, k)
-    if profile is None:
-        return _empty_result(variant, k, "bnb")
+    model = cover_model(g, variant)
+    model.check(k)
+    profile = model.profile
+    if not len(profile):  # no item pairs: the empty set meets every k vacuously
+        return DimensionResult(variant, k, 0, (), None, {"oracle": "bnb"})
 
     incumbent = _greedy_cover(profile, k)
     best_val = len(incumbent)
@@ -375,7 +391,9 @@ def solve_bnb(g: Graph, variant: Variant = Variant.VERTEX, k: int = 1) -> Dimens
     nodes = updates = 0
     prunes = {"infeasible": 0, "card": 0, "mass": 0, "lagrangian": 0}
     rhs = _row_rhs(profile, k)
-    root_bound = max(_lower_bounds(profile, rhs))
+    # every row needs a column; the root node raises this with its bounds
+    # (it is cut before them only when the greedy start has one column)
+    root_bound = 1
     # _snapped_bound's int64 sums fit (they do unless the model is far too
     # large to search)
     lagrangian = _LAG_Q * (g.n + 1) * int(rhs.sum()) < 2**63
@@ -407,6 +425,8 @@ def solve_bnb(g: Graph, variant: Variant = Variant.VERTEX, k: int = 1) -> Dimens
             prunes["infeasible"] += 1
             continue
         need, mass = bounds
+        if root:
+            root_bound = max(need, mass)
         if count + need >= best_val:
             prunes["card"] += 1
             continue
@@ -437,7 +457,7 @@ def solve_bnb(g: Graph, variant: Variant = Variant.VERTEX, k: int = 1) -> Dimens
         k,
         best_val,
         best_basis,
-        _worst_pair(items, rows, list(best_basis)),
+        model.certificate(list(best_basis)),
         {
             "oracle": "bnb",
             "nodes": nodes,
@@ -453,7 +473,7 @@ def solve_kmetric_dim(
 ) -> DimensionResult:
     """Exhaustive minimum set where every vertex pair has >= k distinct
     distinguishing members (the count-based criterion, not the sum)."""
-    return _brute(g, Variant.VERTEX, k, size_cap, pair_count)
+    return _brute(g, Variant.VERTEX, k, size_cap, "count")
 
 
 def _wrap_terms(prefix: str, terms: list[str], suffix: str = "",
@@ -470,15 +490,15 @@ def _wrap_terms(prefix: str, terms: list[str], suffix: str = "",
 def write_lp(g: Graph, variant: Variant = Variant.VERTEX, k: int = 1) -> str:
     """Render the covering model in CPLEX-LP text: one binary per vertex,
     one row per item pair, coefficients equal to the profile entries."""
-    items, rows = _item_rows(g, variant)
+    model = cover_model(g, variant)
     out = [
         f"\\ minimum weak {k}-resolving set, variant={variant.value}",
-        f"\\ n={g.n} items={len(items)} pairs={len(items) * (len(items) - 1) // 2}",
+        f"\\ n={g.n} items={len(model.items)} pairs={len(model.profile)}",
         "Minimize",
     ]
     out.extend(_wrap_terms(" obj: ", [f"x{i}" for i in range(g.n)]))
     out.append("Subject To")
-    for idx, (a, b, coeffs) in enumerate(_item_pairs(items, rows)):
+    for idx, (a, b, coeffs) in enumerate(model.pairs()):
         terms = [f"{int(c)} x{i}" for i, c in enumerate(coeffs) if c != 0]
         out.append(f"\\ pair {item_label(a)} -- {item_label(b)}")
         out.extend(_wrap_terms(f" p{idx}: ", terms, suffix=f" >= {k}"))

@@ -295,6 +295,15 @@ class TestExportLp:
         assert code == 2 and "k must be positive" in err
         assert not out_path.exists()
 
+    def test_over_budget_model_exit_2(self, capsys, tmp_path):
+        out_path = tmp_path / "big.lp"
+        code, _, err = run_cli(
+            capsys, "export-lp", "--family", "grid:40x25", "--k", "2",
+            "--out", str(out_path),
+        )
+        assert code == 2 and "GiB" in err
+        assert not out_path.exists()
+
 
 class TestGenCommand:
     def test_round_trip_through_file(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Brute-force and branch-and-bound solvers, dim_k oracle, LP export."""
 
 import random
+import time
 from itertools import combinations
 
 import numpy as np
@@ -22,7 +23,7 @@ from weakdim import (
     Certificate,
     build_graph,
     KaboveKappa,
-    KaboveKappaPrime,
+    ParameterOutOfRange,
     TooLarge,
     Variant,
     certificate_for,
@@ -227,9 +228,10 @@ class TestKMetricDim:
 
     def test_infeasible_above_kappa_prime(self):
         g = generate(complete(4))  # each pair distinguished only by itself
-        with pytest.raises(KaboveKappaPrime) as info:
+        with pytest.raises(KaboveKappa) as info:
             solve_kmetric_dim(g, 3)
-        assert info.value.kappa_prime == 2
+        assert info.value.kappa == 2
+        assert info.value.criterion == "count"
 
 
 class TestLpExport:
@@ -267,12 +269,16 @@ class TestLpExport:
         assert first == f" p0: {expected} >= 2"
 
 
-def plain_worst_pair(items, rows, S):
-    """Lex-first item pair minimizing the difference sum over S, as
-    (value, a, b); None with fewer than two items."""
+def plain_worst_pair(items, rows, S, criterion="sum"):
+    """Lex-first item pair minimizing the difference sum (or, for "count",
+    the number of distinguishing vertices) over S, as (value, a, b); None
+    with fewer than two items."""
     best = None
     for i, j in combinations(range(len(items)), 2):
-        value = sum(abs(rows[i][s] - rows[j][s]) for s in S)
+        if criterion == "count":
+            value = sum(1 for s in S if rows[i][s] != rows[j][s])
+        else:
+            value = sum(abs(rows[i][s] - rows[j][s]) for s in S)
         if best is None or value < best[0]:
             best = (value, items[i], items[j])
     return best
@@ -345,6 +351,40 @@ class TestVariantsAgainstPlainOracle:
                     (f"{plain_label(items[i])} -- {plain_label(items[j])}", coeffs)
                 )
             assert lp_rows(write_lp(g, variant, 3)) == expected
+
+
+class TestCoverModel:
+    """The model's certificate and k-limit check against plain Python."""
+
+    @pytest.mark.parametrize("criterion", ["sum", "count"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_certificate_and_limit(self, variant, criterion):
+        rng = random.Random(6029)
+        for g in random_graph_corpus():
+            items, rows = plain_item_rows(g, variant.value)
+            model = solver.cover_model(g, variant, criterion)
+            subsets = [list(range(g.n))]
+            subsets += [sorted(rng.sample(range(g.n), rng.randint(1, g.n))) for _ in range(2)]
+            for S in subsets:
+                value, a, b = plain_worst_pair(items, rows, S, criterion)
+                assert model.certificate(S) == Certificate(a, b, value), (g, S)
+            limit, a, b = plain_worst_pair(items, rows, range(g.n), criterion)
+            assert model.certificate() == Certificate(a, b, limit)
+            model.check(limit)
+            with pytest.raises(KaboveKappa) as info:
+                model.check(limit + 1)
+            assert (info.value.kappa, info.value.witness, info.value.criterion) == (
+                limit, (a, b), criterion)
+            with pytest.raises(ParameterOutOfRange):
+                model.check(0)
+
+    def test_over_budget_fails_fast(self):
+        # 499,500 pairs x 1,000 vertices: about 12 GiB, far over the limit
+        g = generate(grid(40, 25))
+        started = time.perf_counter()
+        with pytest.raises(TooLarge, match="GiB"):
+            solve_bnb(g, k=2)
+        assert time.perf_counter() - started < 10
 
 
 # bnb bases captured from commit 32308e8, whose bnb had only the ratio and
@@ -529,14 +569,25 @@ class TestBnbBounds:
         res = solve_bnb(generate(grid(6, 4)), k=8)
         assert (res.value, res.stats["root_bound"], res.stats["nodes"]) == (8, 8, 1)
 
+    @pytest.mark.parametrize("spec", ["cycle:8", "grid:4x3", "spider:1,2,3"])
+    def test_k1_root_bound_reaches_the_clipped_mass(self, spec):
+        # at k = 1 the root's entries clip to 0/1: the mass bound is the
+        # pair count over the most pairs one vertex distinguishes
+        g = generate(parse_family(spec))
+        d = plain_distances(g)
+        pairs = list(combinations(range(g.n), 2))
+        best = max(sum(1 for x, y in pairs if d[x][s] != d[y][s]) for s in range(g.n))
+        assert solve_bnb(g, k=1).stats["root_bound"] >= -(-len(pairs) // best)
+
     def test_lower_bounds_on_small_matrices(self):
         # row 0 needs its three unit columns; the best column sum is 3
         sub = np.array([[1, 1, 1, 0, 0, 0], [0, 0, 0, 3, 3, 3]], dtype=np.int8)
         assert solver._lower_bounds(sub, np.array([3, 3])) == (3, 2)
-        # entries are clipped at the residual: 5 counts as 2
+        # the caller clips entries at the residual: 5 counts as 2
         sub = np.array([[5, 1, 1], [1, 1, 0]], dtype=np.int8)
-        assert solver._lower_bounds(sub, np.array([2, 2])) == (2, 2)
-        assert solver._lower_bounds(sub, np.array([2, 3])) is None
+        for res, bounds in [([2, 2], (2, 2)), ([2, 3], None)]:
+            res = np.array(res)
+            assert solver._lower_bounds(np.minimum(sub, res[:, None]), res) == bounds
 
     def test_lagrangian_prune_is_exact(self):
         # one row needing 3 of three unit columns: L(u) = 3u for u <= 1
@@ -569,7 +620,7 @@ class TestBnbBounds:
     def test_subgradient_value_is_a_lower_bound(self):
         # L(u) <= the LP optimum for any u; grid:3x3 at k = 5 needs 6
         g = generate(grid(3, 3))
-        profile = solver._cover_model(g, Variant.VERTEX, 5)[2]
+        profile = solver.cover_model(g, Variant.VERTEX).profile
         rhs = solver._row_rhs(profile, 5)
         clipped = np.minimum(profile, rhs[:, None])
         value, u = solver._subgradient(clipped, rhs, np.zeros(len(rhs)), 60, 6)
@@ -612,13 +663,17 @@ class TestBnbBounds:
             assert counters_add_up(stats), (g, variant, k, stats)
             assert stats["prunes"]["infeasible"] == bounds.count(None)
             assert stats["prunes"]["lagrangian"] == decisions.count(True)
-            # the root's Lagrangian, when the root gets that far, computes
-            # its snapped bound first
+            # the root node computes the first bounds, and its Lagrangian,
+            # when the root gets that far, the first snapped bound; a greedy
+            # start of one column cuts the root before either
             lagrangian_root = [-(-value // solver._LAG_Q) for value in snapped[:1]]
-            assert bounds[0] is not None
-            assert stats["root_bound"] == max(*bounds[0], *lagrangian_root)
+            if not bounds:
+                assert (stats["root_bound"], res.value, stats["nodes"]) == (1, 1, 1)
+            else:
+                assert bounds[0] is not None
+                assert stats["root_bound"] == max(*bounds[0], *lagrangian_root)
             assert stats["root_bound"] <= res.value
-            greedy = len(solver._greedy_cover(solver._cover_model(g, variant, k)[2], k))
+            greedy = len(solver._greedy_cover(solver.cover_model(g, variant).profile, k))
             assert (stats["incumbent_updates"] == 0) == (res.value == greedy)
 
     def test_rhs_rounds_up_to_the_row_gcd(self):
@@ -626,7 +681,7 @@ class TestBnbBounds:
         # amount at every probe, so reaching k = 3 means reaching 4
         g = generate(grid(3, 3))
         d = plain_distances(g)
-        rhs = solver._row_rhs(solver._cover_model(g, Variant.VERTEX, 3)[2], 3)
+        rhs = solver._row_rhs(solver.cover_model(g, Variant.VERTEX).profile, 3)
         pairs = list(combinations(range(g.n), 2))
         assert [int(r) for r in rhs] == [4 if d[x][y] % 2 == 0 else 3 for x, y in pairs]
 
