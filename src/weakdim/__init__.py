@@ -47,6 +47,7 @@ from .families import (
 )
 from .graph import (
     Graph,
+    TwinSummary,
     all_pairs_distances,
     build_graph,
     find_twins,
@@ -54,6 +55,7 @@ from .graph import (
     load_edgelist,
     parse_edgelist,
     parse_vertex_set,
+    twin_summary,
 )
 from .resolve import (
     KappaClass,

@@ -10,6 +10,7 @@ for the count-based (k distinct distinguishers) criterion.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -18,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import SameVertex, TrivialGraph, VertexOutOfRange
-from .graph import Graph, find_twins
+from .graph import Graph, TwinSummary, twin_summary
 from .timing import timed
 
 
@@ -153,18 +154,22 @@ def _dense_part(rows, reducers, start, step):
     return best
 
 
-def _lex_min_part(rows, reducers, start, step):
+def _lex_min_part(rows, reducers, start, step, partners=None):
     ncols = rows.shape[1]
-    if ncols <= _MIN_SLICE:
+    if partners is None and ncols <= _MIN_SLICE:
         return _dense_part(rows, reducers, start, step)
     best = [None] * len(reducers)
     for a in range(start, len(rows) - 1, step):
-        others, head = rows[a + 1:], rows[a]
+        # item a is paired with every later item, or with its partners
+        cand = None if partners is None else partners[a]
+        if cand is not None and not len(cand):
+            continue
+        others, head = slice(a + 1, None) if cand is None else cand, rows[a]
         if None in best:
             width = ncols
         else:
             width = min(ncols, max(_MIN_SLICE, 2 * max(v for v, _ in best)))
-        block = _abs_diff(others[:, :width], head[:width])
+        block = _abs_diff(rows[others, :width], head[:width])
         vals = [reduce(block) for reduce in reducers]
         survivors = None
         if width < ncols:
@@ -176,19 +181,23 @@ def _lex_min_part(rows, reducers, start, step):
             survivors = np.flatnonzero(alive)
             if survivors.size == 0:
                 continue
-            rest = _abs_diff(others[survivors, width:], head[width:])
+            picked = survivors + a + 1 if cand is None else cand[survivors]
+            rest = _abs_diff(rows[picked, width:], head[width:])
             vals = [v[survivors] + reduce(rest) for v, reduce in zip(vals, reducers)]
         for r, v in enumerate(vals):
             i = int(v.argmin())
             if best[r] is None or v[i] < best[r][0]:
                 j = i if survivors is None else int(survivors[i])
-                best[r] = (int(v[i]), (a, a + 1 + j))
+                best[r] = (int(v[i]), (a, a + 1 + j if cand is None else int(cand[j])))
     return best
 
 
-def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1) -> list:
+def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1,
+            partners: Sequence[np.ndarray] | None = None) -> list:
     """Per reducer, the lex-first minimizing ``(value, (a, b))`` over item
     pairs a < b of ``rows``, or None when there are fewer than two items.
+    With ``partners``, only the pairs (a, b) with b in ``partners[a]`` (an
+    ascending index array of items above a) take part.
 
     A reducer maps a block of per-column differences (one pair per row)
     to per-pair values and must be column-additive with non-negative
@@ -203,10 +212,11 @@ def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1) -> list:
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(
-                lambda i: _lex_min_part(rows, reducers, i, workers), range(workers)
+                lambda i: _lex_min_part(rows, reducers, i, workers, partners),
+                range(workers),
             ))
     else:
-        parts = [_lex_min_part(rows, reducers, 0, 1)]
+        parts = [_lex_min_part(rows, reducers, 0, 1, partners)]
     return [
         min((p[r] for p in parts if p[r] is not None), default=None)
         for r in range(len(reducers))
@@ -233,44 +243,70 @@ def weak3_structure_witness(g: Graph) -> tuple[int, int, int] | None:
     return None
 
 
-def _classify(g: Graph, kappa: int, twins: tuple[list, list]
+def _classify(g: Graph, kappa: int, twins: TwinSummary
               ) -> tuple[KappaClass, tuple[int, ...] | None]:
-    true_pairs, false_pairs = twins
     if kappa == 2:
-        if true_pairs:
-            return KappaClass.TRUE_TWINS, true_pairs[0]
+        if twins.first_true:
+            return KappaClass.TRUE_TWINS, twins.first_true
         return KappaClass.OTHER, None
     if kappa == 3:
         witness = weak3_structure_witness(g)
         if witness is not None:
             return KappaClass.STRUCTURAL_3, witness
         return KappaClass.OTHER, None
-    if kappa == 4 and false_pairs and not true_pairs:
-        return KappaClass.FALSE_TWINS, false_pairs[0]
+    if kappa == 4 and twins.first_false and not twins.first_true:
+        return KappaClass.FALSE_TWINS, twins.first_false
     return KappaClass.OTHER, None
 
 
-def compute_kappa(g: Graph, workers: int = 1, twins: tuple[list, list] | None = None,
+def _adjacent_partners(g: Graph, extra: tuple[int, int]) -> list[np.ndarray]:
+    """``lex_min`` partners for the adjacent pairs and the pair ``extra``."""
+    adj = g.adjacency
+    partners = [adj[a][bisect_right(adj[a], a):] for a in range(g.n)]
+    x, y = extra
+    partners[x] = tuple(sorted(partners[x] + (y,)))
+    return [np.array(p, dtype=np.intp) for p in partners]
+
+
+def compute_kappa(g: Graph, workers: int = 1, twins: TwinSummary | None = None,
                   phases: dict | None = None) -> KappaReport:
     """Exact kappa and kappa' with a minimizing pair and classification.
 
-    The O(n^2) pair scan may be partitioned across ``workers`` threads;
-    the reduction is performed in chunk order, so the reported witness
-    pair (lex-smallest minimizer) does not depend on the worker count.
-    ``twins`` is ``find_twins(g)`` when the caller already has it; with a
-    ``phases`` dict the scan and the classification add their
-    milliseconds to ``phases["kappa"]`` and ``phases["classify"]``.
+    Twins settle most of it. The probes x and y each add d(x, y) to the
+    sum of a pair, so the sum is at least 2 d(x, y), with equality exactly
+    for true twins; and every pair has its two distinguishers x and y,
+    with no others exactly for twins. So any twins give kappa' = 2, and
+    true twins give kappa = 2 with the first true-twin pair as witness.
+    With false twins alone, kappa <= 4: a pair at distance 2 sums to 4
+    only as false twins and a pair at distance >= 3 sums to at least 6,
+    so the scan visits only the adjacent pairs and the first false-twin
+    pair. Without twins it visits every pair for both criteria.
+
+    The scan may be partitioned across ``workers`` threads; the reduction
+    is performed in chunk order, so the reported witness pair (lex-smallest
+    minimizer) does not depend on the worker count. ``twins`` is
+    ``twin_summary(g)`` when the caller already has it; with a ``phases``
+    dict the scan and the classification add their milliseconds to
+    ``phases["kappa"]`` and ``phases["classify"]``.
     """
     if g.n < 2:
         raise TrivialGraph("kappa is undefined on a single vertex")
+    if twins is None:
+        with timed(phases, "classify"):
+            twins = twin_summary(g)
     with timed(phases, "kappa"):
-        (kappa, pair), (kappa_prime, _) = lex_min(
-            g.distance_matrix, [pair_sum, pair_count], workers
-        )
+        if twins.first_true:
+            (kappa, pair), kappa_prime = (2, twins.first_true), 2
+        elif twins.first_false:
+            partners = _adjacent_partners(g, twins.first_false)
+            (hit,) = lex_min(g.distance_matrix, [pair_sum], workers, partners)
+            (kappa, pair), kappa_prime = hit, 2
+        else:
+            (kappa, pair), (kappa_prime, _) = lex_min(
+                g.distance_matrix, [pair_sum, pair_count], workers
+            )
     with timed(phases, "classify"):
-        classification, evidence = _classify(
-            g, kappa, find_twins(g) if twins is None else twins
-        )
+        classification, evidence = _classify(g, kappa, twins)
     return KappaReport(
         kappa=kappa,
         kappa_prime=kappa_prime,

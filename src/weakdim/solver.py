@@ -499,7 +499,7 @@ def write_lp(g: Graph, variant: Variant = Variant.VERTEX, k: int = 1) -> str:
     out.extend(_wrap_terms(" obj: ", [f"x{i}" for i in range(g.n)]))
     out.append("Subject To")
     for idx, (a, b, coeffs) in enumerate(model.pairs()):
-        terms = [f"{int(c)} x{i}" for i, c in enumerate(coeffs) if c != 0]
+        terms = [f"{c} x{i}" for i, c in enumerate(coeffs.tolist()) if c]
         out.append(f"\\ pair {item_label(a)} -- {item_label(b)}")
         out.extend(_wrap_terms(f" p{idx}: ", terms, suffix=f" >= {k}"))
     out.append("Binaries")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import random_tree_graph, tree_from_prufer
 
 from weakdim import cli, cycle, generate, resolve, spider
-from weakdim.graph import find_twins, format_edgelist, parse_edgelist
+from weakdim.graph import format_edgelist, parse_edgelist, twin_summary
 from weakdim.solver import DimensionResult
 
 
@@ -67,10 +67,10 @@ class TestKappaCommand:
 
         def counting(g):
             calls.append(g.n)
-            return find_twins(g)
+            return twin_summary(g)
 
         monkeypatch.setattr(cli, "find_twins", counting)
-        monkeypatch.setattr(resolve, "find_twins", counting)
+        monkeypatch.setattr(resolve, "twin_summary", counting)
         row = run_json(capsys, "kappa", "--family", "kqr:2,3")["results"][0]
         assert row["classification"] == "Weak4FalseTwins"
         assert calls == [5]

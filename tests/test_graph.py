@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     family_corpus,
@@ -35,7 +37,9 @@ from weakdim import (
     path,
     spider,
     star,
+    twin_summary,
 )
+from weakdim import graph
 
 
 class TestBuildGraph:
@@ -141,6 +145,80 @@ class TestDistanceDtype:
             assert all(type(v) is int for v in values)
 
 
+@st.composite
+def connected_graphs(draw, max_n=80):
+    """A random spanning tree (vertex v hangs off some u < v) plus extra edges."""
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if n > 2:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for u, v in draw(st.lists(pair, max_size=3 * n)):
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+    return build_graph(n, sorted(edges))
+
+
+def _both_routes(g):
+    """The cached matrix and the bit-parallel route run directly, whichever
+    route the cost estimate picked for the cache."""
+    return g.distance_matrix, graph._all_sources_bfs(g.adjacency, graph._distance_dtype(g.n))
+
+
+def _single_vertex_or(family, n):
+    return build_graph(1, []) if n == 1 else generate(family(n))
+
+
+class TestAllSourcesBfs:
+    @settings(max_examples=150, deadline=None)
+    @given(connected_graphs())
+    def test_matches_plain_bfs_on_random_graphs(self, g):
+        plain = np.array(plain_distances(g))
+        for d in _both_routes(g):
+            assert d.dtype == graph._distance_dtype(g.n)
+            assert np.array_equal(d, plain)
+
+    # word boundaries of the packed bitsets at 64 and 128, and the int8/int16
+    # switch at 128/129
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129])
+    @pytest.mark.parametrize("family", [
+        star, complete, lambda n: complete_bipartite(max(1, n // 2), n - max(1, n // 2)),
+    ], ids=["star", "complete", "kqr"])
+    def test_word_boundaries(self, family, n):
+        g = _single_vertex_or(family, n)
+        plain = np.array(plain_distances(g))
+        for d in _both_routes(g):
+            assert d.dtype == graph._distance_dtype(n)
+            assert np.array_equal(d, plain)
+        if n >= 63:  # shallow and dense enough for the bit-parallel route
+            assert graph._bit_parallel_pays(g.n, g.edge_count, g._ecc0)
+
+    def test_long_path_keeps_the_list_bfs(self, monkeypatch):
+        g = generate(path(1600))
+        assert not graph._bit_parallel_pays(g.n, g.edge_count, g._ecc0)
+
+        def refuse(*args):
+            raise AssertionError("the bit-parallel route ran")
+
+        monkeypatch.setattr(graph, "_all_sources_bfs", refuse)
+        assert np.array_equal(g.distance_matrix, np.array(plain_distances(g)))
+
+    def test_route_choice(self):
+        # deep and sparse: the list BFS; shallow or dense: bit-parallel
+        for spec, bits in [("path:3000", False), ("path:2", False),
+                           ("path:600", True), ("grid:40x40", True), ("star:3000", True),
+                           ("complete:1500", True), ("kqr:800,800", True)]:
+            kind, _, size = spec.partition(":")
+            n, m, ecc0 = {
+                "path": lambda n: (n, n - 1, n - 1),
+                "cycle": lambda n: (n, n, n // 2),
+                "grid": lambda q, r: (q * r, q * (r - 1) + r * (q - 1), q + r - 2),
+                "star": lambda n: (n, n - 1, 1),
+                "complete": lambda n: (n, n * (n - 1) // 2, 1),
+                "kqr": lambda q, r: (q + r, q * r, 2),
+            }[kind](*map(int, size.replace("x", ",").split(",")))
+            assert graph._bit_parallel_pays(n, m, ecc0) == bits, spec
+
+
 class TestGenerators:
     def test_cycle_is_2_regular(self):
         g = generate(cycle(5))
@@ -196,6 +274,21 @@ class TestTwins:
 
     def test_path_has_no_twins(self):
         assert find_twins(generate(path(4))) == ([], [])
+
+    def test_summary_matches_the_pair_lists(self):
+        corpus = family_corpus(max_n=12) + [random_connected_graph(random.Random(s), 9)
+                                            for s in range(40)]
+        for g in corpus:
+            true_pairs, false_pairs = find_twins(g)
+            assert twin_summary(g) == (
+                len(true_pairs), len(false_pairs),
+                true_pairs[0] if true_pairs else None,
+                false_pairs[0] if false_pairs else None,
+            )
+
+    def test_summary_on_a_large_star(self):
+        # 2,999 leaves: 4,495,501 false-twin pairs, never listed
+        assert twin_summary(generate(star(3000))) == (0, 2999 * 2998 // 2, None, (1, 2))
 
     def test_twin_distance_relations(self):
         for g in family_corpus(max_n=12):

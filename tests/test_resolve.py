@@ -390,3 +390,111 @@ class TestScanAgainstDenseOracle:
 
         lex_min(g.distance_matrix, [recording_sum])
         assert seen == expected
+
+
+def true_twin_path(n):
+    """A path on n - 1 vertices plus vertex n - 1, a true twin of its middle."""
+    mid = (n - 1) // 2
+    edges = [(i, i + 1) for i in range(n - 2)]
+    edges += [(mid - 1, n - 1), (mid, n - 1), (mid + 1, n - 1)]
+    return build_graph(n, edges)
+
+
+def leaves_and_bull(n):
+    """False twins 0, 1 (leaves at 2), a path 2..c with c = n - 4, and a bull's
+    end at c: x = c + 1 and y = c + 2 adjacent to c and to each other, and
+    z = c + 3 a pendant at x, so that only {x, y, z} separate x and y."""
+    c = n - 4
+    x, y, z = c + 1, c + 2, c + 3
+    edges = [(0, 2), (1, 2)] + [(i, i + 1) for i in range(2, c)]
+    return build_graph(n, edges + [(c, x), (c, y), (x, y), (x, z)])
+
+
+def four_cycle_and_commons(n):
+    """The 4-cycle 0-1-2-3-0 plus vertices 4..n-1 adjacent to both 0 and 1:
+    those are false twins, and the adjacent pair (0, 1) also sums to 4."""
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    return build_graph(n, edges + [(u, v) for v in range(4, n) for u in (0, 1)])
+
+
+class TestTwinShortcuts:
+    """Twins settle kappa': any twin pair gives 2. True twins settle kappa
+    (2, at the first true-twin pair) without a scan; false twins alone
+    leave only the adjacent pairs and the first false-twin pair to scan."""
+
+    @pytest.mark.parametrize("n", [8, 80])
+    def test_true_twins(self, n, monkeypatch):
+        g = true_twin_path(n)
+        true_pairs, _ = find_twins(g)
+        (kappa, pair), (kappa_prime, _) = dense_lex_min(plain_distances(g), range(n))
+        assert (kappa, kappa_prime, pair) == (2, 2, true_pairs[0]) == (2, 2, ((n - 1) // 2, n - 1))
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned despite true twins")
+
+        monkeypatch.setattr(resolve, "lex_min", no_scan)
+        for workers in (1, 2):
+            rep = compute_kappa(g, workers=workers)
+            assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
+            assert (rep.classification, rep.evidence) == (KappaClass.TRUE_TWINS, pair)
+
+    @pytest.mark.parametrize("n", [8, 80])
+    def test_false_twins_and_an_adjacent_sum_of_3(self, n):
+        g = leaves_and_bull(n)
+        true_pairs, false_pairs = find_twins(g)
+        (kappa, pair), (kappa_prime, _) = dense_lex_min(plain_distances(g), range(n))
+        assert not true_pairs and false_pairs[0] == (0, 1)
+        assert (kappa, kappa_prime) == (3, 2) and pair > false_pairs[0]
+        for workers in (1, 2):
+            rep = compute_kappa(g, workers=workers)
+            assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
+            assert rep.classification == KappaClass.STRUCTURAL_3
+
+    @pytest.mark.parametrize("n", [8, 80])
+    def test_false_twins_and_an_earlier_adjacent_sum_of_4(self, n):
+        g = four_cycle_and_commons(n)
+        true_pairs, false_pairs = find_twins(g)
+        (kappa, pair), (kappa_prime, _) = dense_lex_min(plain_distances(g), range(n))
+        assert not true_pairs and false_pairs[0] == (4, 5)
+        # the adjacent pair ties with the false twins and comes first
+        assert (kappa, kappa_prime, pair) == (4, 2, (0, 1))
+        for workers in (1, 2):
+            rep = compute_kappa(g, workers=workers)
+            assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
+            assert (rep.classification, rep.evidence) == (KappaClass.FALSE_TWINS, (4, 5))
+
+    @pytest.mark.parametrize("g", [pytest.param(f(80), id=f.__name__)
+                                   for f in (leaves_and_bull, four_cycle_and_commons)]
+                             + [pytest.param(generate(star(90)), id="star:90")])
+    def test_false_twins_scan_only_the_adjacent_pairs(self, g, monkeypatch):
+        seen = []
+
+        def recording(rows, reducers, workers=1, partners=None):
+            seen.append(([r.__name__ for r in reducers],
+                         {(a, int(b)) for a, bs in enumerate(partners) for b in bs}))
+            return lex_min(rows, reducers, workers, partners)
+
+        monkeypatch.setattr(resolve, "lex_min", recording)
+        compute_kappa(g)
+        (reducers, pairs), = seen
+        assert reducers == ["pair_sum"]
+        assert pairs == set(g.edges()) | {find_twins(g)[1][0]}
+
+    @pytest.mark.parametrize("g", scan_graphs())
+    def test_lex_min_over_partner_subsets(self, g):
+        """``partners`` restricts the scan to a pair subset: the result is the
+        lex-first minimizer over that subset alone, for any worker count."""
+        rng = random.Random(g.n)
+        D = np.array(plain_distances(g), dtype=np.int64)
+        for keep in (0.02, 0.3):
+            partners = [np.array([b for b in range(a + 1, g.n) if rng.random() < keep],
+                                 dtype=np.intp) for a in range(g.n)]
+            pairs = [(a, int(b)) for a in range(g.n) for b in partners[a]]
+            expected = [
+                min(((int(reduce(np.abs(D[b] - D[a])[None])[0]), (a, b)) for a, b in pairs),
+                    default=None)
+                for reduce in (pair_sum, pair_count)
+            ]
+            for workers in (1, 2):
+                assert lex_min(g.distance_matrix, [pair_sum, pair_count], workers,
+                               partners) == expected
