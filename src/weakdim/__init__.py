@@ -61,13 +61,9 @@ from .resolve import (
     KappaClass,
     KappaReport,
     PairDifferenceProfile,
-    VerifyResult,
     compute_kappa,
     delta_over_set,
     delta_pair,
-    verify_k_resolving,
-    verify_local_k_resolving,
-    verify_weak_k_resolving,
     weak3_structure_witness,
 )
 from .solver import (
@@ -75,13 +71,17 @@ from .solver import (
     DimensionResult,
     ItemPair,
     Variant,
+    VerifyResult,
     certificate_for,
     pair_profiles,
     solve_bnb,
     solve_bruteforce,
     solve_kmetric_dim,
     variant_kappa,
+    verify_k_resolving,
+    verify_local_k_resolving,
     verify_set,
+    verify_weak_k_resolving,
     write_lp,
 )
 from .trees import (

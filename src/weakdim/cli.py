@@ -96,22 +96,43 @@ def _emit(input_block, operation, results, warnings, stats) -> None:
 
 
 def _workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("WKDIM_WORKERS", "")
-    return max(1, int(env)) if env.isdigit() else 1
+    """``--workers``, capped at the CPU count; below 1 is an input error."""
+    if args.workers < 1:
+        raise ParameterOutOfRange(f"--workers must be at least 1, got {args.workers}")
+    return min(args.workers, os.cpu_count() or 1)
+
+
+def _load_timed(args):
+    """(clock, g, input block, set): the graph and ``verify``'s ``--set-file``
+    (else None) load in the ``load`` phase, the cached APSP in ``apsp``;
+    ``clock`` is (start, phases or None without ``--timing``)."""
+    clock = (time.perf_counter(), {} if args.timing else None)
+    phases = clock[1]
+    with timed(phases, "load"):
+        g, input_block = _load_graph(args)
+        S = None
+        if getattr(args, "set_file", None):
+            with open(args.set_file, "r", encoding="utf-8") as fh:
+                S = parse_vertex_set(fh.read(), g.n)
+    with timed(phases, "apsp"):
+        all_pairs_distances(g)
+    return clock, g, input_block, S
+
+
+def _report_timing(stats: dict, clock, names: tuple[str, ...]) -> None:
+    """Under ``--timing``, add ``elapsed_ms`` and ``phases_ms`` (``names``)."""
+    started, phases = clock
+    if phases is not None:
+        stats["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 1)
+        stats["phases_ms"] = {name: round(phases[name], 1) for name in names}
 
 
 def cmd_kappa(args) -> int:
-    started = time.perf_counter()
-    phases = {} if args.timing else None
-    with timed(phases, "load"):
-        g, input_block = _load_graph(args)
-    with timed(phases, "apsp"):
-        all_pairs_distances(g)  # cached on g, so the scan does not pay for it
-    with timed(phases, "classify"):
+    workers = _workers(args)
+    clock, g, input_block, _ = _load_timed(args)
+    with timed(clock[1], "classify"):
         twins = find_twins(g)
-    report = compute_kappa(g, workers=_workers(args), twins=twins, phases=phases)
+    report = compute_kappa(g, workers=workers, twins=twins, phases=clock[1])
     row = {
         "kappa": report.kappa,
         "kappa_prime": report.kappa_prime,
@@ -123,13 +144,9 @@ def cmd_kappa(args) -> int:
     stats = {
         "true_twin_pairs": twins.true_count,
         "false_twin_pairs": twins.false_count,
-        "workers": _workers(args),
+        "workers": workers,
     }
-    if args.timing:
-        stats["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 1)
-        stats["phases_ms"] = {
-            name: round(phases[name], 1) for name in ("load", "apsp", "kappa", "classify")
-        }
+    _report_timing(stats, clock, ("load", "apsp", "kappa", "classify"))
     _emit(input_block, "kappa", [row], [], stats)
     return EXIT_OK
 
@@ -153,12 +170,8 @@ def _solve_one(g: Graph, variant: Variant, k: int, engine: str, size_cap: int):
 
 
 def cmd_wdim(args) -> int:
-    started = time.perf_counter()
-    phases = {} if args.timing else None
-    with timed(phases, "load"):
-        g, input_block = _load_graph(args)
-    with timed(phases, "apsp"):
-        all_pairs_distances(g)
+    clock, g, input_block, _ = _load_timed(args)
+    phases = clock[1]
     variant = Variant(args.variant)
     lo, hi, is_range = _parse_k_spec(args.k)
     warnings = []
@@ -214,14 +227,9 @@ def cmd_wdim(args) -> int:
         stats["bnb_nodes"] = nodes
     if subsets:
         stats["brute_subsets"] = subsets
-    if args.timing:
-        stats["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 1)
-        stats["phases_ms"] = {
-            name: round(phases[name], 1)
-            for name in ("load", "apsp", "kappa", "solve", "verify")
-        }
-        if bnb["root_bounds"]:
-            stats["bnb"] = bnb
+    _report_timing(stats, clock, ("load", "apsp", "kappa", "solve", "verify"))
+    if args.timing and bnb["root_bounds"]:
+        stats["bnb"] = bnb
     _emit(input_block, "wdim", rows, warnings, stats)
     return EXIT_OK
 
@@ -232,17 +240,10 @@ def _check_k(k: int) -> None:
 
 
 def cmd_verify(args) -> int:
-    started = time.perf_counter()
-    phases = {} if args.timing else None
     _check_k(args.k)
-    with timed(phases, "load"):
-        g, input_block = _load_graph(args)
-        with open(args.set_file, "r", encoding="utf-8") as fh:
-            S = parse_vertex_set(fh.read(), g.n)
-    with timed(phases, "apsp"):
-        all_pairs_distances(g)
+    clock, g, input_block, S = _load_timed(args)
     variant = Variant(args.variant)
-    with timed(phases, "verify"):
+    with timed(clock[1], "verify"):
         res = verify_set(g, variant, S, args.k)
     row = {
         "ok": res.ok,
@@ -258,11 +259,7 @@ def cmd_verify(args) -> int:
         },
     }
     stats = {}
-    if args.timing:
-        stats["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 1)
-        stats["phases_ms"] = {
-            name: round(phases[name], 1) for name in ("load", "apsp", "verify")
-        }
+    _report_timing(stats, clock, ("load", "apsp", "verify"))
     _emit(input_block, "verify", [row], [], stats)
     return EXIT_OK if res.ok else EXIT_VERIFY_FAIL
 
@@ -290,21 +287,14 @@ def cmd_export_lp(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = parse_family(args.family)
-    g = generate(spec)
-    text = format_edgelist(g, header_comment=spec.label())
+    g, input_block = _load_graph(args)
+    text = format_edgelist(g, header_comment=input_block["source"])
     if args.out == "-":
         sys.stdout.write(text)
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        _emit(
-            {"kind": "family", "source": spec.label(), "n": g.n, "m": g.edge_count},
-            "gen",
-            [{"path": args.out}],
-            [],
-            {},
-        )
+        _emit(input_block, "gen", [{"path": args.out}], [], {})
     return EXIT_OK
 
 
@@ -334,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="worker threads for the pair scan (default: WKDIM_WORKERS or 1)",
+        default=1,
+        help="worker threads for the pair scan, capped at the CPU count (default 1)",
     )
     _add_timing(p)
     p.set_defaults(func=cmd_kappa)
@@ -389,15 +379,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except KaboveKappa as exc:
+    except (WeakDimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except WeakDimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_INFEASIBLE if isinstance(exc, KaboveKappa) else EXIT_INPUT
 
 
 if __name__ == "__main__":

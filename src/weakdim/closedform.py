@@ -49,9 +49,7 @@ def _shape_for(g: Graph) -> TreeShape:
 
 
 def _tree_kappa(shape: TreeShape) -> KappaFormula:
-    if shape.is_path:
-        return KappaFormula(shape.n, "any adjacent pair")
-    if shape.n < shape.kappa_star:
+    if shape.is_path or shape.n < shape.kappa_star:
         return KappaFormula(shape.n, "any adjacent pair")
     v = min(
         shape.roots,

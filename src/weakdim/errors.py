@@ -55,7 +55,7 @@ class FormulaNotCovered(WeakDimError):
 
 class TooLarge(WeakDimError):
     """Instance exceeds a size limit: the exhaustive search's vertex cap,
-    or the cover model's estimated memory."""
+    or the estimated memory of the distance matrix or the cover model."""
 
 
 class KaboveKappa(WeakDimError):

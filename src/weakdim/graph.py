@@ -33,11 +33,24 @@ from .errors import (
     EdgeListFormatError,
     NotConnected,
     SelfLoop,
+    TooLarge,
     VertexOutOfRange,
 )
 
 if TYPE_CHECKING:
     from .families import FamilySpec
+
+
+# The largest estimated peak, in bytes, of the distance matrix and of the
+# cover model (``solver.cover_model``).
+MAX_BYTES = 1 << 30
+
+
+def _check_peak(what: str, peak: int) -> None:
+    """TooLarge when the estimated ``peak`` of ``what`` exceeds MAX_BYTES."""
+    if peak > MAX_BYTES:
+        raise TooLarge(f"{what} needs about {peak / 2**30:.1f} GiB, "
+                       f"over the {MAX_BYTES >> 30} GiB limit")
 
 
 def _distance_dtype(n: int) -> type[np.signedinteger]:
@@ -73,6 +86,18 @@ def _bit_parallel_pays(n: int, m: int, ecc0: int) -> bool:
     per_level = (2 * m + 6 * n) * words * _WORD_S + (isqrt(2 * m) + 8) * _CALL_S
     bits = levels * per_level + n * n * levels.bit_length() * 3 * _WORD_S
     return bits < n * ((n + 2 * m) * _LIST_STEP_S + ecc0 * _LIST_LEVEL_S)
+
+
+def _apsp_bytes(n: int, m: int, ecc0: int, itemsize: int, bit_parallel: bool) -> int:
+    """Estimated peak bytes of an APSP route: the matrix and a BFS row list;
+    or the matrix, an unpacked bit-plane (uint8) and its shifted copy, the
+    n * n / 8-byte bitsets (four working, a reordered plane, one per bit of
+    the diameter <= 2 * ecc0) and the neighbor index arrays (<= 4 x 2m)."""
+    if not bit_parallel:
+        return n * n * itemsize + n * 40
+    bitset = n * ((n + 63) // 64) * 8
+    return (n * n * (2 * itemsize + 1) + bitset * (5 + (2 * ecc0).bit_length())
+            + 4 * 2 * m * np.dtype(np.intp).itemsize)
 
 
 def _all_sources_bfs(adjacency: tuple[tuple[int, ...], ...], dtype) -> np.ndarray:
@@ -202,10 +227,14 @@ class Graph:
 
     @property
     def distance_matrix(self) -> np.ndarray:
-        """Read-only n x n matrix of hop counts, computed once and cached."""
+        """Read-only n x n matrix of hop counts, computed once and cached;
+        TooLarge, before allocating, when the route's peak would exceed MAX_BYTES."""
         if self._dist is None:
             dtype = _distance_dtype(self.n)
-            if _bit_parallel_pays(self.n, self.edge_count, self._ecc0):
+            bit_parallel = _bit_parallel_pays(self.n, self.edge_count, self._ecc0)
+            _check_peak(f"the distance matrix of {self.n} vertices", _apsp_bytes(
+                self.n, self.edge_count, self._ecc0, np.dtype(dtype).itemsize, bit_parallel))
+            if bit_parallel:
                 d = _all_sources_bfs(self.adjacency, dtype)
             else:
                 # row by row: a list of all n rows would hold 8 bytes per entry

@@ -1,4 +1,4 @@
-"""Distance-difference primitives, kappa, and resolving-set verifiers.
+"""Distance-difference primitives, the lex-first pair scan, and kappa.
 
 For a probe vertex s and a pair x, y the basic quantity is
 ``delta_s(x, y) = |d(x,s) - d(y,s)|``. Summing it over a set S gives
@@ -6,6 +6,10 @@ For a probe vertex s and a pair x, y the basic quantity is
 every vertex pair. kappa(G) is the largest feasible k, which equals the
 minimum over pairs of the full-set sum. kappa'(G) is the analogous limit
 for the count-based (k distinct distinguishers) criterion.
+
+``lex_min`` is the one scan for the lex-first pair minimizing such a
+criterion; kappa here and every verifier and certificate in ``solver``
+read it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -59,15 +63,6 @@ class KappaReport:
     evidence: tuple[int, ...] | None
 
 
-class VerifyResult(NamedTuple):
-    """Outcome of a verifier: on failure, ``witness`` is the lex-smallest
-    pair among those minimizing the checked quantity (``value``)."""
-
-    ok: bool
-    witness: tuple[int, int] | None
-    value: int | None
-
-
 def _check_vertex(g: Graph, v: int) -> None:
     if not 0 <= v < g.n:
         raise VertexOutOfRange(f"vertex {v} outside 0..{g.n - 1}")
@@ -80,12 +75,16 @@ def _check_set(g: Graph, S: Iterable[int]) -> list[int]:
     return ids
 
 
-def delta_pair(g: Graph, x: int, y: int) -> PairDifferenceProfile:
-    """Full distance-difference profile of the pair (x, y)."""
+def _check_pair(g: Graph, x: int, y: int) -> None:
     _check_vertex(g, x)
     _check_vertex(g, y)
     if x == y:
         raise SameVertex(f"x and y must differ, got {x}")
+
+
+def delta_pair(g: Graph, x: int, y: int) -> PairDifferenceProfile:
+    """Full distance-difference profile of the pair (x, y)."""
+    _check_pair(g, x, y)
     d = g.distance_matrix
     per = np.abs(d[x] - d[y])
     return PairDifferenceProfile(
@@ -99,10 +98,7 @@ def delta_pair(g: Graph, x: int, y: int) -> PairDifferenceProfile:
 
 def delta_over_set(g: Graph, x: int, y: int, S: Iterable[int]) -> int:
     """Sum of |d(x,s) - d(y,s)| over s in S (monotone in S)."""
-    _check_vertex(g, x)
-    _check_vertex(g, y)
-    if x == y:
-        raise SameVertex(f"x and y must differ, got {x}")
+    _check_pair(g, x, y)
     ids = _check_set(g, S)
     if not ids:
         return 0
@@ -136,7 +132,7 @@ def _dense_part(rows, reducers, start, step):
     best = [None] * len(reducers)
     nrows, ncols = rows.shape
     heads = np.arange(start, nrows - 1, step)
-    per_batch = max(1, _BATCH // (nrows * max(1, ncols)))
+    per_batch = max(1, _BATCH // (max(1, nrows) * max(1, ncols)))
     for i in range(0, len(heads), per_batch):
         batch = heads[i:i + per_batch]
         first = int(batch[0])
@@ -245,26 +241,24 @@ def weak3_structure_witness(g: Graph) -> tuple[int, int, int] | None:
 
 def _classify(g: Graph, kappa: int, twins: TwinSummary
               ) -> tuple[KappaClass, tuple[int, ...] | None]:
-    if kappa == 2:
-        if twins.first_true:
-            return KappaClass.TRUE_TWINS, twins.first_true
-        return KappaClass.OTHER, None
+    if kappa == 2 and twins.first_true:
+        return KappaClass.TRUE_TWINS, twins.first_true
     if kappa == 3:
         witness = weak3_structure_witness(g)
         if witness is not None:
             return KappaClass.STRUCTURAL_3, witness
-        return KappaClass.OTHER, None
     if kappa == 4 and twins.first_false and not twins.first_true:
         return KappaClass.FALSE_TWINS, twins.first_false
     return KappaClass.OTHER, None
 
 
-def _adjacent_partners(g: Graph, extra: tuple[int, int]) -> list[np.ndarray]:
-    """``lex_min`` partners for the adjacent pairs and the pair ``extra``."""
+def _adjacent_partners(g: Graph, extra: tuple[int, int] | None = None) -> list[np.ndarray]:
+    """``lex_min`` partners for the adjacent pairs and, if given, the pair ``extra``."""
     adj = g.adjacency
     partners = [adj[a][bisect_right(adj[a], a):] for a in range(g.n)]
-    x, y = extra
-    partners[x] = tuple(sorted(partners[x] + (y,)))
+    if extra is not None:
+        x, y = extra
+        partners[x] = tuple(sorted(partners[x] + (y,)))
     return [np.array(p, dtype=np.intp) for p in partners]
 
 
@@ -314,40 +308,3 @@ def compute_kappa(g: Graph, workers: int = 1, twins: TwinSummary | None = None,
         classification=classification,
         evidence=evidence,
     )
-
-
-def _verify_vertex_pairs(g: Graph, S: Iterable[int], k: int, reducer) -> VerifyResult:
-    ids = _check_set(g, S)
-    (hit,) = lex_min(g.distance_matrix[:, ids], [reducer])
-    if hit is None:
-        return VerifyResult(True, None, None)
-    value, pair = hit
-    if value >= k:
-        return VerifyResult(True, None, value)
-    return VerifyResult(False, pair, value)
-
-
-def verify_weak_k_resolving(g: Graph, S: Iterable[int], k: int) -> VerifyResult:
-    """Check delta_S(x, y) >= k for every vertex pair."""
-    return _verify_vertex_pairs(g, S, k, pair_sum)
-
-
-def verify_k_resolving(g: Graph, S: Iterable[int], k: int) -> VerifyResult:
-    """Check every pair is distinguished by >= k distinct members of S."""
-    return _verify_vertex_pairs(g, S, k, pair_count)
-
-
-def verify_local_k_resolving(g: Graph, S: Iterable[int], k: int) -> VerifyResult:
-    """Check every edge's endpoints are distinguished by >= k members of S."""
-    ids = _check_set(g, S)
-    d = g.distance_matrix
-    best = None
-    best_edge = None
-    for u, v in g.edges():
-        cnt = int((d[u, ids] != d[v, ids]).sum()) if ids else 0
-        if best is None or cnt < best:
-            best = cnt
-            best_edge = (u, v)
-    if best is None or best >= k:
-        return VerifyResult(True, None, best)
-    return VerifyResult(False, best_edge, best)

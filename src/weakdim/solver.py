@@ -7,6 +7,12 @@ edge vw the distance is min(d(., v), d(., w))). A set is feasible when
 its column sum reaches k on every row; the count criterion (k distinct
 distinguishers) is the same model on the profile's 0/1 support.
 
+The checks of a given set (``certificate_for``, ``verify_set``,
+``variant_kappa`` and the three vertex verifiers) hold no model: one
+worst-pair call scans the item rows with ``resolve.lex_min`` (sum or
+count, over all pairs or the adjacent ones) and one verdict compares
+the worst pair with k.
+
 Two engines certify optima. ``solve_bruteforce`` enumerates subsets in
 increasing size and lexicographic order, so it returns the canonical
 (lex-smallest) optimal set. ``solve_bnb`` is a depth-first
@@ -39,23 +45,17 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, islice
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
 from .errors import KaboveKappa, ParameterOutOfRange, TooLarge
-from .graph import Graph
-from .resolve import VerifyResult, _check_set, lex_min, pair_sum
+from .graph import Graph, _check_peak
+from .resolve import _adjacent_partners, _check_set, lex_min, pair_count, pair_sum
 
 Item = Union[int, tuple[int, int]]
 
 DEFAULT_SIZE_CAP = 16
-
-# The largest estimated peak, in bytes, that cover_model admits. The
-# estimate is the profile plus, per entry, three int64 working copies the
-# engines make of it (the greedy start's clipped gains; the root bound's
-# clipped, sorted and cumulated matrices).
-MAX_MODEL_BYTES = 1 << 30
 
 
 class Variant(str, Enum):
@@ -153,13 +153,14 @@ class CoverModel:
 
 def cover_model(g: Graph, variant: Variant, criterion: str = "sum") -> CoverModel:
     """The model under ``criterion`` ("sum" or "count"); TooLarge, before
-    anything is allocated, when its estimated peak exceeds MAX_MODEL_BYTES."""
+    anything is allocated, when its estimated peak exceeds graph.MAX_BYTES: the
+    profile plus, per entry, three int64 working copies the engines make of
+    it (the greedy start's clipped gains; the root bound's clipped, sorted
+    and cumulated matrices)."""
     items, rows = _item_rows(g, variant)
     npairs = len(items) * (len(items) - 1) // 2
-    peak = npairs * g.n * (rows.itemsize + 3 * 8)
-    if peak > MAX_MODEL_BYTES:
-        raise TooLarge(f"the cover model of {npairs} item pairs x {g.n} vertices needs "
-                       f"about {peak / 2**30:.1f} GiB, over the {MAX_MODEL_BYTES >> 30} GiB limit")
+    _check_peak(f"the cover model of {npairs} item pairs x {g.n} vertices",
+                npairs * g.n * (rows.itemsize + 3 * 8))
     # item a's block holds the pairs (a, b > a), so rows run in lex pair order
     blocks = [np.abs(rows[a + 1:] - rows[a]) for a in range(len(items) - 1)]
     profile = np.concatenate([np.empty((0, g.n), rows.dtype), *blocks])
@@ -176,35 +177,65 @@ def pair_profiles(g: Graph, variant: Variant = Variant.VERTEX) -> list[ItemPair]
     ]
 
 
-def variant_kappa(g: Graph, variant: Variant = Variant.VERTEX):
-    """Largest feasible k for the variant: min over item pairs of the
-    profile total. Returns (kappa, witness_pair), or (None, None) when
-    the variant has no item pairs (every k is then vacuously feasible)."""
-    worst = certificate_for(g, variant, range(g.n))
-    if worst is None:
-        return None, None
-    return worst.delta, (worst.a, worst.b)
+class VerifyResult(NamedTuple):
+    """Outcome of a verifier: on failure, ``witness`` is the lex-smallest
+    pair among those minimizing the checked quantity (``value``)."""
+
+    ok: bool
+    witness: tuple[int, int] | None
+    value: int | None
 
 
-def verify_set(g: Graph, variant: Variant, S: Iterable[int], k: int) -> VerifyResult:
-    """Variant-aware feasibility check of a candidate vertex set."""
-    worst = certificate_for(g, variant, S)
-    if worst is None:
-        return VerifyResult(True, None, None)
-    if worst.delta >= k:
-        return VerifyResult(True, None, worst.delta)
-    return VerifyResult(False, (worst.a, worst.b), worst.delta)
-
-
-def certificate_for(g: Graph, variant: Variant, S: Iterable[int]) -> "Certificate | None":
-    """Worst item pair of ``S``: the lex-first minimizer of delta_S, by the
-    pair scan (no dense model)."""
+def _worst_pair(g: Graph, variant: Variant, S: Iterable[int], reducer=pair_sum,
+                partners=None) -> "Certificate | None":
+    """Lex-first item pair (of ``partners``, if given) minimizing ``reducer``
+    over the columns of ``S``, by the pair scan; None without item pairs."""
     items, rows = _item_rows(g, variant)
-    (hit,) = lex_min(rows[:, _check_set(g, S)], [pair_sum])
+    (hit,) = lex_min(rows[:, _check_set(g, S)], [reducer], partners=partners)
     if hit is None:
         return None
     value, (a, b) = hit
     return Certificate(items[a], items[b], value)
+
+
+def _verdict(worst: "Certificate | None", k: int) -> VerifyResult:
+    if worst is None:
+        return VerifyResult(True, None, None)
+    ok = worst.delta >= k
+    return VerifyResult(ok, None if ok else (worst.a, worst.b), worst.delta)
+
+
+def certificate_for(g: Graph, variant: Variant, S: Iterable[int]) -> "Certificate | None":
+    """Worst item pair of ``S``: the lex-first minimizer of delta_S."""
+    return _worst_pair(g, variant, S)
+
+
+def variant_kappa(g: Graph, variant: Variant = Variant.VERTEX):
+    """Largest feasible k for the variant: min over item pairs of the
+    profile total. Returns (kappa, witness_pair), or (None, None) when
+    the variant has no item pairs (every k is then vacuously feasible)."""
+    worst = _worst_pair(g, variant, range(g.n))
+    return (None, None) if worst is None else (worst.delta, (worst.a, worst.b))
+
+
+def verify_set(g: Graph, variant: Variant, S: Iterable[int], k: int) -> VerifyResult:
+    """Variant-aware feasibility check of a candidate vertex set."""
+    return _verdict(_worst_pair(g, variant, S), k)
+
+
+def verify_weak_k_resolving(g: Graph, S: Iterable[int], k: int) -> VerifyResult:
+    """Check delta_S(x, y) >= k for every vertex pair."""
+    return verify_set(g, Variant.VERTEX, S, k)
+
+
+def verify_k_resolving(g: Graph, S: Iterable[int], k: int) -> VerifyResult:
+    """Check every pair is distinguished by >= k distinct members of S."""
+    return _verdict(_worst_pair(g, Variant.VERTEX, S, pair_count), k)
+
+
+def verify_local_k_resolving(g: Graph, S: Iterable[int], k: int) -> VerifyResult:
+    """Check every edge's endpoints are distinguished by >= k members of S."""
+    return _verdict(_worst_pair(g, Variant.VERTEX, S, pair_count, _adjacent_partners(g)), k)
 
 
 def _brute(g: Graph, variant: Variant, k: int, size_cap: int, criterion: str) -> DimensionResult:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import random
 import tempfile
 from pathlib import Path
@@ -15,6 +16,7 @@ from conftest import random_tree_graph, tree_from_prufer
 
 from weakdim import cli, cycle, generate, resolve, spider
 from weakdim.graph import format_edgelist, parse_edgelist, twin_summary
+from weakdim.resolve import lex_min
 from weakdim.solver import DimensionResult
 
 
@@ -74,6 +76,31 @@ class TestKappaCommand:
         row = run_json(capsys, "kappa", "--family", "kqr:2,3")["results"][0]
         assert row["classification"] == "Weak4FalseTwins"
         assert calls == [5]
+
+    def test_workers_capped_at_the_cpu_count(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        requested = []
+
+        def recording(rows, reducers, workers=1, partners=None):
+            requested.append(workers)
+            if workers > 2:  # refuse before any thread starts
+                raise AssertionError(f"{workers} workers reached lex_min")
+            return lex_min(rows, reducers, workers, partners)
+
+        monkeypatch.setattr(resolve, "lex_min", recording)
+        report = run_json(capsys, "kappa", "--family", "cycle:9", "--workers", "5000")
+        assert requested == [2]
+        assert report["stats"]["workers"] == 2
+        one = run_json(capsys, "kappa", "--family", "cycle:9", "--workers", "1")
+        assert requested == [2, 1]
+        assert one["results"] == report["results"]
+        assert one["stats"]["workers"] == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, capsys, workers):
+        code, out, err = run_cli(capsys, "kappa", "--family", "cycle:9",
+                                 f"--workers={workers}")
+        assert code == 2 and out == "" and "--workers must be at least 1" in err
 
 
 class TestWdimCommand:
@@ -195,11 +222,6 @@ class TestWdimCommand:
         _, first, _ = run_cli(capsys, "wdim", "--family", "grid:4x4", "--k", "1..6")
         _, second, _ = run_cli(capsys, "wdim", "--family", "grid:4x4", "--k", "1..6")
         assert first == second
-
-    def test_workers_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("WKDIM_WORKERS", "3")
-        report = run_json(capsys, "kappa", "--family", "grid:4x4")
-        assert report["stats"]["workers"] == 3
 
     def test_wdim_has_no_workers(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -390,6 +412,10 @@ class TestAutoRouting:
         assert [(r["k"], r["value"], r["provenance"]) for r in rows] == [
             (1, 0, "bnb"), (2, 0, "bnb"), (3, 0, "bnb"),
         ]
+        for variant in ("edge", "mixed"):
+            rows = run_json(capsys, "wdim", "--file", str(f), "--k", "1",
+                            "--variant", variant)["results"]
+            assert [(r["value"], r["certificate"]) for r in rows] == [(0, None)]
 
     @pytest.mark.parametrize("engine", ["auto", "formula", "bnb", "brute"])
     def test_bases_ascending_under_every_engine(self, capsys, tmp_path, engine):

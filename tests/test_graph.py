@@ -1,6 +1,9 @@
 """Graph construction, distances, twins, generators, and text formats."""
 
 import random
+import time
+import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from weakdim import (
     EdgeListFormatError,
     NotConnected,
     SelfLoop,
+    TooLarge,
     VertexOutOfRange,
     all_pairs_distances,
     build_graph,
@@ -217,6 +221,55 @@ class TestAllSourcesBfs:
                 "kqr": lambda q, r: (q + r, q * r, 2),
             }[kind](*map(int, size.replace("x", ",").split(",")))
             assert graph._bit_parallel_pays(n, m, ecc0) == bits, spec
+
+
+@contextmanager
+def traced():
+    """A dict that gets the block's tracemalloc peak, in bytes, as "peak"."""
+    mem = {}
+    tracemalloc.start()
+    try:
+        yield mem
+    finally:
+        mem["peak"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+
+
+class TestApspBudget:
+    """APSP estimates its route's peak and raises TooLarge over the 1 GiB
+    limit before allocating anything."""
+
+    @pytest.mark.parametrize("spec, bits", [("path:40000", False), ("star:20000", True)])
+    def test_fails_fast(self, spec, bits, monkeypatch):
+        """path:40000 takes the list route (about 6 GiB of int32). On
+        star:20000 the matrix alone (0.8 GB of int16) would pass, but the
+        bit-parallel route's unpack buffer and shift temporary do not."""
+        g = generate(parse_family(spec))
+        assert graph._bit_parallel_pays(g.n, g.edge_count, g._ecc0) == bits
+
+        def refuse(*args):  # past a missing guard, fail before filling memory
+            raise AssertionError("APSP started")
+
+        monkeypatch.setattr(graph, "_all_sources_bfs", refuse)
+        monkeypatch.setattr(graph.Graph, "_bfs", refuse)
+        started = time.perf_counter()
+        with traced() as mem, pytest.raises(TooLarge, match="GiB"):
+            g.distance_matrix
+        assert time.perf_counter() - started < 1
+        assert mem["peak"] < 1 << 20
+        if bits:  # the int16 matrix alone would pass
+            assert g.n * g.n * 2 < graph.MAX_BYTES
+
+    @pytest.mark.parametrize("spec", ["path:2", "path:40", "grid:4x4", "cycle:601", "grid:40x40",
+                                      "star:3000", "complete:300", "kqr:200,200"])
+    def test_estimate_bounds_the_measured_peak(self, spec):
+        g = generate(parse_family(spec))
+        bits = graph._bit_parallel_pays(g.n, g.edge_count, g._ecc0)
+        with traced() as mem:
+            d = g.distance_matrix
+        estimate = graph._apsp_bytes(g.n, g.edge_count, g._ecc0, d.itemsize, bits)
+        assert d.nbytes <= estimate
+        assert mem["peak"] <= 1.05 * estimate + (64 << 10)
 
 
 class TestGenerators:

@@ -1,6 +1,7 @@
 """Difference profiles, kappa, classification, and the three verifiers."""
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     plain_distances,
     plain_distinguisher_count,
     random_graph_corpus,
+    random_tree_corpus,
     random_tree_graph,
 )
 
@@ -38,9 +40,9 @@ from weakdim import (
     verify_weak_k_resolving,
     weak3_structure_witness,
 )
-from weakdim import resolve
+from weakdim import resolve, solver
 from weakdim.resolve import lex_min, pair_count, pair_sum
-from weakdim.solver import Certificate, Variant, certificate_for
+from weakdim.solver import Certificate, Variant, certificate_for, verify_set
 
 
 class TestDeltaPair:
@@ -154,7 +156,64 @@ class TestComputeKappa:
         assert weak3_structure_witness(generate(cycle(6))) is None
 
 
+def plain_worst(g, S, measure, local):
+    """Lex-first (value, pair) minimizing ``measure`` over the vertex pairs,
+    or over the edges only when ``local``; None without such pairs."""
+    d = plain_distances(g)
+    pairs = ([(x, y) for x in range(g.n) for y in g.adjacency[x] if x < y] if local
+             else combinations(range(g.n), 2))
+    return min(((measure(d, x, y, S), (x, y)) for x, y in pairs), default=None)
+
+
+# verifier, its plain measure, and whether it checks the edges only
+VERIFIERS = {
+    "weak": (verify_weak_k_resolving, plain_delta_set, False),
+    "count": (verify_k_resolving, plain_distinguisher_count, False),
+    "local": (verify_local_k_resolving, plain_distinguisher_count, True),
+}
+
+
 class TestVerifiers:
+    @pytest.mark.parametrize("name", list(VERIFIERS))
+    def test_against_plain_oracle(self, name, monkeypatch):
+        """Ok flag, lex-first witness and value at k = worst - 1, worst and
+        worst + 1 on random graphs and trees, n = 1 and 2, and K4 (ties),
+        with one ``lex_min`` call per check."""
+        verifier, measure, local = VERIFIERS[name]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return lex_min(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "lex_min", counting)
+        rng = random.Random(5309)
+        graphs = random_graph_corpus() + random_tree_corpus()
+        graphs += [build_graph(1, []), generate(path(2)), generate(complete(4))]
+        for g in graphs:
+            subsets = [[], list(range(g.n))]
+            subsets += [sorted(rng.sample(range(g.n), rng.randint(0, g.n))) for _ in range(3)]
+            for S in subsets:
+                worst = plain_worst(g, S, measure, local)
+                for k in [1] if worst is None else [worst[0] - 1, worst[0], worst[0] + 1]:
+                    calls.clear()
+                    res = verifier(g, S, k)
+                    assert len(calls) == 1
+                    if worst is None:
+                        assert res == (True, None, None)
+                    else:
+                        value, pair = worst
+                        ok = value >= k
+                        assert res == (ok, None if ok else pair, value), (g, S, k)
+                    if name == "weak":
+                        assert res == verify_set(g, Variant.VERTEX, S, k)
+
+    def test_local_witness_is_the_lex_first_tied_edge(self):
+        # in K4 the probe 0 separates 0 from each neighbor and no other edge:
+        # (1, 2), (1, 3) and (2, 3) tie at 0, and (1, 2) comes first
+        res = verify_local_k_resolving(generate(complete(4)), [0], 1)
+        assert res == (False, (1, 2), 0)
+
     def test_full_set_at_kappa(self):
         for g in family_corpus(max_n=12):
             kappa = compute_kappa(g).kappa
