@@ -68,6 +68,7 @@ _LIST_STEP_S = 3e-8  # one vertex or neighbor step of the list BFS
 _LIST_LEVEL_S = 3e-7  # one level of one list BFS
 _WORD_S = 1e-9  # one uint64 word of one pass of the bit-parallel BFS
 _CALL_S = 1e-6  # one numpy call of the bit-parallel BFS
+_UNPACK_BLOCK = 1 << 16  # matrix entries unpacked from the bit-planes at a time
 
 
 def _bit_parallel_pays(n: int, m: int, ecc0: int) -> bool:
@@ -90,13 +91,15 @@ def _bit_parallel_pays(n: int, m: int, ecc0: int) -> bool:
 
 def _apsp_bytes(n: int, m: int, ecc0: int, itemsize: int, bit_parallel: bool) -> int:
     """Estimated peak bytes of an APSP route: the matrix and a BFS row list;
-    or the matrix, an unpacked bit-plane (uint8) and its shifted copy, the
-    n * n / 8-byte bitsets (four working, a reordered plane, one per bit of
-    the diameter <= 2 * ecc0) and the neighbor index arrays (<= 4 x 2m)."""
+    or the matrix, one row block of an unpacked bit-plane (a reordered
+    packed copy, uint8 bits and their shifted copy), the n * n / 8-byte
+    bitsets (four working, one per bit of the diameter <= 2 * ecc0) and the
+    neighbor index arrays (<= 4 x 2m)."""
     if not bit_parallel:
         return n * n * itemsize + n * 40
     bitset = n * ((n + 63) // 64) * 8
-    return (n * n * (2 * itemsize + 1) + bitset * (5 + (2 * ecc0).bit_length())
+    block = max(_UNPACK_BLOCK, n) * (2 + itemsize)
+    return (n * n * itemsize + block + bitset * (4 + (2 * ecc0).bit_length())
             + 4 * 2 * m * np.dtype(np.intp).itemsize)
 
 
@@ -109,7 +112,7 @@ def _all_sources_bfs(adjacency: tuple[tuple[int, ...], ...], dtype) -> np.ndarra
     in one call each, the others take one neighbor column per call (rows
     with more than j neighbors are a prefix of them), with the split that
     makes the fewest calls. Level numbers are kept as bit-planes and
-    unpacked once at the end.
+    unpacked at the end, about ``_UNPACK_BLOCK`` entries at a time.
     """
     n = len(adjacency)
     degree = np.fromiter(map(len, adjacency), dtype=np.intp, count=n)
@@ -158,13 +161,17 @@ def _all_sources_bfs(adjacency: tuple[tuple[int, ...], ...], dtype) -> np.ndarra
             if level >> b & 1:
                 plane |= reached
         frontier, reached = reached, frontier
+    del frontier, unseen, reached, gathered
 
     d = np.zeros((n, n), dtype=dtype)
-    for b, plane in enumerate(planes):
-        # rows back in vertex order; little-endian words make bit s column s
-        packed = plane[pos].astype("<u8", copy=False).view(np.uint8)
-        bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
-        d |= np.left_shift(bits, b, dtype=dtype)
+    step = max(1, _UNPACK_BLOCK // n)
+    for lo in range(0, n, step):
+        out = d[lo:lo + step]
+        for b, plane in enumerate(planes):
+            # rows back in vertex order; little-endian words make bit s column s
+            packed = plane[pos[lo:lo + step]].astype("<u8", copy=False).view(np.uint8)
+            bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
+            out |= np.left_shift(bits, b, dtype=dtype)
     return d
 
 

@@ -9,7 +9,12 @@ for the count-based (k distinct distinguishers) criterion.
 
 ``lex_min`` is the one scan for the lex-first pair minimizing such a
 criterion; kappa here and every verifier and certificate in ``solver``
-read it.
+read it. ``compute_kappa`` takes one of three routes: twins settle
+kappa' and all of kappa but a scan of the adjacent pairs; long, thin
+twin-free graphs get kappa from a scan of the pairs that a geodesic
+lower bound lets through and kappa' from a count of equidistant classes,
+when a level-histogram estimate E of that count's work is small; every
+other graph gets one dense scan for both.
 """
 
 from __future__ import annotations
@@ -18,12 +23,13 @@ from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from math import isqrt
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import SameVertex, TrivialGraph, VertexOutOfRange
-from .graph import Graph, TwinSummary, twin_summary
+from .graph import MAX_BYTES, Graph, TwinSummary, twin_summary
 from .timing import timed
 
 
@@ -202,9 +208,11 @@ def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1,
     that already reach every reducer's incumbent, then finishes the rest.
     With ``workers > 1`` the head items are split round-robin across
     threads and the parts are merged by ``(value, pair)``, so the result
-    does not depend on the worker count.
+    does not depend on the worker count. A partner scan runs on one
+    thread whatever ``workers`` says: the parts do not share incumbents,
+    and a part whose partners hold no small pair would abandon none.
     """
-    workers = min(workers, len(rows) - 1)
+    workers = 1 if partners is not None else min(workers, len(rows) - 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(
@@ -262,26 +270,129 @@ def _adjacent_partners(g: Graph, extra: tuple[int, int] | None = None) -> list[n
     return [np.array(p, dtype=np.intp) for p in partners]
 
 
+# The thin route runs while E, the equidistant (source, pair) triples, is at
+# most _THIN * C(n, 2): each is one increment of the count pass, which loses
+# to the scan from about there (fitted on a 2-core x86 host, numpy 2.4).
+_THIN = 8
+_EQ_BLOCK = 1 << 15  # entries in one block of the level histograms and the count pass
+
+
+def _equidistant_total(d: np.ndarray, stop: int) -> int | None:
+    """E = sum over sources s and levels r of C(#{v : d(s, v) = r}, 2), read
+    off per-row level histograms, or None as soon as it passes ``stop``."""
+    n = len(d)
+    step = max(1, _EQ_BLOCK // n)
+    total = 0
+    for lo in range(0, n, step):
+        block = d[lo:lo + step]
+        # level r of block row i is bin i * n + r; the sizes sum to block.size
+        sizes = np.bincount((block + np.arange(0, block.size, n)[:, None]).ravel())
+        total += (int(sizes @ sizes) - block.size) // 2
+        if total > stop:
+            return None
+    return total
+
+
+def _max_equidistant(d: np.ndarray) -> int:
+    """The largest eq(x, y) = #{s : d(s, x) = d(s, y)} over pairs x < y.
+
+    Each source row is sorted, and every pair inside one of its distance
+    classes gets 1 added in an n * n accumulator of the distance dtype
+    (eq <= n - 2). The stable sort keeps a class's vertices ascending, so
+    the pair lands at x * n + y with x < y. Pairs are made and added in
+    groups of about ``_EQ_BLOCK``: the work is E increments, the
+    temporaries stay small.
+    """
+    n = len(d)
+    step = max(1, _EQ_BLOCK // n)
+    acc = np.zeros(n * n, dtype=d.dtype)
+    one = acc.dtype.type(1)
+    for lo in range(0, n, step):
+        block = d[lo:lo + step]
+        order = np.argsort(block, axis=1, kind="stable")
+        # a class starts at each row start and wherever the level changes
+        starts = np.flatnonzero(np.diff(np.take_along_axis(block, order, axis=1), prepend=-1))
+        order = order.ravel()
+        ends = np.append(starts[1:], order.size)
+        # later[p]: the members of p's class after position p
+        later = np.repeat(ends, ends - starts)
+        later -= np.arange(1, order.size + 1)
+        cum = np.cumsum(later)
+        # each group starts at the position that makes its first pair
+        cuts = np.unique(np.searchsorted(cum, np.arange(0, cum[-1], _EQ_BLOCK), side="right"))
+        for p0, p1 in zip(cuts.tolist(), [*cuts[1:].tolist(), order.size]):
+            counts = later[p0:p1]
+            before = cum[p0:p1] - counts  # the pairs of the positions before each
+            # pair j of the block, made by position p, is (p, p + 1 + j - before[p])
+            first = np.repeat(np.arange(p0, p1), counts)
+            shift = np.repeat(np.arange(p0 + 1, p1 + 1) - before, counts)
+            second = np.arange(before[0], cum[p1 - 1]) + shift
+            np.add.at(acc, order[first] * n + order[second], one)
+    return int(acc.max())
+
+
+def _thin_pays(d: np.ndarray) -> bool:
+    """Whether the thin route is estimated to beat the scan: E is at most
+    ``_THIN * C(n, 2)`` and the count accumulator beside the matrix (with
+    at most sixteen int64 temporaries of a block) fits in ``MAX_BYTES``."""
+    n = len(d)
+    if 2 * d.nbytes + 16 * 8 * _EQ_BLOCK > MAX_BYTES:
+        return False
+    return _equidistant_total(d, _THIN * (n * (n - 1) // 2)) is not None
+
+
+def _thin_kappa(g: Graph) -> tuple[tuple[int, tuple[int, int]], int]:
+    """``(kappa, pair), kappa_prime`` without the dense pass: the sum over
+    the pairs that the geodesic bound lets through, the count from the
+    largest equidistant class count."""
+    d = g.distance_matrix
+    n = len(d)
+    (seed, _), = lex_min(d, [pair_sum], partners=_adjacent_partners(g))
+    reach = isqrt(2 * seed + 1) - 1  # the largest t with (t + 1)^2 // 2 <= seed
+    partners = [np.flatnonzero(d[a, a + 1:] <= reach) + (a + 1) for a in range(n)]
+    (hit,) = lex_min(d, [pair_sum], partners=partners)
+    return hit, n - _max_equidistant(d)
+
+
 def compute_kappa(g: Graph, workers: int = 1, twins: TwinSummary | None = None,
                   phases: dict | None = None) -> KappaReport:
     """Exact kappa and kappa' with a minimizing pair and classification.
 
-    Twins settle most of it. The probes x and y each add d(x, y) to the
-    sum of a pair, so the sum is at least 2 d(x, y), with equality exactly
-    for true twins; and every pair has its two distinguishers x and y,
-    with no others exactly for twins. So any twins give kappa' = 2, and
-    true twins give kappa = 2 with the first true-twin pair as witness.
-    With false twins alone, kappa <= 4: a pair at distance 2 sums to 4
-    only as false twins and a pair at distance >= 3 sums to at least 6,
-    so the scan visits only the adjacent pairs and the first false-twin
-    pair. Without twins it visits every pair for both criteria.
+    It takes one of three routes, all giving the same values and witness.
 
-    The scan may be partitioned across ``workers`` threads; the reduction
-    is performed in chunk order, so the reported witness pair (lex-smallest
-    minimizer) does not depend on the worker count. ``twins`` is
-    ``twin_summary(g)`` when the caller already has it; with a ``phases``
-    dict the scan and the classification add their milliseconds to
-    ``phases["kappa"]`` and ``phases["classify"]``.
+    Twins. The probes x and y each add d(x, y) to the sum of a pair, so
+    the sum is at least 2 d(x, y), with equality exactly for true twins;
+    and every pair has its two distinguishers x and y, with no others
+    exactly for twins. So any twins give kappa' = 2, and true twins give
+    kappa = 2 with the first true-twin pair as witness. With false twins
+    alone, kappa <= 4: a pair at distance 2 sums to 4 only as false twins
+    and a pair at distance >= 3 sums to at least 6, so the scan visits
+    only the adjacent pairs and the first false-twin pair.
+
+    Thin (twin-free, few equidistant pairs). Along a geodesic
+    x = v0 ... vt = y the probe vi adds |2i - t|, so the sum of a pair at
+    distance t is at least (t + 1)^2 // 2. The adjacent pairs seed the
+    sum; the sum scan then visits only the pairs whose bound is at most
+    the seed, which include every pair that could reach or tie the
+    minimum. The count of a pair is n - eq(x, y), where eq counts the
+    sources equidistant from x and y, so kappa' = n - max eq, found by
+    adding 1 to every pair of each distance class of each source row:
+    E = sum over s and r of C(|level r of s|, 2) increments, no pair scan.
+    The route runs when E, read off the level histograms before any pair
+    is made, is at most 8 C(n, 2) (E / C(n, 2) is 0.5 on paths, 1 on odd
+    cycles, 4.9 on ``grid:4x150``; 20.6 on ``grid:24x24`` and over 200 on
+    random graphs) and the accumulator fits beside the matrix in
+    ``MAX_BYTES``.
+
+    Scan. Otherwise one ``lex_min`` pass visits every pair for both
+    criteria, split across ``workers`` threads and merged by
+    ``(value, pair)``, so the witness (the lex-smallest minimizer) does
+    not depend on the worker count. Partner scans, as on the other two
+    routes, run on one thread.
+
+    ``twins`` is ``twin_summary(g)`` when the caller already has it; with
+    a ``phases`` dict the route and the classification add their
+    milliseconds to ``phases["kappa"]`` and ``phases["classify"]``.
     """
     if g.n < 2:
         raise TrivialGraph("kappa is undefined on a single vertex")
@@ -295,6 +406,8 @@ def compute_kappa(g: Graph, workers: int = 1, twins: TwinSummary | None = None,
             partners = _adjacent_partners(g, twins.first_false)
             (hit,) = lex_min(g.distance_matrix, [pair_sum], workers, partners)
             (kappa, pair), kappa_prime = hit, 2
+        elif _thin_pays(g.distance_matrix):
+            (kappa, pair), kappa_prime = _thin_kappa(g)
         else:
             (kappa, pair), (kappa_prime, _) = lex_min(
                 g.distance_matrix, [pair_sum, pair_count], workers

@@ -88,10 +88,11 @@ class TestKappaCommand:
             return lex_min(rows, reducers, workers, partners)
 
         monkeypatch.setattr(resolve, "lex_min", recording)
-        report = run_json(capsys, "kappa", "--family", "cycle:9", "--workers", "5000")
+        # twin-free with many equidistant pairs, so kappa takes the threaded scan
+        report = run_json(capsys, "kappa", "--family", "grid:12x12", "--workers", "5000")
         assert requested == [2]
         assert report["stats"]["workers"] == 2
-        one = run_json(capsys, "kappa", "--family", "cycle:9", "--workers", "1")
+        one = run_json(capsys, "kappa", "--family", "grid:12x12", "--workers", "1")
         assert requested == [2, 1]
         assert one["results"] == report["results"]
         assert one["stats"]["workers"] == 1

@@ -242,8 +242,8 @@ class TestApspBudget:
     @pytest.mark.parametrize("spec, bits", [("path:40000", False), ("star:20000", True)])
     def test_fails_fast(self, spec, bits, monkeypatch):
         """path:40000 takes the list route (about 6 GiB of int32). On
-        star:20000 the matrix alone (0.8 GB of int16) would pass, but the
-        bit-parallel route's unpack buffer and shift temporary do not."""
+        star:20000 the matrix alone (0.8 GB of int16) would pass, but not
+        with the bit-parallel route's bitsets (six of 50 MB)."""
         g = generate(parse_family(spec))
         assert graph._bit_parallel_pays(g.n, g.edge_count, g._ecc0) == bits
 

@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     bipartition_classes,
@@ -539,6 +541,19 @@ class TestTwinShortcuts:
         assert reducers == ["pair_sum"]
         assert pairs == set(g.edges()) | {find_twins(g)[1][0]}
 
+    def test_partner_scans_run_on_one_thread(self, monkeypatch):
+        """A partner scan's round-robin parts would not share an incumbent,
+        so a part without a small pair would never abandon one."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a partner scan started threads")
+
+        g = generate(parse_family("kqr:40,40"))
+        partners = resolve._adjacent_partners(g)
+        expected = compute_kappa(g), lex_min(g.distance_matrix, [pair_sum], 1, partners)
+        monkeypatch.setattr(resolve, "ThreadPoolExecutor", refuse)
+        assert compute_kappa(g, workers=2) == expected[0]
+        assert lex_min(g.distance_matrix, [pair_sum], 2, partners) == expected[1]
+
     @pytest.mark.parametrize("g", scan_graphs())
     def test_lex_min_over_partner_subsets(self, g):
         """``partners`` restricts the scan to a pair subset: the result is the
@@ -557,3 +572,130 @@ class TestTwinShortcuts:
             for workers in (1, 2):
                 assert lex_min(g.distance_matrix, [pair_sum, pair_count], workers,
                                partners) == expected
+
+
+def plain_equidistant(d):
+    """eq[x, y] = #{s : d(s, x) = d(s, y)} for every pair, by a dense compare."""
+    D = np.array(d, dtype=np.int64)
+    return (D[:, :, None] == D[:, None, :]).sum(axis=0)
+
+
+def plain_thin_figures(g):
+    """E (the equidistant triples) and the largest eq over pairs x < y."""
+    eq = plain_equidistant(plain_distances(g))
+    upper = eq[np.triu_indices(g.n, 1)]
+    return int(upper.sum()), int(upper.max(initial=0))
+
+
+def scan_route(g):
+    (kappa, pair), (kappa_prime, _) = lex_min(g.distance_matrix, [pair_sum, pair_count])
+    return (kappa, pair), kappa_prime
+
+
+def oracle_route(g):
+    (kappa, pair), (kappa_prime, _) = dense_lex_min(plain_distances(g), range(g.n))
+    return (kappa, pair), kappa_prime
+
+
+# long, thin graphs; the small ones have twins, which compute_kappa settles
+# first, but both routes are exact on any graph
+THIN_FAMILIES = ["path:2", "path:3", "path:130", "cycle:3", "cycle:4", "cycle:131",
+                 "spider:1,2,3", "spider:40,45,50", "grid:3x40"]
+
+
+@st.composite
+def twin_free_graphs(draw, max_n=40):
+    """A random tree on 3..max_n vertices plus up to n chords, twin-free."""
+    n = draw(st.integers(3, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for u, v in draw(st.lists(pair, max_size=n)):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    g = build_graph(n, sorted(edges))
+    assume(find_twins(g) == ([], []))
+    return g
+
+
+class TestThinRoute:
+    """On twin-free graphs with few equidistant pairs, kappa is a sum scan
+    over the pairs the geodesic bound lets through, and kappa' is n minus
+    the largest equidistant class count: the same values and witness as the
+    dense scan."""
+
+    @pytest.mark.parametrize("g", scan_graphs() + [
+        pytest.param(generate(parse_family(f)), id=f) for f in THIN_FAMILIES])
+    def test_both_routes_match_the_dense_oracle(self, g):
+        expected = oracle_route(g)
+        assert scan_route(g) == expected
+        assert resolve._thin_kappa(g) == expected
+        (kappa, pair), kappa_prime = expected
+        rep = compute_kappa(g)
+        assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
+
+    @settings(max_examples=60, deadline=None)
+    @given(twin_free_graphs())
+    def test_both_routes_on_random_twin_free_graphs(self, g):
+        expected = oracle_route(g)
+        assert scan_route(g) == expected
+        assert resolve._thin_kappa(g) == expected
+        E, top = plain_thin_figures(g)
+        assert resolve._equidistant_total(g.distance_matrix, E) == E
+        assert resolve._equidistant_total(g.distance_matrix, E - 1) is None
+        assert resolve._max_equidistant(g.distance_matrix) == top
+
+    @pytest.mark.parametrize("block", [1, 7, 50, 700])
+    def test_count_pass_chunk_boundaries(self, monkeypatch, block):
+        """Wherever the row blocks and pair groups of about ``_EQ_BLOCK``
+        entries split the classes, E and the largest eq stay exact."""
+        monkeypatch.setattr(resolve, "_EQ_BLOCK", block)
+        for f in ("path:30", "cycle:31", "spider:3,4,6", "grid:3x12", "complete:9", "star:12"):
+            g = generate(parse_family(f))
+            E, top = plain_thin_figures(g)
+            assert resolve._equidistant_total(g.distance_matrix, E) == E
+            assert resolve._max_equidistant(g.distance_matrix) == top
+            assert resolve._thin_kappa(g) == oracle_route(g)
+
+    @pytest.mark.parametrize("f", ["path:130", "cycle:131", "spider:40,45,50", "grid:3x40"])
+    def test_filter_drops_only_pairs_over_the_seed(self, f, monkeypatch):
+        """The seed scan runs over the adjacent pairs; the sum scan then
+        drops exactly the pairs whose geodesic bound (t + 1)^2 // 2, for
+        t = d(x, y), exceeds the seed, and each dropped pair sums above it."""
+        g = generate(parse_family(f))
+        seen = []
+
+        def recording(rows, reducers, workers=1, partners=None):
+            hit = lex_min(rows, reducers, workers, partners)
+            seen.append(([r.__name__ for r in reducers],
+                         {(a, int(b)) for a, bs in enumerate(partners) for b in bs}, hit))
+            return hit
+
+        monkeypatch.setattr(resolve, "lex_min", recording)
+        resolve._thin_kappa(g)
+        (seed_reducers, adjacent, [(seed, _)]), (reducers, kept, _) = seen
+        assert seed_reducers == reducers == ["pair_sum"]
+        assert adjacent == set(g.edges())
+        d = plain_distances(g)
+        D = np.array(d, dtype=np.int64)
+        for x, y in combinations(range(g.n), 2):
+            bound = (d[x][y] + 1) ** 2 // 2
+            assert ((x, y) in kept) == (bound <= seed)
+            if bound > seed:
+                assert int(np.abs(D[x] - D[y]).sum()) >= bound > seed
+
+    def test_route_choice(self, monkeypatch):
+        """E / C(n, 2) is at most 5 on the long, thin graphs and at least 12
+        on the grids and random graphs where the scan wins; the estimate
+        stops at 8 C(n, 2)."""
+        thin = ["path:600", "cycle:601", "spider:200,200,200", "grid:4x150"]
+        dense = ["grid:24x24", "grid:10x60"]
+        graphs = [generate(parse_family(f)) for f in thin + dense]
+        graphs.append(sparse_graph(9, 600))
+        picks = [resolve._thin_pays(g.distance_matrix) for g in graphs]
+        assert picks == [True] * len(thin) + [False] * (len(dense) + 1)
+        # an accumulator that cannot fit keeps the scan, with the same report
+        g = graphs[0]
+        expected = compute_kappa(g)
+        monkeypatch.setattr(resolve, "MAX_BYTES", 2 * g.distance_matrix.nbytes)
+        assert not resolve._thin_pays(g.distance_matrix)
+        assert compute_kappa(g) == expected
