@@ -13,6 +13,14 @@ worst-pair call scans the item rows with ``resolve.lex_min`` (sum or
 count, over all pairs or the adjacent ones) and one verdict compares
 the worst pair with k.
 
+``write_lp`` renders the sum model as CPLEX-LP text, one row per item
+pair. The rows are made in blocks of profile entries with no Python
+work per coefficient: each nonzero entry's rank in its row picks its
+separator, and one index into a table of term strings gives every
+cell's text. The format is unchanged; ``export-lp`` writes each block
+as it is made, so its memory is bounded by one block, the model and
+the table (three strings per coefficient value and column).
+
 Two engines certify optima. ``solve_bruteforce`` enumerates subsets in
 increasing size and lexicographic order, so it returns the canonical
 (lex-smallest) optimal set. ``solve_bnb`` is a depth-first
@@ -45,7 +53,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, islice
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -507,35 +515,56 @@ def solve_kmetric_dim(
     return _brute(g, Variant.VERTEX, k, size_cap, "count")
 
 
-def _wrap_terms(prefix: str, terms: list[str], suffix: str = "",
-                per_line: int = 10) -> list[str]:
-    lines = []
-    for i in range(0, len(terms), per_line):
-        chunk = " + ".join(terms[i:i + per_line])
-        head = prefix if i == 0 else "   "
-        tail = " +" if i + per_line < len(terms) else suffix
-        lines.append(f"{head}{chunk}{tail}")
-    return lines
+# profile entries rendered in one block of LP text
+_LP_BLOCK = 1 << 16
+
+
+def _lp_blocks(model: CoverModel, variant: Variant, k: int) -> Iterator[str]:
+    """The CPLEX-LP text of ``model`` in pieces: the head, the rows in
+    blocks of about ``_LP_BLOCK`` profile entries, and the tail.
+
+    A row's text is one string per cell: its ``\\ pair`` comment and
+    ``p<idx>:`` label, then per column a term from a table of
+    ``f"{c} x{i}{sep}"`` (the empty string for c = 0), where the term of
+    rank r among the row's m nonzero terms ends the row (" >= k") at
+    r = m, wraps the line (" +" and a new line) at every 10th r, and is
+    followed by " + " otherwise. A row without terms is its comment only.
+    """
+    profile = model.profile
+    npairs, n = profile.shape
+    names = [f"x{i}" for i in range(n)]
+    yield (f"\\ minimum weak {k}-resolving set, variant={variant.value}\n"
+           f"\\ n={n} items={len(model.items)} pairs={npairs}\n"
+           "Minimize\n obj: "
+           + " +\n   ".join(" + ".join(names[i:i + 10]) for i in range(0, n, 10))
+           + "\nSubject To\n")
+    seps = (" + ", " +\n   ", f" >= {k}\n")
+    top = int(profile.max(initial=0))
+    # term (c, i, sep kind) at flat index (c * n + i) * 3 + kind
+    table = np.array([""] * (3 * n) + [f"{c} {x}{sep}" for c in range(1, top + 1)
+                                       for x in names for sep in seps], dtype=object)
+    col = 3 * np.arange(n)
+    # label pairs, advanced once per row across blocks
+    pairs = combinations(map(item_label, model.items), 2)
+    per_block = max(1, _LP_BLOCK // n)
+    for lo in range(0, npairs, per_block):
+        block = profile[lo:lo + per_block]
+        rank = np.cumsum(block != 0, axis=1)
+        total = rank[:, -1:]
+        kind = np.where(rank == total, 2, rank % 10 == 0)
+        cells = np.empty((len(block), n + 1), dtype=object)
+        cells[:, 1:] = table[block.astype(np.intp) * (3 * n) + col + kind]
+        # the bounded range first: zip stops on it before drawing a pair
+        cells[:, 0] = [f"\\ pair {a} -- {b}\n p{idx}: " if m else f"\\ pair {a} -- {b}\n"
+                       for idx, m, (a, b) in zip(range(lo, lo + len(block)),
+                                                 total[:, 0].tolist(), pairs)]
+        yield "".join(cells.ravel().tolist())
+    yield ("Binaries\n" + "".join(" " + " ".join(names[i:i + 12]) + "\n"
+                                  for i in range(0, n, 12)) + "End\n")
 
 
 def write_lp(g: Graph, variant: Variant = Variant.VERTEX, k: int = 1) -> str:
     """Render the covering model in CPLEX-LP text: one binary per vertex,
-    one row per item pair, coefficients equal to the profile entries."""
-    model = cover_model(g, variant)
-    out = [
-        f"\\ minimum weak {k}-resolving set, variant={variant.value}",
-        f"\\ n={g.n} items={len(model.items)} pairs={len(model.profile)}",
-        "Minimize",
-    ]
-    out.extend(_wrap_terms(" obj: ", [f"x{i}" for i in range(g.n)]))
-    out.append("Subject To")
-    for idx, (a, b, coeffs) in enumerate(model.pairs()):
-        terms = [f"{c} x{i}" for i, c in enumerate(coeffs.tolist()) if c]
-        out.append(f"\\ pair {item_label(a)} -- {item_label(b)}")
-        out.extend(_wrap_terms(f" p{idx}: ", terms, suffix=f" >= {k}"))
-    out.append("Binaries")
-    names = [f"x{i}" for i in range(g.n)]
-    for i in range(0, len(names), 12):
-        out.append(" " + " ".join(names[i:i + 12]))
-    out.append("End")
-    return "\n".join(out) + "\n"
+    one row per item pair, coefficients equal to the profile entries.
+    ``export-lp`` writes the same text block by block as it is made."""
+    return "".join(_lp_blocks(cover_model(g, variant), variant, k))

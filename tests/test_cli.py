@@ -6,6 +6,7 @@ import json
 import os
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import random_tree_graph, tree_from_prufer
 
-from weakdim import cli, cycle, generate, resolve, spider
+from weakdim import Variant, cli, cycle, generate, parse_family, resolve, spider, write_lp
 from weakdim.graph import format_edgelist, parse_edgelist, twin_summary
 from weakdim.resolve import lex_min
 from weakdim.solver import DimensionResult
@@ -308,6 +309,47 @@ class TestExportLp:
         rows = [ln for ln in out.splitlines() if ln.lstrip().startswith("p")]
         assert len(rows) == 1
 
+
+    @pytest.mark.parametrize("spec,variant,k", [
+        ("grid:3x3", "mixed", 2), ("path:12", "vertex", 1), ("cycle:7", "edge", 3),
+    ])
+    def test_file_stdout_and_write_lp_agree(self, capsys, tmp_path, spec, variant, k):
+        out_path = tmp_path / "m.lp"
+        argv = ["export-lp", "--family", spec, "--variant", variant, "--k", str(k)]
+        report = run_json(capsys, *argv, "--out", str(out_path))
+        code, out, _ = run_cli(capsys, *argv, "--out", "-")
+        assert code == 0
+        text = write_lp(generate(parse_family(spec)), Variant(variant), k)
+        assert out_path.read_bytes() == text.encode() == out.encode()
+        rows = sum(1 for ln in text.splitlines() if ln.startswith(" p"))
+        assert report["results"][0]["rows"] == rows
+        assert report["stats"] == {}
+
+    def test_timing(self, capsys, tmp_path):
+        out_path = tmp_path / "p3.lp"
+        argv = ["export-lp", "--family", "path:3", "--k", "1", "--timing"]
+        report = run_json(capsys, *argv, "--out", str(out_path))
+        stats = report["stats"]
+        assert set(stats) == {"elapsed_ms", "phases_ms"}
+        assert set(stats["phases_ms"]) == {"load", "apsp", "write"}
+        assert sum(stats["phases_ms"].values()) <= stats["elapsed_ms"]
+        # to stdout there is no report, so no timing either
+        code, out, _ = run_cli(capsys, *argv, "--out", "-")
+        assert code == 0 and out == out_path.read_text()
+
+    def test_peak_memory_below_the_text(self, capsys, tmp_path):
+        # the text is written block by block: the traced peak stays below
+        # the size of the file (31.8 MB here); one joined copy would not
+        out_path = tmp_path / "g.lp"
+        tracemalloc.start()
+        try:
+            report = run_json(capsys, "export-lp", "--family", "grid:14x14", "--k", "3",
+                              "--out", str(out_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["results"][0]["rows"] == 19110
+        assert peak < out_path.stat().st_size
 
     def test_k_below_one_exit_2(self, capsys, tmp_path):
         out_path = tmp_path / "p3.lp"

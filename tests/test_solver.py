@@ -354,6 +354,84 @@ class TestVariantsAgainstPlainOracle:
             assert lp_rows(write_lp(g, variant, 3)) == expected
 
 
+def plain_wrap_terms(prefix: str, terms: list[str], suffix: str = "",
+                     per_line: int = 10) -> list[str]:
+    """The per-row line wrapping the LP text is pinned to."""
+    lines = []
+    for i in range(0, len(terms), per_line):
+        chunk = " + ".join(terms[i:i + per_line])
+        head = prefix if i == 0 else "   "
+        tail = " +" if i + per_line < len(terms) else suffix
+        lines.append(f"{head}{chunk}{tail}")
+    return lines
+
+
+def plain_write_lp(g, variant: Variant, k: int) -> str:
+    """``write_lp`` rendered a line at a time from the plain item rows."""
+    items, rows = plain_item_rows(g, variant.value)
+    pairs = list(combinations(range(len(items)), 2))
+    out = [
+        f"\\ minimum weak {k}-resolving set, variant={variant.value}",
+        f"\\ n={g.n} items={len(items)} pairs={len(pairs)}",
+        "Minimize",
+    ]
+    out.extend(plain_wrap_terms(" obj: ", [f"x{i}" for i in range(g.n)]))
+    out.append("Subject To")
+    for idx, (i, j) in enumerate(pairs):
+        coeffs = [abs(a - b) for a, b in zip(rows[i], rows[j])]
+        terms = [f"{c} x{s}" for s, c in enumerate(coeffs) if c]
+        out.append(f"\\ pair {plain_label(items[i])} -- {plain_label(items[j])}")
+        out.extend(plain_wrap_terms(f" p{idx}: ", terms, suffix=f" >= {k}"))
+    out.append("Binaries")
+    names = [f"x{i}" for i in range(g.n)]
+    for i in range(0, len(names), 12):
+        out.append(" " + " ".join(names[i:i + 12]))
+    out.append("End")
+    return "\n".join(out) + "\n"
+
+
+# rows of 8 to 12 and 20 to 22 nonzero terms: the line-wrap edges at 10 and 20
+WRAP_FAMILIES = ["path:9", "path:10", "path:11", "path:12", "path:21", "cycle:23"]
+
+
+class TestLpRenderer:
+    """The block renderer of ``write_lp`` against the plain line renderer."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_random_corpus_byte_identical(self, variant):
+        for g in random_graph_corpus():
+            for k in (1, 3, 10):
+                assert write_lp(g, variant, k) == plain_write_lp(g, variant, k)
+
+    def test_wrap_edges_byte_identical(self):
+        seen = set()
+        for spec in WRAP_FAMILIES:
+            g = generate(parse_family(spec))
+            seen.update(np.count_nonzero(solver.cover_model(g, Variant.VERTEX).profile,
+                                         axis=1).tolist())
+            for variant in VARIANTS:
+                assert write_lp(g, variant, 2) == plain_write_lp(g, variant, 2), spec
+        assert {9, 10, 11, 20, 21} <= seen
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1 << 40])
+    def test_block_edges_anywhere(self, monkeypatch, block):
+        monkeypatch.setattr(solver, "_LP_BLOCK", block)
+        graphs = random_graph_corpus()[:10] + [generate(parse_family("path:21"))]
+        for g in graphs:
+            for variant in VARIANTS:
+                assert write_lp(g, variant, 3) == plain_write_lp(g, variant, 3)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_pair_row_has_a_term(self, variant):
+        # distinct items differ at an endpoint of one of them, so the LP
+        # has one p-row per item pair
+        for g in random_graph_corpus():
+            profile = solver.cover_model(g, variant).profile
+            assert (profile != 0).any(axis=1).all()
+            rows = [ln for ln in write_lp(g, variant, 1).splitlines() if ln.startswith(" p")]
+            assert len(rows) == len(profile)
+
+
 class TestCoverModel:
     """The model's certificate and k-limit check against plain Python."""
 
