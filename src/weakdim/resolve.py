@@ -9,12 +9,12 @@ for the count-based (k distinct distinguishers) criterion.
 
 ``lex_min`` is the one scan for the lex-first pair minimizing such a
 criterion; kappa here and every verifier and certificate in ``solver``
-read it. ``compute_kappa`` takes one of three routes: twins settle
-kappa' and all of kappa but a scan of the adjacent pairs; long, thin
-twin-free graphs get kappa from a scan of the pairs that a geodesic
-lower bound lets through and kappa' from a count of equidistant classes,
-when a level-histogram estimate E of that count's work is small; every
-other graph gets one dense scan for both.
+read it. One router picks the route to kappa, for ``compute_kappa`` and
+for ``solver.variant_kappa`` (kappa' only when asked): small graphs get
+one dense scan; twins settle kappa' and all of kappa but a scan of the
+adjacent pairs; long, thin twin-free graphs get kappa from a scan of the
+pairs that a geodesic lower bound lets through and kappa' from a count
+of equidistant classes; every other graph gets one dense scan.
 """
 
 from __future__ import annotations
@@ -341,33 +341,33 @@ def _thin_pays(d: np.ndarray) -> bool:
     return _equidistant_total(d, _THIN * (n * (n - 1) // 2)) is not None
 
 
-def _thin_kappa(g: Graph) -> tuple[tuple[int, tuple[int, int]], int]:
-    """``(kappa, pair), kappa_prime`` without the dense pass: the sum over
-    the pairs that the geodesic bound lets through, the count from the
-    largest equidistant class count."""
-    d = g.distance_matrix
-    n = len(d)
-    (seed, _), = lex_min(d, [pair_sum], partners=_adjacent_partners(g))
-    reach = isqrt(2 * seed + 1) - 1  # the largest t with (t + 1)^2 // 2 <= seed
-    partners = [np.flatnonzero(d[a, a + 1:] <= reach) + (a + 1) for a in range(n)]
-    (hit,) = lex_min(d, [pair_sum], partners=partners)
-    return hit, n - _max_equidistant(d)
+# At most this many dense-scan entries (criteria x n x C(n, 2)), one batched
+# ``lex_min`` pass beats the per-row Python work of the twin and thin routes
+# (fitted on a 2-core x86 host, numpy 2.4).
+_SCAN_FLOOR = 1 << 23
 
 
-def compute_kappa(g: Graph, workers: int = 1, twins: TwinSummary | None = None,
-                  phases: dict | None = None) -> KappaReport:
-    """Exact kappa and kappa' with a minimizing pair and classification.
+def _kappa_route(g: Graph, reducers: Sequence, workers: int = 1,
+                 twins: TwinSummary | None = None) -> list:
+    """``lex_min(g.distance_matrix, reducers, workers)`` for ``[pair_sum]``
+    or ``[pair_sum, pair_count]`` by one of three routes, all with the
+    same values and witness (kappa' off twins or thin comes with pair None).
 
-    It takes one of three routes, all giving the same values and witness.
+    Scan. Up to ``_SCAN_FLOOR`` entries, and on every graph that the two
+    routes below do not take, one ``lex_min`` pass visits every pair,
+    split across ``workers`` threads and merged by ``(value, pair)``, so
+    the witness does not depend on the worker count. Partner scans, as
+    on the other two routes, run on one thread.
 
-    Twins. The probes x and y each add d(x, y) to the sum of a pair, so
-    the sum is at least 2 d(x, y), with equality exactly for true twins;
-    and every pair has its two distinguishers x and y, with no others
-    exactly for twins. So any twins give kappa' = 2, and true twins give
-    kappa = 2 with the first true-twin pair as witness. With false twins
-    alone, kappa <= 4: a pair at distance 2 sums to 4 only as false twins
-    and a pair at distance >= 3 sums to at least 6, so the scan visits
-    only the adjacent pairs and the first false-twin pair.
+    Twins (``twins`` is ``twin_summary(g)``, made here if not given). The
+    probes x and y each add d(x, y) to the sum of a pair, so the sum is
+    at least 2 d(x, y), with equality exactly for true twins; and every
+    pair has its two distinguishers x and y, with no others exactly for
+    twins. So any twins give kappa' = 2, and true twins give kappa = 2
+    with the first true-twin pair as witness. With false twins alone,
+    kappa <= 4: a pair at distance 2 sums to 4 only as false twins and a
+    pair at distance >= 3 sums to at least 6, so the scan visits only
+    the adjacent pairs and the first false-twin pair.
 
     Thin (twin-free, few equidistant pairs). Along a geodesic
     x = v0 ... vt = y the probe vi adds |2i - t|, so the sum of a pair at
@@ -375,20 +375,37 @@ def compute_kappa(g: Graph, workers: int = 1, twins: TwinSummary | None = None,
     sum; the sum scan then visits only the pairs whose bound is at most
     the seed, which include every pair that could reach or tie the
     minimum. The count of a pair is n - eq(x, y), where eq counts the
-    sources equidistant from x and y, so kappa' = n - max eq, found by
-    adding 1 to every pair of each distance class of each source row:
-    E = sum over s and r of C(|level r of s|, 2) increments, no pair scan.
-    The route runs when E, read off the level histograms before any pair
-    is made, is at most 8 C(n, 2) (E / C(n, 2) is 0.5 on paths, 1 on odd
-    cycles, 4.9 on ``grid:4x150``; 20.6 on ``grid:24x24`` and over 200 on
-    random graphs) and the accumulator fits beside the matrix in
-    ``MAX_BYTES``.
+    sources equidistant from x and y, so kappa' = n - max eq, found (only
+    when asked for) by adding 1 to every pair of each distance class of
+    each source row: E = sum over s and r of C(|level r of s|, 2)
+    increments, no pair scan. The route runs when E, read off the level
+    histograms before any pair is made, is at most 8 C(n, 2) (E / C(n, 2)
+    is 0.5 on paths, 1 on odd cycles, 4.9 on ``grid:4x150``; 20.6 on
+    ``grid:24x24`` and over 200 on random graphs) and the accumulator
+    fits beside the matrix in ``MAX_BYTES``.
+    """
+    d = g.distance_matrix
+    n = len(d)
+    if len(reducers) * n * (n * (n - 1) // 2) > _SCAN_FLOOR:
+        twins = twin_summary(g) if twins is None else twins
+        counts = [(2, None)] * (len(reducers) - 1)
+        if twins.first_true:
+            return [(2, twins.first_true), *counts]
+        if twins.first_false:
+            partners = _adjacent_partners(g, twins.first_false)
+            return lex_min(d, [pair_sum], workers, partners) + counts
+        if _thin_pays(d):
+            (seed, _), = lex_min(d, [pair_sum], partners=_adjacent_partners(g))
+            reach = isqrt(2 * seed + 1) - 1  # the largest t with (t + 1)^2 // 2 <= seed
+            partners = [np.flatnonzero(d[a, a + 1:] <= reach) + (a + 1) for a in range(n)]
+            counts = [(n - _max_equidistant(d), None) for _ in counts]
+            return lex_min(d, [pair_sum], partners=partners) + counts
+    return lex_min(d, reducers, workers)
 
-    Scan. Otherwise one ``lex_min`` pass visits every pair for both
-    criteria, split across ``workers`` threads and merged by
-    ``(value, pair)``, so the witness (the lex-smallest minimizer) does
-    not depend on the worker count. Partner scans, as on the other two
-    routes, run on one thread.
+
+def compute_kappa(g: Graph, workers: int = 1, twins: TwinSummary | None = None,
+                  phases: dict | None = None) -> KappaReport:
+    """Exact kappa and kappa' with a minimizing pair and classification.
 
     ``twins`` is ``twin_summary(g)`` when the caller already has it; with
     a ``phases`` dict the route and the classification add their
@@ -400,18 +417,7 @@ def compute_kappa(g: Graph, workers: int = 1, twins: TwinSummary | None = None,
         with timed(phases, "classify"):
             twins = twin_summary(g)
     with timed(phases, "kappa"):
-        if twins.first_true:
-            (kappa, pair), kappa_prime = (2, twins.first_true), 2
-        elif twins.first_false:
-            partners = _adjacent_partners(g, twins.first_false)
-            (hit,) = lex_min(g.distance_matrix, [pair_sum], workers, partners)
-            (kappa, pair), kappa_prime = hit, 2
-        elif _thin_pays(g.distance_matrix):
-            (kappa, pair), kappa_prime = _thin_kappa(g)
-        else:
-            (kappa, pair), (kappa_prime, _) = lex_min(
-                g.distance_matrix, [pair_sum, pair_count], workers
-            )
+        (kappa, pair), (kappa_prime, _) = _kappa_route(g, [pair_sum, pair_count], workers, twins)
     with timed(phases, "classify"):
         classification, evidence = _classify(g, kappa, twins)
     return KappaReport(

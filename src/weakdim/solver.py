@@ -7,11 +7,11 @@ edge vw the distance is min(d(., v), d(., w))). A set is feasible when
 its column sum reaches k on every row; the count criterion (k distinct
 distinguishers) is the same model on the profile's 0/1 support.
 
-The checks of a given set (``certificate_for``, ``verify_set``,
-``variant_kappa`` and the three vertex verifiers) hold no model: one
-worst-pair call scans the item rows with ``resolve.lex_min`` (sum or
-count, over all pairs or the adjacent ones) and one verdict compares
-the worst pair with k.
+The checks of a given set (``certificate_for``, ``verify_set``, the
+three vertex verifiers and the edge and mixed ``variant_kappa``) hold no
+model: one worst-pair call scans the item rows with ``resolve.lex_min``
+(sum or count, over all pairs or the adjacent ones) and one verdict
+compares the worst pair with k. The vertex kappa takes resolve's routes.
 
 ``write_lp`` renders the sum model as CPLEX-LP text, one row per item
 pair. The rows are made in blocks of profile entries with no Python
@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import KaboveKappa, ParameterOutOfRange, TooLarge
 from .graph import Graph, _check_peak
-from .resolve import _adjacent_partners, _check_set, lex_min, pair_count, pair_sum
+from .resolve import _adjacent_partners, _check_set, _kappa_route, lex_min, pair_count, pair_sum
 
 Item = Union[int, tuple[int, int]]
 
@@ -221,7 +221,10 @@ def certificate_for(g: Graph, variant: Variant, S: Iterable[int]) -> "Certificat
 def variant_kappa(g: Graph, variant: Variant = Variant.VERTEX):
     """Largest feasible k for the variant: min over item pairs of the
     profile total. Returns (kappa, witness_pair), or (None, None) when
-    the variant has no item pairs (every k is then vacuously feasible)."""
+    the variant has no item pairs (every k is then vacuously feasible).
+    Vertex pairs take ``compute_kappa``'s routes, no worst-pair scan."""
+    if variant == Variant.VERTEX:
+        return _kappa_route(g, [pair_sum])[0] or (None, None)
     worst = _worst_pair(g, variant, range(g.n))
     return (None, None) if worst is None else (worst.delta, (worst.a, worst.b))
 

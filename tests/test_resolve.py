@@ -43,8 +43,9 @@ from weakdim import (
     weak3_structure_witness,
 )
 from weakdim import resolve, solver
+from weakdim.graph import TwinSummary
 from weakdim.resolve import lex_min, pair_count, pair_sum
-from weakdim.solver import Certificate, Variant, certificate_for, verify_set
+from weakdim.solver import Certificate, Variant, certificate_for, variant_kappa, verify_set
 
 
 class TestDeltaPair:
@@ -485,6 +486,7 @@ class TestTwinShortcuts:
 
     @pytest.mark.parametrize("n", [8, 80])
     def test_true_twins(self, n, monkeypatch):
+        monkeypatch.setattr(resolve, "_SCAN_FLOOR", 0)
         g = true_twin_path(n)
         true_pairs, _ = find_twins(g)
         (kappa, pair), (kappa_prime, _) = dense_lex_min(plain_distances(g), range(n))
@@ -528,6 +530,7 @@ class TestTwinShortcuts:
                                    for f in (leaves_and_bull, four_cycle_and_commons)]
                              + [pytest.param(generate(star(90)), id="star:90")])
     def test_false_twins_scan_only_the_adjacent_pairs(self, g, monkeypatch):
+        monkeypatch.setattr(resolve, "_SCAN_FLOOR", 0)
         seen = []
 
         def recording(rows, reducers, workers=1, partners=None):
@@ -547,6 +550,7 @@ class TestTwinShortcuts:
         def refuse(*args, **kwargs):
             raise AssertionError("a partner scan started threads")
 
+        monkeypatch.setattr(resolve, "_SCAN_FLOOR", 0)
         g = generate(parse_family("kqr:40,40"))
         partners = resolve._adjacent_partners(g)
         expected = compute_kappa(g), lex_min(g.distance_matrix, [pair_sum], 1, partners)
@@ -597,6 +601,18 @@ def oracle_route(g):
     return (kappa, pair), kappa_prime
 
 
+def thin_route(g):
+    """The router's thin route on any graph: the floor at 0, no twins
+    passed in and the route's estimate taken as met."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolve, "_SCAN_FLOOR", 0)
+        mp.setattr(resolve, "_thin_pays", lambda d: True)
+        (kappa, pair), (kappa_prime, count_pair) = resolve._kappa_route(
+            g, [pair_sum, pair_count], twins=TwinSummary(0, 0, None, None))
+    assert count_pair is None  # kappa' comes from the equidistant count
+    return (kappa, pair), kappa_prime
+
+
 # long, thin graphs; the small ones have twins, which compute_kappa settles
 # first, but both routes are exact on any graph
 THIN_FAMILIES = ["path:2", "path:3", "path:130", "cycle:3", "cycle:4", "cycle:131",
@@ -628,7 +644,7 @@ class TestThinRoute:
     def test_both_routes_match_the_dense_oracle(self, g):
         expected = oracle_route(g)
         assert scan_route(g) == expected
-        assert resolve._thin_kappa(g) == expected
+        assert thin_route(g) == expected
         (kappa, pair), kappa_prime = expected
         rep = compute_kappa(g)
         assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
@@ -638,7 +654,7 @@ class TestThinRoute:
     def test_both_routes_on_random_twin_free_graphs(self, g):
         expected = oracle_route(g)
         assert scan_route(g) == expected
-        assert resolve._thin_kappa(g) == expected
+        assert thin_route(g) == expected
         E, top = plain_thin_figures(g)
         assert resolve._equidistant_total(g.distance_matrix, E) == E
         assert resolve._equidistant_total(g.distance_matrix, E - 1) is None
@@ -654,13 +670,14 @@ class TestThinRoute:
             E, top = plain_thin_figures(g)
             assert resolve._equidistant_total(g.distance_matrix, E) == E
             assert resolve._max_equidistant(g.distance_matrix) == top
-            assert resolve._thin_kappa(g) == oracle_route(g)
+            assert thin_route(g) == oracle_route(g)
 
     @pytest.mark.parametrize("f", ["path:130", "cycle:131", "spider:40,45,50", "grid:3x40"])
     def test_filter_drops_only_pairs_over_the_seed(self, f, monkeypatch):
         """The seed scan runs over the adjacent pairs; the sum scan then
         drops exactly the pairs whose geodesic bound (t + 1)^2 // 2, for
         t = d(x, y), exceeds the seed, and each dropped pair sums above it."""
+        monkeypatch.setattr(resolve, "_SCAN_FLOOR", 0)
         g = generate(parse_family(f))
         seen = []
 
@@ -671,7 +688,7 @@ class TestThinRoute:
             return hit
 
         monkeypatch.setattr(resolve, "lex_min", recording)
-        resolve._thin_kappa(g)
+        resolve._kappa_route(g, [pair_sum, pair_count])
         (seed_reducers, adjacent, [(seed, _)]), (reducers, kept, _) = seen
         assert seed_reducers == reducers == ["pair_sum"]
         assert adjacent == set(g.edges())
@@ -699,3 +716,48 @@ class TestThinRoute:
         monkeypatch.setattr(resolve, "MAX_BYTES", 2 * g.distance_matrix.nbytes)
         assert not resolve._thin_pays(g.distance_matrix)
         assert compute_kappa(g) == expected
+
+
+def router_graphs():
+    return ([pytest.param(g, id=f"rand{i}") for i, g in enumerate(random_graph_corpus())]
+            + [pytest.param(generate(parse_family(f)), id=f) for f in THIN_FAMILIES]
+            + [pytest.param(make(n), id=f"{make.__name__}{n}") for n in (8, 80)
+               for make in (true_twin_path, leaves_and_bull, four_cycle_and_commons)])
+
+
+class TestKappaRouter:
+    """One router serves ``compute_kappa`` (sum and count) and the vertex
+    ``variant_kappa`` (sum only): the dense pass up to ``_SCAN_FLOOR``
+    entries, the twin, thin or scan route above it."""
+
+    @pytest.mark.parametrize("floor", [0, resolve._SCAN_FLOOR])
+    @pytest.mark.parametrize("g", router_graphs())
+    def test_both_callers_match_the_dense_oracle(self, g, floor, monkeypatch):
+        monkeypatch.setattr(resolve, "_SCAN_FLOOR", floor)
+        (kappa, pair), kappa_prime = oracle_route(g)
+        assert variant_kappa(g, Variant.VERTEX) == (kappa, pair)
+        rep = compute_kappa(g)
+        assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
+        assert variant_kappa(build_graph(1, []), Variant.VERTEX) == (None, None)
+
+    @pytest.mark.parametrize("f", ["path:400", "cycle:401", "star:300"])
+    def test_vertex_variant_kappa_skips_the_dense_pass(self, f, monkeypatch):
+        """Above the floor every scan of the vertex ``variant_kappa`` runs
+        over a partner subset, and kappa' (the equidistant count) is never
+        made: no dense pass, whatever the timing."""
+        g = generate(parse_family(f))
+        assert g.n * (g.n * (g.n - 1) // 2) > resolve._SCAN_FLOOR
+        rep = compute_kappa(g)
+        scans = []
+
+        def recording(rows, reducers, workers=1, partners=None):
+            scans.append(partners is not None)
+            return lex_min(rows, reducers, workers, partners)
+
+        def refuse(d):
+            raise AssertionError("the sum-only kappa made the equidistant count")
+
+        monkeypatch.setattr(resolve, "lex_min", recording)
+        monkeypatch.setattr(resolve, "_max_equidistant", refuse)
+        assert variant_kappa(g, Variant.VERTEX) == (rep.kappa, rep.witness_pair)
+        assert scans and all(scans)
