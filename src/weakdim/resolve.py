@@ -10,11 +10,11 @@ for the count-based (k distinct distinguishers) criterion.
 ``lex_min`` is the one scan for the lex-first pair minimizing such a
 criterion; kappa here and every verifier and certificate in ``solver``
 read it. One router picks the route to kappa, for ``compute_kappa`` and
-for ``solver.variant_kappa`` (kappa' only when asked): small graphs get
-one dense scan; twins settle kappa' and all of kappa but a scan of the
-adjacent pairs; long, thin twin-free graphs get kappa from a scan of the
-pairs that a geodesic lower bound lets through and kappa' from a count
-of equidistant classes; every other graph gets one dense scan.
+``solver.variant_kappa`` (kappa' only when asked): small graphs without a
+twin summary get one dense scan; twins settle kappa' and all of kappa but
+a scan of the adjacent pairs; long, thin twin-free graphs get kappa from
+a scan of the pairs that a geodesic lower bound lets through and kappa'
+from a count of equidistant classes; other graphs get one dense scan.
 """
 
 from __future__ import annotations
@@ -342,8 +342,10 @@ def _thin_pays(d: np.ndarray) -> bool:
 
 
 # At most this many dense-scan entries (criteria x n x C(n, 2)), one batched
-# ``lex_min`` pass beats the per-row Python work of the twin and thin routes
-# (fitted on a 2-core x86 host, numpy 2.4).
+# ``lex_min`` pass beats the twin summary and the per-row Python work of the
+# thin route (fitted on a 2-core x86 host, numpy 2.4); a caller that already
+# holds the twin summary skips the floor, since its twin route then costs
+# nothing.
 _SCAN_FLOOR = 1 << 23
 
 
@@ -353,11 +355,11 @@ def _kappa_route(g: Graph, reducers: Sequence, workers: int = 1,
     or ``[pair_sum, pair_count]`` by one of three routes, all with the
     same values and witness (kappa' off twins or thin comes with pair None).
 
-    Scan. Up to ``_SCAN_FLOOR`` entries, and on every graph that the two
-    routes below do not take, one ``lex_min`` pass visits every pair,
-    split across ``workers`` threads and merged by ``(value, pair)``, so
-    the witness does not depend on the worker count. Partner scans, as
-    on the other two routes, run on one thread.
+    Scan. Up to ``_SCAN_FLOOR`` entries when no ``twins`` come in, and
+    on every graph the routes below do not take, one ``lex_min`` pass
+    visits every pair, split across ``workers`` threads and merged by
+    ``(value, pair)``, so the witness does not depend on the worker
+    count. Partner scans, as on the other two routes, run on one thread.
 
     Twins (``twins`` is ``twin_summary(g)``, made here if not given). The
     probes x and y each add d(x, y) to the sum of a pair, so the sum is
@@ -384,22 +386,23 @@ def _kappa_route(g: Graph, reducers: Sequence, workers: int = 1,
     ``grid:24x24`` and over 200 on random graphs) and the accumulator
     fits beside the matrix in ``MAX_BYTES``.
     """
-    d = g.distance_matrix
-    n = len(d)
-    if len(reducers) * n * (n * (n - 1) // 2) > _SCAN_FLOOR:
-        twins = twin_summary(g) if twins is None else twins
-        counts = [(2, None)] * (len(reducers) - 1)
-        if twins.first_true:
-            return [(2, twins.first_true), *counts]
-        if twins.first_false:
-            partners = _adjacent_partners(g, twins.first_false)
-            return lex_min(d, [pair_sum], workers, partners) + counts
-        if _thin_pays(d):
-            (seed, _), = lex_min(d, [pair_sum], partners=_adjacent_partners(g))
-            reach = isqrt(2 * seed + 1) - 1  # the largest t with (t + 1)^2 // 2 <= seed
-            partners = [np.flatnonzero(d[a, a + 1:] <= reach) + (a + 1) for a in range(n)]
-            counts = [(n - _max_equidistant(d), None) for _ in counts]
-            return lex_min(d, [pair_sum], partners=partners) + counts
+    assert reducers in ([pair_sum], [pair_sum, pair_count]), "kappa routes only sum, count"
+    d, n = g.distance_matrix, g.n
+    if twins is None and len(reducers) * n * (n * (n - 1) // 2) <= _SCAN_FLOOR:
+        return lex_min(d, reducers, workers)
+    twins = twin_summary(g) if twins is None else twins
+    counts = [(2, None)] * (len(reducers) - 1)
+    if twins.first_true:
+        return [(2, twins.first_true), *counts]
+    if twins.first_false:
+        partners = _adjacent_partners(g, twins.first_false)
+        return lex_min(d, [pair_sum], workers, partners) + counts
+    if _thin_pays(d):
+        (seed, _), = lex_min(d, [pair_sum], partners=_adjacent_partners(g))
+        reach = isqrt(2 * seed + 1) - 1  # the largest t with (t + 1)^2 // 2 <= seed
+        partners = [np.flatnonzero(d[a, a + 1:] <= reach) + (a + 1) for a in range(n)]
+        counts = [(n - _max_equidistant(d), None) for _ in counts]
+        return lex_min(d, [pair_sum], partners=partners) + counts
     return lex_min(d, reducers, workers)
 
 

@@ -486,7 +486,6 @@ class TestTwinShortcuts:
 
     @pytest.mark.parametrize("n", [8, 80])
     def test_true_twins(self, n, monkeypatch):
-        monkeypatch.setattr(resolve, "_SCAN_FLOOR", 0)
         g = true_twin_path(n)
         true_pairs, _ = find_twins(g)
         (kappa, pair), (kappa_prime, _) = dense_lex_min(plain_distances(g), range(n))
@@ -530,7 +529,6 @@ class TestTwinShortcuts:
                                    for f in (leaves_and_bull, four_cycle_and_commons)]
                              + [pytest.param(generate(star(90)), id="star:90")])
     def test_false_twins_scan_only_the_adjacent_pairs(self, g, monkeypatch):
-        monkeypatch.setattr(resolve, "_SCAN_FLOOR", 0)
         seen = []
 
         def recording(rows, reducers, workers=1, partners=None):
@@ -550,7 +548,6 @@ class TestTwinShortcuts:
         def refuse(*args, **kwargs):
             raise AssertionError("a partner scan started threads")
 
-        monkeypatch.setattr(resolve, "_SCAN_FLOOR", 0)
         g = generate(parse_family("kqr:40,40"))
         partners = resolve._adjacent_partners(g)
         expected = compute_kappa(g), lex_min(g.distance_matrix, [pair_sum], 1, partners)
@@ -602,10 +599,9 @@ def oracle_route(g):
 
 
 def thin_route(g):
-    """The router's thin route on any graph: the floor at 0, no twins
-    passed in and the route's estimate taken as met."""
+    """The router's thin route on any graph: no twins passed in (so no
+    floor either) and the route's estimate taken as met."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(resolve, "_SCAN_FLOOR", 0)
         mp.setattr(resolve, "_thin_pays", lambda d: True)
         (kappa, pair), (kappa_prime, count_pair) = resolve._kappa_route(
             g, [pair_sum, pair_count], twins=TwinSummary(0, 0, None, None))
@@ -727,8 +723,9 @@ def router_graphs():
 
 class TestKappaRouter:
     """One router serves ``compute_kappa`` (sum and count) and the vertex
-    ``variant_kappa`` (sum only): the dense pass up to ``_SCAN_FLOOR``
-    entries, the twin, thin or scan route above it."""
+    ``variant_kappa`` (sum only). Without a twin summary from the caller
+    (``variant_kappa``) graphs up to ``_SCAN_FLOOR`` entries take the dense
+    pass; ``compute_kappa`` hands its summary in and routes at any size."""
 
     @pytest.mark.parametrize("floor", [0, resolve._SCAN_FLOOR])
     @pytest.mark.parametrize("g", router_graphs())
@@ -739,6 +736,14 @@ class TestKappaRouter:
         rep = compute_kappa(g)
         assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
         assert variant_kappa(build_graph(1, []), Variant.VERTEX) == (None, None)
+
+    @pytest.mark.parametrize("reducers", [[pair_count], [pair_count, pair_sum], []])
+    def test_other_criteria_are_refused(self, reducers):
+        """The twin and thin routes know only the sum and the count: any
+        other criteria fail at every size rather than come back mislabelled."""
+        for f in ("path:5", "path:400"):
+            with pytest.raises(AssertionError):
+                resolve._kappa_route(generate(parse_family(f)), reducers)
 
     @pytest.mark.parametrize("f", ["path:400", "cycle:401", "star:300"])
     def test_vertex_variant_kappa_skips_the_dense_pass(self, f, monkeypatch):
