@@ -73,6 +73,7 @@ from .solver import (
     Variant,
     VerifyResult,
     certificate_for,
+    certificates_for,
     pair_profiles,
     solve_bnb,
     solve_bruteforce,

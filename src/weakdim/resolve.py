@@ -133,32 +133,47 @@ _BATCH = 1 << 16  # entries in one block of the dense scan
 
 def _dense_part(rows, reducers, start, step):
     """``_lex_min_part`` where every slice would cover all columns: the pairs
-    of several head rows are reduced in one block of at most about
-    ``_BATCH`` entries, and the first flat argmin is the lex-first pair."""
-    best = [None] * len(reducers)
+    of several head rows are reduced in one block, and per value column
+    the first argmin is the lex-first pair. A block holds about ``_BATCH``
+    entries of the widest of the columns and the reducers' ``width``s
+    (their own per-pair temporaries)."""
     nrows, ncols = rows.shape
+    width = max([ncols] + [getattr(r, "width", 0) for r in reducers])
     heads = np.arange(start, nrows - 1, step)
-    per_batch = max(1, _BATCH // (max(1, nrows) * max(1, ncols)))
+    per_batch = max(1, _BATCH // (max(1, nrows) * max(1, width)))
+    best = [None] * len(reducers)  # per reducer: values, heads, partners per column
     for i in range(0, len(heads), per_batch):
         batch = heads[i:i + per_batch]
         first = int(batch[0])
         others = rows[first + 1:]
         block = _abs_diff(others[None], rows[batch][:, None])
         # block[r, j] is the pair (batch[r], first + 1 + j); keep b > a only
-        shape = (len(batch), len(others))
-        lower = np.arange(shape[1]) < (batch - first)[:, None]
+        npairs = len(batch) * len(others)
+        lower = (np.arange(len(others)) < (batch - first)[:, None]).ravel()
         for r, reduce in enumerate(reducers):
-            vals = reduce(block.reshape(shape[0] * shape[1], ncols)).reshape(shape)
+            vals = reduce(block.reshape(npairs, ncols)).reshape(npairs, -1)
             vals[lower] = np.iinfo(vals.dtype).max
-            h, j = np.unravel_index(int(vals.argmin()), shape)
-            if best[r] is None or vals[h, j] < best[r][0]:
-                best[r] = (int(vals[h, j]), (int(batch[h]), first + 1 + int(j)))
-    return best
+            at = vals.argmin(axis=0)
+            h, j = np.divmod(at, len(others))
+            hit = (vals[at, np.arange(vals.shape[1])], batch[h], first + 1 + j)
+            if best[r] is None:
+                best[r] = hit
+            else:
+                won = hit[0] < best[r][0]
+                for held, new in zip(best[r], hit):
+                    held[won] = new[won]
+    return [
+        [None] * getattr(reduce, "columns", 1) if b is None
+        else [(v, (a, c)) for v, a, c in zip(*(x.tolist() for x in b))]
+        for b, reduce in zip(best, reducers)
+    ]
 
 
 def _lex_min_part(rows, reducers, start, step, partners=None):
+    """Per reducer, the lex-first hit of each value column among the pairs
+    whose head item is one of start, start + step, ..."""
     ncols = rows.shape[1]
-    if partners is None and ncols <= _MIN_SLICE:
+    if partners is None and (ncols <= _MIN_SLICE or any(hasattr(r, "columns") for r in reducers)):
         return _dense_part(rows, reducers, start, step)
     best = [None] * len(reducers)
     for a in range(start, len(rows) - 1, step):
@@ -191,7 +206,7 @@ def _lex_min_part(rows, reducers, start, step, partners=None):
             if best[r] is None or v[i] < best[r][0]:
                 j = i if survivors is None else int(survivors[i])
                 best[r] = (int(v[i]), (a, a + 1 + j if cand is None else int(cand[j])))
-    return best
+    return [[hit] for hit in best]
 
 
 def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1,
@@ -211,7 +226,17 @@ def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1,
     does not depend on the worker count. A partner scan runs on one
     thread whatever ``workers`` says: the parts do not share incumbents,
     and a part whose partners hold no small pair would abandon none.
+
+    A matrix reducer has a ``columns`` attribute R and maps the block to
+    a (pairs x R) array, one value column per criterion; its entry in the
+    result is the list of the R columns' hits (each None with fewer than
+    two items). It need not be column-additive: the scan then takes the
+    batched dense pass whatever the column count (never with
+    ``partners``), in blocks sized also by the reducer's ``width``, the
+    most entries per pair that it makes.
     """
+    matrix = [hasattr(r, "columns") for r in reducers]
+    assert partners is None or not any(matrix), "matrix reducers scan every pair"
     workers = 1 if partners is not None else min(workers, len(rows) - 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -221,10 +246,11 @@ def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1,
             ))
     else:
         parts = [_lex_min_part(rows, reducers, 0, 1, partners)]
-    return [
-        min((p[r] for p in parts if p[r] is not None), default=None)
-        for r in range(len(reducers))
+    merged = [
+        [min((hit for hit in hits if hit is not None), default=None) for hits in zip(*columns)]
+        for columns in zip(*parts)
     ]
+    return [hits if m else hits[0] for hits, m in zip(merged, matrix)]
 
 
 def weak3_structure_witness(g: Graph) -> tuple[int, int, int] | None:
@@ -297,15 +323,18 @@ def _max_equidistant(d: np.ndarray) -> int:
     """The largest eq(x, y) = #{s : d(s, x) = d(s, y)} over pairs x < y.
 
     Each source row is sorted, and every pair inside one of its distance
-    classes gets 1 added in an n * n accumulator of the distance dtype
-    (eq <= n - 2). The stable sort keeps a class's vertices ascending, so
-    the pair lands at x * n + y with x < y. Pairs are made and added in
-    groups of about ``_EQ_BLOCK``: the work is E increments, the
-    temporaries stay small.
+    classes gets 1 added in a C(n, 2) accumulator of the distance dtype
+    (eq <= n - 2) that holds the pairs x < y in lex order: the stable sort
+    keeps a class's vertices ascending, and pair (x, y) sits at
+    x (2n - x - 1) / 2 + y - x - 1. Pairs are made and added in groups of
+    about ``_EQ_BLOCK``: the work is E increments, the temporaries stay
+    small.
     """
     n = len(d)
     step = max(1, _EQ_BLOCK // n)
-    acc = np.zeros(n * n, dtype=d.dtype)
+    acc = np.zeros(n * (n - 1) // 2, dtype=d.dtype)
+    x = np.arange(n)
+    offset = x * (2 * n - x - 1) // 2 - x - 1  # pair (x, y) at offset[x] + y
     one = acc.dtype.type(1)
     for lo in range(0, n, step):
         block = d[lo:lo + step]
@@ -327,16 +356,17 @@ def _max_equidistant(d: np.ndarray) -> int:
             first = np.repeat(np.arange(p0, p1), counts)
             shift = np.repeat(np.arange(p0 + 1, p1 + 1) - before, counts)
             second = np.arange(before[0], cum[p1 - 1]) + shift
-            np.add.at(acc, order[first] * n + order[second], one)
-    return int(acc.max())
+            np.add.at(acc, offset[order[first]] + order[second], one)
+    return int(acc.max(initial=0))
 
 
 def _thin_pays(d: np.ndarray) -> bool:
     """Whether the thin route is estimated to beat the scan: E is at most
-    ``_THIN * C(n, 2)`` and the count accumulator beside the matrix (with
-    at most sixteen int64 temporaries of a block) fits in ``MAX_BYTES``."""
+    ``_THIN * C(n, 2)`` and the count accumulator (half the matrix) beside
+    the matrix (with at most sixteen int64 temporaries of a block) fits in
+    ``MAX_BYTES``."""
     n = len(d)
-    if 2 * d.nbytes + 16 * 8 * _EQ_BLOCK > MAX_BYTES:
+    if 1.5 * d.nbytes + 16 * 8 * _EQ_BLOCK > MAX_BYTES:
         return False
     return _equidistant_total(d, _THIN * (n * (n - 1) // 2)) is not None
 

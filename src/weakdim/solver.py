@@ -12,6 +12,15 @@ three vertex verifiers and the edge and mixed ``variant_kappa``) hold no
 model: one worst-pair call scans the item rows with ``resolve.lex_min``
 (sum or count, over all pairs or the adjacent ones) and one verdict
 compares the worst pair with k. The vertex kappa takes resolve's routes.
+A sweep of sets (``certificates_for``, which checks a ``wdim`` range) is
+one ``lex_min`` call over the union of their columns, with a matrix
+reducer: each set's pair sums are the previous set's plus the columns
+it adds and minus those it drops, one cumsum along the signed change
+columns read at the end of each step. The reducer stays in int64 on one
+thread. It makes no matrix product with a 0/±1 matrix: that would go
+through float BLAS, whose OpenBLAS worker threads spin for about 0.13 s
+of CPU after every call (2-core x86 host), more than the whole check of
+a typical sweep.
 
 ``write_lp`` renders the sum model as CPLEX-LP text, one row per item
 pair. The rows are made in blocks of profile entries with no Python
@@ -200,6 +209,11 @@ def _worst_pair(g: Graph, variant: Variant, S: Iterable[int], reducer=pair_sum,
     over the columns of ``S``, by the pair scan; None without item pairs."""
     items, rows = _item_rows(g, variant)
     (hit,) = lex_min(rows[:, _check_set(g, S)], [reducer], partners=partners)
+    return _certificate(items, hit)
+
+
+def _certificate(items: list[Item], hit) -> "Certificate | None":
+    """The ``Certificate`` of a ``lex_min`` hit over ``items``' rows."""
     if hit is None:
         return None
     value, (a, b) = hit
@@ -216,6 +230,61 @@ def _verdict(worst: "Certificate | None", k: int) -> VerifyResult:
 def certificate_for(g: Graph, variant: Variant, S: Iterable[int]) -> "Certificate | None":
     """Worst item pair of ``S``: the lex-first minimizer of delta_S."""
     return _worst_pair(g, variant, S)
+
+
+class _ChainSums:
+    """``lex_min`` matrix reducer: per item pair, its difference sum over
+    each basis of a sweep, from a block over the union of their columns.
+
+    Basis r's sums are basis r - 1's (none before the first) plus the
+    columns it adds and minus those it drops. The change columns of all
+    steps are gathered once and signed, and one ``cumsum`` along them, in
+    int64, is read at the last entry of each step. A step without changes
+    gets one entry of sign 0, so every step ends at an entry of its own.
+    """
+
+    def __init__(self, bases: list[list[int]], union: list[int]):
+        at = {c: i for i, c in enumerate(union)}
+        cols, signs, ends = [], [], []
+        held: set[int] = set()
+        for basis in bases:
+            now = set(basis)
+            change = [(at[c], 1) for c in sorted(now - held)]
+            change += [(at[c], -1) for c in sorted(held - now)]
+            for c, sign in change or [(0, 0)]:
+                cols.append(c)
+                signs.append(sign)
+            ends.append(len(cols) - 1)
+            held = now
+        self.cols = np.array(cols, dtype=np.intp)
+        self.signs = np.array(signs, dtype=np.int8)
+        # with one entry per step the running sums are the basis sums
+        self.ends = None if len(ends) == len(cols) else np.array(ends, dtype=np.intp)
+        self.columns = len(bases)
+        self.width = len(cols)
+
+    def __call__(self, block: np.ndarray) -> np.ndarray:
+        steps = block.take(self.cols, axis=1)
+        steps *= self.signs  # |entries| < n, so the distance dtype holds them
+        sums = steps.astype(np.int64)
+        np.cumsum(sums, axis=1, out=sums)
+        return sums if self.ends is None else sums.take(self.ends, axis=1)
+
+
+def certificates_for(g: Graph, variant: Variant,
+                     bases: Iterable[Iterable[int]]) -> "list[Certificate | None]":
+    """``certificate_for`` of each set in ``bases``, by one pair scan of the
+    union of their columns that reduces every set's sums at once
+    (``_ChainSums``). One set keeps ``certificate_for``'s early-abandoning
+    scan, which beats a full pass on a single set."""
+    bases = [_check_set(g, S) for S in bases]
+    if len(bases) < 2:
+        return [certificate_for(g, variant, S) for S in bases]
+    # column 0 stands in for the union of empty sets; only sign-0 entries read it
+    union = sorted(set().union(*bases)) or [0]
+    items, rows = _item_rows(g, variant)
+    (hits,) = lex_min(rows[:, union], [_ChainSums(bases, union)])
+    return [_certificate(items, hit) for hit in hits]
 
 
 def variant_kappa(g: Graph, variant: Variant = Variant.VERTEX):

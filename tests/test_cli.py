@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import random_tree_graph, tree_from_prufer
 
-from weakdim import Variant, cli, cycle, generate, parse_family, resolve, spider, write_lp
+from weakdim import Variant, cli, cycle, generate, parse_family, resolve, solver, spider, write_lp
 from weakdim.graph import format_edgelist, parse_edgelist, twin_summary
 from weakdim.resolve import lex_min
 from weakdim.solver import DimensionResult
@@ -228,6 +228,39 @@ class TestWdimCommand:
         _, first, _ = run_cli(capsys, "wdim", "--family", "grid:4x4", "--k", "1..6")
         _, second, _ = run_cli(capsys, "wdim", "--family", "grid:4x4", "--k", "1..6")
         assert first == second
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "grid:6x6", "--k", "1..20"],
+        ["--family", "path:9", "--k", "1..9", "--engine", "bnb"],
+        ["--family", "cycle:7", "--k", "2..6", "--variant", "mixed"],
+    ])
+    def test_sweep_verified_by_one_scan(self, capsys, monkeypatch, argv):
+        """The basis check of a whole sweep is one ``lex_min`` call (an edge
+        or mixed kappa makes one more, before the sweep)."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return lex_min(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "lex_min", counting)
+        report = run_json(capsys, "wdim", *argv)
+        assert len(report["results"]) > 1
+        assert len(calls) == (2 if "--variant" in argv else 1)
+
+    def test_failed_basis_names_its_k(self, capsys, monkeypatch):
+        """Every k is solved before the one check; a basis that fails it
+        still raises the internal error naming the first failing k."""
+        formula_basis = cli.formula_basis
+
+        def faulty(g, k):
+            basis = formula_basis(g, k)
+            return basis[:-1] if k in (5, 7) else basis
+
+        monkeypatch.setattr(cli, "formula_basis", faulty)
+        with pytest.raises(AssertionError, match=r"formula basis failed verification at k=5$"):
+            cli.main(["wdim", "--family", "path:9", "--k", "1..9"])
+        assert capsys.readouterr().out == ""
 
     def test_wdim_has_no_workers(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Difference profiles, kappa, classification, and the three verifiers."""
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -454,6 +455,78 @@ class TestScanAgainstDenseOracle:
         assert seen == expected
 
 
+class Stacked:
+    """A matrix reducer: per pair, the difference sum over each column
+    subset of ``subsets`` and, last, the distinguisher count over all
+    columns (not column-additive as a whole)."""
+
+    def __init__(self, subsets):
+        self.subsets = subsets
+        self.columns = len(subsets) + 1
+
+    def __call__(self, block):
+        return np.stack([pair_sum(block[:, S]) for S in self.subsets] + [pair_count(block)],
+                        axis=1)
+
+
+def column_subsets(g):
+    rng = random.Random(g.n)
+    return [sorted(rng.sample(range(g.n), m)) for m in (0, 1, rng.randint(2, g.n), g.n)]
+
+
+def per_column_scans(g, subsets):
+    """The hits of one single-reducer ``lex_min`` per value column of ``Stacked``."""
+    d = g.distance_matrix
+    return [lex_min(d[:, S], [pair_sum])[0] for S in subsets] + lex_min(d, [pair_count])
+
+
+class TestMatrixReducer:
+    """A reducer with ``columns`` R returns a (pairs x R) matrix: the dense
+    pass keeps the lex-first minimizing pair of each column."""
+
+    @pytest.mark.parametrize("g", scan_graphs())
+    def test_columns_match_single_scans_and_the_oracle(self, g):
+        subsets = column_subsets(g)
+        d = plain_distances(g)
+        expected = [dense_lex_min(d, S)[0] for S in subsets] + [dense_lex_min(d, range(g.n))[1]]
+        assert per_column_scans(g, subsets) == expected
+        for workers in (1, 2):
+            assert lex_min(g.distance_matrix, [Stacked(subsets)], workers) == [expected]
+
+    @pytest.mark.parametrize("f", ["complete:4", "cycle:6", "cycle:7", "kqr:3,3"])
+    def test_ties_keep_the_lex_first_pair(self, f):
+        g = generate(parse_family(f))
+        subsets = [list(range(g.n)), [0], [g.n - 1], []]
+        (hits,) = lex_min(g.distance_matrix, [Stacked(subsets)])
+        d = plain_distances(g)
+        assert hits == [dense_lex_min(d, S)[0] for S in subsets] + [dense_lex_min(d, range(g.n))[1]]
+        assert hits[-2] == (0, (0, 1))  # every pair ties at 0 over the empty set
+
+    @pytest.mark.parametrize("items", [0, 1])
+    def test_fewer_than_two_items(self, items):
+        rows = np.zeros((items, 5), dtype=np.int8)
+        reducer = Stacked([[0, 1], [2]])
+        assert lex_min(rows, [pair_sum, reducer, pair_count]) == [None, [None] * 3, None]
+
+    @pytest.mark.parametrize("batch", [1, 7, 2**40])
+    def test_batches_keep_the_lex_first_pair(self, monkeypatch, batch):
+        """However the heads split into blocks, each column keeps the lex-first
+        minimizer, beside vector reducers in the same call."""
+        monkeypatch.setattr(resolve, "_BATCH", batch)
+        for f in ("cycle:8", "complete:6", "kqr:3,4", "grid:9x7", "path:130"):
+            g = generate(parse_family(f))
+            subsets = column_subsets(g)
+            expected = per_column_scans(g, subsets)
+            d = g.distance_matrix
+            assert lex_min(d, [pair_sum, Stacked(subsets), pair_count]) == [
+                *lex_min(d, [pair_sum]), expected, *lex_min(d, [pair_count])]
+
+    def test_matrix_reducers_refuse_partners(self):
+        g = generate(parse_family("cycle:8"))
+        with pytest.raises(AssertionError):
+            lex_min(g.distance_matrix, [Stacked([[0]])], partners=resolve._adjacent_partners(g))
+
+
 def true_twin_path(n):
     """A path on n - 1 vertices plus vertex n - 1, a true twin of its middle."""
     mid = (n - 1) // 2
@@ -695,6 +768,20 @@ class TestThinRoute:
             assert ((x, y) in kept) == (bound <= seed)
             if bound > seed:
                 assert int(np.abs(D[x] - D[y]).sum()) >= bound > seed
+
+    def test_count_pass_peak_memory(self):
+        """The count accumulator holds the C(n, 2) pairs x < y in the distance
+        dtype: on path:2000 (int16) 3.8 MiB, where an n x n square took
+        7.6 MiB and the pass peaked at 9.9 MiB."""
+        resolve._max_equidistant(generate(parse_family("path:30")).distance_matrix)  # warm-up
+        d = generate(parse_family("path:2000")).distance_matrix
+        tracemalloc.start()
+        try:
+            assert resolve._max_equidistant(d) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * 2**20
 
     def test_route_choice(self, monkeypatch):
         """E / C(n, 2) is at most 5 on the long, thin graphs and at least 12

@@ -16,6 +16,7 @@ from conftest import (
     plain_item_rows,
     random_connected_graph,
     random_graph_corpus,
+    random_tree_corpus,
     tree_from_prufer,
 )
 
@@ -27,6 +28,7 @@ from weakdim import (
     TooLarge,
     Variant,
     certificate_for,
+    certificates_for,
     complete,
     cycle,
     generate,
@@ -430,6 +432,61 @@ class TestLpRenderer:
             assert (profile != 0).any(axis=1).all()
             rows = [ln for ln in write_lp(g, variant, 1).splitlines() if ln.startswith(" p")]
             assert len(rows) == len(profile)
+
+
+def sweeps(g, variant, rng):
+    """Named sequences of vertex sets for one graph: the kinds of sweep a
+    ``wdim`` range makes, and a few it does not."""
+    order = list(range(g.n))
+    rng.shuffle(order)
+    nested = [sorted(order[:m]) for m in range(1, g.n + 1)]
+    kappa, _ = variant_kappa(g, variant)
+    bnb = [solve_bnb(g, variant, k).basis for k in range(1, min(kappa or 0, 6) + 1)]
+    return {
+        "nested": nested,
+        "equal steps": [S for S in nested[:4] for _ in range(3)],
+        "shrinking": nested[::-1],
+        "empty sets": [[], [], order[:2], [], order[:1]],
+        "random": [sorted(rng.sample(range(g.n), rng.randint(0, g.n))) for _ in range(6)],
+        "bnb": bnb,
+        "bnb reversed": bnb[::-1],
+        "single": [order[:2]],
+        "none": [],
+    }
+
+
+class TestCertificatesFor:
+    """One scan certifies a whole sweep: each set's worst pair equals the
+    plain oracle's, whatever the sets' order and overlap."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_against_plain_oracle(self, variant):
+        rng = random.Random(5171)
+        graphs = random_graph_corpus() + random_tree_corpus()
+        # no item pairs: one vertex (every variant), one edge (edge variant)
+        graphs += [build_graph(1, []), generate(path(2))]
+        for g in graphs:
+            items, rows = plain_item_rows(g, variant.value)
+            for name, bases in sweeps(g, variant, rng).items():
+                expected = []
+                for S in bases:
+                    worst = plain_worst_pair(items, rows, S)
+                    expected.append(None if worst is None else Certificate(*worst[1:], worst[0]))
+                assert certificates_for(g, variant, bases) == expected, (g, name)
+
+    def test_one_scan_per_sweep(self, monkeypatch):
+        calls = []
+        lex_min = solver.lex_min
+
+        def counting(rows, reducers, *args, **kwargs):
+            calls.append([getattr(r, "columns", None) for r in reducers])
+            return lex_min(rows, reducers, *args, **kwargs)
+
+        g = generate(grid(4, 5))
+        monkeypatch.setattr(solver, "lex_min", counting)
+        certificates_for(g, Variant.VERTEX, [[0, 1], [0, 1], [0, 2, 5], list(range(20))])
+        certificates_for(g, Variant.VERTEX, [[0, 3]])  # a single set keeps the pair-sum scan
+        assert calls == [[4], [None]]
 
 
 class TestCoverModel:
