@@ -9,12 +9,12 @@ for the count-based (k distinct distinguishers) criterion.
 
 ``lex_min`` is the one scan for the lex-first pair minimizing such a
 criterion; kappa here and every verifier and certificate in ``solver``
-read it. One router picks the route to kappa, for ``compute_kappa`` and
-``solver.variant_kappa`` (kappa' only when asked): small graphs without a
-twin summary get one dense scan; twins settle kappa' and all of kappa but
-a scan of the adjacent pairs; long, thin twin-free graphs get kappa from
-a scan of the pairs that a geodesic lower bound lets through and kappa'
-from a count of equidistant classes; other graphs get one dense scan.
+read it. One router picks the route to kappa by one policy, for
+``compute_kappa`` and ``solver.variant_kappa`` (kappa' only when asked):
+twins settle kappa' and all of kappa but a scan of the adjacent pairs;
+long, thin twin-free graphs above a size floor get kappa from a scan of
+the pairs that a geodesic lower bound lets through and kappa' from a
+count of equidistant classes; other graphs get one dense scan.
 """
 
 from __future__ import annotations
@@ -360,36 +360,30 @@ def _max_equidistant(d: np.ndarray) -> int:
     return int(acc.max(initial=0))
 
 
-def _thin_pays(d: np.ndarray) -> bool:
-    """Whether the thin route is estimated to beat the scan: E is at most
-    ``_THIN * C(n, 2)`` and the count accumulator (half the matrix) beside
-    the matrix (with at most sixteen int64 temporaries of a block) fits in
-    ``MAX_BYTES``."""
+def _thin_pays(d: np.ndarray, criteria: int) -> bool:
+    """Whether the thin route is estimated to beat the scan for ``criteria``
+    (1 or 2): the scan would make more than ``_SCAN_FLOOR`` entries, E is at
+    most ``_THIN * C(n, 2)``, and the count accumulator (half the matrix)
+    fits beside the matrix and sixteen int64 block temporaries in ``MAX_BYTES``."""
     n = len(d)
-    if 1.5 * d.nbytes + 16 * 8 * _EQ_BLOCK > MAX_BYTES:
-        return False
-    return _equidistant_total(d, _THIN * (n * (n - 1) // 2)) is not None
+    pairs = n * (n - 1) // 2
+    return (criteria * n * pairs > _SCAN_FLOOR and 1.5 * d.nbytes + 16 * 8 * _EQ_BLOCK <= MAX_BYTES
+            and _equidistant_total(d, _THIN * pairs) is not None)
 
 
-# At most this many dense-scan entries (criteria x n x C(n, 2)), one batched
-# ``lex_min`` pass beats the twin summary and the per-row Python work of the
-# thin route (fitted on a 2-core x86 host, numpy 2.4); a caller that already
-# holds the twin summary skips the floor, since its twin route then costs
-# nothing.
+# Up to this many dense-scan entries (criteria x n x C(n, 2)), one batched
+# ``lex_min`` pass beats the per-row Python work of the thin route on
+# twin-free graphs (fitted with the twin summary already made, on a 2-core
+# x86 host, numpy 2.4).
 _SCAN_FLOOR = 1 << 23
 
 
-def _kappa_route(g: Graph, reducers: Sequence, workers: int = 1,
-                 twins: TwinSummary | None = None) -> list:
-    """``lex_min(g.distance_matrix, reducers, workers)`` for ``[pair_sum]``
-    or ``[pair_sum, pair_count]`` by one of three routes, all with the
-    same values and witness (kappa' off twins or thin comes with pair None).
-
-    Scan. Up to ``_SCAN_FLOOR`` entries when no ``twins`` come in, and
-    on every graph the routes below do not take, one ``lex_min`` pass
-    visits every pair, split across ``workers`` threads and merged by
-    ``(value, pair)``, so the witness does not depend on the worker
-    count. Partner scans, as on the other two routes, run on one thread.
+def _kappa_route(g: Graph, count: bool = False, workers: int = 1,
+                 twins: TwinSummary | None = None) -> tuple:
+    """``((kappa, pair), kappa')``: the lex-first minimizing pair of the sum
+    (None with fewer than two vertices) and, with ``count``, kappa' (else
+    None), by one of three routes, each with the values and witness of the
+    dense scan.
 
     Twins (``twins`` is ``twin_summary(g)``, made here if not given). The
     probes x and y each add d(x, y) to the sum of a pair, so the sum is
@@ -401,39 +395,41 @@ def _kappa_route(g: Graph, reducers: Sequence, workers: int = 1,
     pair at distance >= 3 sums to at least 6, so the scan visits only
     the adjacent pairs and the first false-twin pair.
 
-    Thin (twin-free, few equidistant pairs). Along a geodesic
-    x = v0 ... vt = y the probe vi adds |2i - t|, so the sum of a pair at
-    distance t is at least (t + 1)^2 // 2. The adjacent pairs seed the
-    sum; the sum scan then visits only the pairs whose bound is at most
-    the seed, which include every pair that could reach or tie the
-    minimum. The count of a pair is n - eq(x, y), where eq counts the
-    sources equidistant from x and y, so kappa' = n - max eq, found (only
-    when asked for) by adding 1 to every pair of each distance class of
-    each source row: E = sum over s and r of C(|level r of s|, 2)
-    increments, no pair scan. The route runs when E, read off the level
-    histograms before any pair is made, is at most 8 C(n, 2) (E / C(n, 2)
-    is 0.5 on paths, 1 on odd cycles, 4.9 on ``grid:4x150``; 20.6 on
-    ``grid:24x24`` and over 200 on random graphs) and the accumulator
-    fits beside the matrix in ``MAX_BYTES``.
+    Thin (twin-free, few equidistant pairs, above ``_SCAN_FLOOR``). Along
+    a geodesic x = v0 ... vt = y the probe vi adds |2i - t|, so the sum
+    of a pair at distance t is at least (t + 1)^2 // 2. The adjacent
+    pairs seed the sum; the sum scan then visits only the pairs whose
+    bound is at most the seed, which include every pair that could reach
+    or tie the minimum. The count of a pair is n - eq(x, y), where eq
+    counts the sources equidistant from x and y, so kappa' = n - max eq,
+    found by adding 1 to every pair of each distance class of each
+    source row: E = sum over s and r of C(|level r of s|, 2) increments,
+    no pair scan. The route runs when E, read off the level histograms
+    before any pair is made, is at most 8 C(n, 2) (E / C(n, 2) is 0.5 on
+    paths, 1 on odd cycles, 4.9 on ``grid:4x150``; 20.6 on ``grid:24x24``
+    and over 200 on random graphs) and the accumulator fits beside the
+    matrix in ``MAX_BYTES``.
+
+    Scan. Every other graph gets one ``lex_min`` pass over every pair,
+    split across ``workers`` threads and merged by ``(value, pair)``, so
+    the witness does not depend on the worker count. Partner scans, as
+    on the other two routes, run on one thread.
     """
-    assert reducers in ([pair_sum], [pair_sum, pair_count]), "kappa routes only sum, count"
     d, n = g.distance_matrix, g.n
-    if twins is None and len(reducers) * n * (n * (n - 1) // 2) <= _SCAN_FLOOR:
-        return lex_min(d, reducers, workers)
     twins = twin_summary(g) if twins is None else twins
-    counts = [(2, None)] * (len(reducers) - 1)
     if twins.first_true:
-        return [(2, twins.first_true), *counts]
+        return (2, twins.first_true), 2 if count else None
     if twins.first_false:
-        partners = _adjacent_partners(g, twins.first_false)
-        return lex_min(d, [pair_sum], workers, partners) + counts
-    if _thin_pays(d):
-        (seed, _), = lex_min(d, [pair_sum], partners=_adjacent_partners(g))
+        (hit,) = lex_min(d, [pair_sum], workers, _adjacent_partners(g, twins.first_false))
+        return hit, 2 if count else None
+    if _thin_pays(d, 1 + count):
+        ((seed, _),) = lex_min(d, [pair_sum], partners=_adjacent_partners(g))
         reach = isqrt(2 * seed + 1) - 1  # the largest t with (t + 1)^2 // 2 <= seed
         partners = [np.flatnonzero(d[a, a + 1:] <= reach) + (a + 1) for a in range(n)]
-        counts = [(n - _max_equidistant(d), None) for _ in counts]
-        return lex_min(d, [pair_sum], partners=partners) + counts
-    return lex_min(d, reducers, workers)
+        (hit,) = lex_min(d, [pair_sum], partners=partners)
+        return hit, n - _max_equidistant(d) if count else None
+    hit, *counted = lex_min(d, [pair_sum, pair_count] if count else [pair_sum], workers)
+    return hit, counted[0][0] if count else None
 
 
 def compute_kappa(g: Graph, workers: int = 1, twins: TwinSummary | None = None,
@@ -450,7 +446,7 @@ def compute_kappa(g: Graph, workers: int = 1, twins: TwinSummary | None = None,
         with timed(phases, "classify"):
             twins = twin_summary(g)
     with timed(phases, "kappa"):
-        (kappa, pair), (kappa_prime, _) = _kappa_route(g, [pair_sum, pair_count], workers, twins)
+        (kappa, pair), kappa_prime = _kappa_route(g, count=True, workers=workers, twins=twins)
     with timed(phases, "classify"):
         classification, evidence = _classify(g, kappa, twins)
     return KappaReport(

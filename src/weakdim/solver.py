@@ -293,7 +293,7 @@ def variant_kappa(g: Graph, variant: Variant = Variant.VERTEX):
     the variant has no item pairs (every k is then vacuously feasible).
     Vertex pairs take ``compute_kappa``'s routes, no worst-pair scan."""
     if variant == Variant.VERTEX:
-        return _kappa_route(g, [pair_sum])[0] or (None, None)
+        return _kappa_route(g)[0] or (None, None)
     worst = _worst_pair(g, variant, range(g.n))
     return (None, None) if worst is None else (worst.delta, (worst.a, worst.b))
 

@@ -672,14 +672,11 @@ def oracle_route(g):
 
 
 def thin_route(g):
-    """The router's thin route on any graph: no twins passed in (so no
-    floor either) and the route's estimate taken as met."""
+    """The router's thin route on any graph: no twins passed in and the
+    route's estimate (with its floor) taken as met."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(resolve, "_thin_pays", lambda d: True)
-        (kappa, pair), (kappa_prime, count_pair) = resolve._kappa_route(
-            g, [pair_sum, pair_count], twins=TwinSummary(0, 0, None, None))
-    assert count_pair is None  # kappa' comes from the equidistant count
-    return (kappa, pair), kappa_prime
+        mp.setattr(resolve, "_thin_pays", lambda d, criteria: True)
+        return resolve._kappa_route(g, count=True, twins=TwinSummary(0, 0, None, None))
 
 
 # long, thin graphs; the small ones have twins, which compute_kappa settles
@@ -757,7 +754,7 @@ class TestThinRoute:
             return hit
 
         monkeypatch.setattr(resolve, "lex_min", recording)
-        resolve._kappa_route(g, [pair_sum, pair_count])
+        resolve._kappa_route(g, count=True)
         (seed_reducers, adjacent, [(seed, _)]), (reducers, kept, _) = seen
         assert seed_reducers == reducers == ["pair_sum"]
         assert adjacent == set(g.edges())
@@ -791,13 +788,13 @@ class TestThinRoute:
         dense = ["grid:24x24", "grid:10x60"]
         graphs = [generate(parse_family(f)) for f in thin + dense]
         graphs.append(sparse_graph(9, 600))
-        picks = [resolve._thin_pays(g.distance_matrix) for g in graphs]
+        picks = [resolve._thin_pays(g.distance_matrix, 1) for g in graphs]
         assert picks == [True] * len(thin) + [False] * (len(dense) + 1)
         # an accumulator that cannot fit keeps the scan, with the same report
         g = graphs[0]
         expected = compute_kappa(g)
         monkeypatch.setattr(resolve, "MAX_BYTES", 2 * g.distance_matrix.nbytes)
-        assert not resolve._thin_pays(g.distance_matrix)
+        assert not resolve._thin_pays(g.distance_matrix, 2)
         assert compute_kappa(g) == expected
 
 
@@ -808,11 +805,42 @@ def router_graphs():
                for make in (true_twin_path, leaves_and_bull, four_cycle_and_commons)])
 
 
+def recorded_route(run):
+    """The scans ``run()`` makes, in order: the partner lists of each
+    ``lex_min`` call (None for all pairs), and "count" for each call of the
+    equidistant count."""
+    log = []
+
+    def recording(rows, reducers, workers=1, partners=None):
+        assert reducers[0] is pair_sum
+        log.append(None if partners is None else [p.tolist() for p in partners])
+        return lex_min(rows, reducers, workers, partners)
+
+    def counting(d):
+        log.append("count")
+        return max_equidistant(d)
+
+    max_equidistant = resolve._max_equidistant
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolve, "lex_min", recording)
+        mp.setattr(resolve, "_max_equidistant", counting)
+        result = run()
+    return result, log
+
+
+def pruefer_tree_with_false_twins(n):
+    """The first seeded random tree on n vertices with two leaves at one vertex."""
+    for seed in range(100):
+        g = random_tree_graph(random.Random(seed), n)
+        if find_twins(g)[1]:
+            return g
+
+
 class TestKappaRouter:
-    """One router serves ``compute_kappa`` (sum and count) and the vertex
-    ``variant_kappa`` (sum only). Without a twin summary from the caller
-    (``variant_kappa``) graphs up to ``_SCAN_FLOOR`` entries take the dense
-    pass; ``compute_kappa`` hands its summary in and routes at any size."""
+    """One router, one policy, serves ``compute_kappa`` (sum and count) and
+    the vertex ``variant_kappa`` (sum only): the twin summary first, made
+    by the router when the caller has none; ``_SCAN_FLOOR`` gates only the
+    thin route."""
 
     @pytest.mark.parametrize("floor", [0, resolve._SCAN_FLOOR])
     @pytest.mark.parametrize("g", router_graphs())
@@ -824,32 +852,30 @@ class TestKappaRouter:
         assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
         assert variant_kappa(build_graph(1, []), Variant.VERTEX) == (None, None)
 
-    @pytest.mark.parametrize("reducers", [[pair_count], [pair_count, pair_sum], []])
-    def test_other_criteria_are_refused(self, reducers):
-        """The twin and thin routes know only the sum and the count: any
-        other criteria fail at every size rather than come back mislabelled."""
-        for f in ("path:5", "path:400"):
-            with pytest.raises(AssertionError):
-                resolve._kappa_route(generate(parse_family(f)), reducers)
+    @pytest.mark.parametrize("floor", [0, resolve._SCAN_FLOOR])
+    @pytest.mark.parametrize("g", router_graphs())
+    def test_both_callers_make_the_same_sum_scans(self, g, floor, monkeypatch):
+        """The callers make the same sum scans over the same partners (or
+        every pair), whether they pass a twin summary or not; only
+        ``compute_kappa`` makes the equidistant count, for kappa'."""
+        monkeypatch.setattr(resolve, "_SCAN_FLOOR", floor)
+        _, wdim_log = recorded_route(lambda: variant_kappa(g, Variant.VERTEX))
+        _, kappa_log = recorded_route(lambda: compute_kappa(g))
+        assert "count" not in wdim_log
+        assert wdim_log == [scan for scan in kappa_log if scan != "count"]
 
-    @pytest.mark.parametrize("f", ["path:400", "cycle:401", "star:300"])
-    def test_vertex_variant_kappa_skips_the_dense_pass(self, f, monkeypatch):
-        """Above the floor every scan of the vertex ``variant_kappa`` runs
-        over a partner subset, and kappa' (the equidistant count) is never
-        made: no dense pass, whatever the timing."""
-        g = generate(parse_family(f))
-        assert g.n * (g.n * (g.n - 1) // 2) > resolve._SCAN_FLOOR
+    @pytest.mark.parametrize("f", ["path:400", "cycle:401", "star:300", "star:200",
+                                   "kqr:100,100", "pruefer150", "complete:250"])
+    def test_vertex_variant_kappa_skips_the_dense_pass(self, f):
+        """Every scan of the vertex ``variant_kappa`` runs over a partner
+        subset, and kappa' (the equidistant count) is never made: no dense
+        pass, whatever the timing. ``path:400`` and ``cycle:401`` are above
+        the floor and take the thin route; twin graphs take the twin route
+        at any size (below the floor: ``star:200``, ``kqr:100,100``, a tree
+        on 150 vertices), and true twins (``complete:250``) make no scan."""
+        g = pruefer_tree_with_false_twins(150) if f == "pruefer150" else generate(parse_family(f))
         rep = compute_kappa(g)
-        scans = []
-
-        def recording(rows, reducers, workers=1, partners=None):
-            scans.append(partners is not None)
-            return lex_min(rows, reducers, workers, partners)
-
-        def refuse(d):
-            raise AssertionError("the sum-only kappa made the equidistant count")
-
-        monkeypatch.setattr(resolve, "lex_min", recording)
-        monkeypatch.setattr(resolve, "_max_equidistant", refuse)
-        assert variant_kappa(g, Variant.VERTEX) == (rep.kappa, rep.witness_pair)
-        assert scans and all(scans)
+        result, log = recorded_route(lambda: variant_kappa(g, Variant.VERTEX))
+        assert result == (rep.kappa, rep.witness_pair)
+        assert None not in log and "count" not in log
+        assert bool(log) == (f != "complete:250")
