@@ -30,9 +30,18 @@ cell's text. The format is unchanged; ``export-lp`` writes each block
 as it is made, so its memory is bounded by one block, the model and
 the table (three strings per coefficient value and column).
 
-Two engines certify optima. ``solve_bruteforce`` enumerates subsets in
+Two engines certify optima. ``solve_bruteforce`` checks subsets in
 increasing size and lexicographic order, so it returns the canonical
-(lex-smallest) optimal set. ``solve_bnb`` is a depth-first
+(lex-smallest) optimal set, and it makes no numpy call per subset. It
+takes them in blocks of consecutive lex ranks, unranked in numpy from
+tables of binomial coefficients. A block is filtered on one tight row in
+one step; only its survivors' columns are gathered and summed over all
+rows at once, in int64 on one thread (no BLAS). The first block holds 16
+subsets and each later one as many as were checked before it, so an
+early answer does not pay for a large block. Every array of a block
+stays within 64 KiB, below glibc's 128 KiB mmap threshold: no block maps
+fresh pages or raises the threshold for the rest of the process, and
+the peak stays near 0.2 MiB. ``solve_bnb`` is a depth-first
 branch-and-bound over include/exclude decisions, starting from a greedy
 cover. Each row's threshold k is first rounded up to a multiple of the
 row's gcd, since every column sum of the row is such a multiple (on
@@ -61,6 +70,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations, islice
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -318,9 +328,60 @@ def verify_local_k_resolving(g: Graph, S: Iterable[int], k: int) -> VerifyResult
     return _verdict(_worst_pair(g, Variant.VERTEX, S, pair_count, _adjacent_partners(g)), k)
 
 
+# 8-byte entries per brute-force array (a block's subset ids, its
+# survivors' row sums or their gathered profile columns), at most
+_BRUTE_BLOCK = 1 << 13
+# subsets in the first block; every later one holds as many as were checked
+# before it, up to the cap
+_BRUTE_FIRST = 16
+
+
+@lru_cache(maxsize=256)
+def _lex_steps(n: int, size: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Unranking tables of the size-``size`` subsets of range(n) in lex
+    order, one ``(ends, shift)`` per position but the last (a 1-subset's
+    rank is its id). With m ids left, the m-subsets of range(n) whose
+    first id is a hold the lex ranks from C(n, m) - C(n - a, m) up to
+    ends[a] = C(n, m) - C(n - a - 1, m), so a rank's first id is the
+    number of ends at or below it. The rank plus shift[a] is the rank of
+    its other m - 1 ids (an (m - 1)-subset of range(a + 1, n)) among the
+    (m - 1)-subsets of range(n). The tables are cached, so read-only."""
+    steps = []
+    for m in range(size, 1, -1):
+        starts = [math.comb(n, m) - math.comb(n - a, m) for a in range(n - m + 2)]
+        shift = [math.comb(n, m - 1) - math.comb(n - a - 1, m - 1) - s
+                 for a, s in enumerate(starts[:-1])]
+        step = (np.array(starts[1:], dtype=np.int64), np.array(shift, dtype=np.int64))
+        for table in step:
+            table.flags.writeable = False
+        steps.append(step)
+    return tuple(steps)
+
+
+def _subsets_at(steps: tuple[tuple[np.ndarray, np.ndarray], ...], lo: int, hi: int) -> np.ndarray:
+    """The subsets of lex ranks lo..hi - 1 (``_lex_steps``), a row of ids each."""
+    ranks = np.arange(lo, hi, dtype=np.int64)
+    ids = np.empty((hi - lo, len(steps) + 1), dtype=np.intp)
+    for j, (ends, shift) in enumerate(steps):
+        first = ends.searchsorted(ranks, side="right")
+        ids[:, j] = first
+        ranks += shift[first]
+    ids[:, -1] = ranks
+    return ids
+
+
 def _brute(g: Graph, variant: Variant, k: int, size_cap: int, criterion: str) -> DimensionResult:
     """Subsets in increasing size, then lex order: the first whose profile
-    column sums reach k on every pair is the lex-smallest optimal basis."""
+    column sums reach k on every pair is the lex-smallest optimal basis.
+
+    The subsets are checked in blocks of consecutive lex ranks, unranked
+    in numpy (``_lex_steps``). A block is filtered on the tight row (the
+    lex-first row of least total, which every feasible subset reaches);
+    its survivors' profile columns are then gathered and summed over all
+    rows at once, in int64, in parts that fit ``_BRUTE_BLOCK``.
+    The first survivor that reaches k on every row is the answer, and
+    ``stats["subsets"]`` counts the subsets before it in (size, lex)
+    order, itself included, as a one-by-one scan would."""
     if g.n > size_cap:
         raise TooLarge(f"n={g.n} exceeds size_cap={size_cap}")
     model = cover_model(g, variant, criterion)
@@ -329,26 +390,34 @@ def _brute(g: Graph, variant: Variant, k: int, size_cap: int, criterion: str) ->
     if not len(profile):  # no item pairs: the empty set meets every k vacuously
         return DimensionResult(variant, k, 0, (), None, {"oracle": "brute"})
 
-    totals = profile.sum(axis=1)
-    tight = int(totals.argmin())
+    tight = profile[int(profile.sum(axis=1).argmin())]
+    # row c: column c of the profile, so a subset's row sums add its ids' rows
+    columns = np.ascontiguousarray(profile.T)
     # every pair p forces |S| >= k / max_s profile[p, s]
     min_size = int(np.ceil(k / profile.max(axis=1)).max())
     checked = 0
     for size in range(max(min_size, 1), g.n + 1):
-        for combo in combinations(range(g.n), size):
-            checked += 1
-            cols = list(combo)
-            if profile[tight, cols].sum() < k:
-                continue
-            if (profile[:, cols].sum(axis=1) >= k).all():
-                return DimensionResult(
-                    variant,
-                    k,
-                    size,
-                    combo,
-                    model.certificate(cols),
-                    {"oracle": "brute", "subsets": checked},
-                )
+        steps = _lex_steps(g.n, size)
+        count = math.comb(g.n, size)
+        # survivors per gather: each one's columns (size x rows) and int64
+        # row sums fit 8 * _BRUTE_BLOCK bytes
+        per_gather = max(1, 8 * _BRUTE_BLOCK // (len(profile) * max(8, size * columns.itemsize)))
+        lo = 0
+        while lo < count:
+            hi = min(count, lo + max(1, min(max(_BRUTE_FIRST, checked), _BRUTE_BLOCK // size)))
+            block = _subsets_at(steps, lo, hi)
+            live = np.flatnonzero(tight[block].sum(axis=1, dtype=np.int64) >= k)
+            for at in range(0, len(live), per_gather):
+                part = live[at:at + per_gather]
+                ok = columns[block[part]].sum(axis=1, dtype=np.int64).min(axis=1) >= k
+                if ok.any():
+                    i = int(part[int(ok.argmax())])
+                    basis = tuple(block[i].tolist())
+                    return DimensionResult(variant, k, size, basis,
+                                           model.certificate(list(basis)),
+                                           {"oracle": "brute", "subsets": checked + i + 1})
+            checked += hi - lo
+            lo = hi
     raise AssertionError("unreachable: full vertex set is feasible for k <= kappa")
 
 

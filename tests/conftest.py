@@ -73,6 +73,34 @@ def plain_item_rows(g: Graph, variant: str):
     return vertices + edges, rows
 
 
+def plain_brute(g: Graph, variant: str, k: int, criterion: str = "sum"):
+    """Brute force one subset at a time: (value, basis, certificate,
+    subsets checked), or (0, (), None, None) without item pairs.
+
+    Subsets run in increasing size from the size bound max_p ceil(k /
+    max_s profile[p, s]), then in lex order; the first that reaches k on
+    every item pair is the basis. The certificate is the lex-first pair
+    of least sum over it, as (a, b, sum). The profile of a pair is its
+    per-vertex distance differences ("sum") or their 0/1 support
+    ("count")."""
+    items, rows = plain_item_rows(g, variant)
+    pairs = [
+        [abs(x - y) if criterion == "sum" else int(x != y) for x, y in zip(ra, rb)]
+        for ra, rb in combinations(rows, 2)
+    ]
+    if not pairs:
+        return 0, (), None, None
+    checked = 0
+    for size in range(max(-(-k // max(p)) for p in pairs), g.n + 1):
+        for S in combinations(range(g.n), size):
+            checked += 1
+            if all(sum(p[s] for s in S) >= k for p in pairs):
+                sums = [sum(p[s] for s in S) for p in pairs]
+                a, b = list(combinations(items, 2))[sums.index(min(sums))]
+                return size, S, (a, b, min(sums)), checked
+    raise AssertionError(f"k={k} is above the criterion's limit")
+
+
 def plain_delta_set(d: list[list[int]], x: int, y: int, S) -> int:
     return sum(abs(d[x][s] - d[y][s]) for s in S)
 

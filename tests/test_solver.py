@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    family_corpus,
     petersen,
+    plain_brute,
     plain_delta_set,
     plain_distances,
     plain_item_rows,
@@ -151,6 +154,100 @@ class TestBruteForce:
     def test_no_item_pairs_yields_empty_basis(self):
         res = solve_bruteforce(generate(path(2)), Variant.EDGE, k=3)
         assert res.value == 0 and res.basis == ()
+
+
+def brute_corpus():
+    return random_graph_corpus() + random_tree_corpus(max_n=10) + family_corpus(max_n=10)
+
+
+def plain_limit(g, variant: Variant, criterion: str) -> int:
+    """The largest k the criterion allows: the least pair total over all
+    vertices (1 without item pairs, where every k is vacuous)."""
+    _, rows = plain_item_rows(g, variant.value)
+    totals = [sum(abs(x - y) if criterion == "sum" else int(x != y) for x, y in zip(ra, rb))
+              for ra, rb in combinations(rows, 2)]
+    return min(totals, default=1)
+
+
+def pinned(res):
+    """What ``plain_brute`` reports of a brute-force result."""
+    cert = res.certificate
+    return (res.value, res.basis, cert and (cert.a, cert.b, cert.delta),
+            res.stats.get("subsets"))
+
+
+class TestBruteAgainstPlainOracle:
+    """Value, basis, certificate and subsets checked, for every k up to the
+    criterion's limit, against the one-subset-at-a-time oracle."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_sum_criterion(self, variant):
+        for g in brute_corpus():
+            for k in range(1, plain_limit(g, variant, "sum") + 1):
+                expected = plain_brute(g, variant.value, k)
+                assert pinned(solve_bruteforce(g, variant, k)) == expected, (g.edges(), k)
+
+    def test_count_criterion(self):
+        for g in brute_corpus():
+            for k in range(1, plain_limit(g, Variant.VERTEX, "count") + 1):
+                expected = plain_brute(g, "vertex", k, "count")
+                assert pinned(solve_kmetric_dim(g, k)) == expected, (g.edges(), k)
+
+
+class TestBruteBlocks:
+    def test_block_edges_anywhere(self, monkeypatch):
+        """Blocks of a few subsets put the answer on a block's first and
+        last entry, in a later block of its size and in a later size; each
+        result is the one made with the default blocks."""
+        cases = [(g, variant, k) for g in random_graph_corpus(count=8, max_n=8, seed=515)
+                 for variant in Variant for k in (1, 2, 3)
+                 if k <= plain_limit(g, variant, "sum")]
+        expected = [solve_bruteforce(*case) for case in cases]
+        spans = []
+        unrank = solver._subsets_at
+
+        def recording(steps, lo, hi):
+            spans.append((len(steps) + 1, lo, hi))
+            return unrank(steps, lo, hi)
+
+        monkeypatch.setattr(solver, "_subsets_at", recording)
+        seen = set()
+        for block in (1, 2, 3, 7):
+            monkeypatch.setattr(solver, "_BRUTE_BLOCK", block)
+            for (g, variant, k), want in zip(cases, expected):
+                spans.clear()
+                got = solve_bruteforce(g, variant, k)
+                assert got == want, (g.edges(), variant, k, block)
+                if not spans:  # no item pairs
+                    continue
+                size, lo, hi = spans[-1]
+                rank = list(combinations(range(g.n), size)).index(got.basis)
+                assert lo <= rank < hi
+                if hi - lo > 1 and rank == lo:
+                    seen.add("first")
+                if hi - lo > 1 and rank == hi - 1:
+                    seen.add("last")
+                if lo > 0:
+                    seen.add("later block")
+                if size > spans[0][0]:
+                    seen.add("later size")
+        assert seen == {"first", "last", "later block", "later size"}
+
+    @pytest.mark.parametrize("spec, variant, k, value, subsets", [
+        ("complete:16", Variant.VERTEX, 2, 16, 65519),
+        ("grid:4x4", Variant.MIXED, 4, 12, 62637),
+    ])
+    def test_peak_memory_at_the_size_cap(self, spec, variant, k, value, subsets):
+        g = generate(parse_family(spec))
+        g.distance_matrix  # made once per graph; not the search's memory
+        tracemalloc.start()
+        try:
+            res = solve_bruteforce(g, variant, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.value, res.stats["subsets"]) == (value, subsets)
+        assert peak < 2 * 2**20
 
 
 class TestBranchAndBound:
