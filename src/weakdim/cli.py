@@ -19,6 +19,7 @@ from .errors import (
     KaboveKappa,
     ParameterOutOfRange,
     WeakDimError,
+    check_k,
 )
 from .families import generate, parse_family
 from .graph import (
@@ -241,13 +242,8 @@ def cmd_wdim(args) -> int:
     return EXIT_OK
 
 
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise ParameterOutOfRange(f"k must be positive, got {k}")
-
-
 def cmd_verify(args) -> int:
-    _check_k(args.k)
+    check_k(args.k)
     clock, g, input_block, S = _load_timed(args)
     variant = Variant(args.variant)
     with timed(clock[1], "verify"):
@@ -272,7 +268,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_lp(args) -> int:
-    _check_k(args.k)
+    check_k(args.k)
     clock, g, input_block, _ = _load_timed(args)
     variant = Variant(args.variant)
     with timed(clock[1], "write"):

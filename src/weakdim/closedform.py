@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FormulaNotCovered, KaboveKappa, NotATree, ParameterOutOfRange
+from .errors import FormulaNotCovered, NotATree, ParameterOutOfRange, check_k
 from .families import FamilySpec, star
 from .graph import Graph
 from .trees import TreeShape, decompose_tree, root_basis_size, spider3_basis, tree_basis
@@ -102,11 +102,8 @@ def kappa_formula(obj: FamilySpec | Graph) -> KappaFormula:
 def wdim_formula(obj: FamilySpec | Graph, k: int) -> int:
     """Exact weak k-metric dimension by closed form; raises
     ``FormulaNotCovered`` for the excluded boundary parameters."""
-    if k < 1:
-        raise ParameterOutOfRange(f"k must be positive, got {k}")
-    kappa = kappa_formula(obj).value
-    if k > kappa:
-        raise KaboveKappa(k, kappa)
+    check_k(k)  # before kappa_formula, which may not cover the input
+    check_k(k, kappa_formula(obj).value)
 
     if isinstance(obj, Graph):
         if obj.family is not None:
@@ -173,11 +170,7 @@ def grid_basis(q: int, r: int, k: int) -> tuple[int, ...]:
     """Weak k-metric basis of the q x r grid: the 2*ceil(k/2) border
     vertices of smallest rank."""
     labeling = grid_border_labeling(q, r)
-    kappa = 2 * q + 2 * r - 4
-    if k < 1:
-        raise ParameterOutOfRange(f"k must be positive, got {k}")
-    if k > kappa:
-        raise KaboveKappa(k, kappa)
+    check_k(k, 2 * q + 2 * r - 4)
     take = 2 * (-(-k // 2))
     return tuple(sorted(labeling.order[:take]))
 

@@ -74,3 +74,12 @@ class KaboveKappa(WeakDimError):
         if witness is not None:
             msg += f" (witness pair {witness})"
         super().__init__(msg)
+
+
+def check_k(k, limit=None, witness=None, criterion="sum") -> None:
+    """The one range check on a threshold: ``ParameterOutOfRange`` below 1,
+    ``KaboveKappa`` above ``limit`` (the criterion's kappa, when known)."""
+    if k < 1:
+        raise ParameterOutOfRange(f"k must be positive, got {k}")
+    if limit is not None and k > limit:
+        raise KaboveKappa(k, limit, witness, criterion)

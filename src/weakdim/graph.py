@@ -387,13 +387,14 @@ def format_edgelist(g: Graph, header_comment: str | None = None) -> str:
 
 def parse_vertex_set(text: str, n: int) -> tuple[int, ...]:
     """Parse a whitespace-separated vertex-id set file; validates range."""
-    tokens = []
+    found = set()
     for line in text.splitlines():
-        tokens.extend(_strip_comment(line).split())
-    try:
-        ids = sorted({int(t) for t in tokens})
-    except ValueError as exc:
-        raise EdgeListFormatError(f"non-integer vertex id in set file") from exc
+        for t in _strip_comment(line).split():
+            try:
+                found.add(int(t))
+            except ValueError as exc:
+                raise EdgeListFormatError(f"non-integer vertex id {t!r} in set file") from exc
+    ids = sorted(found)
     for v in ids:
         if not 0 <= v < n:
             raise VertexOutOfRange(f"set member {v} outside 0..{n - 1}")

@@ -30,39 +30,45 @@ cell's text. The format is unchanged; ``export-lp`` writes each block
 as it is made, so its memory is bounded by one block, the model and
 the table (three strings per coefficient value and column).
 
-Two engines certify optima. ``solve_bruteforce`` checks subsets in
-increasing size and lexicographic order, so it returns the canonical
-(lex-smallest) optimal set, and it makes no numpy call per subset. It
-takes them in blocks of consecutive lex ranks, unranked in numpy from
-tables of binomial coefficients. A block is filtered on one tight row in
-one step; only its survivors' columns are gathered and summed over all
-rows at once, in int64 on one thread (no BLAS). The first block holds 16
-subsets and each later one as many as were checked before it, so an
-early answer does not pay for a large block. Every array of a block
-stays within 64 KiB, below glibc's 128 KiB mmap threshold: no block maps
-fresh pages or raises the threshold for the rest of the process, and
-the peak stays near 0.2 MiB. ``solve_bnb`` is a depth-first
-branch-and-bound over include/exclude decisions, starting from a greedy
-cover. Each row's threshold k is first rounded up to a multiple of the
-row's gcd, since every column sum of the row is such a multiple (on
-bipartite graphs, pairs at even distance have only even entries). A node
-carries the rows still short of their threshold and what they lack, and
-is pruned when some row cannot be covered by the columns left, or when
-an admissible lower bound on the columns still needed meets the
-incumbent. Entries are clipped at their row's residual. The cheap
-bounds come first: the cardinality bound (the most columns any single
-row needs, taking its largest entries first) and the mass bound
-ceil(total residual / best clipped column sum). Where both fail, the
-Lagrangian bound L(u) = u.res + sum_c min(0, 1 - (u^T C)_c), for row
-multipliers u in [0, 1], has the LP relaxation's value as its maximum:
-projected subgradient steps with a Polyak step size raise it, about 60
-at the root and a few at every other node, warm-started from the
-parent's multipliers on the rows still short. Any u gives a valid
-bound, so exactness never rests on convergence; the prune decision
-itself is exact, made in integers on u snapped down to multiples of
-2^-20. The search is an explicit-stack DFS that takes the include
-child first; it branches on the column with the largest raw sum over
-the short rows and returns its first incumbent at the optimal value.
+Two engines certify optima behind one shell, ``_solve``: it builds the
+model, checks k on it (``model.check``, by ``errors.check_k``, the one
+range check of every entry point taking one k), answers a model without
+item pairs with the empty set, runs the engine's plain search on
+(profile, k) and certifies the basis. The brute search (also the count
+criterion's ``solve_kmetric_dim``) checks subsets in increasing size
+and lex order, so it returns the canonical (lex-smallest) optimal set,
+with no numpy call per subset. It takes them in blocks of consecutive
+lex ranks, unranked in numpy from tables of binomial coefficients. A
+block is filtered on one tight row in one step; only its survivors'
+columns are gathered and summed over all rows at once, in int64 on one
+thread (no BLAS). The first block holds 16 subsets and each later one
+as many as were checked before it, so an early answer does not pay for
+a large block. Every array of a block stays within 64 KiB, below
+glibc's 128 KiB mmap threshold: no block maps fresh pages or raises the
+threshold for the rest of the process, and the peak stays near 0.2 MiB.
+
+``solve_bnb`` is a depth-first branch-and-bound over include/exclude
+decisions, starting from a greedy cover of k. Each row's threshold k is
+then rounded up to a multiple of the row's gcd, since every column sum
+of the row is such a multiple (on bipartite graphs, pairs at even
+distance have only even entries). A node carries the rows still short of
+their threshold and what they lack, and is pruned when some row cannot
+be covered by the columns left, or when an admissible lower bound on the
+columns still needed meets the incumbent. Entries are clipped at their
+row's residual. The cheap bounds come first: the cardinality bound (the
+most columns any single row needs, taking its largest entries first) and
+the mass bound ceil(total residual / best clipped column sum). Where
+both fail, the Lagrangian bound
+L(u) = u.res + sum_c min(0, 1 - (u^T C)_c), for row multipliers
+u in [0, 1], has the LP relaxation's value as its maximum: projected
+subgradient steps with a Polyak step size raise it, about 60 at the root
+and a few at every other node, warm-started from the parent's
+multipliers on the rows still short. Any u gives a valid bound, so
+exactness never rests on convergence; the prune decision itself is
+exact, made in integers on u snapped down to multiples of 2^-20. The
+search is an explicit-stack DFS that takes the include child first; it
+branches on the column with the largest raw sum over the short rows and
+returns its first incumbent at the optimal value.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .errors import KaboveKappa, ParameterOutOfRange, TooLarge
+from .errors import TooLarge, check_k
 from .graph import Graph, _check_peak
 from .resolve import _adjacent_partners, _check_set, _kappa_route, lex_min, pair_count, pair_sum
 
@@ -169,13 +175,13 @@ class CoverModel:
         return Certificate(a, b, int(sums[i]))
 
     def check(self, k: int) -> None:
-        """Raise unless 1 <= k <= the criterion's limit, the smallest row
-        sum (KaboveKappa, with its lex-first pair as the witness)."""
-        if k < 1:
-            raise ParameterOutOfRange(f"k must be positive, got {k}")
+        """``check_k`` with the criterion's limit, the smallest row sum (its
+        lex-first pair is the witness); no limit without item pairs."""
         worst = self.certificate()
-        if worst is not None and k > worst.delta:
-            raise KaboveKappa(k, worst.delta, (worst.a, worst.b), self.criterion)
+        if worst is None:
+            check_k(k)
+        else:
+            check_k(k, worst.delta, (worst.a, worst.b), self.criterion)
 
 
 def cover_model(g: Graph, variant: Variant, criterion: str = "sum") -> CoverModel:
@@ -370,7 +376,7 @@ def _subsets_at(steps: tuple[tuple[np.ndarray, np.ndarray], ...], lo: int, hi: i
     return ids
 
 
-def _brute(g: Graph, variant: Variant, k: int, size_cap: int, criterion: str) -> DimensionResult:
+def _brute(profile: np.ndarray, k: int) -> tuple[tuple[int, ...], dict]:
     """Subsets in increasing size, then lex order: the first whose profile
     column sums reach k on every pair is the lex-smallest optimal basis.
 
@@ -380,25 +386,18 @@ def _brute(g: Graph, variant: Variant, k: int, size_cap: int, criterion: str) ->
     its survivors' profile columns are then gathered and summed over all
     rows at once, in int64, in parts that fit ``_BRUTE_BLOCK``.
     The first survivor that reaches k on every row is the answer, and
-    ``stats["subsets"]`` counts the subsets before it in (size, lex)
-    order, itself included, as a one-by-one scan would."""
-    if g.n > size_cap:
-        raise TooLarge(f"n={g.n} exceeds size_cap={size_cap}")
-    model = cover_model(g, variant, criterion)
-    model.check(k)
-    profile = model.profile
-    if not len(profile):  # no item pairs: the empty set meets every k vacuously
-        return DimensionResult(variant, k, 0, (), None, {"oracle": "brute"})
-
+    ``subsets`` counts the subsets before it in (size, lex) order, itself
+    included, as a one-by-one scan would."""
+    n = profile.shape[1]
     tight = profile[int(profile.sum(axis=1).argmin())]
     # row c: column c of the profile, so a subset's row sums add its ids' rows
     columns = np.ascontiguousarray(profile.T)
     # every pair p forces |S| >= k / max_s profile[p, s]
     min_size = int(np.ceil(k / profile.max(axis=1)).max())
     checked = 0
-    for size in range(max(min_size, 1), g.n + 1):
-        steps = _lex_steps(g.n, size)
-        count = math.comb(g.n, size)
+    for size in range(max(min_size, 1), n + 1):
+        steps = _lex_steps(n, size)
+        count = math.comb(n, size)
         # survivors per gather: each one's columns (size x rows) and int64
         # row sums fit 8 * _BRUTE_BLOCK bytes
         per_gather = max(1, 8 * _BRUTE_BLOCK // (len(profile) * max(8, size * columns.itemsize)))
@@ -412,13 +411,28 @@ def _brute(g: Graph, variant: Variant, k: int, size_cap: int, criterion: str) ->
                 ok = columns[block[part]].sum(axis=1, dtype=np.int64).min(axis=1) >= k
                 if ok.any():
                     i = int(part[int(ok.argmax())])
-                    basis = tuple(block[i].tolist())
-                    return DimensionResult(variant, k, size, basis,
-                                           model.certificate(list(basis)),
-                                           {"oracle": "brute", "subsets": checked + i + 1})
+                    return tuple(block[i].tolist()), {"subsets": checked + i + 1}
             checked += hi - lo
             lo = hi
     raise AssertionError("unreachable: full vertex set is feasible for k <= kappa")
+
+
+def _solve(g: Graph, variant: Variant, k: int, search, criterion: str = "sum",
+           size_cap: "int | None" = None) -> DimensionResult:
+    """The engines' shell: the size cap (brute force's, checked before the
+    model is built), the model and its k check, then ``search(profile, k)``
+    -> (basis, counters) and the basis's certificate. ``stats`` leads with
+    ``oracle``, the search's name (``_bnb`` -> "bnb")."""
+    if size_cap is not None and g.n > size_cap:
+        raise TooLarge(f"n={g.n} exceeds size_cap={size_cap}")
+    model = cover_model(g, variant, criterion)
+    model.check(k)
+    stats = {"oracle": search.__name__.lstrip("_")}
+    if not len(model.profile):  # no item pairs: the empty set meets every k vacuously
+        return DimensionResult(variant, k, 0, (), None, stats)
+    basis, counters = search(model.profile, k)
+    return DimensionResult(variant, k, len(basis), basis, model.certificate(list(basis)),
+                           {**stats, **counters})
 
 
 def solve_bruteforce(
@@ -428,7 +442,7 @@ def solve_bruteforce(
     size_cap: int = DEFAULT_SIZE_CAP,
 ) -> DimensionResult:
     """Exhaustive minimum search; canonical lex-smallest optimal basis."""
-    return _brute(g, variant, k, size_cap, "sum")
+    return _solve(g, variant, k, _brute, size_cap=size_cap)
 
 
 def _greedy_cover(profile: np.ndarray, k: int) -> list[int]:
@@ -533,7 +547,7 @@ def _snapped_bound(clipped: np.ndarray, res: np.ndarray, u: np.ndarray) -> int:
     """_LAG_Q * L(w / _LAG_Q) for w = floor(_LAG_Q * u), exactly.
 
     With 0 <= w <= _LAG_Q and 0 <= C <= res, every int64 partial sum is at
-    most _LAG_Q * (ncols + 1) * sum(res) in magnitude; ``solve_bnb`` runs
+    most _LAG_Q * (ncols + 1) * sum(res) in magnitude; ``_bnb`` runs
     the Lagrangian only when that fits below 2**63.
     """
     w = np.floor(u * _LAG_Q).astype(np.int64)
@@ -548,23 +562,18 @@ def _lagrangian_prunes(clipped: np.ndarray, res: np.ndarray, u: np.ndarray,
     return _snapped_bound(clipped, res, u) > _LAG_Q * limit
 
 
-def solve_bnb(g: Graph, variant: Variant = Variant.VERTEX, k: int = 1) -> DimensionResult:
-    """Branch-and-bound with admissible bounds; certified optimal value.
-
-    ``stats`` counts the search: ``nodes`` visited, the ``root_bound``
-    (the largest bound at the root, the Lagrangian's included when the
-    root gets that far), the ``incumbent_updates`` found by the search
-    (after the greedy start) and the nodes cut per reason in ``prunes``
-    (``infeasible``: some row cannot be covered; ``card`` / ``mass`` /
-    ``lagrangian``: that bound meets the incumbent). Every node is a leaf
-    (an incumbent update), a prune, or a branch with two children.
+def _bnb(profile: np.ndarray, k: int) -> tuple[tuple[int, ...], dict]:
+    """Branch-and-bound with admissible bounds: an optimal basis and the
+    search's counters: ``nodes`` visited, the ``root_bound`` (the largest
+    bound at the root, the Lagrangian's included when the root gets that
+    far), the ``incumbent_updates`` found by the search (after the greedy
+    start, which takes k itself, not the rounded rhs) and the nodes cut per
+    reason in ``prunes`` (``infeasible``: some row cannot be covered;
+    ``card`` / ``mass`` / ``lagrangian``: that bound meets the incumbent).
+    Every node is a leaf (an incumbent update), a prune, or a branch with
+    two children.
     """
-    model = cover_model(g, variant)
-    model.check(k)
-    profile = model.profile
-    if not len(profile):  # no item pairs: the empty set meets every k vacuously
-        return DimensionResult(variant, k, 0, (), None, {"oracle": "bnb"})
-
+    npairs, n = profile.shape
     incumbent = _greedy_cover(profile, k)
     best_val = len(incumbent)
     best_basis = tuple(sorted(incumbent))
@@ -576,14 +585,13 @@ def solve_bnb(g: Graph, variant: Variant = Variant.VERTEX, k: int = 1) -> Dimens
     root_bound = 1
     # _snapped_bound's int64 sums fit (they do unless the model is far too
     # large to search)
-    lagrangian = _LAG_Q * (g.n + 1) * int(rhs.sum()) < 2**63
+    lagrangian = _LAG_Q * (n + 1) * int(rhs.sum()) < 2**63
 
     # a node: (count, chosen, avail, act, res, u); act holds the indices of
     # the rows still short of their rhs, res what they lack, u their
     # multipliers. The include child is pushed last, so it is searched
     # first, as in a recursive include-first DFS.
-    stack = [(0, (), np.ones(g.n, dtype=bool), np.arange(len(profile)), rhs,
-              np.zeros(len(profile)))]
+    stack = [(0, (), np.ones(n, dtype=bool), np.arange(npairs), rhs, np.zeros(npairs))]
     while stack:
         count, chosen, avail, act, res, u = stack.pop()
         root = nodes == 0
@@ -632,20 +640,13 @@ def solve_bnb(g: Graph, variant: Variant = Variant.VERTEX, k: int = 1) -> Dimens
         stack.append((count, chosen, rest, act, res, u))
         stack.append((count + 1, chosen + (v,), rest, act[keep], left[keep], u[keep]))
 
-    return DimensionResult(
-        variant,
-        k,
-        best_val,
-        best_basis,
-        model.certificate(list(best_basis)),
-        {
-            "oracle": "bnb",
-            "nodes": nodes,
-            "root_bound": root_bound,
-            "incumbent_updates": updates,
-            "prunes": prunes,
-        },
-    )
+    return best_basis, {"nodes": nodes, "root_bound": root_bound,
+                        "incumbent_updates": updates, "prunes": prunes}
+
+
+def solve_bnb(g: Graph, variant: Variant = Variant.VERTEX, k: int = 1) -> DimensionResult:
+    """Branch-and-bound with admissible bounds; certified optimal value."""
+    return _solve(g, variant, k, _bnb)
 
 
 def solve_kmetric_dim(
@@ -653,7 +654,7 @@ def solve_kmetric_dim(
 ) -> DimensionResult:
     """Exhaustive minimum set where every vertex pair has >= k distinct
     distinguishing members (the count-based criterion, not the sum)."""
-    return _brute(g, Variant.VERTEX, k, size_cap, "count")
+    return _solve(g, Variant.VERTEX, k, _brute, "count", size_cap)
 
 
 # profile entries rendered in one block of LP text

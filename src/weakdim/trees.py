@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import KaboveKappa, NotATree, ParameterOutOfRange, SameVertex, WrongTreeClass
+from .errors import NotATree, ParameterOutOfRange, SameVertex, WrongTreeClass, check_k
 from .graph import Graph
 
 
@@ -135,8 +135,7 @@ def tree_basis(g: Graph, shape: TreeShape, k: int) -> tuple[int, ...]:
     nor a three-thread spider: the union of per-root slices."""
     if shape.is_path or shape.is_spider3:
         raise WrongTreeClass("construction needs a tree with >= 4 thread-pairs structure")
-    if not 1 <= k <= shape.kappa_star:
-        raise KaboveKappa(k, shape.kappa_star)
+    check_k(k, shape.kappa_star)
     picked: list[int] = []
     for v in shape.roots:
         picked.extend(_root_slice(shape.threads[v], k))
@@ -148,13 +147,11 @@ def spider3_basis(g: Graph, shape: TreeShape, k: int) -> tuple[int, ...]:
     vertices in round-robin order over the threads (root last)."""
     if not shape.is_spider3:
         raise WrongTreeClass("graph is not a spider with exactly three threads")
-    kappa = min(shape.n, shape.kappa_star)
+    check_k(k, min(shape.n, shape.kappa_star))
     if k == 1:
         raise ParameterOutOfRange(
             "k=1 needs a classical basis of size 2; use the exact solver"
         )
-    if not 2 <= k <= kappa:
-        raise KaboveKappa(k, kappa)
     root = shape.roots[0]
     threads = shape.threads[root]
     order: list[int] = []

@@ -311,6 +311,15 @@ class TestVerifyCommand:
         )
         assert code == 2 and "error" in err
 
+    def test_set_file_error_names_the_bad_token(self, capsys, tmp_path):
+        set_file = tmp_path / "bad.txt"
+        set_file.write_text("3 x 5")
+        code, out, err = run_cli(
+            capsys, "verify", "--family", "path:6",
+            "--set-file", str(set_file), "--k", "1",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: non-integer vertex id 'x' in set file\n"
 
     def test_k_below_one_exit_2(self, capsys, tmp_path):
         set_file = tmp_path / "s.txt"

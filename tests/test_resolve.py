@@ -687,16 +687,27 @@ THIN_FAMILIES = ["path:2", "path:3", "path:130", "cycle:3", "cycle:4", "cycle:13
 
 @st.composite
 def twin_free_graphs(draw, max_n=40):
-    """A random tree on 3..max_n vertices plus up to n chords, twin-free."""
-    n = draw(st.integers(3, max_n))
+    """A random tree on 4..max_n vertices (every connected graph on three
+    has twins) plus up to n chords, made twin-free by more chords: while a
+    twin pair (u, v) is left, u gets a chord to a vertex outside N[v],
+    which tells the two apart. Only twins adjacent to every other vertex
+    have no such chord; those rare draws are rejected."""
+    n = draw(st.integers(4, max_n))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     for u, v in draw(st.lists(pair, max_size=n)):
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    g = build_graph(n, sorted(edges))
-    assume(find_twins(g) == ([], []))
-    return g
+    while True:
+        g = build_graph(n, sorted(edges))
+        true_pairs, false_pairs = find_twins(g)
+        if not true_pairs and not false_pairs:
+            return g
+        u, v = (true_pairs + false_pairs)[0]
+        outside = [w for w in range(n) if w not in (u, v) and w not in g.adjacency[v]]
+        assume(outside)
+        w = draw(st.sampled_from(outside))
+        edges.add((min(u, w), max(u, w)))
 
 
 class TestThinRoute:
