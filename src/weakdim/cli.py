@@ -7,6 +7,7 @@ Subcommands: kappa | wdim | verify | export-lp | gen. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -320,7 +321,11 @@ def _add_timing(sp) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing gives a fresh
+    namespace each time, an argparse error exits without changing the
+    parser, and no ``cmd_*`` reads or changes it."""
     parser = argparse.ArgumentParser(
         prog="weakdim",
         description="Exact weak k-metric dimension computations on graphs.",

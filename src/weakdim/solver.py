@@ -41,11 +41,13 @@ with no numpy call per subset. It takes them in blocks of consecutive
 lex ranks, unranked in numpy from tables of binomial coefficients. A
 block is filtered on one tight row in one step; only its survivors'
 columns are gathered and summed over all rows at once, in int64 on one
-thread (no BLAS). The first block holds 16 subsets and each later one
-as many as were checked before it, so an early answer does not pay for
-a large block. Every array of a block stays within 64 KiB, below
-glibc's 128 KiB mmap threshold: no block maps fresh pages or raises the
-threshold for the rest of the process, and the peak stays near 0.2 MiB.
+thread (no BLAS). The first block holds 16 subsets, or as many as one
+gather sums if that is more (a smaller block makes as many numpy
+calls), and each later one as many as were checked before it, so an
+early answer does not pay for a large block. Every array of a block
+stays below 64 KiB, half of glibc's 128 KiB mmap threshold: no block
+maps fresh pages or raises the threshold for the rest of the process,
+and the peak stays near 0.2 MiB.
 
 ``solve_bnb`` is a depth-first branch-and-bound over include/exclude
 decisions, starting from a greedy cover of k. Each row's threshold k is
@@ -58,7 +60,13 @@ columns still needed meets the incumbent. Entries are clipped at their
 row's residual. The cheap bounds come first: the cardinality bound (the
 most columns any single row needs, taking its largest entries first) and
 the mass bound ceil(total residual / best clipped column sum). Where
-both fail, the Lagrangian bound
+both fail on a small node (``_few_completions``: its entries fit a
+brute-force block, and its subsets still worth trying times its rows are
+below ``_COMPLETIONS``), the node is settled exactly: the brute search's
+kernel, ``_first_cover``, tries its available columns from the
+cardinality bound up to one below the incumbent's size against the
+residuals. With no cover the node is pruned; with one, no bound could
+prune it, so it branches at once. Elsewhere the Lagrangian bound
 L(u) = u.res + sum_c min(0, 1 - (u^T C)_c), for row multipliers
 u in [0, 1], has the LP relaxation's value as its maximum: projected
 subgradient steps with a Polyak step size raise it, about 60 at the root
@@ -335,10 +343,11 @@ def verify_local_k_resolving(g: Graph, S: Iterable[int], k: int) -> VerifyResult
 
 
 # 8-byte entries per brute-force array (a block's subset ids, its
-# survivors' row sums or their gathered profile columns), at most
-_BRUTE_BLOCK = 1 << 13
-# subsets in the first block; every later one holds as many as were checked
-# before it, up to the cap
+# survivors' row sums or their gathered profile columns), at most: one
+# short of 2^13, so every array stays below 64 KiB
+_BRUTE_BLOCK = (1 << 13) - 1
+# subsets in the first block (or one gather's worth, if more); every later
+# one holds as many as were checked before it, up to the cap
 _BRUTE_FIRST = 16
 
 
@@ -376,45 +385,60 @@ def _subsets_at(steps: tuple[tuple[np.ndarray, np.ndarray], ...], lo: int, hi: i
     return ids
 
 
-def _brute(profile: np.ndarray, k: int) -> tuple[tuple[int, ...], dict]:
-    """Subsets in increasing size, then lex order: the first whose profile
-    column sums reach k on every pair is the lex-smallest optimal basis.
+def _first_cover(profile: np.ndarray, rhs, lo: int,
+                 hi: int) -> "tuple[tuple[int, ...] | None, int]":
+    """The first subset of ``profile``'s columns, in increasing size from
+    ``lo`` (at least 1) up to ``hi`` and then in lex order, whose column
+    sums reach ``rhs`` (a scalar, or one value per row) on every row, or
+    None; and ``checked``, the subsets before it in (size, lex) order,
+    itself included, as a one-by-one scan would count them (all of them
+    when there is none).
 
     The subsets are checked in blocks of consecutive lex ranks, unranked
     in numpy (``_lex_steps``). A block is filtered on the tight row (the
-    lex-first row of least total, which every feasible subset reaches);
-    its survivors' profile columns are then gathered and summed over all
-    rows at once, in int64, in parts that fit ``_BRUTE_BLOCK``.
-    The first survivor that reaches k on every row is the answer, and
-    ``subsets`` counts the subsets before it in (size, lex) order, itself
-    included, as a one-by-one scan would."""
+    lex-first row of least slack, its total less its rhs, which every
+    answer reaches); its survivors' columns are then gathered and summed
+    over all rows at once, in int64, in parts that fit ``_BRUTE_BLOCK``."""
     n = profile.shape[1]
-    tight = profile[int(profile.sum(axis=1).argmin())]
+    rhs = np.broadcast_to(np.asarray(rhs, dtype=np.int64), len(profile))
+    t = int((profile.sum(axis=1, dtype=np.int64) - rhs).argmin())
+    tight, tight_rhs = profile[t], rhs[t]
     # row c: column c of the profile, so a subset's row sums add its ids' rows
     columns = np.ascontiguousarray(profile.T)
-    # every pair p forces |S| >= k / max_s profile[p, s]
-    min_size = int(np.ceil(k / profile.max(axis=1)).max())
     checked = 0
-    for size in range(max(min_size, 1), n + 1):
+    for size in range(lo, min(hi, n) + 1):
         steps = _lex_steps(n, size)
         count = math.comb(n, size)
         # survivors per gather: each one's columns (size x rows) and int64
         # row sums fit 8 * _BRUTE_BLOCK bytes
         per_gather = max(1, 8 * _BRUTE_BLOCK // (len(profile) * max(8, size * columns.itemsize)))
-        lo = 0
-        while lo < count:
-            hi = min(count, lo + max(1, min(max(_BRUTE_FIRST, checked), _BRUTE_BLOCK // size)))
-            block = _subsets_at(steps, lo, hi)
-            live = np.flatnonzero(tight[block].sum(axis=1, dtype=np.int64) >= k)
+        start = 0
+        while start < count:
+            stop = min(count, start + max(1, min(max(_BRUTE_FIRST, per_gather, checked),
+                                                 _BRUTE_BLOCK // size)))
+            block = _subsets_at(steps, start, stop)
+            live = np.flatnonzero(tight[block].sum(axis=1, dtype=np.int64) >= tight_rhs)
             for at in range(0, len(live), per_gather):
                 part = live[at:at + per_gather]
-                ok = columns[block[part]].sum(axis=1, dtype=np.int64).min(axis=1) >= k
+                ok = (columns[block[part]].sum(axis=1, dtype=np.int64) >= rhs).all(axis=1)
                 if ok.any():
                     i = int(part[int(ok.argmax())])
-                    return tuple(block[i].tolist()), {"subsets": checked + i + 1}
-            checked += hi - lo
-            lo = hi
-    raise AssertionError("unreachable: full vertex set is feasible for k <= kappa")
+                    return tuple(block[i].tolist()), checked + i + 1
+            checked += stop - start
+            start = stop
+    return None, checked
+
+
+def _brute(profile: np.ndarray, k: int) -> tuple[tuple[int, ...], dict]:
+    """Subsets in increasing size, then lex order (``_first_cover``): the
+    first whose profile column sums reach k on every pair is the
+    lex-smallest optimal basis; ``subsets`` counts the subsets checked."""
+    # every pair p forces |S| >= k / max_s profile[p, s]
+    min_size = int(np.ceil(k / profile.max(axis=1)).max())
+    basis, checked = _first_cover(profile, k, max(min_size, 1), profile.shape[1])
+    if basis is None:
+        raise AssertionError("unreachable: full vertex set is feasible for k <= kappa")
+    return basis, {"subsets": checked}
 
 
 def _solve(g: Graph, variant: Variant, k: int, search, criterion: str = "sum",
@@ -482,6 +506,31 @@ def _lower_bounds(clipped: np.ndarray, res: np.ndarray) -> "tuple[int, int] | No
     need = int((reach < res[:, None]).sum(axis=1).max()) + 1
     mass = math.ceil(int(res.sum()) / int(clipped.sum(axis=0).max()))
     return need, mass
+
+
+# A node is settled by trying its completions (``_first_cover``) when its
+# subsets to try times its short rows (the int64 row sums the check makes,
+# at most) are fewer than this. The bnb-sweep job list takes as long from
+# 2^14 to 2^17 and longer below; the C6xC4 torus at k = 9 and 10 and
+# random graphs with n = 24 and 28 take as long from 2^16 to 2^18, with
+# fewer nodes the higher (2-core x86 host, numpy 2.4).
+_COMPLETIONS = 1 << 17
+
+
+def _few_completions(rows: int, cols: int, lo: int, hi: int) -> bool:
+    """Whether a node of ``rows`` short rows and ``cols`` columns is settled
+    by trying its completions of sizes lo..hi: its entries fit a
+    brute-force block (so the check's copy of them, and one subset's row
+    sums, stay below 64 KiB), and its subsets times its rows are fewer
+    than ``_COMPLETIONS``."""
+    if rows * cols > _BRUTE_BLOCK:
+        return False
+    total = 0
+    for size in range(lo, min(hi, cols) + 1):
+        total += math.comb(cols, size)
+        if rows * total >= _COMPLETIONS:
+            return False
+    return True
 
 
 # Multipliers are snapped down to w / _LAG_Q with integer 0 <= w <= _LAG_Q.
@@ -565,20 +614,36 @@ def _lagrangian_prunes(clipped: np.ndarray, res: np.ndarray, u: np.ndarray,
 def _bnb(profile: np.ndarray, k: int) -> tuple[tuple[int, ...], dict]:
     """Branch-and-bound with admissible bounds: an optimal basis and the
     search's counters: ``nodes`` visited, the ``root_bound`` (the largest
-    bound at the root, the Lagrangian's included when the root gets that
-    far), the ``incumbent_updates`` found by the search (after the greedy
-    start, which takes k itself, not the rounded rhs) and the nodes cut per
-    reason in ``prunes`` (``infeasible``: some row cannot be covered;
-    ``card`` / ``mass`` / ``lagrangian``: that bound meets the incumbent).
+    bound at the root, the exact check's or the Lagrangian's included when
+    the root gets that far), the ``incumbent_updates`` found by the search
+    (after the greedy start, which takes k itself, not the rounded rhs) and
+    the nodes cut per reason in ``prunes`` (``infeasible``: some row
+    cannot be covered; ``card`` / ``mass`` / ``lagrangian``: that bound
+    meets the incumbent; ``exhaustive``: no completion is smaller than the
+    incumbent).
     Every node is a leaf (an incumbent update), a prune, or a branch with
     two children.
+
+    ``exhaustive`` counts the small nodes that ``_first_cover`` found no
+    completion for, below the incumbent's size; where it finds one, the
+    node skips the Lagrangian and its children keep its multipliers. At
+    the root the check gives the exact optimum (the first size with a
+    cover, or best_val without one), which becomes ``root_bound``.
+
+    The check moves no basis. It prunes only nodes that hold no set
+    smaller than the incumbent, as every bound does, and where it finds a
+    cover no bound could have pruned the node. The branching rule, the
+    include-first DFS order and the greedy start do not depend on the
+    bounds, so every incumbent update of the search without the check is
+    reached, in the same order, with the same best_val before it, and the
+    last one is the returned basis.
     """
     npairs, n = profile.shape
     incumbent = _greedy_cover(profile, k)
     best_val = len(incumbent)
     best_basis = tuple(sorted(incumbent))
     nodes = updates = 0
-    prunes = {"infeasible": 0, "card": 0, "mass": 0, "lagrangian": 0}
+    prunes = {"infeasible": 0, "card": 0, "mass": 0, "exhaustive": 0, "lagrangian": 0}
     rhs = _row_rhs(profile, k)
     # every row needs a column; the root node raises this with its bounds
     # (it is cut before them only when the greedy start has one column)
@@ -621,8 +686,17 @@ def _bnb(profile: np.ndarray, k: int) -> tuple[tuple[int, ...], dict]:
         if count + mass >= best_val:
             prunes["mass"] += 1
             continue
-        if lagrangian:
-            limit = best_val - count - 1
+        limit = best_val - count - 1
+        if _few_completions(len(act), len(avail_ids), need, limit):
+            # clipped entries are at most the profile's, so its (narrower)
+            # dtype holds them, and the check gathers fewer bytes
+            cover, _ = _first_cover(clipped.astype(profile.dtype), res, need, limit)
+            if root:  # the smallest cover's size, or best_val without one
+                root_bound = best_val if cover is None else len(cover)
+            if cover is None:
+                prunes["exhaustive"] += 1
+                continue
+        elif lagrangian:
             value, u = _subgradient(clipped, res, u, _ROOT_STEPS if root else _NODE_STEPS,
                                     best_val - count)
             if root:

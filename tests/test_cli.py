@@ -456,6 +456,44 @@ class TestErrors:
         assert code == 2
 
 
+class TestParserBuiltOnce:
+    def test_cached_parser_answers_as_a_fresh_one(self, capsys, monkeypatch, tmp_path):
+        """Mixed subcommands, their error exits and argparse's own (exit 2,
+        usage on stderr) give the same stdout, stderr and exit code through
+        the one cached parser as through a parser built for each call."""
+        set_file = tmp_path / "set.txt"
+        set_file.write_text("0 3\n")
+        calls = [
+            ["kappa", "--family", "cycle:6"],
+            ["wdim", "--family", "grid:3x3", "--k", "1..3", "--engine", "bnb"],
+            ["wdim", "--family", "path:5"],  # argparse: --k is required
+            ["verify", "--family", "path:4", "--set-file", str(set_file), "--k", "3"],
+            ["wdim", "--family", "cycle:5", "--k", "9"],  # above kappa: exit 3
+            ["export-lp", "--family", "path:3", "--k", "1", "--out", "-"],
+            ["kappa", "--family", "path:4", "--workers", "x"],  # argparse: not an int
+            ["gen", "--family", "star:3"],
+            ["wdim", "--family", "grid:3x3", "--k", "2", "--engine", "brute"],
+            ["blob"],  # argparse: no such subcommand
+            ["wdim", "--family", "path:5", "--k", "2..x"],  # bad k spec: exit 2
+        ]
+
+        def run(argv):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse exits on its own errors
+                code = exc.code
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        assert cli.build_parser() is cli.build_parser()
+        cached = [run(argv) for argv in calls + calls]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [run(argv) for argv in calls + calls]
+        assert cached == fresh
+        assert [code for code, _, _ in fresh[:len(calls)]] == [0, 0, 2, 1, 3, 0, 2, 0, 0, 2, 2]
+        assert "usage: weakdim wdim" in fresh[2][2]
+
+
 def write_graph(directory, name, g):
     f = Path(directory) / name
     f.write_text(format_edgelist(g))

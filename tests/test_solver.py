@@ -1,6 +1,8 @@
 """Brute-force and branch-and-bound solvers, dim_k oracle, LP export."""
 
+import math
 import random
+import sys
 import time
 import tracemalloc
 from itertools import combinations
@@ -747,6 +749,10 @@ GOLDEN_RANDOM_NODES = [
 ]
 
 
+def greedy_size(g, variant, k) -> int:
+    return len(solver._greedy_cover(solver.cover_model(g, variant).profile, k))
+
+
 def counters_add_up(stats) -> bool:
     """Every node is a leaf (an incumbent update), a prune or a branch, and
     each branch has two children."""
@@ -864,10 +870,18 @@ class TestBnbBounds:
         bounds, lower_bounds = [], solver._lower_bounds
         snapped, snapped_bound = [], solver._snapped_bound
         decisions, lagrangian_prunes = [], solver._lagrangian_prunes
+        # node checks in search order, each with the number of bounds
+        # computed before it (the root's check follows the first)
+        covers, first_cover = [], solver._first_cover
 
         def recording_bounds(sub, res):
             bounds.append(lower_bounds(sub, res))
             return bounds[-1]
+
+        def recording_cover(clipped, res, lo, hi):
+            cover, checked = first_cover(clipped, res, lo, hi)
+            covers.append((len(bounds), cover))
+            return cover, checked
 
         def recording_snapped(clipped, res, u):
             snapped.append(snapped_bound(clipped, res, u))
@@ -880,9 +894,11 @@ class TestBnbBounds:
         monkeypatch.setattr(solver, "_lower_bounds", recording_bounds)
         monkeypatch.setattr(solver, "_snapped_bound", recording_snapped)
         monkeypatch.setattr(solver, "_lagrangian_prunes", recording_prunes)
+        monkeypatch.setattr(solver, "_first_cover", recording_cover)
         cases = [(generate(grid(6, 4)), Variant.VERTEX, k) for k in (5, 6, 7)]
         cases += [(g, variant, k) for g in random_graph_corpus(count=8)
                   for variant in Variant for k in (1, 2, 3)]
+        root_checks = set()  # whether a root's check found no cover
         for g, variant, k in cases:
             kappa, _ = variant_kappa(g, variant)
             if kappa is None or k > kappa:
@@ -890,24 +906,35 @@ class TestBnbBounds:
             bounds.clear()
             snapped.clear()
             decisions.clear()
+            covers.clear()
             res = solve_bnb(g, variant, k)
             stats = res.stats
-            assert set(stats["prunes"]) == {"infeasible", "card", "mass", "lagrangian"}
+            assert set(stats["prunes"]) == {"infeasible", "card", "mass", "exhaustive",
+                                            "lagrangian"}
             assert counters_add_up(stats), (g, variant, k, stats)
             assert stats["prunes"]["infeasible"] == bounds.count(None)
             assert stats["prunes"]["lagrangian"] == decisions.count(True)
-            # the root node computes the first bounds, and its Lagrangian,
-            # when the root gets that far, the first snapped bound; a greedy
-            # start of one column cuts the root before either
+            assert stats["prunes"]["exhaustive"] == [cover for _, cover in covers].count(None)
+            # the root node computes the first bounds, then either its exact
+            # check, whose first cover's size (or the greedy start's, without
+            # one) is the optimum, or its Lagrangian, the first snapped bound,
+            # when the root gets that far; a greedy start of one column cuts
+            # the root before any of them
             lagrangian_root = [-(-value // solver._LAG_Q) for value in snapped[:1]]
             if not bounds:
                 assert (stats["root_bound"], res.value, stats["nodes"]) == (1, 1, 1)
+            elif covers and covers[0][0] == 1:
+                cover = covers[0][1]
+                root_checks.add(cover is None)
+                assert stats["root_bound"] == (greedy_size(g, variant, k) if cover is None
+                                               else len(cover)) == res.value
             else:
                 assert bounds[0] is not None
                 assert stats["root_bound"] == max(*bounds[0], *lagrangian_root)
             assert stats["root_bound"] <= res.value
-            greedy = len(solver._greedy_cover(solver.cover_model(g, variant).profile, k))
+            greedy = greedy_size(g, variant, k)
             assert (stats["incumbent_updates"] == 0) == (res.value == greedy)
+        assert root_checks == {True, False}
 
     def test_rhs_rounds_up_to_the_row_gcd(self):
         # grid:3x3 is bipartite: a pair at even distance differs by an even
@@ -917,6 +944,124 @@ class TestBnbBounds:
         rhs = solver._row_rhs(solver.cover_model(g, Variant.VERTEX).profile, 3)
         pairs = list(combinations(range(g.n), 2))
         assert [int(r) for r in rhs] == [4 if d[x][y] % 2 == 0 else 3 for x, y in pairs]
+
+
+def plain_first_cover(matrix, rhs, lo: int, hi: int):
+    """``_first_cover`` one subset at a time, in (size, lex) order."""
+    rows, cols = matrix.shape
+    need = [int(rhs)] * rows if np.ndim(rhs) == 0 else [int(r) for r in rhs]
+    checked = 0
+    for size in range(lo, min(hi, cols) + 1):
+        for S in combinations(range(cols), size):
+            checked += 1
+            if all(sum(int(matrix[r, c]) for c in S) >= need[r] for r in range(rows)):
+                return S, checked
+    return None, checked
+
+
+class TestNodeCheck:
+    @pytest.mark.parametrize("block", [3, solver._BRUTE_BLOCK])
+    def test_kernel_against_combinations(self, monkeypatch, block):
+        """Random small clipped matrices, residual vectors (and scalars) and
+        size ranges, lo = hi, lo > hi and fewer columns than lo among them."""
+        monkeypatch.setattr(solver, "_BRUTE_BLOCK", block)
+        rng = np.random.default_rng(1717)
+        seen = set()
+        for trial in range(400):
+            rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+            res = rng.integers(1, 7, rows)
+            matrix = np.minimum(rng.integers(0, 6, (rows, cols)), res[:, None]).astype(np.int8)
+            rhs = int(res[0]) if trial % 5 == 0 else res
+            lo = int(rng.integers(1, cols + 3))
+            hi = int(rng.integers(lo - 1, cols + 3))
+            want = plain_first_cover(matrix, rhs, lo, hi)
+            assert solver._first_cover(matrix, rhs, lo, hi) == want, (matrix, rhs, lo, hi)
+            seen |= {("lo = hi", lo == hi), ("lo > hi", lo > hi), ("cols < lo", cols < lo),
+                     ("cover", want[0] is not None)}
+        assert all((case, True) in seen for case in ("lo = hi", "lo > hi", "cols < lo", "cover"))
+        assert ("cover", False) in seen
+
+    def test_the_check_moves_no_answer(self, monkeypatch):
+        cases = [(g, variant, k) for g in random_graph_corpus() for variant in Variant
+                 for k in range(1, min(variant_kappa(g, variant)[0] or 0, 4) + 1)]
+        checked = [solve_bnb(*case) for case in cases]
+        monkeypatch.setattr(solver, "_COMPLETIONS", 0)
+        plain = [solve_bnb(*case) for case in cases]
+        assert sum(res.stats["prunes"]["exhaustive"] for res in checked) > 0
+        assert sum(res.stats["prunes"]["exhaustive"] for res in plain) == 0
+        for case, a, b in zip(cases, checked, plain):
+            assert (a.value, a.basis) == (b.value, b.basis), case
+
+    def test_no_array_reaches_64_kib_at_the_gates_largest_nodes(self, monkeypatch):
+        """No array of a node check reaches 64 KiB: not at the largest node
+        a search checks (within 2 % of the gate's bound), nor at nodes built
+        at the gate's bounds, whose every subset passes the tight row and
+        none covers (the most subsets, survivors per gather, entries or
+        rows that the gate admits)."""
+        checks, first_cover = [], solver._first_cover
+
+        def recording(clipped, res, lo, hi):
+            rows, cols = clipped.shape
+            checks.append((rows * subsets(cols, lo, hi), clipped.copy(), res.copy(), lo, hi))
+            return first_cover(clipped, res, lo, hi)
+
+        monkeypatch.setattr(solver, "_first_cover", recording)
+        g = random_connected_graph(random.Random(7), 20)
+        for k in range(1, 5):
+            solve_bnb(g, k=k)
+        work, *largest = max(checks, key=lambda check: check[0])
+        assert 0.98 * solver._COMPLETIONS < work < solver._COMPLETIONS
+        nodes = [tuple(largest)]
+        for rows, cols, lo, hi in [(1, 24, 4, 5), (64, 12, 3, 5), (511, 16, 15, 15),
+                                   (4095, 2, 1, 1)]:
+            assert solver._few_completions(rows, cols, lo, hi)
+            assert not solver._few_completions(rows, cols + 1, lo, hi + 1)
+            # ones everywhere but the last row, which no subset up to hi covers
+            clipped = np.ones((rows, cols), dtype=np.int8)
+            res = np.full(rows, lo, dtype=np.int64)
+            clipped[-1], res[-1] = cols + 2, (cols + 2) * hi + 1
+            nodes.append((clipped, res, lo, hi))
+            assert first_cover(clipped, res, lo, hi) == (None, subsets(cols, lo, hi))
+        # one subset's int64 row sums must fit a block, however few columns
+        assert not solver._few_completions(solver._BRUTE_BLOCK + 1, 1, 1, 1)
+        for node in nodes:
+            assert max(array_sizes(first_cover, *node)) < 64 * 1024
+
+
+def subsets(cols: int, lo: int, hi: int) -> int:
+    return sum(math.comb(cols, s) for s in range(lo, min(hi, cols) + 1))
+
+
+def array_sizes(first_cover, *args) -> list[int]:
+    """Per line of the kernel (``_first_cover``, ``_subsets_at``) the
+    largest numpy block that tracemalloc holds for it, and the gather's
+    temporaries (the survivors' columns and their int64 row sums), made
+    within one line, sized from its locals. The kernel's other temporaries
+    are no larger than a block it holds: a block's tight-row entries and
+    sums, its ranks, the comparisons."""
+    sizes = []
+    codes = {first_cover.__code__, solver._subsets_at.__code__}
+    numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+
+    def line(frame, event, arg):
+        traces = tracemalloc.take_snapshot().filter_traces(numpy_only).traces
+        sizes.append(max((trace.size for trace in traces), default=0))
+        names = frame.f_locals
+        if "part" in names:
+            survivors, rows = len(names["part"]), names["columns"].shape[1]
+            sizes.append(survivors * rows * names["block"].shape[1] * names["columns"].itemsize)
+            sizes.append(survivors * rows * 8)
+        return line
+
+    solver._lex_steps.cache_clear()
+    tracemalloc.start()
+    sys.settrace(lambda frame, event, arg: line if frame.f_code in codes else None)
+    try:
+        first_cover(*args)
+    finally:
+        sys.settrace(None)
+        tracemalloc.stop()
+    return sizes
 
 
 def _random_graphs(max_n: int = 9):
@@ -937,12 +1082,32 @@ def _random_graphs(max_n: int = 9):
 @settings(max_examples=40, deadline=None)
 @given(g=_random_graphs(), data=st.data())
 def test_bnb_root_bound_and_value_against_brute(g, data):
-    for variant in Variant:
-        kappa, _ = variant_kappa(g, variant)
-        if kappa is None:
-            continue
-        k = data.draw(st.integers(1, kappa), label=variant.value)
-        optimum = solve_bruteforce(g, variant, k).value
-        res = solve_bnb(g, variant, k)
-        assert res.stats["root_bound"] <= optimum
-        assert res.value == optimum
+    # node checks, each with the number of bounds computed before it: the
+    # root ran the check when the first one follows the root's bounds
+    bounds, checks = [], []
+    lower_bounds, first_cover = solver._lower_bounds, solver._first_cover
+
+    def recording_bounds(clipped, res):
+        bounds.append(lower_bounds(clipped, res))
+        return bounds[-1]
+
+    def recording_cover(clipped, res, lo, hi):
+        checks.append(len(bounds))
+        return first_cover(clipped, res, lo, hi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_lower_bounds", recording_bounds)
+        mp.setattr(solver, "_first_cover", recording_cover)
+        for variant in Variant:
+            kappa, _ = variant_kappa(g, variant)
+            if kappa is None:
+                continue
+            k = data.draw(st.integers(1, kappa), label=variant.value)
+            optimum = solve_bruteforce(g, variant, k).value
+            bounds.clear()
+            checks.clear()
+            res = solve_bnb(g, variant, k)
+            assert res.stats["root_bound"] <= optimum
+            assert res.value == optimum
+            if checks[:1] == [1]:
+                assert res.stats["root_bound"] == optimum
