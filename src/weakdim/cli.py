@@ -77,7 +77,7 @@ def _load_graph(args) -> tuple[Graph, dict]:
     return g, block
 
 
-def _parse_k_spec(text: str) -> tuple[int, int, bool]:
+def _parse_k_spec(text: str) -> tuple[int, int]:
     m = _K_RANGE.match(text.strip())
     if not m:
         raise ParameterOutOfRange(f"bad k specification {text!r}; use K or A..B")
@@ -85,7 +85,7 @@ def _parse_k_spec(text: str) -> tuple[int, int, bool]:
     hi = int(m.group(2)) if m.group(2) else lo
     if lo < 1 or hi < lo:
         raise ParameterOutOfRange(f"bad k range {text!r}")
-    return lo, hi, m.group(2) is not None
+    return lo, hi
 
 
 def _item_json(item):
@@ -181,7 +181,7 @@ def cmd_wdim(args) -> int:
     clock, g, input_block, _ = _load_timed(args)
     phases = clock[1]
     variant = Variant(args.variant)
-    lo, hi, is_range = _parse_k_spec(args.k)
+    lo, hi = _parse_k_spec(args.k)
     warnings = []
     with timed(phases, "kappa"):
         kv, witness = variant_kappa(g, variant)
@@ -190,11 +190,12 @@ def cmd_wdim(args) -> int:
             "kappa for the edge/mixed variants extends the vertex-pair "
             "definition by analogy (minimum item-pair difference total)"
         )
-    if kv is not None and hi > kv:
-        if not is_range or lo > kv:
-            raise KaboveKappa(hi if not is_range else lo, kv, witness)
-        warnings.append(f"k range clipped at kappa={kv} for variant={variant.value}")
-        hi = kv
+    check_k(lo, kv, witness)
+    # with no item pairs every k has the answer of the first one
+    top, at = (lo, f"k={lo}: no item pairs") if kv is None else (kv, f"kappa={kv}")
+    if hi > top:
+        warnings.append(f"k range clipped at {at} for variant={variant.value}")
+        hi = top
     ks = range(lo, hi + 1)
     solved = []
     for k in ks:

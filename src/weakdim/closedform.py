@@ -1,10 +1,10 @@
 """Closed-form kappa and weak k-metric dimension values for solved families.
 
-Covered: paths, cycles (n >= 5 for dimension values), stars (n >= 5),
-complete and complete-bipartite graphs, trees on n >= 2 vertices (via thread
-decomposition), and grids. Boundary parameters the formulas exclude
-(star on 4 vertices, cycles on 3 or 4, one-sided complete bipartite)
-raise ``FormulaNotCovered`` and are expected to be solver-routed.
+Covered: paths, cycles, stars, complete and complete-bipartite graphs,
+trees on n >= 2 vertices (via thread decomposition), and grids. An
+instance outside its own formula's hypotheses takes the family covering
+the same graph: C3 is K3, C4 the 2x2 grid, S2 and S3 paths, S4 the
+spider 1,1,1, a one-sided complete bipartite graph a star.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FormulaNotCovered, NotATree, ParameterOutOfRange, check_k
-from .families import FamilySpec, star
+from .families import FamilySpec, complete, grid, path, spider, star
 from .graph import Graph
 from .trees import TreeShape, decompose_tree, root_basis_size, spider3_basis, tree_basis
 
@@ -61,13 +61,39 @@ def _tree_kappa(shape: TreeShape) -> KappaFormula:
     )
 
 
+def _covering(obj: FamilySpec | Graph) -> FamilySpec | TreeShape:
+    """The family that covers ``obj``, renaming until nothing changes;
+    for a graph, its thread decomposition where the tree constructions
+    apply: raw trees, spiders, and instances whose covering tree family
+    numbers the vertices differently (small stars, one-sided K_{q,r})."""
+    graph = obj if isinstance(obj, Graph) else None
+    spec = obj if graph is None else graph.family
+    while spec is not None:
+        kind, n = spec.kind, spec.n
+        if kind == "cycle" and n == 3:
+            spec = complete(3)
+        elif kind == "cycle" and n == 4:
+            spec = grid(2, 2)
+        elif kind == "star" and n <= 3:
+            spec = path(n)
+        elif kind == "star" and n == 4:
+            spec = spider(1, 1, 1)
+        elif kind == "complete_bipartite" and min(spec.q, spec.r) == 1:
+            spec = star(spec.q + spec.r)
+        else:
+            break
+    if graph is not None and (spec is None or spec.kind == "spider" or (
+        spec != graph.family and spec.kind in ("path", "star")
+    )):
+        return _shape_for(graph)
+    return spec
+
+
 def kappa_formula(obj: FamilySpec | Graph) -> KappaFormula:
     """Largest feasible threshold of a family instance or a tree."""
-    if isinstance(obj, Graph):
-        if obj.family is not None:
-            return kappa_formula(obj.family)
-        return _tree_kappa(_shape_for(obj))
-    spec = obj
+    spec = _covering(obj)
+    if isinstance(spec, TreeShape):
+        return _tree_kappa(spec)
     kind = spec.kind
     if kind == "path":
         return KappaFormula(spec.n, "any adjacent pair")
@@ -78,13 +104,9 @@ def kappa_formula(obj: FamilySpec | Graph) -> KappaFormula:
     if kind == "complete":
         return KappaFormula(2, "any pair (true twins)")
     if kind == "star":
-        if spec.n >= 4:
-            return KappaFormula(4, "two leaves (false twins)")
-        return KappaFormula(spec.n, "any adjacent pair")  # S_2, S_3 are paths
+        return KappaFormula(4, "two leaves (false twins)")
     if kind == "complete_bipartite":
-        if min(spec.q, spec.r) >= 2:
-            return KappaFormula(4, "two vertices of one part (false twins)")
-        return kappa_formula(star(spec.q + spec.r))  # K_{1,r} is a star
+        return KappaFormula(4, "two vertices of one part (false twins)")
     if kind == "spider":
         lengths = spec.lengths
         ks = 2 * (lengths[0] + lengths[1])
@@ -100,37 +122,23 @@ def kappa_formula(obj: FamilySpec | Graph) -> KappaFormula:
 
 
 def wdim_formula(obj: FamilySpec | Graph, k: int) -> int:
-    """Exact weak k-metric dimension by closed form; raises
-    ``FormulaNotCovered`` for the excluded boundary parameters."""
-    check_k(k)  # before kappa_formula, which may not cover the input
-    check_k(k, kappa_formula(obj).value)
-
-    if isinstance(obj, Graph):
-        if obj.family is not None:
-            return wdim_formula(obj.family, k)
-        return _tree_wdim(_shape_for(obj), k)
-
-    spec = obj
+    """Exact weak k-metric dimension by closed form."""
+    check_k(k)  # before the decomposition, which may not cover the input
+    spec = _covering(obj)
+    if isinstance(spec, TreeShape):
+        check_k(k, _tree_kappa(spec).value)
+        return _tree_wdim(spec, k)
+    check_k(k, kappa_formula(spec).value)
     kind = spec.kind
     if kind == "path":
         return k
     if kind == "cycle":
-        if spec.n <= 4:
-            raise FormulaNotCovered(f"cycle on {spec.n} vertices is solver-routed")
-        if k == 1:
-            return 2
-        return k + 1 if spec.n % 2 == 1 else k
+        return 2 if k == 1 else k + spec.n % 2  # one more on odd cycles
     if kind == "complete":
         return spec.n - 1 if k == 1 else spec.n
     if kind == "star":
-        if spec.n == 4:
-            raise FormulaNotCovered("star on 4 vertices is solver-routed")
-        if spec.n <= 3:
-            return k  # a path
         return spec.n - 2 if k <= 2 else spec.n - 1
     if kind == "complete_bipartite":
-        if min(spec.q, spec.r) < 2:
-            raise FormulaNotCovered("one-sided complete bipartite is solver-routed")
         return spec.q + spec.r - 2 if k <= 2 else spec.q + spec.r
     if kind == "spider":
         lengths = spec.lengths
@@ -190,40 +198,30 @@ def _path_order(g: Graph) -> list[int]:
 
 
 def formula_basis(g: Graph, k: int) -> tuple[int, ...]:
-    """A constructive basis matching ``wdim_formula`` for the same input,
-    sorted ascending like the engines' bases.
-
-    Used by the formula engine; callers re-verify before reporting.
-    Raises ``FormulaNotCovered`` where no construction is given (the
-    solver-routed boundary cases, and three-thread spiders at k=1).
-    """
-    wdim_formula(g, k)  # validates k range, raises FormulaNotCovered
-    spec = g.family
-    if spec is None or spec.kind == "spider":
-        shape = _shape_for(g)
-        if shape.is_path:
+    """A constructive basis of the size ``wdim_formula`` gives, sorted
+    ascending like the engines' bases: the tree constructions on the
+    graph's own labels, or the covering family's (whose bases for K3 and
+    the 2x2 grid hold in C3's and C4's numbering). Used by the formula
+    engine; callers re-verify before reporting. Raises
+    ``FormulaNotCovered`` for raw graphs that are not trees on n >= 2."""
+    check_k(k)
+    spec = _covering(g)
+    if isinstance(spec, TreeShape):
+        check_k(k, _tree_kappa(spec).value)
+        if spec.is_path:
             return tuple(sorted(_path_order(g)[:k]))
-        if shape.is_spider3:
-            if k == 1:
-                raise FormulaNotCovered(
-                    "three-thread spider at k=1 is solver-routed"
-                )
-            return spider3_basis(g, shape, k)
-        return tree_basis(g, shape, k)
+        if spec.is_spider3:
+            return spider3_basis(g, spec, k)
+        return tree_basis(g, spec, k)
+    check_k(k, kappa_formula(spec).value)
     kind = spec.kind
     if kind == "path":
         return tuple(range(k))
     if kind == "cycle":
-        if k == 1:
-            return (0, 1)
-        return tuple(range(k + 1)) if spec.n % 2 == 1 else tuple(range(k))
+        return tuple(range(2 if k == 1 else k + spec.n % 2))
     if kind == "complete":
         return tuple(range(spec.n - 1)) if k == 1 else tuple(range(spec.n))
     if kind == "star":
-        if spec.n == 2:
-            return tuple(range(k))
-        if spec.n == 3:
-            return tuple(sorted([1, 0, 2][:k]))  # path order around the center
         return tuple(range(1, spec.n - 1)) if k <= 2 else tuple(range(1, spec.n))
     if kind == "complete_bipartite":
         q, r = spec.q, spec.r

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import NotATree, ParameterOutOfRange, SameVertex, WrongTreeClass, check_k
+from .errors import NotATree, SameVertex, WrongTreeClass, check_k
 from .graph import Graph
 
 
@@ -143,17 +143,16 @@ def tree_basis(g: Graph, shape: TreeShape, k: int) -> tuple[int, ...]:
 
 
 def spider3_basis(g: Graph, shape: TreeShape, k: int) -> tuple[int, ...]:
-    """Basis of a three-thread spider for 2 <= k <= kappa: the first k
+    """Basis of a three-thread spider for k <= kappa: at k = 1 the tips
+    of the two shortest threads (a metric basis), else the first k
     vertices in round-robin order over the threads (root last)."""
     if not shape.is_spider3:
         raise WrongTreeClass("graph is not a spider with exactly three threads")
     check_k(k, min(shape.n, shape.kappa_star))
-    if k == 1:
-        raise ParameterOutOfRange(
-            "k=1 needs a classical basis of size 2; use the exact solver"
-        )
     root = shape.roots[0]
     threads = shape.threads[root]
+    if k == 1:
+        return tuple(sorted((threads[0].tip, threads[1].tip)))
     order: list[int] = []
     for depth in range(max(t.length for t in threads)):
         for t in threads:

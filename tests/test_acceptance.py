@@ -18,7 +18,6 @@ from conftest import (
 )
 
 from weakdim import (
-    FormulaNotCovered,
     KappaClass,
     Variant,
     complete,
@@ -100,21 +99,11 @@ def test_criterion_2_wdim_formulas_vs_bruteforce():
             continue
         kappa = kappa_formula(spec).value
         for k in range(1, kappa + 1):
+            # cycles on 3 and 4 vertices and the 4-star take their covering
+            # family's formula (K3, the 2x2 grid, the spider 1,1,1)
             oracle = solve_bruteforce(g, k=k).value
-            try:
-                assert wdim_formula(spec, k) == oracle, (spec.label(), k)
-                checked += 1
-            except FormulaNotCovered:
-                # solver-routed boundaries; cross-check via covering families
-                if spec.kind == "cycle" and spec.n == 3:
-                    assert wdim_formula(complete(3), k) == oracle
-                elif spec.kind == "cycle" and spec.n == 4:
-                    assert wdim_formula(grid(2, 2), k) == oracle
-                elif spec.kind == "star" and spec.n == 4:
-                    assert wdim_formula(spider(1, 1, 1), k) == oracle
-                else:
-                    raise
-                checked += 1
+            assert wdim_formula(spec, k) == oracle, (spec.label(), k)
+            checked += 1
     for g in random_tree_corpus(count=20, max_n=14):
         if g.n > 12:
             continue
@@ -151,9 +140,7 @@ def test_criterion_3_constructive_bases():
         kappa = min(g.n, shape.kappa_star)
         for k in range(1, kappa + 1):
             if shape.is_spider3:
-                if k == 1:
-                    continue  # no construction at k=1; solver-routed
-                basis = spider3_basis(g, shape, k)
+                basis = spider3_basis(g, shape, k)  # two thread tips at k=1
             else:
                 basis = tree_basis(g, shape, k)
             assert verify_weak_k_resolving(g, basis, k).ok

@@ -149,6 +149,18 @@ class TestWdimCommand:
         assert len(report["results"]) == 4  # kappa(C5) = 4
         assert any("clipped" in w for w in report["warnings"])
 
+    def test_range_without_item_pairs_clipped_at_its_first_k(self, capsys):
+        # path:2 has one edge, so the edge variant has no pair to bound k
+        report = run_json(capsys, "wdim", "--family", "path:2", "--variant", "edge",
+                          "--k", "2..100000000")
+        assert [(r["k"], r["value"]) for r in report["results"]] == [(2, 0)]
+        assert report["warnings"][-1] == "k range clipped at k=2: no item pairs for variant=edge"
+
+    def test_range_above_kappa_exit_3(self, capsys):
+        code, out, err = run_cli(capsys, "wdim", "--family", "cycle:5", "--k", "6..9")
+        assert (code, out) == (3, "")
+        assert err == "error: k=6 infeasible: kappa=4 (witness pair (0, 1))\n"
+
     def test_timing_phases(self, capsys):
         argv = ["wdim", "--family", "grid:4x4", "--k", "1..4", "--engine", "bnb"]
         stats = run_json(capsys, *argv, "--timing")["stats"]
@@ -513,9 +525,10 @@ class TestAutoRouting:
         assert auto["results"] == formula["results"]
 
     def test_three_thread_spider_file(self, capsys, tmp_path):
+        # k = 1 takes the formula too (two thread tips), no longer bnb
         f = write_graph(tmp_path, "spider.txt", generate(spider(1, 2, 5)))
         rows = sweep(capsys, f, "auto")["results"]
-        assert [r["provenance"] for r in rows] == ["bnb"] + ["formula"] * (len(rows) - 1)
+        assert {r["provenance"] for r in rows} == {"formula"}
         bnb = sweep(capsys, f, "bnb")["results"]
         assert [r["value"] for r in rows] == [r["value"] for r in bnb]
 
@@ -525,15 +538,19 @@ class TestAutoRouting:
         assert {r["provenance"] for r in rows} == {"bnb"}
 
     def test_one_vertex_file(self, capsys, tmp_path):
+        """One vertex has no pairs, so no kappa bounds a k range: the range
+        is clipped at its first k, whose row (value 0) answers every k."""
         f = tmp_path / "one.txt"
         f.write_text("1 0\n")
         code, _, err = run_cli(
             capsys, "wdim", "--file", str(f), "--k", "1..3", "--engine", "formula"
         )
         assert code == 2 and "n >= 2" in err
-        rows = run_json(capsys, "wdim", "--file", str(f), "--k", "1..3")["results"]
-        assert [(r["k"], r["value"], r["provenance"]) for r in rows] == [
-            (1, 0, "bnb"), (2, 0, "bnb"), (3, 0, "bnb"),
+        report = run_json(capsys, "wdim", "--file", str(f), "--k", "1..3")
+        rows = report["results"]
+        assert [(r["k"], r["value"], r["provenance"]) for r in rows] == [(1, 0, "bnb")]
+        assert report["warnings"] == [
+            "k range clipped at k=1: no item pairs for variant=vertex"
         ]
         for variant in ("edge", "mixed"):
             rows = run_json(capsys, "wdim", "--file", str(f), "--k", "1",

@@ -1,4 +1,4 @@
-"""Closed-form values, boundary routing, and the grid border machinery."""
+"""Closed-form values, covering families, and the grid border machinery."""
 
 import pytest
 
@@ -13,13 +13,13 @@ from weakdim import (
     complete_bipartite,
     compute_kappa,
     cycle,
-    decompose_tree,
     formula_basis,
     generate,
     grid,
     grid_basis,
     grid_border_labeling,
     kappa_formula,
+    parse_family,
     path,
     solve_bruteforce,
     spider,
@@ -27,6 +27,15 @@ from weakdim import (
     verify_set,
     verify_weak_k_resolving,
     wdim_formula,
+)
+
+# one-sided complete bipartite graphs, small stars and cycles, and
+# three-thread spiders (whose k = 1 basis is two thread tips)
+BOUNDARY = (
+    ["cycle:3", "cycle:4", "star:2", "star:3", "star:4"]
+    + [f"kqr:1,{r}" for r in range(1, 7)]
+    + [f"kqr:{q},1" for q in range(2, 7)]
+    + ["spider:1,1,1", "spider:1,2,3", "spider:2,2,2", "spider:1,1,5"]
 )
 
 
@@ -71,10 +80,19 @@ class TestWdimFormula:
         assert wdim_formula(complete(6), 1) == 5
         assert wdim_formula(complete(6), 2) == 6
 
-    def test_solver_routed_boundaries(self):
-        for spec in [star(4), cycle(3), cycle(4), complete_bipartite(1, 3)]:
-            with pytest.raises(FormulaNotCovered):
-                wdim_formula(spec, 1)
+    @pytest.mark.parametrize("label", BOUNDARY)
+    def test_boundary_instance_takes_covering_family(self, label):
+        # instances outside their own formula's hypotheses are renamed to
+        # the family that covers the same graph, so no k is left to a solver
+        g = generate(parse_family(label))
+        kappa = kappa_formula(g).value
+        assert kappa == compute_kappa(g).kappa
+        for k in range(1, kappa + 1):
+            value = wdim_formula(g, k)
+            assert value == solve_bruteforce(g, k=k).value, k
+            basis = formula_basis(g, k)
+            assert len(basis) == value, k
+            assert verify_weak_k_resolving(g, basis, k).ok, k
 
     def test_square_cycle_matches_grid_route(self):
         # wdim(C4) frozen from exhaustive search: (2, 2, 4, 4); the 2x2
@@ -171,11 +189,7 @@ class TestFormulaBasis:
             g = generate(spec)
             kappa = kappa_formula(spec).value
             for k in range(1, kappa + 1):
-                try:
-                    basis = formula_basis(g, k)
-                except FormulaNotCovered:
-                    assert spec.kind == "spider" and k == 1
-                    continue
+                basis = formula_basis(g, k)
                 assert len(basis) == wdim_formula(spec, k)
                 assert verify_set(g, Variant.VERTEX, basis, k).ok
 
@@ -183,11 +197,7 @@ class TestFormulaBasis:
         for g in random_tree_corpus(count=8, max_n=12, seed=1333):
             kappa = kappa_formula(g).value
             for k in range(1, kappa + 1):
-                try:
-                    basis = formula_basis(g, k)
-                except FormulaNotCovered:
-                    assert decompose_tree(g).is_spider3 and k == 1
-                    continue
+                basis = formula_basis(g, k)
                 assert len(basis) == wdim_formula(g, k)
                 assert verify_weak_k_resolving(g, basis, k).ok
 

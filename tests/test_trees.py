@@ -15,7 +15,6 @@ from conftest import (
 from weakdim import (
     KaboveKappa,
     NotATree,
-    ParameterOutOfRange,
     SameVertex,
     WrongTreeClass,
     build_graph,
@@ -152,10 +151,13 @@ class TestSpider3Basis:
                 assert len(basis) == k
                 assert verify_weak_k_resolving(g, basis, k).ok
 
-    def test_k1_routed_to_solver(self):
+    def test_k1_two_shortest_thread_tips(self):
+        # k = 1 is the classical metric dimension 2, met by any two tips;
+        # this construction used to raise and leave k = 1 to the solver
         g = generate(spider(1, 2, 5))
-        with pytest.raises(ParameterOutOfRange):
-            spider3_basis(g, decompose_tree(g), 1)
+        basis = spider3_basis(g, decompose_tree(g), 1)
+        assert basis == (1, 3)  # tips of the threads of lengths 1 and 2
+        assert verify_weak_k_resolving(g, basis, 1).ok
 
     def test_range_and_class_errors(self):
         g = generate(spider(1, 2, 5))
@@ -182,7 +184,7 @@ class TestExhaustiveSmallTrees:
             for k in range(1, kappa + 1):
                 oracle = solve_bruteforce(g, k=k)
                 assert wdim_formula(g, k) == oracle.value, (seq, k)
-                if shape.is_path or (shape.is_spider3 and k == 1):
+                if shape.is_path:
                     continue
                 basis = (
                     spider3_basis(g, shape, k)
