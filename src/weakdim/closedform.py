@@ -1,10 +1,12 @@
 """Closed-form kappa and weak k-metric dimension values for solved families.
 
 Covered: paths, cycles, stars, complete and complete-bipartite graphs,
-trees on n >= 2 vertices (via thread decomposition), and grids. An
-instance outside its own formula's hypotheses takes the family covering
-the same graph: C3 is K3, C4 the 2x2 grid, S2 and S3 paths, S4 the
-spider 1,1,1, a one-sided complete bipartite graph a star.
+trees on n >= 2 vertices (via thread decomposition), and grids. Spiders,
+as specs or as graphs, are always answered through their thread
+decomposition, as the one-root case of the tree formulas. An instance
+outside its own formula's hypotheses takes the family covering the same
+graph: C3 is K3, C4 the 2x2 grid, S2 and S3 paths, S4 the spider 1,1,1,
+a one-sided complete bipartite graph a star.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FormulaNotCovered, NotATree, ParameterOutOfRange, check_k
-from .families import FamilySpec, complete, grid, path, spider, star
+from .families import FamilySpec, complete, generate, grid, grid_vertex_id, path, spider, star
 from .graph import Graph
 from .trees import TreeShape, decompose_tree, root_basis_size, spider3_basis, tree_basis
 
@@ -49,23 +51,24 @@ def _shape_for(g: Graph) -> TreeShape:
 
 
 def _tree_kappa(shape: TreeShape) -> KappaFormula:
-    if shape.is_path or shape.n < shape.kappa_star:
-        return KappaFormula(shape.n, "any adjacent pair")
+    if shape.is_path or shape.kappa < shape.kappa_star:
+        return KappaFormula(shape.kappa, "any adjacent pair")
     v = min(
         shape.roots,
         key=lambda u: 2 * (shape.threads[u][0].length + shape.threads[u][1].length),
     )
     return KappaFormula(
-        shape.kappa_star,
+        shape.kappa,
         f"neighbors of root {v} on its two shortest threads",
     )
 
 
 def _covering(obj: FamilySpec | Graph) -> FamilySpec | TreeShape:
-    """The family that covers ``obj``, renaming until nothing changes;
-    for a graph, its thread decomposition where the tree constructions
-    apply: raw trees, spiders, and instances whose covering tree family
-    numbers the vertices differently (small stars, one-sided K_{q,r})."""
+    """The family that covers ``obj``, renaming until nothing changes; the
+    thread decomposition where the tree constructions apply: every spider
+    (a spec through the graph it generates), and for a graph, raw trees
+    and instances whose covering tree family numbers the vertices
+    differently (small stars, one-sided K_{q,r})."""
     graph = obj if isinstance(obj, Graph) else None
     spec = obj if graph is None else graph.family
     while spec is not None:
@@ -82,7 +85,9 @@ def _covering(obj: FamilySpec | Graph) -> FamilySpec | TreeShape:
             spec = star(spec.q + spec.r)
         else:
             break
-    if graph is not None and (spec is None or spec.kind == "spider" or (
+    if spec is not None and spec.kind == "spider":
+        return decompose_tree(graph or generate(spec))
+    if graph is not None and (spec is None or (
         spec != graph.family and spec.kind in ("path", "star")
     )):
         return _shape_for(graph)
@@ -107,13 +112,6 @@ def kappa_formula(obj: FamilySpec | Graph) -> KappaFormula:
         return KappaFormula(4, "two leaves (false twins)")
     if kind == "complete_bipartite":
         return KappaFormula(4, "two vertices of one part (false twins)")
-    if kind == "spider":
-        lengths = spec.lengths
-        ks = 2 * (lengths[0] + lengths[1])
-        n = spec.vertex_count()
-        if len(lengths) == 3 and n < ks:
-            return KappaFormula(n, "any adjacent pair")
-        return KappaFormula(ks, "neighbors of the root on its two shortest threads")
     # grid
     return KappaFormula(
         2 * spec.q + 2 * spec.r - 4,
@@ -126,7 +124,7 @@ def wdim_formula(obj: FamilySpec | Graph, k: int) -> int:
     check_k(k)  # before the decomposition, which may not cover the input
     spec = _covering(obj)
     if isinstance(spec, TreeShape):
-        check_k(k, _tree_kappa(spec).value)
+        check_k(k, spec.kappa)
         return _tree_wdim(spec, k)
     check_k(k, kappa_formula(spec).value)
     kind = spec.kind
@@ -140,11 +138,6 @@ def wdim_formula(obj: FamilySpec | Graph, k: int) -> int:
         return spec.n - 2 if k <= 2 else spec.n - 1
     if kind == "complete_bipartite":
         return spec.q + spec.r - 2 if k <= 2 else spec.q + spec.r
-    if kind == "spider":
-        lengths = spec.lengths
-        if len(lengths) == 3:
-            return 2 if k == 1 else k
-        return root_basis_size(len(lengths), lengths[0], k)
     # grid
     return k if k % 2 == 0 else k + 1
 
@@ -170,8 +163,8 @@ def grid_border_labeling(q: int, r: int) -> GridBorderLabeling:
     for j in range(2, r):
         positions.append((1, j))
         positions.append((q, j))
-    order = tuple((i - 1) * r + (j - 1) for i, j in positions)
-    return GridBorderLabeling(q, r, order)
+    spec = grid(q, r)
+    return GridBorderLabeling(q, r, tuple(grid_vertex_id(spec, i, j) for i, j in positions))
 
 
 def grid_basis(q: int, r: int, k: int) -> tuple[int, ...]:
@@ -207,7 +200,7 @@ def formula_basis(g: Graph, k: int) -> tuple[int, ...]:
     check_k(k)
     spec = _covering(g)
     if isinstance(spec, TreeShape):
-        check_k(k, _tree_kappa(spec).value)
+        check_k(k, spec.kappa)
         if spec.is_path:
             return tuple(sorted(_path_order(g)[:k]))
         if spec.is_spider3:

@@ -65,15 +65,6 @@ class FamilySpec:
                     "spider thread lengths must be sorted ascending"
                 )
 
-    def vertex_count(self) -> int:
-        if self.kind in ("path", "cycle", "star", "complete"):
-            return self.n
-        if self.kind == "complete_bipartite":
-            return self.q + self.r
-        if self.kind == "spider":
-            return 1 + sum(self.lengths)
-        return self.q * self.r
-
     def label(self) -> str:
         """Canonical one-line string (the CLI family grammar)."""
         if self.kind in ("path", "cycle", "star", "complete"):

@@ -94,13 +94,13 @@ def _apsp_bytes(n: int, m: int, ecc0: int, itemsize: int, bit_parallel: bool) ->
     or the matrix, one row block of an unpacked bit-plane (a reordered
     packed copy, uint8 bits and their shifted copy), the n * n / 8-byte
     bitsets (four working, one per bit of the diameter <= 2 * ecc0) and the
-    neighbor index arrays (<= 4 x 2m)."""
+    neighbor index arrays (<= 2 x 2m)."""
     if not bit_parallel:
         return n * n * itemsize + n * 40
     bitset = n * ((n + 63) // 64) * 8
     block = max(_UNPACK_BLOCK, n) * (2 + itemsize)
     return (n * n * itemsize + block + bitset * (4 + (2 * ecc0).bit_length())
-            + 4 * 2 * m * np.dtype(np.intp).itemsize)
+            + 2 * 2 * m * np.dtype(np.intp).itemsize)
 
 
 def _all_sources_bfs(adjacency: tuple[tuple[int, ...], ...], dtype) -> np.ndarray:
@@ -111,8 +111,11 @@ def _all_sources_bfs(adjacency: tuple[tuple[int, ...], ...], dtype) -> np.ndarra
     masks out what was seen: the heaviest rows reduce all their neighbors
     in one call each, the others take one neighbor column per call (rows
     with more than j neighbors are a prefix of them), with the split that
-    makes the fewest calls. Level numbers are kept as bit-planes and
-    unpacked at the end, about ``_UNPACK_BLOCK`` entries at a time.
+    makes the fewest calls. Both read the degree-sorted adjacency ``flat``
+    in place from the row starts (light column j is ``flat[starts[rows] +
+    j]``), so at most two neighbor index arrays of 2m entries live at once.
+    Level numbers are kept as bit-planes and unpacked at the end, about
+    ``_UNPACK_BLOCK`` entries at a time.
     """
     n = len(adjacency)
     degree = np.fromiter(map(len, adjacency), dtype=np.intp, count=n)
@@ -122,16 +125,13 @@ def _all_sources_bfs(adjacency: tuple[tuple[int, ...], ...], dtype) -> np.ndarra
     pos[order] = np.arange(n)
     flat = pos[np.fromiter(chain.from_iterable(adjacency[v] for v in order.tolist()),
                            dtype=np.intp, count=int(deg.sum()))]
-    ends = np.cumsum(deg)
+    starts = np.cumsum(deg) - deg
     heavy = int(np.argmin(np.arange(n + 1) + np.append(deg, 0)))
-    split = int(ends[heavy - 1]) if heavy else 0
-    heavy_nbrs = np.split(flat[:split], ends[:heavy - 1]) if heavy else []
+    heavy_nbrs = [flat[s:s + d] for s, d in zip(starts[:heavy].tolist(), deg[:heavy].tolist())]
     # light rows: neighbor j of every light row with more than j neighbors
-    light, light_deg = flat[split:], deg[heavy:]
-    rank = np.arange(len(light)) - np.repeat(np.cumsum(light_deg) - light_deg, light_deg)
-    light = light[np.argsort(rank, kind="stable")]
+    light_deg = deg[heavy:]
     widths = np.searchsorted(-light_deg, -np.arange(light_deg.max(initial=0)), side="left")
-    columns = np.split(light, np.cumsum(widths)[:-1]) if len(widths) else []
+    columns = [flat[starts[heavy:heavy + w] + j] for j, w in enumerate(widths.tolist())]
 
     words = (n + 63) // 64
     frontier = np.zeros((n, words), dtype=np.uint64)

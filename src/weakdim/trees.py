@@ -4,9 +4,9 @@ A thread is a pendant path hanging at a vertex of degree >= 3: its
 interior vertices have degree 2 and its tip is a leaf. Vertices with at
 least two threads are root vertices. The quantity
 ``kappa_star = min over roots of 2*(l1 + l2)`` (two shortest thread
-lengths) controls the largest feasible threshold on a tree: it equals
-min(n, kappa_star) for non-path trees, and the minimum is below n only
-for spiders with exactly three threads.
+lengths) controls the largest feasible threshold on a tree, which
+``TreeShape.kappa`` gives: n on a path, else min(n, kappa_star), where
+the minimum is below n only for spiders with exactly three threads.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ class TreeShape:
 
     ``threads[v]`` is sorted by (length, tip id), so threads[v][0] is a
     shortest thread at v. ``kappa_star`` is None exactly for paths.
+    Spiders, generated or read from a file, are the one-root case.
     """
 
     n: int
@@ -51,6 +52,11 @@ class TreeShape:
 
     def thread_lengths(self, root: int) -> tuple[int, ...]:
         return tuple(t.length for t in self.threads[root])
+
+    @property
+    def kappa(self) -> int:
+        """Largest feasible threshold: n on a path, else min(n, kappa_star)."""
+        return self.n if self.is_path else min(self.n, self.kappa_star)
 
 
 def decompose_tree(g: Graph) -> TreeShape:
@@ -135,7 +141,7 @@ def tree_basis(g: Graph, shape: TreeShape, k: int) -> tuple[int, ...]:
     nor a three-thread spider: the union of per-root slices."""
     if shape.is_path or shape.is_spider3:
         raise WrongTreeClass("construction needs a tree with >= 4 thread-pairs structure")
-    check_k(k, shape.kappa_star)
+    check_k(k, shape.kappa)
     picked: list[int] = []
     for v in shape.roots:
         picked.extend(_root_slice(shape.threads[v], k))
@@ -148,7 +154,7 @@ def spider3_basis(g: Graph, shape: TreeShape, k: int) -> tuple[int, ...]:
     vertices in round-robin order over the threads (root last)."""
     if not shape.is_spider3:
         raise WrongTreeClass("graph is not a spider with exactly three threads")
-    check_k(k, min(shape.n, shape.kappa_star))
+    check_k(k, shape.kappa)
     root = shape.roots[0]
     threads = shape.threads[root]
     if k == 1:

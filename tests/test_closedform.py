@@ -1,5 +1,7 @@
 """Closed-form values, covering families, and the grid border machinery."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 
 from conftest import random_tree_corpus
@@ -29,13 +31,17 @@ from weakdim import (
     wdim_formula,
 )
 
-# one-sided complete bipartite graphs, small stars and cycles, and
-# three-thread spiders (whose k = 1 basis is two thread tips)
+# one-sided complete bipartite graphs, small stars and cycles,
+# three-thread spiders (whose k = 1 basis is two thread tips), and every
+# spider with 3 or 4 threads of lengths 1..3, which specs and graphs
+# alike answer through the thread decomposition
 BOUNDARY = (
     ["cycle:3", "cycle:4", "star:2", "star:3", "star:4"]
     + [f"kqr:1,{r}" for r in range(1, 7)]
     + [f"kqr:{q},1" for q in range(2, 7)]
-    + ["spider:1,1,1", "spider:1,2,3", "spider:2,2,2", "spider:1,1,5"]
+    + ["spider:1,1,5"]
+    + ["spider:" + ",".join(map(str, lengths))
+       for threads in (3, 4) for lengths in combinations_with_replacement(range(1, 4), threads)]
 )
 
 
@@ -83,13 +89,15 @@ class TestWdimFormula:
     @pytest.mark.parametrize("label", BOUNDARY)
     def test_boundary_instance_takes_covering_family(self, label):
         # instances outside their own formula's hypotheses are renamed to
-        # the family that covers the same graph, so no k is left to a solver
-        g = generate(parse_family(label))
+        # the family that covers the same graph, so no k is left to a
+        # solver; the spec and its graph take the same route
+        spec = parse_family(label)
+        g = generate(spec)
         kappa = kappa_formula(g).value
-        assert kappa == compute_kappa(g).kappa
+        assert kappa == kappa_formula(spec).value == compute_kappa(g).kappa
         for k in range(1, kappa + 1):
             value = wdim_formula(g, k)
-            assert value == solve_bruteforce(g, k=k).value, k
+            assert value == wdim_formula(spec, k) == solve_bruteforce(g, k=k).value, k
             basis = formula_basis(g, k)
             assert len(basis) == value, k
             assert verify_weak_k_resolving(g, basis, k).ok, k

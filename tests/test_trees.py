@@ -1,7 +1,7 @@
 """Thread decomposition, constructive tree bases, and the path-split oracle."""
 
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -18,6 +18,7 @@ from weakdim import (
     SameVertex,
     WrongTreeClass,
     build_graph,
+    compute_kappa,
     cycle,
     decompose_tree,
     delta_over_set,
@@ -54,6 +55,14 @@ class TestDecompose:
         assert shape.roots == (0, 1)
         assert shape.kappa_star == 4
         assert shape.thread_lengths(0) == (1, 1)
+
+    def test_kappa_matches_the_pair_scan(self):
+        graphs = random_tree_corpus() + [generate(path(n)) for n in range(2, 12)]
+        graphs += [generate(star(n)) for n in range(5, 12)]
+        graphs += [generate(spider(*lengths)) for threads in (3, 4, 5)
+                   for lengths in combinations_with_replacement(range(1, 4), threads)]
+        for g in graphs:
+            assert decompose_tree(g).kappa == compute_kappa(g).kappa, g
 
     def test_three_thread_spider_flag(self):
         assert decompose_tree(generate(spider(1, 2, 5))).is_spider3
