@@ -140,7 +140,7 @@ def cmd_kappa(args) -> int:
     clock, g, input_block, _ = _load_timed(args)
     with timed(clock[1], "classify"):
         twins = find_twins(g)
-    report = compute_kappa(g, workers=workers, twins=twins, phases=clock[1])
+    report = compute_kappa(g, workers=workers, phases=clock[1])
     row = {
         "kappa": report.kappa,
         "kappa_prime": report.kappa_prime,

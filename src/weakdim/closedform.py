@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import FormulaNotCovered, NotATree, ParameterOutOfRange, check_k
 from .families import FamilySpec, complete, generate, grid, grid_vertex_id, path, spider, star
 from .graph import Graph
-from .trees import TreeShape, decompose_tree, root_basis_size, spider3_basis, tree_basis
+from .trees import TreeShape, root_basis_size, spider3_basis, tree_basis
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,9 @@ def _shape_for(g: Graph) -> TreeShape:
     if g.n < 2:
         raise FormulaNotCovered("no closed form: a tree file needs n >= 2")
     try:
-        return decompose_tree(g)
+        return g.tree_shape
     except NotATree as exc:
-        raise FormulaNotCovered(
-            "no closed form: raw graph inputs must be trees"
-        ) from exc
+        raise FormulaNotCovered("no closed form: raw graph inputs must be trees") from exc
 
 
 def _tree_kappa(shape: TreeShape) -> KappaFormula:
@@ -86,7 +84,7 @@ def _covering(obj: FamilySpec | Graph) -> FamilySpec | TreeShape:
         else:
             break
     if spec is not None and spec.kind == "spider":
-        return decompose_tree(graph or generate(spec))
+        return (graph or generate(spec)).tree_shape
     if graph is not None and (spec is None or (
         spec != graph.family and spec.kind in ("path", "star")
     )):
@@ -176,20 +174,6 @@ def grid_basis(q: int, r: int, k: int) -> tuple[int, ...]:
     return tuple(sorted(labeling.order[:take]))
 
 
-def _path_order(g: Graph) -> list[int]:
-    """Vertices of a path-shaped tree walked endpoint to endpoint,
-    starting at the smaller-id leaf."""
-    start = min(v for v in range(g.n) if g.degree(v) == 1)
-    order = [start]
-    prev = None
-    cur = start
-    while len(order) < g.n:
-        nxt = next(w for w in g.adjacency[cur] if w != prev)
-        order.append(nxt)
-        prev, cur = cur, nxt
-    return order
-
-
 def formula_basis(g: Graph, k: int) -> tuple[int, ...]:
     """A constructive basis of the size ``wdim_formula`` gives, sorted
     ascending like the engines' bases: the tree constructions on the
@@ -200,12 +184,12 @@ def formula_basis(g: Graph, k: int) -> tuple[int, ...]:
     check_k(k)
     spec = _covering(g)
     if isinstance(spec, TreeShape):
-        check_k(k, spec.kappa)
-        if spec.is_path:
-            return tuple(sorted(_path_order(g)[:k]))
         if spec.is_spider3:
-            return spider3_basis(g, spec, k)
-        return tree_basis(g, spec, k)
+            return spider3_basis(g, k)
+        if spec.is_path:
+            check_k(k, spec.kappa)
+            return tuple(sorted(spec.order[:k]))
+        return tree_basis(g, k)
     check_k(k, kappa_formula(spec).value)
     kind = spec.kind
     if kind == "path":

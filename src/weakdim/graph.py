@@ -1,4 +1,4 @@
-"""Immutable simple connected graph with cached all-pairs BFS distances.
+"""Immutable simple connected graph with cached BFS distances and structure.
 
 Vertices are dense integer ids ``0..n-1``. The all-pairs shortest-path
 matrix is computed once and cached on the graph; everything downstream
@@ -16,8 +16,10 @@ connectivity check already found: long paths and cycles in the thousands
 stay on the list BFS, everything denser or shallower goes bit-parallel.
 
 Twins are grouped into classes by their closed (true twins) or open
-(false twins) neighborhoods; ``twin_summary`` gives the pair counts and
-the lex-first pair of each kind without listing every pair.
+(false twins) neighborhoods, built once per graph and cached like the
+matrix, as is a tree's thread decomposition (``trees.decompose_tree``);
+``twin_summary`` gives the pair counts and the lex-first pair of each
+kind without listing every pair.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .families import FamilySpec
+    from .trees import TreeShape
 
 
 # The largest estimated peak, in bytes, of the distance matrix and of the
@@ -181,10 +184,11 @@ class Graph:
     Construction rejects self-loops, duplicate edges, out-of-range
     endpoints and disconnected inputs. Neighbor lists are sorted tuples,
     so instances are safe to share across workers; the only internal
-    mutation is the one-shot distance-matrix cache.
+    mutations are three one-shot caches, one per structure: the distance
+    matrix, the twin classes and the tree shape.
     """
 
-    __slots__ = ("n", "adjacency", "edge_count", "family", "_dist", "_ecc0")
+    __slots__ = ("n", "adjacency", "edge_count", "family", "_dist", "_ecc0", "_twins", "_tree")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  family: "FamilySpec | None" = None):
@@ -208,7 +212,7 @@ class Graph:
         )
         self.edge_count = m
         self.family = family
-        self._dist: np.ndarray | None = None
+        self._dist = self._twins = self._tree = None  # filled on first use
         from_0 = self._bfs(0)
         if -1 in from_0:
             raise NotConnected("graph is not connected")
@@ -252,6 +256,23 @@ class Graph:
             self._dist = d
         return self._dist
 
+    @property
+    def twin_classes(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """(true, false) twin classes of ``_twin_classes``, built once and cached."""
+        if self._twins is None:
+            self._twins = _twin_classes(self)
+        return self._twins
+
+    @property
+    def tree_shape(self) -> "TreeShape":
+        """``trees.decompose_tree`` of the graph, built once and cached;
+        NotATree (not cached: the edge count settles it at once) otherwise."""
+        if self._tree is None:
+            from .trees import decompose_tree
+
+            self._tree = decompose_tree(self)
+        return self._tree
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -280,9 +301,10 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     return g.distance_matrix
 
 
-def _twin_classes(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
+def _twin_classes(g: Graph) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Classes of true twins (equal closed neighborhoods) and of false
-    twins (equal open ones) with at least two members, each ascending.
+    twins (equal open ones) with at least two members, each ascending;
+    read through the cached ``Graph.twin_classes``.
 
     A pair can never be both kinds, so no pair is in both lists' classes.
     """
@@ -293,8 +315,8 @@ def _twin_classes(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
         closed_groups.setdefault(closed, []).append(v)
         open_groups.setdefault(g.adjacency[v], []).append(v)
     return (
-        [grp for grp in closed_groups.values() if len(grp) > 1],
-        [grp for grp in open_groups.values() if len(grp) > 1],
+        tuple(tuple(grp) for grp in closed_groups.values() if len(grp) > 1),
+        tuple(tuple(grp) for grp in open_groups.values() if len(grp) > 1),
     )
 
 
@@ -304,7 +326,7 @@ def find_twins(g: Graph) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     A class of t twins has t(t - 1)/2 pairs; ``twin_summary`` gives their
     counts and the lex-first pairs without listing them.
     """
-    true_classes, false_classes = _twin_classes(g)
+    true_classes, false_classes = g.twin_classes
     return (
         sorted(pair for grp in true_classes for pair in combinations(grp, 2)),
         sorted(pair for grp in false_classes for pair in combinations(grp, 2)),
@@ -323,16 +345,9 @@ class TwinSummary(NamedTuple):
 def twin_summary(g: Graph) -> TwinSummary:
     """``find_twins`` reduced to what kappa needs, read off the classes:
     the lex-first pair of a kind is the first two members of one class."""
-    true_classes, false_classes = _twin_classes(g)
-
-    def count(classes):
-        return sum(len(grp) * (len(grp) - 1) // 2 for grp in classes)
-
-    def first(classes):
-        return min(((grp[0], grp[1]) for grp in classes), default=None)
-
-    return TwinSummary(count(true_classes), count(false_classes),
-                       first(true_classes), first(false_classes))
+    kinds = g.twin_classes
+    return TwinSummary(*(sum(len(grp) * (len(grp) - 1) // 2 for grp in kind) for kind in kinds),
+                       *(min((grp[:2] for grp in kind), default=None) for kind in kinds))
 
 
 def _strip_comment(line: str) -> str:

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import SameVertex, TrivialGraph, VertexOutOfRange
-from .graph import MAX_BYTES, Graph, TwinSummary, twin_summary
+from .graph import MAX_BYTES, Graph, twin_summary
 from .timing import timed
 
 
@@ -273,8 +273,8 @@ def weak3_structure_witness(g: Graph) -> tuple[int, int, int] | None:
     return None
 
 
-def _classify(g: Graph, kappa: int, twins: TwinSummary
-              ) -> tuple[KappaClass, tuple[int, ...] | None]:
+def _classify(g: Graph, kappa: int) -> tuple[KappaClass, tuple[int, ...] | None]:
+    twins = twin_summary(g)
     if kappa == 2 and twins.first_true:
         return KappaClass.TRUE_TWINS, twins.first_true
     if kappa == 3:
@@ -378,14 +378,13 @@ def _thin_pays(d: np.ndarray, criteria: int) -> bool:
 _SCAN_FLOOR = 1 << 23
 
 
-def _kappa_route(g: Graph, count: bool = False, workers: int = 1,
-                 twins: TwinSummary | None = None) -> tuple:
+def _kappa_route(g: Graph, count: bool = False, workers: int = 1) -> tuple:
     """``((kappa, pair), kappa')``: the lex-first minimizing pair of the sum
     (None with fewer than two vertices) and, with ``count``, kappa' (else
     None), by one of three routes, each with the values and witness of the
     dense scan.
 
-    Twins (``twins`` is ``twin_summary(g)``, made here if not given). The
+    Twins (``twin_summary`` of the graph's cached twin classes). The
     probes x and y each add d(x, y) to the sum of a pair, so the sum is
     at least 2 d(x, y), with equality exactly for true twins; and every
     pair has its two distinguishers x and y, with no others exactly for
@@ -416,7 +415,7 @@ def _kappa_route(g: Graph, count: bool = False, workers: int = 1,
     on the other two routes, run on one thread.
     """
     d, n = g.distance_matrix, g.n
-    twins = twin_summary(g) if twins is None else twins
+    twins = twin_summary(g)
     if twins.first_true:
         return (2, twins.first_true), 2 if count else None
     if twins.first_false:
@@ -432,23 +431,19 @@ def _kappa_route(g: Graph, count: bool = False, workers: int = 1,
     return hit, counted[0][0] if count else None
 
 
-def compute_kappa(g: Graph, workers: int = 1, twins: TwinSummary | None = None,
-                  phases: dict | None = None) -> KappaReport:
+def compute_kappa(g: Graph, workers: int = 1, phases: dict | None = None) -> KappaReport:
     """Exact kappa and kappa' with a minimizing pair and classification.
 
-    ``twins`` is ``twin_summary(g)`` when the caller already has it; with
-    a ``phases`` dict the route and the classification add their
-    milliseconds to ``phases["kappa"]`` and ``phases["classify"]``.
+    With a ``phases`` dict the route and the classification add their
+    milliseconds to ``phases["kappa"]`` and ``phases["classify"]``; both
+    read the graph's cached twin classes (built by the first reader).
     """
     if g.n < 2:
         raise TrivialGraph("kappa is undefined on a single vertex")
-    if twins is None:
-        with timed(phases, "classify"):
-            twins = twin_summary(g)
     with timed(phases, "kappa"):
-        (kappa, pair), kappa_prime = _kappa_route(g, count=True, workers=workers, twins=twins)
+        (kappa, pair), kappa_prime = _kappa_route(g, count=True, workers=workers)
     with timed(phases, "classify"):
-        classification, evidence = _classify(g, kappa, twins)
+        classification, evidence = _classify(g, kappa)
     return KappaReport(
         kappa=kappa,
         kappa_prime=kappa_prime,

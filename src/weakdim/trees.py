@@ -7,6 +7,12 @@ least two threads are root vertices. The quantity
 lengths) controls the largest feasible threshold on a tree, which
 ``TreeShape.kappa`` gives: n on a path, else min(n, kappa_star), where
 the minimum is below n only for spiders with exactly three threads.
+
+A graph's decomposition is built once, on first use, and cached as
+``Graph.tree_shape``. ``TreeShape.order`` lists the vertices in the order
+whose prefixes the formula bases take: a path end to end from its
+smaller-id leaf; a three-thread spider round robin by depth over its
+threads (shortest first), root last; None for every other tree.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ class TreeShape:
     ``threads[v]`` is sorted by (length, tip id), so threads[v][0] is a
     shortest thread at v. ``kappa_star`` is None exactly for paths.
     Spiders, generated or read from a file, are the one-root case.
+    ``order`` is described in the module docstring.
     """
 
     n: int
@@ -49,6 +56,7 @@ class TreeShape:
     kappa_star: int | None
     is_path: bool
     is_spider3: bool
+    order: tuple[int, ...] | None
 
     def thread_lengths(self, root: int) -> tuple[int, ...]:
         return tuple(t.length for t in self.threads[root])
@@ -59,8 +67,19 @@ class TreeShape:
         return self.n if self.is_path else min(self.n, self.kappa_star)
 
 
+def _walk(g: Graph, deg: list[int], prev: int, cur: int) -> list[int]:
+    """The vertices from ``cur``, leading away from ``prev``, up to and
+    including the first whose degree is not 2."""
+    seq = [cur]
+    while deg[cur] == 2:
+        prev, cur = cur, next(w for w in g.adjacency[cur] if w != prev)
+        seq.append(cur)
+    return seq
+
+
 def decompose_tree(g: Graph) -> TreeShape:
-    """Find all root vertices of a tree and their threads."""
+    """Find all root vertices of a tree, their threads and the basis
+    order; callers read the cached ``Graph.tree_shape``."""
     if g.edge_count != g.n - 1:
         raise NotATree(f"m={g.edge_count} but a tree on n={g.n} needs n-1 edges")
     deg = [g.degree(v) for v in range(g.n)]
@@ -68,35 +87,25 @@ def decompose_tree(g: Graph) -> TreeShape:
     for v in range(g.n):
         if deg[v] < 3:
             continue
-        found = []
-        for start in g.adjacency[v]:
-            seq = [start]
-            prev, cur = v, start
-            while deg[cur] == 2:
-                nxt = next(w for w in g.adjacency[cur] if w != prev)
-                seq.append(nxt)
-                prev, cur = cur, nxt
-            if deg[cur] == 1:
-                found.append(Thread(v, tuple(seq)))
+        walks = (_walk(g, deg, v, start) for start in g.adjacency[v])
+        found = sorted((Thread(v, tuple(seq)) for seq in walks if deg[seq[-1]] == 1),
+                       key=lambda t: (t.length, t.tip))
         if len(found) >= 2:
-            found.sort(key=lambda t: (t.length, t.tip))
             threads[v] = tuple(found)
     roots = tuple(sorted(threads))
-    kappa_star = None
-    if roots:
-        kappa_star = min(
-            2 * (threads[v][0].length + threads[v][1].length) for v in roots
-        )
+    kappa_star = min((2 * (threads[v][0].length + threads[v][1].length) for v in roots),
+                     default=None)
     is_path = all(d <= 2 for d in deg)
     is_spider3 = len(roots) == 1 and not is_path and len(threads[roots[0]]) == 3
-    return TreeShape(
-        n=g.n,
-        roots=roots,
-        threads=threads,
-        kappa_star=kappa_star,
-        is_path=is_path,
-        is_spider3=is_spider3,
-    )
+    order = None
+    if is_path:  # from the smaller-id leaf (a lone vertex has no neighbor to walk to)
+        start = min(v for v in range(g.n) if deg[v] <= 1)
+        order = (start, *(u for w in g.adjacency[start] for u in _walk(g, deg, start, w)))
+    elif is_spider3:
+        spokes = threads[roots[0]]
+        order = (*(t.vertices[depth] for depth in range(spokes[-1].length)
+                   for t in spokes if depth < t.length), roots[0])
+    return TreeShape(g.n, roots, threads, kappa_star, is_path, is_spider3, order)
 
 
 def root_basis_size(ell: int, l1: int, k: int) -> int:
@@ -136,9 +145,10 @@ def _root_slice(threads: tuple[Thread, ...], k: int) -> list[int]:
     return picked
 
 
-def tree_basis(g: Graph, shape: TreeShape, k: int) -> tuple[int, ...]:
+def tree_basis(g: Graph, k: int) -> tuple[int, ...]:
     """Constructive weak k-metric basis of a tree that is neither a path
     nor a three-thread spider: the union of per-root slices."""
+    shape = g.tree_shape
     if shape.is_path or shape.is_spider3:
         raise WrongTreeClass("construction needs a tree with >= 4 thread-pairs structure")
     check_k(k, shape.kappa)
@@ -148,24 +158,19 @@ def tree_basis(g: Graph, shape: TreeShape, k: int) -> tuple[int, ...]:
     return tuple(sorted(picked))
 
 
-def spider3_basis(g: Graph, shape: TreeShape, k: int) -> tuple[int, ...]:
+def spider3_basis(g: Graph, k: int) -> tuple[int, ...]:
     """Basis of a three-thread spider for k <= kappa: at k = 1 the tips
     of the two shortest threads (a metric basis), else the first k
-    vertices in round-robin order over the threads (root last)."""
+    vertices of ``TreeShape.order`` (round robin over the threads, root
+    last)."""
+    shape = g.tree_shape
     if not shape.is_spider3:
         raise WrongTreeClass("graph is not a spider with exactly three threads")
     check_k(k, shape.kappa)
-    root = shape.roots[0]
-    threads = shape.threads[root]
     if k == 1:
+        threads = shape.threads[shape.roots[0]]
         return tuple(sorted((threads[0].tip, threads[1].tip)))
-    order: list[int] = []
-    for depth in range(max(t.length for t in threads)):
-        for t in threads:
-            if depth < t.length:
-                order.append(t.vertices[depth])
-    order.append(root)
-    return tuple(sorted(order[:k]))
+    return tuple(sorted(shape.order[:k]))
 
 
 def _tree_path(g: Graph, x: int, y: int) -> list[int]:

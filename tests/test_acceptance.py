@@ -140,9 +140,9 @@ def test_criterion_3_constructive_bases():
         kappa = min(g.n, shape.kappa_star)
         for k in range(1, kappa + 1):
             if shape.is_spider3:
-                basis = spider3_basis(g, shape, k)  # two thread tips at k=1
+                basis = spider3_basis(g, k)  # two thread tips at k=1
             else:
-                basis = tree_basis(g, shape, k)
+                basis = tree_basis(g, k)
             assert verify_weak_k_resolving(g, basis, k).ok
             assert len(basis) == solve_bruteforce(g, k=k).value
     # larger instances: verify and match the formula cardinality
@@ -153,9 +153,8 @@ def test_criterion_3_constructive_bases():
         assert len(basis) == wdim_formula(grid(9, 7), k)
         assert verify_weak_k_resolving(g97, basis, k).ok
     big_spider = generate(spider(2, 4, 4, 6))
-    shape = decompose_tree(big_spider)
     for k in range(1, 13):
-        basis = tree_basis(big_spider, shape, k)
+        basis = tree_basis(big_spider, k)
         assert len(basis) == wdim_formula(spider(2, 4, 4, 6), k)
         assert verify_weak_k_resolving(big_spider, basis, k).ok
     print("[PASS] criterion 3: constructive bases verify and are optimal")

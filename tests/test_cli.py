@@ -15,8 +15,22 @@ from hypothesis import strategies as st
 
 from conftest import random_tree_graph, tree_from_prufer
 
-from weakdim import Variant, cli, cycle, generate, parse_family, resolve, solver, spider, write_lp
-from weakdim.graph import format_edgelist, parse_edgelist, twin_summary
+from weakdim import (
+    Variant,
+    cli,
+    compute_kappa,
+    cycle,
+    generate,
+    graph,
+    parse_family,
+    resolve,
+    solver,
+    spider,
+    trees,
+    variant_kappa,
+    write_lp,
+)
+from weakdim.graph import find_twins, format_edgelist, parse_edgelist, twin_summary
 from weakdim.resolve import lex_min
 from weakdim.solver import DimensionResult
 
@@ -73,17 +87,25 @@ class TestKappaCommand:
         assert list(plain) == ["true_twin_pairs", "false_twin_pairs", "workers"]
 
     def test_twins_found_once(self, capsys, monkeypatch):
+        """The twin classes are built once per graph: over a ``kappa`` run,
+        and over every reader of them on one graph."""
         calls = []
+        build = graph._twin_classes
 
         def counting(g):
             calls.append(g.n)
-            return twin_summary(g)
+            return build(g)
 
-        monkeypatch.setattr(cli, "find_twins", counting)
-        monkeypatch.setattr(resolve, "twin_summary", counting)
+        monkeypatch.setattr(graph, "_twin_classes", counting)
         row = run_json(capsys, "kappa", "--family", "kqr:2,3")["results"][0]
         assert row["classification"] == "Weak4FalseTwins"
         assert calls == [5]
+        g = generate(parse_family("kqr:2,4"))
+        report = compute_kappa(g)
+        assert twin_summary(g).false_count == 7
+        assert find_twins(g) == ([], [(0, 1), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
+        assert variant_kappa(g, Variant.VERTEX) == (report.kappa, report.witness_pair)
+        assert calls == [5, 6]
 
     def test_workers_capped_at_the_cpu_count(self, capsys, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -531,6 +553,28 @@ class TestAutoRouting:
         assert {r["provenance"] for r in rows} == {"formula"}
         bnb = sweep(capsys, f, "bnb")["results"]
         assert [r["value"] for r in rows] == [r["value"] for r in bnb]
+
+    @pytest.mark.parametrize("source", ["tree-file", "path-file", "spider-file", "spider-family"])
+    def test_sweep_decomposes_the_tree_once(self, capsys, tmp_path, monkeypatch, source):
+        """A formula sweep over every k <= kappa reads one thread
+        decomposition, cached on the graph."""
+        graphs = {"tree-file": random_tree_graph(random.Random(5), 40),
+                  "path-file": generate(parse_family("path:50")),
+                  "spider-file": generate(spider(3, 9, 12))}
+        argv = (["--family", "spider:3,9,12"] if source == "spider-family"
+                else ["--file", write_graph(tmp_path, "tree.txt", graphs[source])])
+        calls = []
+        decompose = trees.decompose_tree
+
+        def counting(g):
+            calls.append(g.n)
+            return decompose(g)
+
+        monkeypatch.setattr(trees, "decompose_tree", counting)
+        report = run_json(capsys, "wdim", *argv, "--k", "1..100")
+        assert len(report["results"]) == report["stats"]["variant_kappa"] > 3
+        assert {r["provenance"] for r in report["results"]} == {"formula"}
+        assert calls == [report["input"]["n"]]
 
     def test_non_tree_file_stays_bnb(self, capsys, tmp_path):
         f = write_graph(tmp_path, "cycle.txt", generate(cycle(6)))

@@ -1,5 +1,6 @@
 """Closed-form values, covering families, and the grid border machinery."""
 
+import random
 from itertools import combinations_with_replacement
 
 import pytest
@@ -15,12 +16,14 @@ from weakdim import (
     complete_bipartite,
     compute_kappa,
     cycle,
+    format_edgelist,
     formula_basis,
     generate,
     grid,
     grid_basis,
     grid_border_labeling,
     kappa_formula,
+    load_edgelist,
     parse_family,
     path,
     solve_bruteforce,
@@ -223,3 +226,75 @@ class TestFormulaBasis:
             wdim_formula(g, 1)
         with pytest.raises(FormulaNotCovered):
             formula_basis(g, 1)
+
+
+def walk_order(g):
+    """Oracle: a path's vertices walked end to end from its smaller-id leaf."""
+    order, prev = [min(v for v in range(g.n) if len(g.adjacency[v]) == 1)], None
+    while len(order) < g.n:
+        cur = order[-1]
+        order.append(next(w for w in g.adjacency[cur] if w != prev))
+        prev = cur
+    return order
+
+
+def spider_threads(g):
+    """Oracle: a spider's root and its threads, each from the root outward,
+    sorted by (length, tip id)."""
+    root = next(v for v in range(g.n) if len(g.adjacency[v]) >= 3)
+    threads = []
+    for start in g.adjacency[root]:
+        thread = [start]
+        while len(g.adjacency[thread[-1]]) == 2:
+            thread.append(next(w for w in g.adjacency[thread[-1]]
+                               if w not in (root, *thread)))
+        threads.append(thread)
+    return root, sorted(threads, key=lambda t: (len(t), t[-1]))
+
+
+def round_robin_order(g):
+    """Oracle: a three-thread spider's vertices by depth over its threads
+    in ``spider_threads`` order, root last."""
+    root, threads = spider_threads(g)
+    order = []
+    for depth in range(max(map(len, threads))):
+        for t in threads:
+            if depth < len(t):
+                order.append(t[depth])
+    return order + [root]
+
+
+def relabelled_file(tmp_path, spec, seed):
+    """``spec`` under a seeded vertex permutation, written and read back
+    as an edge-list file (no family)."""
+    g = generate(parse_family(spec))
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    f = tmp_path / f"{spec.replace(':', '_')}_{seed}.txt"
+    f.write_text(format_edgelist(build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])))
+    return load_edgelist(f)
+
+
+class TestFormulaBasisOrder:
+    """The formula bases of path and three-thread spider files are the
+    sorted prefixes of the walk and the round robin, at every k <= kappa;
+    a spider's k = 1 basis is the tips of its two shortest threads."""
+
+    @pytest.mark.parametrize("spec", ["path:2", "path:3", "path:9", "path:40"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relabelled_path_file(self, tmp_path, spec, seed):
+        g = relabelled_file(tmp_path, spec, seed)
+        order = walk_order(g)
+        for k in range(1, compute_kappa(g).kappa + 1):
+            assert formula_basis(g, k) == tuple(sorted(order[:k])), k
+
+    @pytest.mark.parametrize("spec", ["spider:1,1,1", "spider:1,2,5", "spider:2,2,2",
+                                      "spider:3,3,4", "spider:2,5,9", "spider:6,6,7"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relabelled_spider_file(self, tmp_path, spec, seed):
+        g = relabelled_file(tmp_path, spec, seed)
+        _, threads = spider_threads(g)
+        order = round_robin_order(g)
+        assert formula_basis(g, 1) == tuple(sorted((threads[0][-1], threads[1][-1])))
+        for k in range(2, compute_kappa(g).kappa + 1):
+            assert formula_basis(g, k) == tuple(sorted(order[:k])), k

@@ -15,7 +15,6 @@ from weakdim import (
     certificate_for,
     cli,
     cycle,
-    decompose_tree,
     generate,
     grid_basis,
     parse_family,
@@ -63,9 +62,9 @@ ENTRY_POINTS = [
     pytest.param(lambda k, _: wdim_formula(parse_family("grid:3x4"), k), (10, None, "sum"),
                  id="wdim_formula"),
     pytest.param(lambda k, _: grid_basis(3, 4, k), (10, None, "sum"), id="grid_basis"),
-    pytest.param(lambda k, _: tree_basis(SPIDER4, decompose_tree(SPIDER4), k),
+    pytest.param(lambda k, _: tree_basis(SPIDER4, k),
                  (4, None, "sum"), id="tree_basis"),
-    pytest.param(lambda k, _: spider3_basis(SPIDER3, decompose_tree(SPIDER3), k),
+    pytest.param(lambda k, _: spider3_basis(SPIDER3, k),
                  (7, None, "sum"), id="spider3_basis"),
     pytest.param(lambda k, _: solver.cover_model(C5, Variant.MIXED, "count").check(k),
                  (2, (0, (0, 1)), "count"), id="CoverModel.check"),

@@ -672,11 +672,19 @@ def oracle_route(g):
 
 
 def thin_route(g):
-    """The router's thin route on any graph: no twins passed in and the
-    route's estimate (with its floor) taken as met."""
+    """The router's thin route on any graph, twin graphs too: the twin
+    lookup reports no twins and the route's estimate (with its floor) is
+    taken as met. The equidistant count, which only the thin route makes,
+    must run."""
+    counted = []
+    count = resolve._max_equidistant
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resolve, "_thin_pays", lambda d, criteria: True)
-        return resolve._kappa_route(g, count=True, twins=TwinSummary(0, 0, None, None))
+        mp.setattr(resolve, "twin_summary", lambda g: TwinSummary(0, 0, None, None))
+        mp.setattr(resolve, "_max_equidistant", lambda d: counted.append(d) or count(d))
+        result = resolve._kappa_route(g, count=True)
+    assert counted, "the thin route was not taken"
+    return result
 
 
 # long, thin graphs; the small ones have twins, which compute_kappa settles
@@ -849,8 +857,8 @@ def pruefer_tree_with_false_twins(n):
 
 class TestKappaRouter:
     """One router, one policy, serves ``compute_kappa`` (sum and count) and
-    the vertex ``variant_kappa`` (sum only): the twin summary first, made
-    by the router when the caller has none; ``_SCAN_FLOOR`` gates only the
+    the vertex ``variant_kappa`` (sum only): the twin summary first, read
+    off the graph's cached twin classes; ``_SCAN_FLOOR`` gates only the
     thin route."""
 
     @pytest.mark.parametrize("floor", [0, resolve._SCAN_FLOOR])
@@ -867,7 +875,7 @@ class TestKappaRouter:
     @pytest.mark.parametrize("g", router_graphs())
     def test_both_callers_make_the_same_sum_scans(self, g, floor, monkeypatch):
         """The callers make the same sum scans over the same partners (or
-        every pair), whether they pass a twin summary or not; only
+        every pair), whichever of them builds the twin classes; only
         ``compute_kappa`` makes the equidistant count, for kappa'."""
         monkeypatch.setattr(resolve, "_SCAN_FLOOR", floor)
         _, wdim_log = recorded_route(lambda: variant_kappa(g, Variant.VERTEX))

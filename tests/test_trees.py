@@ -42,13 +42,15 @@ class TestDecompose:
         shape = decompose_tree(generate(path(7)))
         assert shape.roots == () and shape.is_path
         assert shape.kappa_star is None
+        assert shape.order == tuple(range(7))
+        assert decompose_tree(build_graph(1, [])).order == (0,)
 
     def test_four_thread_spider(self):
         shape = decompose_tree(generate(spider(2, 4, 4, 6)))
         assert shape.roots == (0,)
         assert shape.thread_lengths(0) == (2, 4, 4, 6)
         assert shape.kappa_star == 2 * (2 + 4)
-        assert not shape.is_spider3
+        assert not shape.is_spider3 and shape.order is None
 
     def test_double_spider(self):
         shape = decompose_tree(DOUBLE_SPIDER)
@@ -81,29 +83,37 @@ class TestDecompose:
         with pytest.raises(NotATree):
             decompose_tree(generate(cycle(4)))
 
+    def test_cached_on_the_graph(self):
+        """``Graph.tree_shape`` is built once; a non-tree raises on every read."""
+        g = generate(spider(1, 2, 5))
+        assert g.tree_shape is g.tree_shape
+        c = generate(cycle(4))
+        for _ in range(2):
+            with pytest.raises(NotATree):
+                c.tree_shape
+
 
 class TestTreeBasis:
     def test_one_vertex_per_thread_at_k4(self):
         g = generate(spider(2, 4, 4, 6))
         shape = decompose_tree(g)
-        basis = tree_basis(g, shape, 4)
+        basis = tree_basis(g, 4)
         assert len(basis) == 4
         assert set(basis) == {t.vertices[0] for t in shape.threads[0]}
 
     def test_case_sizes_match_formula(self):
         g = generate(spider(2, 4, 4, 6))
-        shape = decompose_tree(g)
         expected = {1: 3, 2: 3, 3: 4, 4: 4, 5: 7, 6: 7, 7: 8, 8: 8,
                     9: 11, 10: 11, 11: 14, 12: 14}
         for k, size in expected.items():
             assert root_basis_size(4, 2, k) == size
-            assert len(tree_basis(g, shape, k)) == size
+            assert len(tree_basis(g, k)) == size
 
     def test_bases_verify(self):
         g = generate(spider(2, 4, 4, 6))
         shape = decompose_tree(g)
         for k in range(1, shape.kappa_star + 1):
-            assert verify_weak_k_resolving(g, tree_basis(g, shape, k), k).ok
+            assert verify_weak_k_resolving(g, tree_basis(g, k), k).ok
 
     def test_thread_pair_coverage(self):
         # every thread pair at a root keeps >= ceil(k/2) members, with
@@ -114,7 +124,7 @@ class TestTreeBasis:
             if shape.is_path or shape.is_spider3:
                 continue
             for k in range(1, shape.kappa_star + 1):
-                basis = set(tree_basis(g, shape, k))
+                basis = set(tree_basis(g, k))
                 assert len(basis) >= k
                 need = -(-k // 2)
                 for v in shape.roots:
@@ -129,24 +139,23 @@ class TestTreeBasis:
     def test_wrong_class_and_range_errors(self):
         p = generate(path(6))
         with pytest.raises(WrongTreeClass):
-            tree_basis(p, decompose_tree(p), 2)
+            tree_basis(p, 2)
         s3 = generate(spider(1, 1, 2))
         with pytest.raises(WrongTreeClass):
-            tree_basis(s3, decompose_tree(s3), 2)
+            tree_basis(s3, 2)
         g = generate(spider(1, 1, 1, 1))
         with pytest.raises(KaboveKappa):
-            tree_basis(g, decompose_tree(g), 5)
+            tree_basis(g, 5)
 
 
 class TestSpider3Basis:
     def test_star_two_leaves(self):
         g = generate(spider(1, 1, 1))
-        assert spider3_basis(g, decompose_tree(g), 2) == (1, 2)
+        assert spider3_basis(g, 2) == (1, 2)
 
     def test_vertices_nearest_root_first(self):
         g = generate(spider(2, 2, 2))
-        shape = decompose_tree(g)
-        basis = spider3_basis(g, shape, 4)
+        basis = spider3_basis(g, 4)
         assert basis == (1, 2, 3, 5)  # all depth-1 vertices, then one deeper
         assert verify_weak_k_resolving(g, basis, 4).ok
 
@@ -156,7 +165,7 @@ class TestSpider3Basis:
             shape = decompose_tree(g)
             kappa = min(shape.n, shape.kappa_star)
             for k in range(2, kappa + 1):
-                basis = spider3_basis(g, shape, k)
+                basis = spider3_basis(g, k)
                 assert len(basis) == k
                 assert verify_weak_k_resolving(g, basis, k).ok
 
@@ -164,17 +173,17 @@ class TestSpider3Basis:
         # k = 1 is the classical metric dimension 2, met by any two tips;
         # this construction used to raise and leave k = 1 to the solver
         g = generate(spider(1, 2, 5))
-        basis = spider3_basis(g, decompose_tree(g), 1)
+        basis = spider3_basis(g, 1)
         assert basis == (1, 3)  # tips of the threads of lengths 1 and 2
         assert verify_weak_k_resolving(g, basis, 1).ok
 
     def test_range_and_class_errors(self):
         g = generate(spider(1, 2, 5))
         with pytest.raises(KaboveKappa):
-            spider3_basis(g, decompose_tree(g), 7)  # kappa = 6
+            spider3_basis(g, 7)  # kappa = 6
         four = generate(spider(1, 1, 1, 1))
         with pytest.raises(WrongTreeClass):
-            spider3_basis(four, decompose_tree(four), 2)
+            spider3_basis(four, 2)
 
 
 class TestExhaustiveSmallTrees:
@@ -196,9 +205,9 @@ class TestExhaustiveSmallTrees:
                 if shape.is_path:
                     continue
                 basis = (
-                    spider3_basis(g, shape, k)
+                    spider3_basis(g, k)
                     if shape.is_spider3
-                    else tree_basis(g, shape, k)
+                    else tree_basis(g, k)
                 )
                 assert len(basis) == oracle.value, (seq, k)
                 assert verify_weak_k_resolving(g, basis, k).ok, (seq, k)
