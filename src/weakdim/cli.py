@@ -61,7 +61,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 
-_K_RANGE = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
+_K_RANGE = re.compile(r"^(-?\d+)(?:\.\.(\d+))?$")
 
 
 def _load_graph(args) -> tuple[Graph, dict]:
@@ -83,7 +83,8 @@ def _parse_k_spec(text: str) -> tuple[int, int]:
         raise ParameterOutOfRange(f"bad k specification {text!r}; use K or A..B")
     lo = int(m.group(1))
     hi = int(m.group(2)) if m.group(2) else lo
-    if lo < 1 or hi < lo:
+    check_k(lo)
+    if hi < lo:
         raise ParameterOutOfRange(f"bad k range {text!r}")
     return lo, hi
 
@@ -178,10 +179,10 @@ def _solve_one(g: Graph, variant: Variant, k: int, engine: str, size_cap: int):
 
 
 def cmd_wdim(args) -> int:
+    lo, hi = _parse_k_spec(args.k)
     clock, g, input_block, _ = _load_timed(args)
     phases = clock[1]
     variant = Variant(args.variant)
-    lo, hi = _parse_k_spec(args.k)
     warnings = []
     with timed(phases, "kappa"):
         kv, witness = variant_kappa(g, variant)

@@ -1,12 +1,12 @@
 """Closed-form kappa and weak k-metric dimension values for solved families.
 
-Covered: paths, cycles, stars, complete and complete-bipartite graphs,
-trees on n >= 2 vertices (via thread decomposition), and grids. Spiders,
-as specs or as graphs, are always answered through their thread
-decomposition, as the one-root case of the tree formulas. An instance
-outside its own formula's hypotheses takes the family covering the same
-graph: C3 is K3, C4 the 2x2 grid, S2 and S3 paths, S4 the spider 1,1,1,
-a one-sided complete bipartite graph a star.
+Every tree on n >= 2 vertices -- a path, star or spider instance, a
+one-sided complete bipartite graph, or a tree file -- is answered
+through its thread decomposition (a spec through the graph it
+generates), so one tree has one answer however it was given. The
+other closed forms cover cycles, complete graphs, complete bipartite
+graphs with both parts >= 2, and grids; C3 takes K3's form and C4 the
+2x2 grid's.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FormulaNotCovered, NotATree, ParameterOutOfRange, check_k
-from .families import FamilySpec, complete, generate, grid, grid_vertex_id, path, spider, star
+from .families import FamilySpec, complete, generate, grid, grid_vertex_id
 from .graph import Graph
 from .trees import TreeShape, root_basis_size, spider3_basis, tree_basis
 
@@ -62,33 +62,17 @@ def _tree_kappa(shape: TreeShape) -> KappaFormula:
 
 
 def _covering(obj: FamilySpec | Graph) -> FamilySpec | TreeShape:
-    """The family that covers ``obj``, renaming until nothing changes; the
-    thread decomposition where the tree constructions apply: every spider
-    (a spec through the graph it generates), and for a graph, raw trees
-    and instances whose covering tree family numbers the vertices
-    differently (small stars, one-sided K_{q,r})."""
+    """The cached thread decomposition of a tree (a spec through the graph
+    it generates); else the family whose closed form holds: C3 takes K3's,
+    C4 the 2x2 grid's, any other instance its own."""
     graph = obj if isinstance(obj, Graph) else None
     spec = obj if graph is None else graph.family
-    while spec is not None:
-        kind, n = spec.kind, spec.n
-        if kind == "cycle" and n == 3:
-            spec = complete(3)
-        elif kind == "cycle" and n == 4:
-            spec = grid(2, 2)
-        elif kind == "star" and n <= 3:
-            spec = path(n)
-        elif kind == "star" and n == 4:
-            spec = spider(1, 1, 1)
-        elif kind == "complete_bipartite" and min(spec.q, spec.r) == 1:
-            spec = star(spec.q + spec.r)
-        else:
-            break
-    if spec is not None and spec.kind == "spider":
-        return (graph or generate(spec)).tree_shape
-    if graph is not None and (spec is None or (
-        spec != graph.family and spec.kind in ("path", "star")
-    )):
-        return _shape_for(graph)
+    # a one-sided complete bipartite graph is a star; no other kind has a
+    # part or side of 1
+    if spec is None or spec.kind in ("path", "star", "spider") or 1 in (spec.q, spec.r):
+        return _shape_for(graph or generate(spec))
+    if spec.kind == "cycle" and spec.n <= 4:
+        return complete(3) if spec.n == 3 else grid(2, 2)
     return spec
 
 
@@ -98,16 +82,12 @@ def kappa_formula(obj: FamilySpec | Graph) -> KappaFormula:
     if isinstance(spec, TreeShape):
         return _tree_kappa(spec)
     kind = spec.kind
-    if kind == "path":
-        return KappaFormula(spec.n, "any adjacent pair")
     if kind == "cycle":
         if spec.n % 2 == 1:
             return KappaFormula(spec.n - 1, "adjacent pair (zero probe at the antipode)")
         return KappaFormula(spec.n, "any adjacent pair")
     if kind == "complete":
         return KappaFormula(2, "any pair (true twins)")
-    if kind == "star":
-        return KappaFormula(4, "two leaves (false twins)")
     if kind == "complete_bipartite":
         return KappaFormula(4, "two vertices of one part (false twins)")
     # grid
@@ -126,14 +106,10 @@ def wdim_formula(obj: FamilySpec | Graph, k: int) -> int:
         return _tree_wdim(spec, k)
     check_k(k, kappa_formula(spec).value)
     kind = spec.kind
-    if kind == "path":
-        return k
     if kind == "cycle":
         return 2 if k == 1 else k + spec.n % 2  # one more on odd cycles
     if kind == "complete":
         return spec.n - 1 if k == 1 else spec.n
-    if kind == "star":
-        return spec.n - 2 if k <= 2 else spec.n - 1
     if kind == "complete_bipartite":
         return spec.q + spec.r - 2 if k <= 2 else spec.q + spec.r
     # grid
@@ -177,8 +153,8 @@ def grid_basis(q: int, r: int, k: int) -> tuple[int, ...]:
 def formula_basis(g: Graph, k: int) -> tuple[int, ...]:
     """A constructive basis of the size ``wdim_formula`` gives, sorted
     ascending like the engines' bases: the tree constructions on the
-    graph's own labels, or the covering family's (whose bases for K3 and
-    the 2x2 grid hold in C3's and C4's numbering). Used by the formula
+    graph's own labels, or the family's (K3's and the 2x2 grid's bases
+    hold in C3's and C4's numbering). Used by the formula
     engine; callers re-verify before reporting. Raises
     ``FormulaNotCovered`` for raw graphs that are not trees on n >= 2."""
     check_k(k)
@@ -192,14 +168,10 @@ def formula_basis(g: Graph, k: int) -> tuple[int, ...]:
         return tree_basis(g, k)
     check_k(k, kappa_formula(spec).value)
     kind = spec.kind
-    if kind == "path":
-        return tuple(range(k))
     if kind == "cycle":
         return tuple(range(2 if k == 1 else k + spec.n % 2))
     if kind == "complete":
         return tuple(range(spec.n - 1)) if k == 1 else tuple(range(spec.n))
-    if kind == "star":
-        return tuple(range(1, spec.n - 1)) if k <= 2 else tuple(range(1, spec.n))
     if kind == "complete_bipartite":
         q, r = spec.q, spec.r
         if k <= 2:

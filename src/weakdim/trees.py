@@ -20,8 +20,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import NotATree, SameVertex, WrongTreeClass, check_k
+from .errors import NotATree, WrongTreeClass, check_k
 from .graph import Graph
+from .resolve import _check_pair, _check_set
 
 
 @dataclass(frozen=True)
@@ -198,15 +199,15 @@ def delta_tree_pair(g: Graph, x: int, y: int, S) -> int:
     T_0..T_d anchored at the path vertices; a probe in T_i contributes
     |d - 2i|. Works directly on the adjacency, independent of the
     distance matrix, so it serves as a second method for cross-checks.
+    The pair and ``S`` are checked as ``delta_over_set`` checks them.
     """
     if g.edge_count != g.n - 1:
         raise NotATree(f"m={g.edge_count} but a tree on n={g.n} needs n-1 edges")
-    if x == y:
-        raise SameVertex(f"x and y must differ, got {x}")
+    _check_pair(g, x, y)
+    members = set(_check_set(g, S))
     path = _tree_path(g, x, y)
     d = len(path) - 1
     on_path = {v: i for i, v in enumerate(path)}
-    members = set(S)
     total = 0
     for i, anchor in enumerate(path):
         weight = abs(d - 2 * i)

@@ -482,6 +482,19 @@ class TestErrors:
         code, _, _ = run_cli(capsys, "wdim", "--family", "path:5", "--k", "2..x")
         assert code == 2
 
+    @pytest.mark.parametrize("spec, message", [
+        ("0", "k must be positive, got 0"),
+        ("0..3", "k must be positive, got 0"),
+        ("-2", "k must be positive, got -2"),
+        ("3..2", "bad k range '3..2'"),
+        ("2..x", "bad k specification '2..x'; use K or A..B"),
+    ])
+    def test_k_spec_checked_before_the_graph_loads(self, capsys, monkeypatch, spec, message):
+        """A bad ``wdim --k`` is reported before the file is read."""
+        monkeypatch.setattr(cli, "load_edgelist", lambda _: pytest.fail("graph loaded"))
+        code, out, err = run_cli(capsys, "wdim", "--file", "/nonexistent/g.txt", "--k", spec)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_formula_engine_on_non_vertex_variant(self, capsys):
         code, _, _ = run_cli(
             capsys, "wdim", "--family", "path:5", "--k", "2",

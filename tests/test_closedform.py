@@ -1,17 +1,21 @@
 """Closed-form values, covering families, and the grid border machinery."""
 
+import contextlib
+import io
+import json
 import random
 from itertools import combinations_with_replacement
 
 import pytest
 
-from conftest import random_tree_corpus
+from conftest import family_corpus, random_tree_corpus
 
 from weakdim import (
     FormulaNotCovered,
     KaboveKappa,
     Variant,
     build_graph,
+    cli,
     complete,
     complete_bipartite,
     compute_kappa,
@@ -34,10 +38,12 @@ from weakdim import (
     wdim_formula,
 )
 
-# one-sided complete bipartite graphs, small stars and cycles,
+# C3 and C4 (which take K3's and the 2x2 grid's forms), and trees at the
+# edges of the tree formulas: small stars (S2 and S3 are paths, S4 a
+# three-thread spider), one-sided complete bipartite graphs (stars),
 # three-thread spiders (whose k = 1 basis is two thread tips), and every
-# spider with 3 or 4 threads of lengths 1..3, which specs and graphs
-# alike answer through the thread decomposition
+# spider with 3 or 4 threads of lengths 1..3; specs and graphs alike
+# answer a tree through its thread decomposition
 BOUNDARY = (
     ["cycle:3", "cycle:4", "star:2", "star:3", "star:4"]
     + [f"kqr:1,{r}" for r in range(1, 7)]
@@ -91,9 +97,9 @@ class TestWdimFormula:
 
     @pytest.mark.parametrize("label", BOUNDARY)
     def test_boundary_instance_takes_covering_family(self, label):
-        # instances outside their own formula's hypotheses are renamed to
-        # the family that covers the same graph, so no k is left to a
-        # solver; the spec and its graph take the same route
+        # C3 and C4 take the forms of K3 and the 2x2 grid, and every tree
+        # its thread decomposition, so no k is left to a solver; the spec
+        # and its graph take the same route
         spec = parse_family(label)
         g = generate(spec)
         kappa = kappa_formula(g).value
@@ -298,3 +304,38 @@ class TestFormulaBasisOrder:
         assert formula_basis(g, 1) == tuple(sorted((threads[0][-1], threads[1][-1])))
         for k in range(2, compute_kappa(g).kappa + 1):
             assert formula_basis(g, k) == tuple(sorted(order[:k])), k
+
+
+# every tree family instance: paths and stars, one-sided complete
+# bipartite graphs, the boundary spiders and the trees of the corpus
+TREE_FAMILIES = list(dict.fromkeys(
+    [f"{kind}:{n}" for kind in ("path", "star") for n in range(2, 14)]
+    + [f"kqr:1,{r}" for r in range(1, 9)] + [f"kqr:{q},1" for q in range(2, 9)]
+    + [label for label in BOUNDARY if label.startswith("spider:")]
+    + [g.family.label() for g in family_corpus() if g.edge_count == g.n - 1]
+))
+
+
+def cli_stdout(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("label", TREE_FAMILIES)
+def test_one_answer_per_tree(tmp_path, label):
+    """A tree family instance and the file ``gen`` writes for it get the
+    same ``wdim`` rows at every k <= kappa, and a spec the same
+    ``kappa_formula`` as its graph, value and witness."""
+    spec = parse_family(label)
+    g = generate(spec)
+    f = str(tmp_path / "tree.txt")
+    cli_stdout("gen", "--family", label, "--out", f)
+    k_range = f"1..{compute_kappa(g).kappa}"
+    for engine in ("auto", "formula"):
+        family, file = (json.loads(cli_stdout("wdim", option, source, "--k", k_range,
+                                              "--engine", engine))["results"]
+                        for option, source in (("--family", label), ("--file", f)))
+        assert family == file, engine
+    assert kappa_formula(spec) == kappa_formula(g)

@@ -35,13 +35,17 @@ SPIDER4 = generate(spider(1, 1, 1, 1))
 SPIDER3 = generate(spider(2, 2, 2))
 
 
-def _cli(command, option, name):
-    """The CLI ``command`` on cycle:5, with ``option`` naming a file in the
-    test's directory, as an entry point: (exit code, stderr)."""
+def _cli(command, *file_option):
+    """The CLI ``command`` on cycle:5, with ``file_option`` (if given, an
+    option and a file in the test's directory) as an entry point: (exit
+    code, stderr)."""
 
     def run(k, tmp_path):
         (tmp_path / "s.txt").write_text("0 1 2")
-        argv = [command, "--family", "cycle:5", option, str(tmp_path / name), "--k", str(k)]
+        argv = [command, "--family", "cycle:5", "--k", str(k)]
+        if file_option:
+            option, name = file_option
+            argv += [option, str(tmp_path / name)]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(argv)
@@ -70,6 +74,7 @@ ENTRY_POINTS = [
                  (2, (0, (0, 1)), "count"), id="CoverModel.check"),
     pytest.param(_cli("verify", "--set-file", "s.txt"), None, id="cli-verify"),
     pytest.param(_cli("export-lp", "--out", "m.lp"), None, id="cli-export-lp"),
+    pytest.param(_cli("wdim"), None, id="cli-wdim"),
 ]
 
 

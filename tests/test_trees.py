@@ -16,6 +16,7 @@ from weakdim import (
     KaboveKappa,
     NotATree,
     SameVertex,
+    VertexOutOfRange,
     WrongTreeClass,
     build_graph,
     compute_kappa,
@@ -244,3 +245,15 @@ class TestDeltaTreePair:
             delta_tree_pair(generate(cycle(5)), 0, 2, [1])
         with pytest.raises(SameVertex):
             delta_tree_pair(generate(path(4)), 2, 2, [0])
+
+    @pytest.mark.parametrize("x, y, S", [
+        (9, 4, [0]),  # x outside the graph
+        (0, 9, [0]),  # y outside the graph
+        (0, 4, [7]),  # a probe past the last vertex
+        (0, 4, [-1]),  # a negative probe
+    ])
+    def test_out_of_range_as_delta_over_set(self, x, y, S):
+        g = generate(path(5))
+        for delta in (delta_tree_pair, delta_over_set):
+            with pytest.raises(VertexOutOfRange):
+                delta(g, x, y, S)
