@@ -31,7 +31,7 @@ from .graph import (
     parse_vertex_set,
     twin_summary,
 )
-from .resolve import compute_kappa
+from .resolve import compute_kappa, kappa_reads_distances
 from .solver import (
     DEFAULT_SIZE_CAP,
     Variant,
@@ -111,10 +111,12 @@ def _workers(args) -> int:
     return min(args.workers, os.cpu_count() or 1)
 
 
-def _load_timed(args):
+def _load_timed(args, reads_distances=lambda g: True):
     """(clock, g, input block, set): the graph and ``verify``'s ``--set-file``
     (else None) load in the ``load`` phase, the cached APSP in ``apsp``;
-    ``clock`` is (start, phases or None without ``--timing``)."""
+    ``clock`` is (start, phases or None without ``--timing``). The APSP is
+    skipped (``apsp`` near 0) where ``reads_distances(g)`` is false: for
+    ``kappa``, on trees with n >= 2, whose route reads no matrix."""
     clock = (time.perf_counter(), {} if args.timing else None)
     phases = clock[1]
     with timed(phases, "load"):
@@ -124,7 +126,8 @@ def _load_timed(args):
             with open(args.set_file, "r", encoding="utf-8") as fh:
                 S = parse_vertex_set(fh.read(), g.n)
     with timed(phases, "apsp"):
-        all_pairs_distances(g)
+        if reads_distances(g):
+            all_pairs_distances(g)
     return clock, g, input_block, S
 
 
@@ -138,7 +141,7 @@ def _report_timing(stats: dict, clock, names: tuple[str, ...]) -> None:
 
 def cmd_kappa(args) -> int:
     workers = _workers(args)
-    clock, g, input_block, _ = _load_timed(args)
+    clock, g, input_block, _ = _load_timed(args, kappa_reads_distances)
     with timed(clock[1], "classify"):
         twins = find_twins(g)
     report = compute_kappa(g, workers=workers, phases=clock[1])

@@ -9,12 +9,14 @@ for the count-based (k distinct distinguishers) criterion.
 
 ``lex_min`` is the one scan for the lex-first pair minimizing such a
 criterion; kappa here and every verifier and certificate in ``solver``
-read it. One router picks the route to kappa by one policy, for
+read it. One router picks one of four routes to kappa by one policy, for
 ``compute_kappa`` and ``solver.variant_kappa`` (kappa' only when asked):
-twins settle kappa' and all of kappa but a scan of the adjacent pairs;
-long, thin twin-free graphs above a size floor get kappa from a scan of
-the pairs that a geodesic lower bound lets through and kappa' from a
-count of equidistant classes; other graphs get one dense scan.
+trees get kappa, the witness and kappa' from their thread decomposition,
+with no distance matrix; twins settle kappa' and all of kappa but a scan
+of the adjacent pairs; long, thin twin-free graphs above a size floor
+get kappa from a scan of the pairs that a geodesic lower bound lets
+through and kappa' from a count of equidistant classes; other graphs get
+one dense scan.
 """
 
 from __future__ import annotations
@@ -378,11 +380,37 @@ def _thin_pays(d: np.ndarray, criteria: int) -> bool:
 _SCAN_FLOOR = 1 << 23
 
 
+def kappa_reads_distances(g: Graph) -> bool:
+    """Whether ``_kappa_route`` reads the distance matrix of ``g``: on every
+    graph but a tree with at least two vertices."""
+    return g.n < 2 or g.edge_count != g.n - 1
+
+
 def _kappa_route(g: Graph, count: bool = False, workers: int = 1) -> tuple:
     """``((kappa, pair), kappa')``: the lex-first minimizing pair of the sum
     (None with fewer than two vertices) and, with ``count``, kappa' (else
-    None), by one of three routes, each with the values and witness of the
+    None), by one of four routes, each with the values and witness of the
     dense scan.
+
+    Trees (n >= 2; ``Graph.tree_shape``, no distance matrix). Take a pair
+    at distance L >= 3 on the path p_0 ... p_L, and let each probe project
+    to its nearest path vertex p_i: it adds |2i - L|. For odd L every probe
+    adds at least 1 and each end adds L > 1, so the pair sums to more
+    than n, the sum of every adjacent pair. For even L = 2m a probe adds
+    2|i - m|, and the middle pair (p_{m-1}, p_{m+1}) gets 2 from it, or 0
+    when i = m; the end p_0 adds 2m > 2, so the middle pair sums to less.
+    So only pairs at distance <= 2 attain the minimum. A pair (a, c)
+    around b sums to 2(|B_a| + |B_c|), where B_a and B_c are b's branches
+    through a and c, and has |B_a| + |B_c| distinguishers; an adjacent
+    pair has n. On a path a pair around b sums to 2(n - 1) >= n. Off
+    paths, a branch that is not a thread holds a vertex of degree >= 3,
+    and two of its own branches make a strictly smaller pair, so the
+    distance-2 minimum lies at a root's two shortest threads: kappa is
+    ``TreeShape.kappa`` and the witness ``TreeShape.witness``. The
+    midpoint probes of an even-L pair are exactly those of its middle
+    pair, so the two have the same count, and kappa' is kappa_star / 2
+    off paths, n - 1 on paths with n >= 3 and 2 at n = 2
+    (``TreeShape.kappa_prime``).
 
     Twins (``twin_summary`` of the graph's cached twin classes). The
     probes x and y each add d(x, y) to the sum of a pair, so the sum is
@@ -412,8 +440,12 @@ def _kappa_route(g: Graph, count: bool = False, workers: int = 1) -> tuple:
     Scan. Every other graph gets one ``lex_min`` pass over every pair,
     split across ``workers`` threads and merged by ``(value, pair)``, so
     the witness does not depend on the worker count. Partner scans, as
-    on the other two routes, run on one thread.
+    on the twin and thin routes, run on one thread.
     """
+    if not kappa_reads_distances(g):
+        shape = g.tree_shape
+        hit = shape.kappa, shape.witness((0, g.adjacency[0][0]))
+        return hit, shape.kappa_prime if count else None
     d, n = g.distance_matrix, g.n
     twins = twin_summary(g)
     if twins.first_true:

@@ -5,8 +5,10 @@ interior vertices have degree 2 and its tip is a leaf. Vertices with at
 least two threads are root vertices. The quantity
 ``kappa_star = min over roots of 2*(l1 + l2)`` (two shortest thread
 lengths) controls the largest feasible threshold on a tree, which
-``TreeShape.kappa`` gives: n on a path, else min(n, kappa_star), where
-the minimum is below n only for spiders with exactly three threads.
+``TreeShape.kappa`` gives: n on a path, else min(n, kappa_star).
+``TreeShape.witness`` and ``TreeShape.kappa_prime`` give the lex-first
+pair attaining it and the count limit kappa', for ``resolve``'s tree
+route, which reads no distance matrix.
 
 A graph's decomposition is built once, on first use, and cached as
 ``Graph.tree_shape``. ``TreeShape.order`` lists the vertices in the order
@@ -66,6 +68,33 @@ class TreeShape:
     def kappa(self) -> int:
         """Largest feasible threshold: n on a path, else min(n, kappa_star)."""
         return self.n if self.is_path else min(self.n, self.kappa_star)
+
+    @property
+    def kappa_prime(self) -> int:
+        """Fewest distinguishers of a vertex pair (n >= 2): kappa_star / 2
+        off paths, n - 1 on paths with n >= 3, and 2 on a single edge."""
+        return max(2, self.n - 1) if self.is_path else self.kappa_star // 2
+
+    def witness(self, first_edge: tuple[int, int]) -> tuple[int, int]:
+        """The lex-first vertex pair whose full-set sum is ``kappa``, given
+        ``first_edge``, the lex-first adjacent pair (which sums to n).
+
+        The candidates are ``first_edge`` when kappa = n and, when
+        kappa_star = kappa, the first vertices of two threads at one root
+        whose lengths sum to kappa / 2: with l1 < l2 the shortest thread and
+        the smallest first vertex of a thread of length l2; with l1 = l2 the
+        two smallest first vertices of threads of length l1.
+        """
+        found = [first_edge] if self.kappa == self.n else []
+        for v in self.roots if self.kappa_star == self.kappa else ():
+            threads = self.threads[v]
+            l1, l2 = threads[0].length, threads[1].length
+            if 2 * (l1 + l2) != self.kappa:
+                continue
+            heads = sorted(t.vertices[0] for t in threads if t.length == l2)
+            pair = (threads[0].vertices[0], heads[0]) if l1 < l2 else heads[:2]
+            found.append(tuple(sorted(pair)))
+        return min(found)
 
 
 def _walk(g: Graph, deg: list[int], prev: int, cur: int) -> list[int]:

@@ -134,6 +134,42 @@ class TestKappaCommand:
         assert code == 2 and out == "" and "--workers must be at least 1" in err
 
 
+class TestTreeKappaWithoutTheMatrix:
+    """``kappa`` answers trees from their thread decomposition: once the
+    graph is loaded, any start of the all-pairs BFS fails the run."""
+
+    @pytest.fixture
+    def no_apsp(self, monkeypatch):
+        load = cli._load_graph
+
+        def refuse(*args):
+            raise AssertionError("APSP started")
+
+        def loading(args):
+            loaded = load(args)
+            monkeypatch.setattr(graph, "_all_sources_bfs", refuse)
+            monkeypatch.setattr(graph.Graph, "_bfs", refuse)
+            return loaded
+
+        monkeypatch.setattr(cli, "_load_graph", loading)
+
+    def test_path_past_the_apsp_cap(self, capsys, no_apsp):
+        """The matrix of path:40000 would need about 6 GiB (TooLarge)."""
+        report = run_json(capsys, "kappa", "--family", "path:40000", "--timing")
+        row = report["results"][0]
+        assert (row["kappa"], row["kappa_prime"], row["witness_pair"]) == (40000, 39999, [0, 1])
+        assert_phases(report["stats"], ["load", "apsp", "kappa", "classify"])
+        assert report["stats"]["phases_ms"]["apsp"] < 5
+
+    def test_random_tree_file(self, capsys, tmp_path, no_apsp):
+        g = random_tree_graph(random.Random(3), 20000)
+        f = tmp_path / "tree.txt"
+        f.write_text(format_edgelist(g))
+        row = run_json(capsys, "kappa", "--file", str(f))["results"][0]
+        x, y = row["witness_pair"]
+        assert trees.delta_tree_pair(g, x, y, range(g.n)) == row["kappa"]
+
+
 class TestWdimCommand:
     def test_path_sweep(self, capsys):
         report = run_json(capsys, "wdim", "--family", "path:9", "--k", "1..9")

@@ -43,7 +43,7 @@ from weakdim import (
     verify_weak_k_resolving,
     weak3_structure_witness,
 )
-from weakdim import resolve, solver
+from weakdim import graph, resolve, solver
 from weakdim.graph import TwinSummary
 from weakdim.resolve import lex_min, pair_count, pair_sum
 from weakdim.solver import Certificate, Variant, certificate_for, variant_kappa, verify_set
@@ -527,6 +527,23 @@ class TestMatrixReducer:
             lex_min(g.distance_matrix, [Stacked([[0]])], partners=resolve._adjacent_partners(g))
 
 
+def tree_route_off(mp):
+    """Send trees to the other routes, which are exact on any graph: the
+    router's tree gate reports that every graph reads the matrix."""
+    mp.setattr(resolve, "kappa_reads_distances", lambda g: True)
+
+
+def plus_chord(f, u, v):
+    """The graph of family ``f`` plus the edge (u, v): a tree plus one chord
+    is no tree, so the router sends it to the twin, thin or scan route."""
+    g = generate(parse_family(f))
+    return build_graph(g.n, g.edges() + [(u, v)])
+
+
+def chorded(f, u, v):
+    return pytest.param(plus_chord(f, u, v), id=f"{f}+{u}-{v}")
+
+
 def true_twin_path(n):
     """A path on n - 1 vertices plus vertex n - 1, a true twin of its middle."""
     mid = (n - 1) // 2
@@ -600,8 +617,12 @@ class TestTwinShortcuts:
 
     @pytest.mark.parametrize("g", [pytest.param(f(80), id=f.__name__)
                                    for f in (leaves_and_bull, four_cycle_and_commons)]
-                             + [pytest.param(generate(star(90)), id="star:90")])
+                             + [pytest.param(generate(star(90)), id="star:90"),
+                                pytest.param(generate(complete_bipartite(2, 88)), id="kqr:2,88")])
     def test_false_twins_scan_only_the_adjacent_pairs(self, g, monkeypatch):
+        """``kqr:2,88`` reaches the twin route by itself; the tree
+        ``star:90`` reaches it with the tree route off."""
+        tree_route_off(monkeypatch)
         seen = []
 
         def recording(rows, reducers, workers=1, partners=None):
@@ -672,13 +693,14 @@ def oracle_route(g):
 
 
 def thin_route(g):
-    """The router's thin route on any graph, twin graphs too: the twin
-    lookup reports no twins and the route's estimate (with its floor) is
-    taken as met. The equidistant count, which only the thin route makes,
-    must run."""
+    """The router's thin route on any graph, trees and twin graphs too: the
+    tree route is off, the twin lookup reports no twins and the route's
+    estimate (with its floor) is taken as met. The equidistant count, which
+    only the thin route makes, must run."""
     counted = []
     count = resolve._max_equidistant
     with pytest.MonkeyPatch.context() as mp:
+        tree_route_off(mp)
         mp.setattr(resolve, "_thin_pays", lambda d, criteria: True)
         mp.setattr(resolve, "twin_summary", lambda g: TwinSummary(0, 0, None, None))
         mp.setattr(resolve, "_max_equidistant", lambda d: counted.append(d) or count(d))
@@ -688,9 +710,20 @@ def thin_route(g):
 
 
 # long, thin graphs; the small ones have twins, which compute_kappa settles
-# first, but both routes are exact on any graph
+# first, and the paths and spiders are trees, which it sends to the tree
+# route, but both routes are exact on any graph
 THIN_FAMILIES = ["path:2", "path:3", "path:130", "cycle:3", "cycle:4", "cycle:131",
                  "spider:1,2,3", "spider:40,45,50", "grid:3x40"]
+# the paths and spiders plus one chord, which reach the same routes as no
+# tree: path:4 + (0, 2) has true twins, path:5 + (0, 3) false twins, and the
+# others close a cycle with a tail
+THIN_CHORDS = [("path:4", 0, 2), ("path:5", 0, 3), ("path:130", 0, 4),
+               ("spider:1,2,3", 1, 6), ("spider:40,45,50", 40, 135)]
+
+
+def thin_graphs():
+    return ([pytest.param(generate(parse_family(f)), id=f) for f in THIN_FAMILIES]
+            + [chorded(*c) for c in THIN_CHORDS])
 
 
 @st.composite
@@ -724,8 +757,8 @@ class TestThinRoute:
     the largest equidistant class count: the same values and witness as the
     dense scan."""
 
-    @pytest.mark.parametrize("g", scan_graphs() + [
-        pytest.param(generate(parse_family(f)), id=f) for f in THIN_FAMILIES])
+    @pytest.mark.parametrize("g", scan_graphs() + thin_graphs() + [
+        pytest.param(generate(complete_bipartite(2, 88)), id="kqr:2,88")])
     def test_both_routes_match_the_dense_oracle(self, g):
         expected = oracle_route(g)
         assert scan_route(g) == expected
@@ -757,13 +790,17 @@ class TestThinRoute:
             assert resolve._max_equidistant(g.distance_matrix) == top
             assert thin_route(g) == oracle_route(g)
 
-    @pytest.mark.parametrize("f", ["path:130", "cycle:131", "spider:40,45,50", "grid:3x40"])
-    def test_filter_drops_only_pairs_over_the_seed(self, f, monkeypatch):
+    @pytest.mark.parametrize("g", [
+        pytest.param(generate(parse_family(f)), id=f)
+        for f in ["path:130", "cycle:131", "spider:40,45,50", "grid:3x40"]]
+        + [chorded("path:130", 0, 4), chorded("spider:40,45,50", 40, 135)])
+    def test_filter_drops_only_pairs_over_the_seed(self, g, monkeypatch):
         """The seed scan runs over the adjacent pairs; the sum scan then
         drops exactly the pairs whose geodesic bound (t + 1)^2 // 2, for
-        t = d(x, y), exceeds the seed, and each dropped pair sums above it."""
+        t = d(x, y), exceeds the seed, and each dropped pair sums above it.
+        The trees take the route with the tree route off."""
         monkeypatch.setattr(resolve, "_SCAN_FLOOR", 0)
-        g = generate(parse_family(f))
+        tree_route_off(monkeypatch)
         seen = []
 
         def recording(rows, reducers, workers=1, partners=None):
@@ -819,7 +856,7 @@ class TestThinRoute:
 
 def router_graphs():
     return ([pytest.param(g, id=f"rand{i}") for i, g in enumerate(random_graph_corpus())]
-            + [pytest.param(generate(parse_family(f)), id=f) for f in THIN_FAMILIES]
+            + thin_graphs()
             + [pytest.param(make(n), id=f"{make.__name__}{n}") for n in (8, 80)
                for make in (true_twin_path, leaves_and_bull, four_cycle_and_commons)])
 
@@ -855,6 +892,17 @@ def pruefer_tree_with_false_twins(n):
             return g
 
 
+def plus_chord_keeping_false_twins(g):
+    """``g`` plus its lex-first chord that leaves false twins and makes no
+    true twins: a sparse twin graph that is no tree."""
+    for u, v in combinations(range(g.n), 2):
+        if not g.has_edge(u, v):
+            h = build_graph(g.n, g.edges() + [(u, v)])
+            true_pairs, false_pairs = find_twins(h)
+            if false_pairs and not true_pairs:
+                return h
+
+
 class TestKappaRouter:
     """One router, one policy, serves ``compute_kappa`` (sum and count) and
     the vertex ``variant_kappa`` (sum only): the twin summary first, read
@@ -884,17 +932,113 @@ class TestKappaRouter:
         assert wdim_log == [scan for scan in kappa_log if scan != "count"]
 
     @pytest.mark.parametrize("f", ["path:400", "cycle:401", "star:300", "star:200",
-                                   "kqr:100,100", "pruefer150", "complete:250"])
+                                   "kqr:100,100", "pruefer150", "complete:250",
+                                   "path:400+0-4", "kqr:2,298", "kqr:2,198", "pruefer150+chord"])
     def test_vertex_variant_kappa_skips_the_dense_pass(self, f):
         """Every scan of the vertex ``variant_kappa`` runs over a partner
         subset, and kappa' (the equidistant count) is never made: no dense
-        pass, whatever the timing. ``path:400`` and ``cycle:401`` are above
-        the floor and take the thin route; twin graphs take the twin route
-        at any size (below the floor: ``star:200``, ``kqr:100,100``, a tree
-        on 150 vertices), and true twins (``complete:250``) make no scan."""
-        g = pruefer_tree_with_false_twins(150) if f == "pruefer150" else generate(parse_family(f))
+        pass, whatever the timing. ``path:400`` plus a chord and
+        ``cycle:401`` are above the floor and take the thin route; twin
+        graphs take the twin route at any size (above the floor:
+        ``kqr:2,298``; below it: ``kqr:2,198``, ``kqr:100,100``, a tree on
+        150 vertices plus a chord); true twins (``complete:250``) and trees
+        (``path:400``, the stars, the tree on 150 vertices) make no scan."""
+        if f == "path:400+0-4":
+            g = plus_chord("path:400", 0, 4)
+        elif f.startswith("pruefer150"):
+            g = pruefer_tree_with_false_twins(150)
+            g = plus_chord_keeping_false_twins(g) if f.endswith("+chord") else g
+        else:
+            g = generate(parse_family(f))
         rep = compute_kappa(g)
         result, log = recorded_route(lambda: variant_kappa(g, Variant.VERTEX))
         assert result == (rep.kappa, rep.witness_pair)
         assert None not in log and "count" not in log
-        assert bool(log) == (f != "complete:250")
+        assert bool(log) == (resolve.kappa_reads_distances(g) and f != "complete:250")
+
+
+def relabelled(g, rng):
+    """``g`` with its vertex ids permuted at random."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def caterpillar(rng, spine, legs):
+    """A path of ``spine`` vertices with 0..``legs`` leaves at each."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    for i in range(spine):
+        for _ in range(rng.randint(0, legs)):
+            edges.append((i, len(edges) + 1))
+    return build_graph(len(edges) + 1, edges)
+
+
+TREE_FAMILIES = ([f"path:{n}" for n in range(2, 13)] + [f"star:{n}" for n in range(3, 11)]
+                 + [f"kqr:1,{r}" for r in range(1, 7)]
+                 + ["path:130", "spider:1,2,3", "spider:2,3,4", "spider:1,1,5", "spider:3,3,3",
+                    "spider:1,2,2,2", "spider:2,4,4,6", "spider:2,2,2,2", "spider:40,45,50"])
+
+
+def tree_graphs():
+    rng = random.Random(2026)
+    return ([pytest.param(random_tree_graph(rng, n), id=f"pruefer{n}") for n in range(2, 61)]
+            + [pytest.param(relabelled(caterpillar(rng, spine, legs), rng),
+                            id=f"caterpillar{spine}x{legs}-{i}")
+               for spine, legs in ((3, 2), (6, 1), (8, 3), (12, 2)) for i in range(3)]
+            + [pytest.param(relabelled(generate(parse_family(f)), rng), id=f"{f}-relabelled")
+               for f in ("spider:2,2,2,2", "spider:3,3,3,3", "spider:1,3,3,3", "spider:2,3,5")]
+            + [pytest.param(generate(parse_family(f)), id=f) for f in TREE_FAMILIES])
+
+
+@st.composite
+def relabelled_trees(draw, max_n=40):
+    """A random tree on 2..max_n vertices, each vertex hung from an earlier
+    one, under a random vertex permutation."""
+    n = draw(st.integers(2, max_n))
+    perm = draw(st.permutations(range(n)))
+    return build_graph(n, [(perm[draw(st.integers(0, v - 1))], perm[v]) for v in range(1, n)])
+
+
+def no_apsp(mp):
+    """Make any start of the all-pairs BFS fail."""
+    def refuse(*args):
+        raise AssertionError("APSP started")
+
+    mp.setattr(graph, "_all_sources_bfs", refuse)
+    mp.setattr(graph.Graph, "_bfs", refuse)
+
+
+class TestTreeRoute:
+    """Trees take the tree route (``TreeShape.kappa``, ``witness`` and
+    ``kappa_prime``), which reads no distance matrix: the value, the
+    lex-first witness, kappa' and the classification of the dense scan
+    and of the other routes."""
+
+    @staticmethod
+    def check(g):
+        with pytest.MonkeyPatch.context() as mp:
+            no_apsp(mp)
+            rep = compute_kappa(g)
+            vertex = variant_kappa(g, Variant.VERTEX)
+        d = np.array(plain_distances(g))
+        (kappa, pair), (kappa_prime, _) = lex_min(d, [pair_sum, pair_count])
+        assert (rep.kappa, rep.witness_pair, rep.kappa_prime) == (kappa, pair, kappa_prime)
+        assert vertex == (kappa, pair)
+        with pytest.MonkeyPatch.context() as mp:
+            tree_route_off(mp)
+            assert compute_kappa(g) == rep
+
+    @pytest.mark.parametrize("g", tree_graphs())
+    def test_matches_the_dense_scan(self, g):
+        self.check(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(relabelled_trees())
+    def test_matches_the_dense_scan_on_random_trees(self, g):
+        self.check(g)
+
+    def test_one_vertex(self):
+        g = build_graph(1, [])
+        with pytest.raises(TrivialGraph):
+            compute_kappa(g)
+        assert variant_kappa(g, Variant.VERTEX) == (None, None)

@@ -33,6 +33,7 @@ from weakdim import (
     tree_basis,
     verify_weak_k_resolving,
 )
+from weakdim.resolve import lex_min, pair_sum
 
 # path 0-1 with two pendant leaves at each end
 DOUBLE_SPIDER = build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
@@ -65,7 +66,30 @@ class TestDecompose:
         graphs += [generate(spider(*lengths)) for threads in (3, 4, 5)
                    for lengths in combinations_with_replacement(range(1, 4), threads)]
         for g in graphs:
-            assert decompose_tree(g).kappa == compute_kappa(g).kappa, g
+            assert decompose_tree(g).kappa == lex_min(g.distance_matrix, [pair_sum])[0][0], g
+
+    @pytest.mark.parametrize("g, kappa, witness, kappa_prime", [
+        (generate(path(2)), 2, (0, 1), 2),
+        (generate(path(7)), 7, (0, 1), 6),
+        # kappa = n = kappa_star: the first edge (0, 1) beats the heads (1, 3)
+        (generate(spider(2, 3, 4)), 10, (0, 1), 5),
+        # the same spider relabelled: the heads (0, 1) beat the first edge (0, 5)
+        (build_graph(10, [(5, 0), (0, 6), (5, 1), (1, 7), (7, 8), (5, 2), (2, 3), (3, 4), (4, 9)]),
+         10, (0, 1), 5),
+        # l1 < l2: the shortest thread's head and the smallest head of length l2
+        (generate(spider(1, 2, 2, 2)), 6, (1, 2), 3),
+        (build_graph(8, [(7, 6), (7, 5), (5, 0), (7, 3), (3, 1), (7, 4), (4, 2)]), 6, (3, 6), 3),
+        # l1 = l2: the two smallest heads of length l1; over the roots, the lex-first pair
+        (DOUBLE_SPIDER, 4, (2, 3), 2),
+        (build_graph(6, [(0, 1), (0, 5), (0, 4), (1, 3), (1, 2)]), 4, (2, 3), 2),
+        # threads sort by tip, and the heads 1, 2 lead the threads with the largest tips
+        (build_graph(9, [(0, 1), (1, 8), (0, 2), (2, 7), (0, 3), (3, 6), (0, 4), (4, 5)]),
+         8, (1, 2), 4),
+    ])
+    def test_witness_and_kappa_prime(self, g, kappa, witness, kappa_prime):
+        shape = decompose_tree(g)
+        assert shape.kappa == kappa and shape.kappa_prime == kappa_prime
+        assert shape.witness((0, g.adjacency[0][0])) == witness
 
     def test_three_thread_spider_flag(self):
         assert decompose_tree(generate(spider(1, 2, 5))).is_spider3
