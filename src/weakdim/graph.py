@@ -17,9 +17,9 @@ stay on the list BFS, everything denser or shallower goes bit-parallel.
 
 Twins are grouped into classes by their closed (true twins) or open
 (false twins) neighborhoods, built once per graph and cached like the
-matrix, as is a tree's thread decomposition (``trees.decompose_tree``);
-``twin_summary`` gives the pair counts and the lex-first pair of each
-kind without listing every pair.
+matrix, as are a tree's thread decomposition (``trees.decompose_tree``)
+and the 2-coloring of a bipartite graph; ``twin_summary`` gives the pair
+counts and the lex-first pair of each kind without listing every pair.
 """
 
 from __future__ import annotations
@@ -184,11 +184,12 @@ class Graph:
     Construction rejects self-loops, duplicate edges, out-of-range
     endpoints and disconnected inputs. Neighbor lists are sorted tuples,
     so instances are safe to share across workers; the only internal
-    mutations are three one-shot caches, one per structure: the distance
-    matrix, the twin classes and the tree shape.
+    mutations are four one-shot caches, one per structure: the distance
+    matrix, the twin classes, the tree shape and the 2-coloring.
     """
 
-    __slots__ = ("n", "adjacency", "edge_count", "family", "_dist", "_ecc0", "_twins", "_tree")
+    __slots__ = ("n", "adjacency", "edge_count", "family", "_dist", "_ecc0", "_twins", "_tree",
+                 "_coloring")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  family: "FamilySpec | None" = None):
@@ -212,7 +213,7 @@ class Graph:
         )
         self.edge_count = m
         self.family = family
-        self._dist = self._twins = self._tree = None  # filled on first use
+        self._dist = self._twins = self._tree = self._coloring = None  # filled on first use
         from_0 = self._bfs(0)
         if -1 in from_0:
             raise NotConnected("graph is not connected")
@@ -258,10 +259,26 @@ class Graph:
 
     @property
     def twin_classes(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """(true, false) twin classes of ``_twin_classes``, built once and cached."""
+        """(true, false) twin classes of ``_twin_classes``, built once and
+        cached; on a tree read off its leaves (``_tree_twin_classes``)."""
         if self._twins is None:
-            self._twins = _twin_classes(self)
+            tree = self.edge_count == self.n - 1
+            self._twins = (_tree_twin_classes if tree else _twin_classes)(self)
         return self._twins
+
+    @property
+    def coloring(self) -> np.ndarray | None:
+        """Read-only bool side of every vertex in the 2-coloring that puts
+        vertex 0 on side False (the parity of its hop count from vertex 0),
+        or None when the graph is not bipartite; built once and cached."""
+        if self._coloring is None:
+            side = [level & 1 for level in self._bfs(0)]
+            colors = None
+            if all(side[v] != s for u, s in enumerate(side) for v in self.adjacency[u]):
+                colors = np.array(side, dtype=bool)
+                colors.setflags(write=False)
+            self._coloring = (colors,)  # boxed, so that None is cached too
+        return self._coloring[0]
 
     @property
     def tree_shape(self) -> "TreeShape":
@@ -318,6 +335,21 @@ def _twin_classes(g: Graph) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[in
         tuple(tuple(grp) for grp in closed_groups.values() if len(grp) > 1),
         tuple(tuple(grp) for grp in open_groups.values() if len(grp) > 1),
     )
+
+
+def _tree_twin_classes(g: Graph) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """``_twin_classes`` of a tree, in the same order. Two tree vertices with
+    one open neighborhood of two or more vertices would close a 4-cycle,
+    and true twins with a third vertex next to either would close a
+    triangle: the false-twin classes are the leaves grouped by their
+    neighbor, and the one true-twin pair is the single edge of n = 2."""
+    if g.n == 2:
+        return ((0, 1),), ()
+    leaves: dict[int, list[int]] = {}
+    for v, nbrs in enumerate(g.adjacency):
+        if len(nbrs) == 1:
+            leaves.setdefault(nbrs[0], []).append(v)
+    return (), tuple(tuple(grp) for grp in leaves.values() if len(grp) > 1)
 
 
 def find_twins(g: Graph) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:

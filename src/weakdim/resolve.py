@@ -16,7 +16,8 @@ with no distance matrix; twins settle kappa' and all of kappa but a scan
 of the adjacent pairs; long, thin twin-free graphs above a size floor
 get kappa from a scan of the pairs that a geodesic lower bound lets
 through and kappa' from a count of equidistant classes; other graphs get
-one dense scan.
+one dense scan. On bipartite graphs the last two scan only the pairs at
+even distance, as every odd pair sums to at least n.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -120,17 +121,27 @@ def _abs_diff(others: np.ndarray, head: np.ndarray) -> np.ndarray:
 
 
 def pair_sum(block: np.ndarray) -> np.ndarray:
-    """Per-pair difference total (the weak, sum-based criterion)."""
-    return block.sum(axis=1, dtype=np.int64)
+    """Per-pair difference total (the weak, sum-based criterion), summed in
+    int32 while the block's integer dtype (values below 2^(8 x itemsize))
+    and width keep it below 2^30, so that a prefix and a rest sum add up
+    without overflow, else in int64."""
+    narrow = block.dtype.kind in "iu" and block.shape[1] << 8 * block.dtype.itemsize <= 1 << 30
+    return block.sum(axis=1, dtype=np.int32 if narrow else np.int64)
 
 
 def pair_count(block: np.ndarray) -> np.ndarray:
     """Per-pair distinguisher count (the count-based criterion)."""
-    return np.count_nonzero(block, axis=1)
+    return (block != 0).sum(axis=1, dtype=np.int32)
 
 
 _MIN_SLICE = 64  # narrowest first column slice of the early-abandoning scan
 _BATCH = 1 << 16  # entries in one block of the dense scan
+# Entries in one block of a partner scan, and mask entries or pairs in one
+# head group of its pair stream. Threads gain only from blocks this large:
+# smaller ones make so many short numpy calls that two threads mostly wait
+# for each other (grid:40x40 on a 2-core x86 host: 2^16 entries 460 ms on
+# one thread and 570 ms on two, 2^18 entries 460 and 300 ms).
+_PAIR_BATCH = 1 << 18
 
 
 def _dense_part(rows, reducers, start, step):
@@ -171,63 +182,144 @@ def _dense_part(rows, reducers, start, step):
     ]
 
 
+def _slice_width(best: list, ncols: int) -> int:
+    """Width of the first column slice: every column until each reducer has
+    an incumbent, then min(ncols, max(_MIN_SLICE, 2 x the largest))."""
+    if None in best:
+        return ncols
+    return min(ncols, max(_MIN_SLICE, 2 * max(v for v, _ in best)))
+
+
+def _survivors(vals: list, best: list) -> np.ndarray:
+    """The pairs whose column-prefix values (lower bounds) are below some
+    reducer's incumbent; a pair at or above every incumbent cannot win, as
+    it comes later in lex order."""
+    alive = np.zeros(len(vals[0]), dtype=bool)
+    for v, (incumbent, _) in zip(vals, best):
+        alive |= v < incumbent
+    return np.flatnonzero(alive)
+
+
+def _pair_stream(partners, heads: np.ndarray, n: int):
+    """The pairs (a, b) of ``partners`` over n items with a in ``heads``
+    (ascending), in lex order, as arrays of the a's and the b's, one head
+    group at a time: a mask's group spans about ``_PAIR_BATCH`` mask
+    entries, a partner list's as many rows as hold about ``_PAIR_BATCH``
+    pairs."""
+    if callable(partners):
+        step = max(1, _PAIR_BATCH // n)
+        for i in range(0, len(heads), step):
+            group = heads[i:i + step]
+            keep = partners(group) & (np.arange(n) > group[:, None])
+            at, b = np.nonzero(keep)
+            yield group[at], b
+        return
+    group, total = [], 0
+    for a in heads.tolist():
+        if len(partners[a]):
+            group.append(a)
+            total += len(partners[a])
+        if total >= _PAIR_BATCH:
+            yield _listed_pairs(partners, group)
+            group, total = [], 0
+    if group:
+        yield _listed_pairs(partners, group)
+
+
+def _listed_pairs(partners, group: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    return (np.repeat(group, [len(partners[a]) for a in group]),
+            np.concatenate([partners[a] for a in group]))
+
+
+def _partner_part(rows, reducers, pairs):
+    """Per reducer, the lex-first hit among the ``pairs`` stream, scanned in
+    blocks of about ``_PAIR_BATCH`` entries: each block is read on a first
+    column slice, its pairs that reach every incumbent are dropped (a tie
+    comes later in lex order), and the rest are finished; the first argmin
+    of a block is its lex-first pair, and only a strictly smaller value
+    beats an earlier block's."""
+    ncols = rows.shape[1]
+    best = [None] * len(reducers)
+    for heads, others in pairs:
+        lo = 0
+        while lo < len(heads):
+            width = _slice_width(best, ncols)
+            hi = lo + max(1, _PAIR_BATCH // max(1, width))
+            a, b = heads[lo:hi], others[lo:hi]
+            lo = hi
+            block = _abs_diff(rows[b, :width], rows[a, :width])
+            vals = [reduce(block) for reduce in reducers]
+            if width < ncols:
+                survivors = _survivors(vals, best)
+                if survivors.size == 0:
+                    continue
+                a, b = a[survivors], b[survivors]
+                rest = _abs_diff(rows[b, width:], rows[a, width:])
+                vals = [v[survivors] + reduce(rest) for v, reduce in zip(vals, reducers)]
+            for r, v in enumerate(vals):
+                i = int(v.argmin())
+                if best[r] is None or v[i] < best[r][0]:
+                    best[r] = (int(v[i]), (int(a[i]), int(b[i])))
+    return [[hit] for hit in best]
+
+
 def _lex_min_part(rows, reducers, start, step, partners=None):
     """Per reducer, the lex-first hit of each value column among the pairs
     whose head item is one of start, start + step, ..."""
+    if partners is not None:
+        heads = np.arange(start, len(rows) - 1, step)
+        return _partner_part(rows, reducers, _pair_stream(partners, heads, len(rows)))
     ncols = rows.shape[1]
-    if partners is None and (ncols <= _MIN_SLICE or any(hasattr(r, "columns") for r in reducers)):
+    if ncols <= _MIN_SLICE or any(hasattr(r, "columns") for r in reducers):
         return _dense_part(rows, reducers, start, step)
     best = [None] * len(reducers)
     for a in range(start, len(rows) - 1, step):
-        # item a is paired with every later item, or with its partners
-        cand = None if partners is None else partners[a]
-        if cand is not None and not len(cand):
-            continue
-        others, head = slice(a + 1, None) if cand is None else cand, rows[a]
-        if None in best:
-            width = ncols
-        else:
-            width = min(ncols, max(_MIN_SLICE, 2 * max(v for v, _ in best)))
-        block = _abs_diff(rows[others, :width], head[:width])
+        # item a is paired with every later item
+        head = rows[a]
+        width = _slice_width(best, ncols)
+        block = _abs_diff(rows[a + 1:, :width], head[:width])
         vals = [reduce(block) for reduce in reducers]
         survivors = None
         if width < ncols:
-            # Sums over a column prefix are lower bounds; a pair at or above
-            # an incumbent cannot win, as it comes later in lex order.
-            alive = np.zeros(len(block), dtype=bool)
-            for v, (incumbent, _) in zip(vals, best):
-                alive |= v < incumbent
-            survivors = np.flatnonzero(alive)
+            survivors = _survivors(vals, best)
             if survivors.size == 0:
                 continue
-            picked = survivors + a + 1 if cand is None else cand[survivors]
-            rest = _abs_diff(rows[picked, width:], head[width:])
+            rest = _abs_diff(rows[survivors + a + 1, width:], head[width:])
             vals = [v[survivors] + reduce(rest) for v, reduce in zip(vals, reducers)]
         for r, v in enumerate(vals):
             i = int(v.argmin())
             if best[r] is None or v[i] < best[r][0]:
                 j = i if survivors is None else int(survivors[i])
-                best[r] = (int(v[i]), (a, a + 1 + j if cand is None else int(cand[j])))
+                best[r] = (int(v[i]), (a, a + 1 + j))
     return [[hit] for hit in best]
 
 
 def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1,
-            partners: Sequence[np.ndarray] | None = None) -> list:
+            partners: Sequence[np.ndarray] | Callable | None = None) -> list:
     """Per reducer, the lex-first minimizing ``(value, (a, b))`` over item
     pairs a < b of ``rows``, or None when there are fewer than two items.
     With ``partners``, only the pairs (a, b) with b in ``partners[a]`` (an
-    ascending index array of items above a) take part.
+    ascending index array of items above a) take part; or, with a mask
+    function, the pairs (a, b), b > a, where ``partners(heads)``, a bool
+    block of (len(heads) x items) for an ascending index array of head
+    items, is True in a's row and b's column.
 
     A reducer maps a block of per-column differences (one pair per row)
     to per-pair values and must be column-additive with non-negative
     terms, as ``pair_sum`` and ``pair_count`` are: the scan evaluates
-    each head row's block on a first column slice and abandons the pairs
-    that already reach every reducer's incumbent, then finishes the rest.
+    each block on a first column slice and abandons the pairs that
+    already reach every reducer's incumbent, then finishes the rest. The
+    full scan takes one block per head row. A partner scan takes the
+    pairs in lex order, in blocks of about ``_PAIR_BATCH`` entries that
+    group as many head rows as fit, and never holds more than one head
+    group of the pairs at once.
+
     With ``workers > 1`` the head items are split round-robin across
     threads and the parts are merged by ``(value, pair)``, so the result
-    does not depend on the worker count. A partner scan runs on one
-    thread whatever ``workers`` says: the parts do not share incumbents,
-    and a part whose partners hold no small pair would abandon none.
+    does not depend on the worker count. That holds for a mask too, but
+    a partner list runs on one thread whatever ``workers`` says: its
+    parts would not share incumbents, so a part whose partners hold no
+    small pair would abandon none.
 
     A matrix reducer has a ``columns`` attribute R and maps the block to
     a (pairs x R) array, one value column per criterion; its entry in the
@@ -239,7 +331,8 @@ def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1,
     """
     matrix = [hasattr(r, "columns") for r in reducers]
     assert partners is None or not any(matrix), "matrix reducers scan every pair"
-    workers = 1 if partners is not None else min(workers, len(rows) - 1)
+    listed = partners is not None and not callable(partners)
+    workers = 1 if listed else min(workers, len(rows) - 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(
@@ -373,10 +466,12 @@ def _thin_pays(d: np.ndarray, criteria: int) -> bool:
             and _equidistant_total(d, _THIN * pairs) is not None)
 
 
-# Up to this many dense-scan entries (criteria x n x C(n, 2)), one batched
-# ``lex_min`` pass beats the per-row Python work of the thin route on
-# twin-free graphs (fitted with the twin summary already made, on a 2-core
-# x86 host, numpy 2.4).
+# Up to this many dense-scan entries (criteria x n x C(n, 2)), the scan can
+# beat the thin route on twin-free graphs: on thin bipartite grids the
+# same-color scan does up to about here (grid:4x60 with kappa': 4.5 against
+# 5.4 ms at 2^23 entries), on odd cycles the thin route wins from far below
+# (cycle:201 with kappa': 7.2 against 10.1 ms at 2^22). Measured with the
+# twin summary already made, on a 2-core x86 host, numpy 2.4.
 _SCAN_FLOOR = 1 << 23
 
 
@@ -389,8 +484,8 @@ def kappa_reads_distances(g: Graph) -> bool:
 def _kappa_route(g: Graph, count: bool = False, workers: int = 1) -> tuple:
     """``((kappa, pair), kappa')``: the lex-first minimizing pair of the sum
     (None with fewer than two vertices) and, with ``count``, kappa' (else
-    None), by one of four routes, each with the values and witness of the
-    dense scan.
+    None), by one of four routes, the last two narrowed by parity on
+    bipartite graphs, each with the values and witness of the dense scan.
 
     Trees (n >= 2; ``Graph.tree_shape``, no distance matrix). Take a pair
     at distance L >= 3 on the path p_0 ... p_L, and let each probe project
@@ -439,8 +534,23 @@ def _kappa_route(g: Graph, count: bool = False, workers: int = 1) -> tuple:
 
     Scan. Every other graph gets one ``lex_min`` pass over every pair,
     split across ``workers`` threads and merged by ``(value, pair)``, so
-    the witness does not depend on the worker count. Partner scans, as
-    on the twin and thin routes, run on one thread.
+    the witness does not depend on the worker count. The twin and thin
+    routes scan their pairs on one thread.
+
+    Parity (bipartite graphs, ``Graph.coloring``, on the thin and scan
+    routes). A probe s has hop counts to x and y of the parities of
+    col(s) + col(x) and col(s) + col(y), so when d(x, y) is odd every
+    probe adds an odd amount, at least 1: an odd pair sums to at least n
+    and has exactly n distinguishers, and an adjacent pair, whose probes
+    each add at most 1, sums to exactly n. So both routes scan only the
+    same-color (even-distance) pairs, through a ``lex_min`` mask (the scan
+    route's still split across ``workers``), and kappa' is the smaller of
+    n and the even-pair count minimum. If the even-pair sum minimum is
+    below n, it is kappa, with its lex-first pair as witness, as every
+    odd pair comes above it. Otherwise kappa = n, and the lex-first pair
+    summing to n is no later than the adjacent pair (0, min adj[0]):
+    the witness is the first (0, j), j in 1..min adj[0], that sums to n,
+    read off one row block at a time (``_first_partner``).
     """
     if not kappa_reads_distances(g):
         shape = g.tree_shape
@@ -453,14 +563,37 @@ def _kappa_route(g: Graph, count: bool = False, workers: int = 1) -> tuple:
     if twins.first_false:
         (hit,) = lex_min(d, [pair_sum], workers, _adjacent_partners(g, twins.first_false))
         return hit, 2 if count else None
+    side = g.coloring
+    same = None if side is None else (lambda heads: side[heads, None] == side)
     if _thin_pays(d, 1 + count):
         ((seed, _),) = lex_min(d, [pair_sum], partners=_adjacent_partners(g))
         reach = isqrt(2 * seed + 1) - 1  # the largest t with (t + 1)^2 // 2 <= seed
-        partners = [np.flatnonzero(d[a, a + 1:] <= reach) + (a + 1) for a in range(n)]
-        (hit,) = lex_min(d, [pair_sum], partners=partners)
-        return hit, n - _max_equidistant(d) if count else None
-    hit, *counted = lex_min(d, [pair_sum, pair_count] if count else [pair_sum], workers)
-    return hit, counted[0][0] if count else None
+
+        def near(heads):
+            keep = d[heads] <= reach
+            return keep if same is None else keep & same(heads)
+
+        (hit,) = lex_min(d, [pair_sum], partners=near)
+        kappa_prime = n - _max_equidistant(d) if count else None
+    else:
+        hit, *counted = lex_min(d, [pair_sum, pair_count] if count else [pair_sum], workers, same)
+        # with ``same``, the odd pairs left out each have count n
+        kappa_prime = min(n, counted[0][0] if counted[0] else n) if count else None
+    if same is not None and n > 1 and (hit is None or hit[0] >= n):
+        hit = n, (0, _first_partner(d, n, g.adjacency[0][0]))
+    return hit, kappa_prime
+
+
+def _first_partner(d: np.ndarray, total: int, last: int) -> int:
+    """The first j in 1..``last`` whose pair (0, j) sums to ``total``, given
+    that (0, ``last``) does, in row blocks of about ``_PAIR_BATCH`` entries."""
+    step = max(1, _PAIR_BATCH // len(d))
+    for lo in range(1, last + 1, step):
+        sums = pair_sum(_abs_diff(d[lo:min(lo + step, last + 1)], d[0]))
+        found = np.flatnonzero(sums == total)
+        if found.size:
+            return lo + int(found[0])
+    raise AssertionError(f"pair (0, {last}) does not sum to {total}")
 
 
 def compute_kappa(g: Graph, workers: int = 1, phases: dict | None = None) -> KappaReport:

@@ -11,10 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bipartition_classes,
     family_corpus,
     plain_delta_set,
     plain_distances,
     random_connected_graph,
+    random_tree_corpus,
+    random_tree_graph,
 )
 
 from weakdim import (
@@ -355,6 +358,54 @@ class TestTwins:
                 assert d[x, y] == 2
                 others = [s for s in range(g.n) if s not in (x, y)]
                 assert (d[x, others] == d[y, others]).all()
+
+    def test_tree_classes_read_off_the_leaves(self, monkeypatch):
+        """On a tree the classes come from ``_tree_twin_classes``: the same
+        classes, in the same order, as ``_twin_classes``; and the cached
+        classes of a tree never call ``_twin_classes``."""
+        rng = random.Random(7)
+        trees = random_tree_corpus() + [random_tree_graph(rng, n) for n in (2, 3, 60, 300)]
+        trees += [generate(parse_family(f)) for f in (
+            "path:2", "path:3", "path:12", "star:4", "star:40", "spider:1,1,1",
+            "spider:1,2,5", "spider:1,1,2,3", "kqr:1,6", "kqr:6,1")]
+        trees.append(build_graph(1, []))
+        for g in trees:
+            assert graph._tree_twin_classes(g) == graph._twin_classes(g), g
+        assert any(graph._twin_classes(g)[1] for g in trees)
+        monkeypatch.setattr(graph, "_twin_classes", lambda g: pytest.fail("generic classes"))
+        for g in trees:
+            assert graph.Graph(g.n, g.edges()).twin_classes == graph._tree_twin_classes(g)
+
+
+class TestColoring:
+    """``Graph.coloring`` is the parity of the hop count from vertex 0 on a
+    bipartite graph and None on any other; it is built once."""
+
+    def test_against_the_bfs_parity(self):
+        corpus = family_corpus() + [random_connected_graph(random.Random(s), 9)
+                                    for s in range(40)]
+        corpus += [random_tree_graph(random.Random(s), 30) for s in range(10)]
+        for g in corpus:
+            side = g.coloring
+            d = plain_distances(g)
+            bipartite = all((d[0][u] - d[0][v]) % 2 for u, v in g.edges())
+            assert (side is not None) == bipartite, g
+            if bipartite:
+                even, odd = bipartition_classes(g)
+                assert side.dtype == bool and not side.flags.writeable
+                assert set(np.flatnonzero(~side).tolist()) == even
+                assert set(np.flatnonzero(side).tolist()) == odd
+        graphs = [generate(parse_family(f)) for f in ("cycle:7", "complete:3", "kqr:2,2")]
+        assert [g.coloring is None for g in graphs] == [True, True, False]
+        assert build_graph(1, []).coloring.tolist() == [False]
+
+    def test_built_once(self, monkeypatch):
+        for f in ("grid:3x4", "cycle:5"):
+            g = generate(parse_family(f))
+            first = g.coloring
+            monkeypatch.setattr(graph.Graph, "_bfs", lambda *a: pytest.fail("rebuilt"))
+            assert g.coloring is first
+            monkeypatch.undo()
 
 
 class TestEdgeListFormat:

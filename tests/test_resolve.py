@@ -637,8 +637,8 @@ class TestTwinShortcuts:
         assert pairs == set(g.edges()) | {find_twins(g)[1][0]}
 
     def test_partner_scans_run_on_one_thread(self, monkeypatch):
-        """A partner scan's round-robin parts would not share an incumbent,
-        so a part without a small pair would never abandon one."""
+        """A partner list scan's round-robin parts would not share an
+        incumbent, so a part without a small pair would never abandon one."""
         def refuse(*args, **kwargs):
             raise AssertionError("a partner scan started threads")
 
@@ -797,7 +797,9 @@ class TestThinRoute:
     def test_filter_drops_only_pairs_over_the_seed(self, g, monkeypatch):
         """The seed scan runs over the adjacent pairs; the sum scan then
         drops exactly the pairs whose geodesic bound (t + 1)^2 // 2, for
-        t = d(x, y), exceeds the seed, and each dropped pair sums above it.
+        t = d(x, y), exceeds the seed, and each dropped pair sums above it;
+        on bipartite graphs the seed is n and the scan also drops exactly
+        the odd pairs, each with sum at least n and n distinguishers.
         The trees take the route with the tree route off."""
         monkeypatch.setattr(resolve, "_SCAN_FLOOR", 0)
         tree_route_off(monkeypatch)
@@ -806,7 +808,8 @@ class TestThinRoute:
         def recording(rows, reducers, workers=1, partners=None):
             hit = lex_min(rows, reducers, workers, partners)
             seen.append(([r.__name__ for r in reducers],
-                         {(a, int(b)) for a, bs in enumerate(partners) for b in bs}, hit))
+                         {(a, int(b)) for a, bs in enumerate(partner_lists(partners, len(rows)))
+                          for b in bs}, hit))
             return hit
 
         monkeypatch.setattr(resolve, "lex_min", recording)
@@ -816,11 +819,17 @@ class TestThinRoute:
         assert adjacent == set(g.edges())
         d = plain_distances(g)
         D = np.array(d, dtype=np.int64)
+        bipartite = all((d[0][u] - d[0][v]) % 2 for u, v in g.edges())
+        assert bipartite == (g.coloring is not None)
+        assert not bipartite or seed == g.n
         for x, y in combinations(range(g.n), 2):
             bound = (d[x][y] + 1) ** 2 // 2
-            assert ((x, y) in kept) == (bound <= seed)
+            odd = bipartite and d[x][y] % 2 == 1
+            assert ((x, y) in kept) == (bound <= seed and not odd)
             if bound > seed:
                 assert int(np.abs(D[x] - D[y]).sum()) >= bound > seed
+            if odd:
+                assert int(np.abs(D[x] - D[y]).sum()) >= g.n == np.count_nonzero(D[x] - D[y])
 
     def test_count_pass_peak_memory(self):
         """The count accumulator holds the C(n, 2) pairs x < y in the distance
@@ -861,6 +870,15 @@ def router_graphs():
                for make in (true_twin_path, leaves_and_bull, four_cycle_and_commons)])
 
 
+def partner_lists(partners, n):
+    """The ascending partner arrays of ``lex_min`` partners over n items: a
+    partner list as it is, a mask function row by row."""
+    if not callable(partners):
+        return partners
+    return [np.flatnonzero(partners(np.arange(a, a + 1))[0, a + 1:]) + (a + 1)
+            for a in range(n)]
+
+
 def recorded_route(run):
     """The scans ``run()`` makes, in order: the partner lists of each
     ``lex_min`` call (None for all pairs), and "count" for each call of the
@@ -869,7 +887,8 @@ def recorded_route(run):
 
     def recording(rows, reducers, workers=1, partners=None):
         assert reducers[0] is pair_sum
-        log.append(None if partners is None else [p.tolist() for p in partners])
+        log.append(None if partners is None
+                   else [p.tolist() for p in partner_lists(partners, len(rows))])
         return lex_min(rows, reducers, workers, partners)
 
     def counting(d):
@@ -1042,3 +1061,285 @@ class TestTreeRoute:
         with pytest.raises(TrivialGraph):
             compute_kappa(g)
         assert variant_kappa(g, Variant.VERTEX) == (None, None)
+
+
+def per_row_min(D, partners, reduce):
+    """Plain reference of a partner scan: every listed pair, one head row at
+    a time, and the lex-first (value, pair) of the smallest value."""
+    hits = [(int(reduce(np.abs(D[b] - D[a])[None])[0]), (a, int(b)))
+            for a in range(len(D)) for b in partners[a]]
+    return min(hits, default=None)
+
+
+def random_partners(rng, n, keep):
+    """Ascending partner arrays above each item; about a third of the rows
+    are left empty."""
+    return [np.array([b for b in range(a + 1, n) if rng.random() < keep], dtype=np.intp)
+            if rng.random() < 0.66 else np.empty(0, dtype=np.intp) for a in range(n)]
+
+
+def as_mask(partners, n):
+    """The same partner sets as a ``lex_min`` mask function (with marks
+    below the diagonal too, which the scan must ignore)."""
+    marks = np.zeros((n, n), dtype=bool)
+    for a, bs in enumerate(partners):
+        marks[a, bs] = True
+        marks[a, :a] = True
+    return lambda heads: marks[heads]
+
+
+class TestBlockedPartnerScan:
+    """A partner scan takes the listed pairs in lex order, in blocks of about
+    ``_PAIR_BATCH`` entries over several head rows: the same hits as a
+    per-row reference for every criterion, wherever the blocks fall."""
+
+    REDUCERS = [[pair_sum], [pair_count], [pair_sum, pair_count]]
+
+    @pytest.mark.parametrize("f, batch", [
+        (f, batch) for f in ("cycle:31", "grid:9x7", "kqr:3,4", "path:130")
+        for batch in (1, 7, 300, resolve._PAIR_BATCH)]
+        + [("grid:20x20", 5000), ("grid:20x20", resolve._PAIR_BATCH)])
+    def test_matches_a_per_row_reference(self, f, batch, monkeypatch):
+        """A batch of 1 or 7 entries puts every pair, or every few pairs, in
+        its own block, so head rows and the pairs of one row straddle block
+        and group boundaries; on ``grid:20x20`` the first column slice
+        abandons pairs (n > 64)."""
+        g = generate(parse_family(f))
+        monkeypatch.setattr(resolve, "_PAIR_BATCH", batch)
+        rng = random.Random(batch + g.n)
+        D = np.array(plain_distances(g), dtype=np.int64)
+        for keep in (0.05, 0.5) if g.n < 400 else (0.03,):
+            partners = random_partners(rng, g.n, keep)
+            for reducers in self.REDUCERS:
+                expected = [per_row_min(D, partners, reduce) for reduce in reducers]
+                assert lex_min(g.distance_matrix, reducers, partners=partners) == expected
+                for workers in (1, 2):
+                    assert lex_min(g.distance_matrix, reducers, workers,
+                                   as_mask(partners, g.n)) == expected
+
+    def test_empty_partner_rows(self):
+        g = generate(parse_family("grid:4x5"))
+        empty = [np.empty(0, dtype=np.intp)] * g.n
+        assert lex_min(g.distance_matrix, [pair_sum, pair_count], partners=empty) == [None, None]
+        def nothing(heads):
+            return np.zeros((len(heads), g.n), dtype=bool)
+
+        assert lex_min(g.distance_matrix, [pair_sum], 2, nothing) == [None]
+        last = empty[:-2] + [np.array([g.n - 1])] + empty[-1:]
+        expected = int(np.abs(g.distance_matrix[-1] - g.distance_matrix[-2]).sum())
+        assert lex_min(g.distance_matrix, [pair_sum], partners=last) == [
+            (expected, (g.n - 2, g.n - 1))]
+
+    @pytest.mark.parametrize("batch", [1, 6, 40])
+    def test_ties_split_across_blocks(self, batch, monkeypatch):
+        """On a complete graph every pair sums to 2 and has count 2; in
+        blocks of one pair and of a few, the first listed pair wins, also
+        when its tie partners come in later blocks or head groups."""
+        monkeypatch.setattr(resolve, "_PAIR_BATCH", batch)
+        g = generate(parse_family("complete:9"))
+        partners = [np.arange(a + 1, g.n) if a in (3, 5, 6) else np.empty(0, np.intp)
+                    for a in range(g.n)]
+        for workers in (1, 2):
+            for given_as in (partners, as_mask(partners, g.n)):
+                assert lex_min(g.distance_matrix, [pair_sum, pair_count], workers,
+                               given_as) == [(2, (3, 4)), (2, (3, 4))]
+        # a smaller value in a later block beats the earlier ties; a tie with
+        # it later still does not
+        rows = np.array([[0, 0], [1, 0], [1, 1], [5, 5], [3, 1], [3, 1]], dtype=np.int16)
+        listed = [np.array([1, 2, 3]), np.array([4]), np.array([3, 5]), np.array([4, 5]),
+                  np.array([5]), np.empty(0, np.intp)]
+        D = rows.astype(np.int64)
+        expected = [per_row_min(D, listed, reduce) for reduce in (pair_sum, pair_count)]
+        assert expected == [(0, (4, 5)), (0, (4, 5))]
+        assert lex_min(rows, [pair_sum, pair_count], partners=listed) == expected
+
+    def test_reducers_do_not_overflow(self):
+        """``pair_sum`` sums narrow blocks in int32 only while the block's
+        dtype and width keep a sum below 2^30, so a prefix sum and a rest
+        sum still add up exactly; ``pair_count`` counts the nonzeros."""
+        for dtype, width in ((np.int16, 32768), (np.int16, 70000), (np.int32, 3), (np.int8, 9)):
+            top = np.iinfo(dtype).max
+            block = np.full((2, width), top, dtype=dtype)
+            block[1, ::2] = 0
+            half = width // 2
+            total = pair_sum(block[:, :half]) + pair_sum(block[:, half:])
+            assert total.tolist() == pair_sum(block).tolist() == [
+                top * width, top * (width // 2)]
+            assert pair_count(block).tolist() == [width, width // 2]
+
+    def test_stream_holds_one_head_group(self, monkeypatch):
+        """The pair stream makes one head group at a time, of about
+        ``_PAIR_BATCH`` pairs or mask entries (at least one head row), in
+        lex order over every listed pair."""
+        monkeypatch.setattr(resolve, "_PAIR_BATCH", 50)
+        g = generate(parse_family("grid:6x7"))
+        partners = random_partners(random.Random(3), g.n, 0.5)
+        pairs = [(a, int(b)) for a in range(g.n) for b in partners[a]]
+        for given_as, cap in ((partners, 50 + g.n), (as_mask(partners, g.n), g.n)):
+            groups = list(resolve._pair_stream(given_as, np.arange(g.n - 1), g.n))
+            assert max(len(a) for a, _ in groups) <= cap
+            assert [(int(a), int(b)) for heads, others in groups
+                    for a, b in zip(heads, others)] == pairs
+
+    @pytest.mark.parametrize("batch", [1, 9, resolve._PAIR_BATCH])
+    def test_count_verify_over_adjacent_partners(self, batch, monkeypatch):
+        """``verify_local_k_resolving`` reads the count over the adjacent
+        pairs (``_worst_pair`` with ``_adjacent_partners``): the lex-first
+        worst adjacent pair of a per-row reference."""
+        monkeypatch.setattr(resolve, "_PAIR_BATCH", batch)
+        rng = random.Random(batch)
+        for f in ("grid:5x6", "cycle:9", "path:70", "kqr:3,5"):
+            g = generate(parse_family(f))
+            D = np.array(plain_distances(g), dtype=np.int64)
+            adjacent = [[b for b in g.adjacency[a] if b > a] for a in range(g.n)]
+            for S in ([], [0], sorted(rng.sample(range(g.n), g.n // 2)), list(range(g.n))):
+                count, pair = per_row_min(D[:, S], adjacent, pair_count)
+                worst = solver._worst_pair(g, Variant.VERTEX, S, pair_count,
+                                           resolve._adjacent_partners(g))
+                assert (worst.delta, (worst.a, worst.b)) == (count, pair)
+                assert verify_local_k_resolving(g, S, count) == (True, None, count)
+                assert verify_local_k_resolving(g, S, count + 1) == (False, pair, count)
+
+
+def hypercube(dim):
+    """Q_dim on the bit vectors 0..2^dim - 1."""
+    return build_graph(1 << dim, [(v, v | 1 << b) for v in range(1 << dim)
+                                  for b in range(dim) if not v >> b & 1])
+
+
+def torus(a, b):
+    """C_a x C_b (Cartesian) on the vertices i * b + j."""
+    edges = {tuple(sorted((i * b + j, w))) for i in range(a) for j in range(b)
+             for w in ((i + 1) % a * b + j, i * b + (j + 1) % b)}
+    return build_graph(a * b, sorted(edges))
+
+
+def cube_with_a_far_first_neighbor():
+    """Q3 relabelled so that vertex 1 is 011, at distance 2 from vertex 0,
+    and the neighbors of 0 are 2, 3 and 4: the pair (0, 1) sums to n = 8,
+    like every pair at distance 2 in a hypercube, and comes before the
+    first adjacent pair (0, 2)."""
+    label = [0, 2, 3, 1, 4, 5, 6, 7]  # label[v] of bit vector v
+    return build_graph(8, [(min(label[u], label[v]), max(label[u], label[v]))
+                           for u, v in hypercube(3).edges()])
+
+
+@st.composite
+def twin_free_bipartite_graphs(draw, max_n=30):
+    """A random tree on 4..max_n vertices, each hung from an earlier one, plus
+    chords between its color classes, made twin-free by more such chords:
+    while false twins u, v are left, u gets a chord to a vertex of the other
+    class outside N(v). True twins need n = 2."""
+    n = draw(st.integers(4, max_n))
+    parent = [None] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    side = [0] * n
+    for v in range(1, n):
+        side[v] = 1 - side[parent[v]]
+    edges = {(parent[v], v) for v in range(1, n)}
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n)):
+        if side[u] != side[v]:
+            edges.add((min(u, v), max(u, v)))
+    while True:
+        g = build_graph(n, sorted(edges))
+        _, false_pairs = find_twins(g)
+        if not false_pairs:
+            return g
+        u, v = false_pairs[0]
+        outside = [w for w in range(n) if side[w] != side[u] and w not in g.adjacency[v]]
+        assume(outside)
+        w = draw(st.sampled_from(outside))
+        edges.add((min(u, w), max(u, w)))
+
+
+def parity_graphs():
+    graphs = [(f, generate(parse_family(f))) for f in (
+        "grid:3x3", "grid:4x7", "grid:9x7", "grid:12x12", "grid:5x30",
+        "cycle:6", "cycle:8", "cycle:40", "cycle:100")]
+    graphs += [(f"Q{dim}", hypercube(dim)) for dim in (3, 4, 5)]
+    graphs += [(f"C{a}xC{b}", torus(a, b)) for a, b in ((4, 6), (6, 6), (6, 8), (8, 10))]
+    graphs.append(("Q3-far", cube_with_a_far_first_neighbor()))
+    return [pytest.param(g, id=name) for name, g in graphs]
+
+
+def both_routes(g, workers):
+    """``_kappa_route`` with count on the scan and on the thin route, the
+    tree route off."""
+    results = []
+    for thin in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            tree_route_off(mp)
+            mp.setattr(resolve, "_thin_pays", lambda d, criteria: thin)
+            results.append(resolve._kappa_route(g, count=True, workers=workers))
+    return results
+
+
+class TestParityRoute:
+    """On a twin-free bipartite graph both the scan and the thin route scan
+    only the same-color pairs; an odd pair sums to at least n with n
+    distinguishers, so kappa is the even-pair minimum if below n, else n at
+    the first (0, j), j <= min adj[0], that sums to n; kappa' is the
+    smaller of n and the even-pair count minimum."""
+
+    @staticmethod
+    def check(g, expected):
+        assert g.coloring is not None and find_twins(g) == ([], [])
+        for workers in (1, 2):
+            assert both_routes(g, workers) == [expected] * 2
+            rep = compute_kappa(g, workers=workers)
+            assert ((rep.kappa, rep.witness_pair), rep.kappa_prime) == expected
+            assert variant_kappa(g, Variant.VERTEX) == expected[0]
+
+    @pytest.mark.parametrize("g", parity_graphs())
+    def test_matches_the_dense_oracle(self, g):
+        self.check(g, oracle_route(g))
+
+    @settings(max_examples=80, deadline=None)
+    @given(twin_free_bipartite_graphs())
+    def test_matches_the_dense_oracle_on_random_graphs(self, g):
+        self.check(g, oracle_route(g))
+
+    def test_tie_witness_before_the_first_neighbor(self):
+        """Kappa = n, and the first pair summing to n is (0, 1), at distance
+        2, before the first adjacent pair (0, 2)."""
+        g = cube_with_a_far_first_neighbor()
+        assert g.adjacency[0] == (2, 3, 4)
+        assert oracle_route(g) == ((8, (0, 1)), 4)
+        self.check(g, ((8, (0, 1)), 4))
+
+    def test_large_grid_and_even_cycle(self):
+        """The tie case on ``cycle:600`` (the first adjacent pair) and a
+        minimum below n on ``grid:24x24``, against the full scan over every
+        pair: ``dense_lex_min`` would hold all C(n, 2) x n int64 entries at
+        once, about 860 MB on ``cycle:600``."""
+        for f, expected in (("cycle:600", ((600, (0, 1)), 598)),
+                            ("grid:24x24", ((92, (1, 24)), 46))):
+            g = generate(parse_family(f))
+            assert scan_route(g) == expected
+            self.check(g, expected)
+
+    @pytest.mark.parametrize("f", ["grid:9x7", "cycle:40", "grid:3x40"])
+    def test_scans_only_same_color_pairs(self, f, monkeypatch):
+        """Every pair either route scans past the seed is a same-color pair."""
+        g = generate(parse_family(f))
+        side = g.coloring
+        for thin in (False, True):
+            monkeypatch.setattr(resolve, "_thin_pays", lambda d, criteria: thin)
+            _, log = recorded_route(lambda: resolve._kappa_route(g, count=True))
+            scanned = [scan for scan in log if scan != "count"][-1]
+            assert {side[a] == side[b] for a, bs in enumerate(scanned) for b in bs} == {True}
+
+    def test_workers_split_the_parity_scan(self, monkeypatch):
+        g = generate(parse_family("grid:12x12"))
+        expected = compute_kappa(g)
+        started = []
+        pool = resolve.ThreadPoolExecutor
+
+        def recording(max_workers):
+            started.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(resolve, "ThreadPoolExecutor", recording)
+        fresh = generate(parse_family("grid:12x12"))
+        assert compute_kappa(fresh, workers=2) == expected
+        assert started == [2]
