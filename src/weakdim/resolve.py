@@ -9,14 +9,17 @@ for the count-based (k distinct distinguishers) criterion.
 
 ``lex_min`` is the one scan for the lex-first pair minimizing such a
 criterion; kappa here and every verifier and certificate in ``solver``
-read it. One router picks one of four routes to kappa by one policy, for
+read it, through two kernels: one block per head row for a full scan
+over more than ``_MIN_SLICE`` columns with column-additive reducers
+only, and blocks of a lex-ordered pair stream for every other scan. One
+router picks one of four routes to kappa by one policy, for
 ``compute_kappa`` and ``solver.variant_kappa`` (kappa' only when asked):
 trees get kappa, the witness and kappa' from their thread decomposition,
 with no distance matrix; twins settle kappa' and all of kappa but a scan
 of the adjacent pairs; long, thin twin-free graphs above a size floor
 get kappa from a scan of the pairs that a geodesic lower bound lets
 through and kappa' from a count of equidistant classes; other graphs get
-one dense scan. On bipartite graphs the last two scan only the pairs at
+one full scan. On bipartite graphs the last two scan only the pairs at
 even distance, as every odd pair sums to at least n.
 """
 
@@ -135,51 +138,13 @@ def pair_count(block: np.ndarray) -> np.ndarray:
 
 
 _MIN_SLICE = 64  # narrowest first column slice of the early-abandoning scan
-_BATCH = 1 << 16  # entries in one block of the dense scan
-# Entries in one block of a partner scan, and mask entries or pairs in one
-# head group of its pair stream. Threads gain only from blocks this large:
+_BATCH = 1 << 16  # entries in one block or head group of a scan with a matrix reducer
+# Entries in one block of any other stream scan, and mask entries or pairs in
+# one head group of its pair stream. Threads gain only from blocks this large:
 # smaller ones make so many short numpy calls that two threads mostly wait
 # for each other (grid:40x40 on a 2-core x86 host: 2^16 entries 460 ms on
 # one thread and 570 ms on two, 2^18 entries 460 and 300 ms).
 _PAIR_BATCH = 1 << 18
-
-
-def _dense_part(rows, reducers, start, step):
-    """``_lex_min_part`` where every slice would cover all columns: the pairs
-    of several head rows are reduced in one block, and per value column
-    the first argmin is the lex-first pair. A block holds about ``_BATCH``
-    entries of the widest of the columns and the reducers' ``width``s
-    (their own per-pair temporaries)."""
-    nrows, ncols = rows.shape
-    width = max([ncols] + [getattr(r, "width", 0) for r in reducers])
-    heads = np.arange(start, nrows - 1, step)
-    per_batch = max(1, _BATCH // (max(1, nrows) * max(1, width)))
-    best = [None] * len(reducers)  # per reducer: values, heads, partners per column
-    for i in range(0, len(heads), per_batch):
-        batch = heads[i:i + per_batch]
-        first = int(batch[0])
-        others = rows[first + 1:]
-        block = _abs_diff(others[None], rows[batch][:, None])
-        # block[r, j] is the pair (batch[r], first + 1 + j); keep b > a only
-        npairs = len(batch) * len(others)
-        lower = (np.arange(len(others)) < (batch - first)[:, None]).ravel()
-        for r, reduce in enumerate(reducers):
-            vals = reduce(block.reshape(npairs, ncols)).reshape(npairs, -1)
-            vals[lower] = np.iinfo(vals.dtype).max
-            at = vals.argmin(axis=0)
-            h, j = np.divmod(at, len(others))
-            hit = (vals[at, np.arange(vals.shape[1])], batch[h], first + 1 + j)
-            if best[r] is None:
-                best[r] = hit
-            else:
-                won = hit[0] < best[r][0]
-                for held, new in zip(best[r], hit):
-                    held[won] = new[won]
-    return [
-        [None] * getattr(reduce, "columns", 1) if b is None
-        else [(v, (a, c)) for v, a, c in zip(*(x.tolist() for x in b))]
-        for b, reduce in zip(best, reducers)
-    ]
 
 
 def _slice_width(best: list, ncols: int) -> int:
@@ -200,17 +165,19 @@ def _survivors(vals: list, best: list) -> np.ndarray:
     return np.flatnonzero(alive)
 
 
-def _pair_stream(partners, heads: np.ndarray, n: int):
-    """The pairs (a, b) of ``partners`` over n items with a in ``heads``
-    (ascending), in lex order, as arrays of the a's and the b's, one head
-    group at a time: a mask's group spans about ``_PAIR_BATCH`` mask
-    entries, a partner list's as many rows as hold about ``_PAIR_BATCH``
-    pairs."""
-    if callable(partners):
-        step = max(1, _PAIR_BATCH // n)
+def _pair_stream(partners, heads: np.ndarray, n: int, budget: int):
+    """The pairs (a, b) of ``partners`` (every b > a for None) over n items
+    with a in ``heads`` (ascending), in lex order, as arrays of the a's and
+    the b's, one head group at a time: all pairs' or a mask's group spans
+    about ``budget`` entries of n-wide head rows, a partner list's as many
+    rows as hold about ``budget`` pairs."""
+    if partners is None or callable(partners):
+        step = max(1, budget // max(1, n))
         for i in range(0, len(heads), step):
             group = heads[i:i + step]
-            keep = partners(group) & (np.arange(n) > group[:, None])
+            keep = np.arange(n) > group[:, None]
+            if partners is not None:
+                keep &= partners(group)
             at, b = np.nonzero(keep)
             yield group[at], b
         return
@@ -219,7 +186,7 @@ def _pair_stream(partners, heads: np.ndarray, n: int):
         if len(partners[a]):
             group.append(a)
             total += len(partners[a])
-        if total >= _PAIR_BATCH:
+        if total >= budget:
             yield _listed_pairs(partners, group)
             group, total = [], 0
     if group:
@@ -231,20 +198,25 @@ def _listed_pairs(partners, group: list[int]) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([partners[a] for a in group]))
 
 
-def _partner_part(rows, reducers, pairs):
-    """Per reducer, the lex-first hit among the ``pairs`` stream, scanned in
-    blocks of about ``_PAIR_BATCH`` entries: each block is read on a first
-    column slice, its pairs that reach every incumbent are dropped (a tie
-    comes later in lex order), and the rest are finished; the first argmin
-    of a block is its lex-first pair, and only a strictly smaller value
+def _partner_part(rows, reducers, heads, partners):
+    """Per reducer, the hit of each value column among the ``_pair_stream``
+    of ``partners`` and ``heads``, in blocks sized as ``lex_min`` says.
+    Without matrix reducers each block is read on a first column slice,
+    its pairs that reach every incumbent are dropped (a tie comes later
+    in lex order), and the rest are finished. The first argmin of a block
+    (per column) is its lex-first pair, and only a strictly smaller value
     beats an earlier block's."""
+    rows = np.ascontiguousarray(rows)  # blocks gather whole rows, slow on a column subset
     ncols = rows.shape[1]
+    matrix = [hasattr(r, "columns") for r in reducers]
+    sliced = not any(matrix)
+    budget = _PAIR_BATCH if sliced else _BATCH
     best = [None] * len(reducers)
-    for heads, others in pairs:
+    for heads, others in _pair_stream(partners, heads, len(rows), budget):
         lo = 0
         while lo < len(heads):
-            width = _slice_width(best, ncols)
-            hi = lo + max(1, _PAIR_BATCH // max(1, width))
+            width = _slice_width(best, ncols) if sliced else ncols
+            hi = lo + max(1, budget // max([1, width] + [getattr(r, "width", 0) for r in reducers]))
             a, b = heads[lo:hi], others[lo:hi]
             lo = hi
             block = _abs_diff(rows[b, :width], rows[a, :width])
@@ -257,23 +229,31 @@ def _partner_part(rows, reducers, pairs):
                 rest = _abs_diff(rows[b, width:], rows[a, width:])
                 vals = [v[survivors] + reduce(rest) for v, reduce in zip(vals, reducers)]
             for r, v in enumerate(vals):
+                if matrix[r]:
+                    # per column: its first argmin's value, a and b
+                    at = v.argmin(axis=0)
+                    hit = np.stack([v[at, np.arange(v.shape[1])], a[at], b[at]])
+                    held = hit if best[r] is None else best[r]
+                    best[r] = np.where(hit[0] < held[0], hit, held)
+                    continue
                 i = int(v.argmin())
                 if best[r] is None or v[i] < best[r][0]:
                     best[r] = (int(v[i]), (int(a[i]), int(b[i])))
-    return [[hit] for hit in best]
+    return [[(v, (a, b)) for v, a, b in hit.T.tolist()] if m and hit is not None
+            else [hit] * getattr(reduce, "columns", 1)
+            for hit, reduce, m in zip(best, reducers, matrix)]
 
 
 def _lex_min_part(rows, reducers, start, step, partners=None):
     """Per reducer, the lex-first hit of each value column among the pairs
-    whose head item is one of start, start + step, ..."""
-    if partners is not None:
-        heads = np.arange(start, len(rows) - 1, step)
-        return _partner_part(rows, reducers, _pair_stream(partners, heads, len(rows)))
+    whose head item is one of start, start + step, ..., by the kernel that
+    ``lex_min`` names."""
+    heads = np.arange(start, len(rows) - 1, step)
     ncols = rows.shape[1]
-    if ncols <= _MIN_SLICE or any(hasattr(r, "columns") for r in reducers):
-        return _dense_part(rows, reducers, start, step)
+    if partners is not None or ncols <= _MIN_SLICE or any(hasattr(r, "columns") for r in reducers):
+        return _partner_part(rows, reducers, heads, partners)
     best = [None] * len(reducers)
-    for a in range(start, len(rows) - 1, step):
+    for a in heads.tolist():
         # item a is paired with every later item
         head = rows[a]
         width = _slice_width(best, ncols)
@@ -308,11 +288,13 @@ def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1,
     to per-pair values and must be column-additive with non-negative
     terms, as ``pair_sum`` and ``pair_count`` are: the scan evaluates
     each block on a first column slice and abandons the pairs that
-    already reach every reducer's incumbent, then finishes the rest. The
-    full scan takes one block per head row. A partner scan takes the
-    pairs in lex order, in blocks of about ``_PAIR_BATCH`` entries that
-    group as many head rows as fit, and never holds more than one head
-    group of the pairs at once.
+    already reach every reducer's incumbent, then finishes the rest.
+    There are two kernels. A full scan over more than ``_MIN_SLICE``
+    columns takes one block per head row, which reads contiguous row
+    slices. Every other scan takes the pairs in lex order from a pair
+    stream, in blocks of about ``_PAIR_BATCH`` entries that group as many
+    head rows as fit, and never holds more than one head group of the
+    pairs at once.
 
     With ``workers > 1`` the head items are split round-robin across
     threads and the parts are merged by ``(value, pair)``, so the result
@@ -325,14 +307,12 @@ def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1,
     a (pairs x R) array, one value column per criterion; its entry in the
     result is the list of the R columns' hits (each None with fewer than
     two items). It need not be column-additive: the scan then takes the
-    batched dense pass whatever the column count (never with
-    ``partners``), in blocks sized also by the reducer's ``width``, the
-    most entries per pair that it makes.
+    pair stream on all columns, with head groups and blocks of about
+    ``_BATCH`` entries of the widest of the columns and the reducers'
+    ``width``s, the most entries per pair that each makes.
     """
     matrix = [hasattr(r, "columns") for r in reducers]
-    assert partners is None or not any(matrix), "matrix reducers scan every pair"
-    listed = partners is not None and not callable(partners)
-    workers = 1 if listed else min(workers, len(rows) - 1)
+    workers = min(workers, len(rows) - 1) if partners is None or callable(partners) else 1
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(
@@ -341,10 +321,8 @@ def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1,
             ))
     else:
         parts = [_lex_min_part(rows, reducers, 0, 1, partners)]
-    merged = [
-        [min((hit for hit in hits if hit is not None), default=None) for hits in zip(*columns)]
-        for columns in zip(*parts)
-    ]
+    merged = [[min((h for h in hits if h is not None), default=None) for hits in zip(*columns)]
+              for columns in zip(*parts)]
     return [hits if m else hits[0] for hits, m in zip(merged, matrix)]
 
 
@@ -381,14 +359,10 @@ def _classify(g: Graph, kappa: int) -> tuple[KappaClass, tuple[int, ...] | None]
     return KappaClass.OTHER, None
 
 
-def _adjacent_partners(g: Graph, extra: tuple[int, int] | None = None) -> list[np.ndarray]:
-    """``lex_min`` partners for the adjacent pairs and, if given, the pair ``extra``."""
+def _adjacent_partners(g: Graph) -> list[np.ndarray]:
+    """``lex_min`` partners for the adjacent pairs."""
     adj = g.adjacency
-    partners = [adj[a][bisect_right(adj[a], a):] for a in range(g.n)]
-    if extra is not None:
-        x, y = extra
-        partners[x] = tuple(sorted(partners[x] + (y,)))
-    return [np.array(p, dtype=np.intp) for p in partners]
+    return [np.array(adj[a][bisect_right(adj[a], a):], dtype=np.intp) for a in range(g.n)]
 
 
 # The thin route runs while E, the equidistant (source, pair) triples, is at
@@ -514,8 +488,9 @@ def _kappa_route(g: Graph, count: bool = False, workers: int = 1) -> tuple:
     twins. So any twins give kappa' = 2, and true twins give kappa = 2
     with the first true-twin pair as witness. With false twins alone,
     kappa <= 4: a pair at distance 2 sums to 4 only as false twins and a
-    pair at distance >= 3 sums to at least 6, so the scan visits only
-    the adjacent pairs and the first false-twin pair.
+    pair at distance >= 3 sums to at least 6. So kappa is the ``min`` of
+    the adjacent pairs' scan and ``(4, first false-twin pair)``, the
+    lex-first of the false-twin pairs, which all sum to exactly 4.
 
     Thin (twin-free, few equidistant pairs, above ``_SCAN_FLOOR``). Along
     a geodesic x = v0 ... vt = y the probe vi adds |2i - t|, so the sum
@@ -547,10 +522,12 @@ def _kappa_route(g: Graph, count: bool = False, workers: int = 1) -> tuple:
     route's still split across ``workers``), and kappa' is the smaller of
     n and the even-pair count minimum. If the even-pair sum minimum is
     below n, it is kappa, with its lex-first pair as witness, as every
-    odd pair comes above it. Otherwise kappa = n, and the lex-first pair
-    summing to n is no later than the adjacent pair (0, min adj[0]):
-    the witness is the first (0, j), j in 1..min adj[0], that sums to n,
-    read off one row block at a time (``_first_partner``).
+    odd pair comes above it. Otherwise kappa = n, and the hit is the
+    ``min`` of the even-pair hit and ``(n, (0, min adj[0]))``: an odd
+    pair at distance L >= 3 sums to at least n - 2 + 2L > n (x and y add
+    L each), so the odd pairs that sum to n are the adjacent ones, and
+    (0, min adj[0]) is the first of them; the even scan already gives
+    the lex-first even pair at its value.
     """
     if not kappa_reads_distances(g):
         shape = g.tree_shape
@@ -561,8 +538,8 @@ def _kappa_route(g: Graph, count: bool = False, workers: int = 1) -> tuple:
     if twins.first_true:
         return (2, twins.first_true), 2 if count else None
     if twins.first_false:
-        (hit,) = lex_min(d, [pair_sum], workers, _adjacent_partners(g, twins.first_false))
-        return hit, 2 if count else None
+        (hit,) = lex_min(d, [pair_sum], workers, _adjacent_partners(g))
+        return min(hit, (4, twins.first_false)), 2 if count else None
     side = g.coloring
     same = None if side is None else (lambda heads: side[heads, None] == side)
     if _thin_pays(d, 1 + count):
@@ -579,21 +556,10 @@ def _kappa_route(g: Graph, count: bool = False, workers: int = 1) -> tuple:
         hit, *counted = lex_min(d, [pair_sum, pair_count] if count else [pair_sum], workers, same)
         # with ``same``, the odd pairs left out each have count n
         kappa_prime = min(n, counted[0][0] if counted[0] else n) if count else None
-    if same is not None and n > 1 and (hit is None or hit[0] >= n):
-        hit = n, (0, _first_partner(d, n, g.adjacency[0][0]))
+    if same is not None and n > 1:
+        # the odd pairs' minimum is n, first attained at the first edge
+        hit = min(h for h in (hit, (n, (0, g.adjacency[0][0]))) if h is not None)
     return hit, kappa_prime
-
-
-def _first_partner(d: np.ndarray, total: int, last: int) -> int:
-    """The first j in 1..``last`` whose pair (0, j) sums to ``total``, given
-    that (0, ``last``) does, in row blocks of about ``_PAIR_BATCH`` entries."""
-    step = max(1, _PAIR_BATCH // len(d))
-    for lo in range(1, last + 1, step):
-        sums = pair_sum(_abs_diff(d[lo:min(lo + step, last + 1)], d[0]))
-        found = np.flatnonzero(sums == total)
-        if found.size:
-            return lo + int(found[0])
-    raise AssertionError(f"pair (0, {last}) does not sum to {total}")
 
 
 def compute_kappa(g: Graph, workers: int = 1, phases: dict | None = None) -> KappaReport:

@@ -405,10 +405,11 @@ class TestScanAgainstDenseOracle:
 
     @pytest.mark.parametrize("batch", [1, 50, 700])
     def test_dense_batches_keep_the_lex_first_pair(self, monkeypatch, batch):
-        """With at most 64 columns the scan reduces the pairs of several head
-        rows in one block of about ``_BATCH`` entries: wherever the batches
-        split the heads, the witness stays the lex-first minimizer."""
-        monkeypatch.setattr(resolve, "_BATCH", batch)
+        """With at most 64 columns the scan takes every pair from the pair
+        stream, in blocks of about ``_PAIR_BATCH`` entries over several
+        head rows: wherever the blocks split the heads, the witness stays
+        the lex-first minimizer."""
+        monkeypatch.setattr(resolve, "_PAIR_BATCH", batch)
         for f in ("cycle:8", "complete:6", "kqr:3,4", "grid:9x7"):
             g = generate(parse_family(f))
             (kappa, pair), (kappa_prime, _) = dense_lex_min(plain_distances(g), range(g.n))
@@ -474,15 +475,17 @@ def column_subsets(g):
     return [sorted(rng.sample(range(g.n), m)) for m in (0, 1, rng.randint(2, g.n), g.n)]
 
 
-def per_column_scans(g, subsets):
-    """The hits of one single-reducer ``lex_min`` per value column of ``Stacked``."""
+def per_column_scans(g, subsets, partners=None):
+    """The hits of one single-reducer ``lex_min`` per value column of
+    ``Stacked`` (over the pairs of ``partners``, if given)."""
     d = g.distance_matrix
-    return [lex_min(d[:, S], [pair_sum])[0] for S in subsets] + lex_min(d, [pair_count])
+    return ([lex_min(d[:, S], [pair_sum], partners=partners)[0] for S in subsets]
+            + lex_min(d, [pair_count], partners=partners))
 
 
 class TestMatrixReducer:
-    """A reducer with ``columns`` R returns a (pairs x R) matrix: the dense
-    pass keeps the lex-first minimizing pair of each column."""
+    """A reducer with ``columns`` R returns a (pairs x R) matrix: the pair
+    stream keeps the lex-first minimizing pair of each column."""
 
     @pytest.mark.parametrize("g", scan_graphs())
     def test_columns_match_single_scans_and_the_oracle(self, g):
@@ -521,10 +524,25 @@ class TestMatrixReducer:
             assert lex_min(d, [pair_sum, Stacked(subsets), pair_count]) == [
                 *lex_min(d, [pair_sum]), expected, *lex_min(d, [pair_count])]
 
-    def test_matrix_reducers_refuse_partners(self):
-        g = generate(parse_family("cycle:8"))
-        with pytest.raises(AssertionError):
-            lex_min(g.distance_matrix, [Stacked([[0]])], partners=resolve._adjacent_partners(g))
+    def test_matrix_reducers_over_partners(self, monkeypatch):
+        """Over a partner list or a mask, each column keeps the lex-first
+        minimizer among those pairs alone; blocks of one pair and head groups
+        of a few split the ties."""
+        monkeypatch.setattr(resolve, "_BATCH", 1)
+        monkeypatch.setattr(resolve, "_PAIR_BATCH", 7)
+        rng = random.Random(5)
+        for f in ("cycle:8", "complete:6", "kqr:3,4", "grid:9x7", "path:70"):
+            g = generate(parse_family(f))
+            subsets = column_subsets(g)
+            D = np.array(plain_distances(g), dtype=np.int64)
+            for partners in (random_partners(rng, g.n, 0.4), resolve._adjacent_partners(g)):
+                expected = per_column_scans(g, subsets, partners)
+                assert expected == ([per_row_min(D[:, S], partners, pair_sum) for S in subsets]
+                                    + [per_row_min(D, partners, pair_count)])
+                for workers in (1, 2):
+                    for given_as in (partners, as_mask(partners, g.n)):
+                        assert lex_min(g.distance_matrix, [Stacked(subsets)], workers,
+                                       given_as) == [expected]
 
 
 def tree_route_off(mp):
@@ -620,8 +638,9 @@ class TestTwinShortcuts:
                              + [pytest.param(generate(star(90)), id="star:90"),
                                 pytest.param(generate(complete_bipartite(2, 88)), id="kqr:2,88")])
     def test_false_twins_scan_only_the_adjacent_pairs(self, g, monkeypatch):
-        """``kqr:2,88`` reaches the twin route by itself; the tree
-        ``star:90`` reaches it with the tree route off."""
+        """The first false-twin pair is compared with the scan's hit by
+        ``min``, not scanned. ``kqr:2,88`` reaches the twin route by itself;
+        the tree ``star:90`` reaches it with the tree route off."""
         tree_route_off(monkeypatch)
         seen = []
 
@@ -634,7 +653,7 @@ class TestTwinShortcuts:
         compute_kappa(g)
         (reducers, pairs), = seen
         assert reducers == ["pair_sum"]
-        assert pairs == set(g.edges()) | {find_twins(g)[1][0]}
+        assert pairs == set(g.edges())
 
     def test_partner_scans_run_on_one_thread(self, monkeypatch):
         """A partner list scan's round-robin parts would not share an
@@ -1167,19 +1186,21 @@ class TestBlockedPartnerScan:
                 top * width, top * (width // 2)]
             assert pair_count(block).tolist() == [width, width // 2]
 
-    def test_stream_holds_one_head_group(self, monkeypatch):
+    def test_stream_holds_one_head_group(self):
         """The pair stream makes one head group at a time, of about
-        ``_PAIR_BATCH`` pairs or mask entries (at least one head row), in
-        lex order over every listed pair."""
-        monkeypatch.setattr(resolve, "_PAIR_BATCH", 50)
+        ``budget`` pairs or mask entries (at least one head row), in lex
+        order over every listed pair, or over every pair for None."""
         g = generate(parse_family("grid:6x7"))
         partners = random_partners(random.Random(3), g.n, 0.5)
         pairs = [(a, int(b)) for a in range(g.n) for b in partners[a]]
-        for given_as, cap in ((partners, 50 + g.n), (as_mask(partners, g.n), g.n)):
-            groups = list(resolve._pair_stream(given_as, np.arange(g.n - 1), g.n))
+        every = list(combinations(range(g.n), 2))
+        for given_as, cap, expected in ((partners, 50 + g.n, pairs),
+                                        (as_mask(partners, g.n), g.n, pairs),
+                                        (None, g.n, every)):
+            groups = list(resolve._pair_stream(given_as, np.arange(g.n - 1), g.n, 50))
             assert max(len(a) for a, _ in groups) <= cap
             assert [(int(a), int(b)) for heads, others in groups
-                    for a, b in zip(heads, others)] == pairs
+                    for a, b in zip(heads, others)] == expected
 
     @pytest.mark.parametrize("batch", [1, 9, resolve._PAIR_BATCH])
     def test_count_verify_over_adjacent_partners(self, batch, monkeypatch):
