@@ -8,19 +8,52 @@ minimum over pairs of the full-set sum. kappa'(G) is the analogous limit
 for the count-based (k distinct distinguishers) criterion.
 
 ``lex_min`` is the one scan for the lex-first pair minimizing such a
-criterion; kappa here and every verifier and certificate in ``solver``
-read it, through two kernels: one block per head row for a full scan
+criterion, through two kernels: one block per head row for a full scan
 over more than ``_MIN_SLICE`` columns with column-additive reducers
-only, and blocks of a lex-ordered pair stream for every other scan. One
-router picks one of four routes to kappa by one policy, for
-``compute_kappa`` and ``solver.variant_kappa`` (kappa' only when asked):
-trees get kappa, the witness and kappa' from their thread decomposition,
-with no distance matrix; twins settle kappa' and all of kappa but a scan
-of the adjacent pairs; long, thin twin-free graphs above a size floor
-get kappa from a scan of the pairs that a geodesic lower bound lets
-through and kappa' from a count of equidistant classes; other graphs get
-one full scan. On bipartite graphs the last two scan only the pairs at
-even distance, as every odd pair sums to at least n.
+only, and blocks of a lex-ordered pair stream for every other scan.
+
+``_worst_pairs`` is the one router of every worst-pair question: kappa
+and kappa' (``compute_kappa``), every variant's kappa, and the sum
+checks of one set or a sweep of sets in ``solver``. For the whole
+vertex set of the vertex variant it takes one of four routes to kappa
+(``_kappa_route``): trees get kappa, the witness and kappa' from their
+thread decomposition, with no distance matrix; twins settle kappa' and
+all of kappa but a scan of a few adjacent pairs; long, thin twin-free
+graphs above a size floor get kappa from a scan of the pairs that a
+geodesic lower bound lets through and kappa' from a count of equidistant
+classes; other graphs get the set scan. Above a size floor the set scan
+(``_set_scan``), and the sweep scan by parity alone, read only the pairs
+that two lower bounds on delta_S leave in play; each keeps the plain
+scan's value and lex-first pair.
+
+Parity (bipartite graphs, vertex variant). A probe s has hop counts to
+x and y of the parities of col(s) + col(x) and col(s) + col(y). When
+d(x, y) is odd they differ, so s adds an odd amount, at least 1: an odd
+pair sums to at least |S|, with exactly |S| distinguishers. An adjacent
+pair, whose terms are each at most d(x, y) = 1, sums to exactly |S|. So
+min delta_S = min(|S|, the even-pair minimum), and only the same-color
+pairs are scanned. The hit is the ``min`` of the even scan's hit and the
+first odd pair at |S|: (0, min adj[0]) sums to |S| and every pair with a
+head above 0 comes after it, so that pair is the first (0, b),
+b <= min adj[0], of the other color that sums to |S|, read off one row
+prefix (``_odd_hits``). For S != V it need not be adjacent: on the path
+0 - 3 - 2 - 1 with S = {3}, (0, 1) sums to 1 = |S|. For S = V it is
+(0, min adj[0]): an odd pair at distance L >= 3 sums to at least
+n - 2 + 2L > n, as x and y add L each.
+
+Sum gap (any variant). Let sigma_S(x) be the sum of item x's row over S.
+Then |sigma_S(x) - sigma_S(y)| = |sum over s of (r_x(s) - r_y(s))| <=
+delta_S(x, y). Any pair's sum u (the seed) is at least the minimum, so a
+pair whose gap exceeds u sums above the minimum: the band of the pairs
+with a gap of at most u holds the minimum and every pair that ties it,
+and so the lex-first one. The seed is the least sum of the adjacent
+pairs, of each item and the next two in sigma order, and, on the vertex
+variant, of the twin pairs: twins x, y are equidistant from every other
+vertex and d(x, y) = t (1 for true twins, 2 for false ones), so
+delta_S(x, y) = t ([x in S] + [y in S]), read off the twin classes. For
+the count of a vertex pair, each term |d(x, s) - d(y, s)| is at most
+d(x, y) by the triangle inequality and only the count of them are
+nonzero, so the gap is at most the count times d(x, y).
 """
 
 from __future__ import annotations
@@ -29,6 +62,7 @@ from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from math import isqrt
 from typing import Callable, Iterable, Sequence
 
@@ -326,6 +360,77 @@ def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1,
     return [hits if m else hits[0] for hits, m in zip(merged, matrix)]
 
 
+class Variant(str, Enum):
+    VERTEX = "vertex"
+    EDGE = "edge"
+    MIXED = "mixed"
+
+
+def _items(g: Graph, variant: Variant) -> list:
+    """The items of the variant: the vertices, then (edge and mixed) the
+    edges (v, w), v < w, in lex order."""
+    return (list(range(g.n)) if variant != Variant.EDGE else []) + (
+        g.edges() if variant != Variant.VERTEX else [])
+
+
+def _item_rows(g: Graph, variant: Variant) -> tuple[list, np.ndarray]:
+    """Items of the variant and their distance rows: a vertex's row is its
+    distance-matrix row (the vertex variant returns the matrix itself, no
+    copy); an edge vw gets min(d[v], d[w])."""
+    d = g.distance_matrix
+    items = _items(g, variant)
+    if variant == Variant.VERTEX:
+        return items, d
+    ends = np.array(items[g.n if variant == Variant.MIXED else 0:], dtype=np.intp).reshape(-1, 2)
+    edge_rows = np.minimum(d[ends[:, 0]], d[ends[:, 1]])
+    return items, edge_rows if variant == Variant.EDGE else np.concatenate([d, edge_rows])
+
+
+class _ChainSums:
+    """``lex_min`` matrix reducer: per item pair, its difference sum over
+    each basis of a sweep, from a block over the union of their columns.
+
+    Basis r's sums are basis r - 1's (none before the first) plus the
+    columns it adds and minus those it drops. The change columns of all
+    steps are gathered once and signed, and one ``cumsum`` along them is
+    read at the last entry of each step. A step without changes gets one
+    entry of sign 0, so every step ends at an entry of its own. The steps
+    are gathered as rows (one per change column, the pairs along it), so
+    the ``cumsum`` adds whole contiguous rows; it runs in int32 while the
+    width times the block dtype's largest value stays below 2^31 (any
+    running sum is at most that), else in int64 (grid:40x40 over the
+    formula bases of k = 1..156: 0.8 s against 1.2 s along the pairs' rows
+    in int64, 2-core x86 host).
+    """
+
+    def __init__(self, bases: list[list[int]], union: list[int]):
+        at = {c: i for i, c in enumerate(union)}
+        cols, signs, ends = [], [], []
+        held: set[int] = set()
+        for basis in bases:
+            now = set(basis)
+            change = [(at[c], 1) for c in sorted(now - held)]
+            change += [(at[c], -1) for c in sorted(held - now)]
+            for c, sign in change or [(0, 0)]:
+                cols.append(c)
+                signs.append(sign)
+            ends.append(len(cols) - 1)
+            held = now
+        self.cols = np.array(cols, dtype=np.intp)
+        self.signs = np.array(signs, dtype=np.int8)
+        # with one entry per step the running sums are the basis sums
+        self.ends = None if len(ends) == len(cols) else np.array(ends, dtype=np.intp)
+        self.columns = len(bases)
+        self.width = len(cols)
+
+    def __call__(self, block: np.ndarray) -> np.ndarray:
+        narrow = self.width * np.iinfo(block.dtype).max < 1 << 31
+        sums = block.T.take(self.cols, axis=0).astype(np.int32 if narrow else np.int64)
+        sums *= self.signs[:, None]
+        np.cumsum(sums, axis=0, out=sums)
+        return (sums if self.ends is None else sums.take(self.ends, axis=0)).T
+
+
 def weak3_structure_witness(g: Graph) -> tuple[int, int, int] | None:
     """First (x, y, z) with x ~ y, N[x] \\ {z} = N[y], and every neighbor
     of z inside the closed neighborhood of N[x] & N[y]; None if absent."""
@@ -429,23 +534,27 @@ def _max_equidistant(d: np.ndarray) -> int:
     return int(acc.max(initial=0))
 
 
-def _thin_pays(d: np.ndarray, criteria: int) -> bool:
+def _thin_pays(d: np.ndarray, criteria: int, bipartite: bool) -> bool:
     """Whether the thin route is estimated to beat the scan for ``criteria``
-    (1 or 2): the scan would make more than ``_SCAN_FLOOR`` entries, E is at
-    most ``_THIN * C(n, 2)``, and the count accumulator (half the matrix)
-    fits beside the matrix and sixteen int64 block temporaries in ``MAX_BYTES``."""
+    (1 or 2): the scan would make more than ``_SCAN_FLOOR`` entries on a
+    bipartite graph, or a sixteenth of that on any other, E is at most
+    ``_THIN * C(n, 2)``, and the count accumulator (half the matrix) fits
+    beside the matrix and sixteen int64 block temporaries in ``MAX_BYTES``."""
     n = len(d)
     pairs = n * (n - 1) // 2
-    return (criteria * n * pairs > _SCAN_FLOOR and 1.5 * d.nbytes + 16 * 8 * _EQ_BLOCK <= MAX_BYTES
+    floor = _SCAN_FLOOR if bipartite else _SCAN_FLOOR >> 4
+    return (criteria * n * pairs > floor and 1.5 * d.nbytes + 16 * 8 * _EQ_BLOCK <= MAX_BYTES
             and _equidistant_total(d, _THIN * pairs) is not None)
 
 
 # Up to this many dense-scan entries (criteria x n x C(n, 2)), the scan can
-# beat the thin route on twin-free graphs: on thin bipartite grids the
-# same-color scan does up to about here (grid:4x60 with kappa': 4.5 against
-# 5.4 ms at 2^23 entries), on odd cycles the thin route wins from far below
-# (cycle:201 with kappa': 7.2 against 10.1 ms at 2^22). Measured with the
-# twin summary already made, on a 2-core x86 host, numpy 2.4.
+# beat the thin route on twin-free bipartite graphs, where it reads only
+# the same-color pairs (grid:4x60 with kappa': 8.1 against 11.8 ms at
+# 2^23.7 entries, grid:3x40 1.0 against 1.9 ms). On other graphs the thin
+# route wins from a sixteenth of it (cycle:101 with kappa' 1.0 against
+# 2.0 ms at 2^20, path:100 plus the chord (0, 4) 0.9 against 2.4 ms;
+# cycle:51 0.6 against 0.2 ms at 2^17). Measured with the twin summary
+# already made, on a 2-core x86 host, numpy 2.4.
 _SCAN_FLOOR = 1 << 23
 
 
@@ -455,11 +564,217 @@ def kappa_reads_distances(g: Graph) -> bool:
     return g.n < 2 or g.edge_count != g.n - 1
 
 
+def _twin_route_partners(g: Graph) -> list[np.ndarray]:
+    """``lex_min`` partners for the adjacent pairs (x, y) with
+    |N(x) Δ N(y) \\ {x, y}| <= 2. An edge sums to at least 2 plus that
+    many (x, y and each vertex next to only one of them add 1), and only
+    sums up to 4 can change the twin route's answer. Three cheap bounds
+    cut most edges before any distance row is read: the set has at least
+    |deg x - deg y| vertices, exactly deg x + deg y - 2 on a bipartite
+    graph (no common neighbor), and the sum is at least the sum gap
+    |sigma(x) - sigma(y)| of the row sums."""
+    d, adj = g.distance_matrix, g.adjacency
+    deg = np.array([len(a) for a in adj], dtype=np.intp)
+    heads = np.repeat(np.arange(g.n), deg)
+    tails = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=len(heads))
+    sigma = d.sum(axis=1, dtype=np.int64)
+    keep = (heads < tails) & (np.abs(deg[heads] - deg[tails]) <= 2)
+    keep &= np.abs(sigma[heads] - sigma[tails]) <= 4
+    if g.coloring is not None:
+        keep &= deg[heads] + deg[tails] <= 4
+    heads, tails = heads[keep], tails[keep]
+    step = max(1, _PAIR_BATCH // g.n)
+    near = [((d[heads[lo:lo + step]] == 1) != (d[tails[lo:lo + step]] == 1)).sum(axis=1) <= 4
+            for lo in range(0, len(heads), step)]
+    keep = np.concatenate([np.empty(0, dtype=bool), *near])
+    heads, tails = heads[keep], tails[keep]
+    partners = [np.empty(0, dtype=np.intp)] * g.n
+    starts = np.flatnonzero(np.diff(heads, prepend=-1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [len(heads)]):
+        partners[int(heads[lo])] = tails[lo:hi]
+    return partners
+
+
+# Up to this many entries (item pairs x columns), a set check is one plain
+# scan with no mask: below it the masks' set-up (the seed scan, the row
+# sums, the band count, the odd pairs' row) costs more than it saves (a 3/4
+# set of a sparse n = 80 graph 0.27 ms plain against 0.31 masked), above
+# it the masks save (n = 200, 3.7e5 entries: 2.6 against 1.1 ms; the
+# grid:12x12 sweep over k = 1..44, 4.5e5 entries: 5.8 against 3.6 ms).
+# Measured on a 2-core x86 host, numpy 2.4.
+_MASK_FLOOR = 1 << 18
+# The whole vertex set (kappa) takes the sum-gap band above this many
+# entries: below it the parity scan alone, which needs no set-up, is as
+# fast, and the count's second scan does not pay back (grid:20x20, 3.2e7
+# entries, with kappa' 13.3 ms parity alone against 13.9 ms with the band;
+# grid:24x24 28.3 against 23.1 ms; same host).
+_KAPPA_BAND = 1 << 25
+# The sum-gap band is taken when it keeps at most this share of the pairs.
+_BAND_SHARE = 0.5
+
+
+def _seed_partners(g: Graph, variant: Variant) -> list[np.ndarray]:
+    """``lex_min`` partners for the adjacent vertex pairs among the items of
+    the variant (none on the edge variant)."""
+    vertices = _adjacent_partners(g) if variant != Variant.EDGE else []
+    return vertices + [np.empty(0, dtype=np.intp)] * (len(_items(g, variant)) - len(vertices))
+
+
+def _twin_seed(g: Graph, S: Sequence[int]) -> int | None:
+    """The smallest delta_S of a twin pair, or None without twins. Twins x, y
+    differ only at x and y, by t = d(x, y) (1 for true twins, 2 for false
+    ones), so delta_S(x, y) = t ([x in S] + [y in S]): least at the two
+    members of a class with the fewest in S."""
+    members = set(S)
+    return min((t * sum(sorted(v in members for v in grp)[:2])
+                for t, classes in enumerate(g.twin_classes, 1) for grp in classes), default=None)
+
+
+def _sum_band(g: Graph, variant: Variant, rows: np.ndarray, S: Sequence[int]) -> tuple:
+    """``(sigma, seed)`` of the sum-gap band over the item rows ``rows`` (two
+    or more, on the columns of S). sigma is each item's row sum, and
+    |sigma(x) - sigma(y)| <= delta_S(x, y) by the triangle inequality over
+    the columns; it is None when the pairs with a gap of at most ``seed``
+    (counted off the sorted sums) are more than ``_BAND_SHARE`` of all.
+    The seed is a pair sum, so the band holds every pair that reaches or
+    ties the minimum: the least sum of the adjacent vertex pairs, of each
+    item and the next two in sigma order (near sums make near rows
+    likely), and, on the vertex variant, of the twin pairs
+    (``_twin_seed``)."""
+    sigma = rows.sum(axis=1, dtype=np.int64)
+    order = np.argsort(sigma, kind="stable")
+    a, b = np.concatenate([order[:-1], order[:-2]]), np.concatenate([order[1:], order[2:]])
+    (hit,) = lex_min(rows, [pair_sum], partners=_seed_partners(g, variant))
+    step = max(1, _PAIR_BATCH // max(1, rows.shape[1]))
+    near = min(int(pair_sum(_abs_diff(rows[b[i:i + step]], rows[a[i:i + step]])).min())
+               for i in range(0, len(a), step))
+    seed = _least(hit and hit[0], near, _twin_seed(g, S) if variant == Variant.VERTEX else None)
+    ranked = sigma[order]
+    kept = np.searchsorted(ranked, ranked + seed, side="right") - np.arange(1, len(rows) + 1)
+    share = int(kept.sum()) / (len(rows) * (len(rows) - 1) // 2)
+    return sigma if share <= _BAND_SHARE else None, seed
+
+
+def _both(first, second):
+    """The ``lex_min`` mask of the pairs in both masks (either may be None)."""
+    if first is None or second is None:
+        return first or second
+    return lambda heads: first(heads) & second(heads)
+
+
+def _same_color(side: np.ndarray | None):
+    """The ``lex_min`` mask of the same-color pairs of ``side``, or None."""
+    return None if side is None else (lambda heads: side[heads, None] == side)
+
+
+def _gap_at_most(sigma: np.ndarray, limit):
+    """The ``lex_min`` mask of the pairs with |sigma(a) - sigma(b)| <= limit,
+    a number or a function of the head items giving one per pair."""
+    return lambda heads: np.abs(sigma[heads, None] - sigma) <= (
+        limit(heads) if callable(limit) else limit)
+
+
+def _least(*hits):
+    return min((h for h in hits if h is not None), default=None)
+
+
+def _odd_hits(g: Graph, rows: np.ndarray, reducer, sizes: Iterable[int]) -> list:
+    """Per value column of ``reducer`` (one per set S, of the sizes given),
+    ``(|S|, (0, b))`` for the first b of the other color than vertex 0 whose
+    pair sums to |S|: on a bipartite graph, the lex-first odd pair at |S|.
+    It lies at or before (0, min adj[0]), which sums to |S|."""
+    side = g.coloring
+    others = np.flatnonzero(side[1:g.adjacency[0][0] + 1] != side[0]) + 1
+    vals = reducer(_abs_diff(rows[others], rows[0])).reshape(len(others), -1)
+    return [(size, (0, int(others[int(np.argmax(column == size))])))
+            for size, column in zip(sizes, vals.T)]
+
+
+def _set_scan(g: Graph, rows: np.ndarray, size: int, same, sigma, seed,
+              count: bool = False, workers: int = 1) -> tuple:
+    """``(hit, least count)`` over the item pairs of ``rows``, the item rows
+    on the columns of a set S of ``size`` vertices: the lex-first minimizing
+    pair of the sum and, with ``count`` (vertex variant), the smallest
+    distinguisher count, else None; each as the plain scan gives it.
+
+    ``same`` is the parity mask or None, ``sigma`` the row sums of the
+    sum-gap band of ``seed`` or None; the scan reads the pairs in both.
+    With parity the hit is the ``min`` of the scan's and the first odd
+    pair at |S| (``_odd_hits``), and the count at most |S|. With the band
+    the count is a second scan, over the pairs with
+    |sigma(x) - sigma(y)| <= c d(x, y), c the witness's count: each
+    nonzero term of the gap is at most d(x, y), so a pair outside counts
+    more than c distinguishers."""
+    least = None
+    if sigma is None:
+        hit, *counted = lex_min(rows, [pair_sum, pair_count] if count else [pair_sum], workers, same)
+        least = counted[0][0] if count and counted[0] else None
+    else:
+        (hit,) = lex_min(rows, [pair_sum], workers, _both(same, _gap_at_most(sigma, seed)))
+    if same is not None:
+        hit = _least(hit, *_odd_hits(g, rows, pair_sum, [size]))
+    if count and sigma is not None:
+        a, b = hit[1]
+        witness = int(np.count_nonzero(rows[a] != rows[b]))
+        d = g.distance_matrix
+        (low,) = lex_min(rows, [pair_count], workers, _both(
+            same, _gap_at_most(sigma, lambda heads: witness * d[heads])))
+        least = _least(witness, low and low[0])
+    if count and same is not None:
+        least = _least(least, size)
+    return hit, least
+
+
+def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
+                 count: bool = False, workers: int = 1) -> list:
+    """Per basis (an ascending list of vertex ids), ``(hit, least count)``:
+    the lex-first ``(value, (a, b))`` over the variant's item pairs a < b
+    minimizing delta_S, as ``lex_min`` over every pair gives it (None with
+    fewer than two items), and, with ``count`` (vertex variant, one basis),
+    the smallest distinguisher count, else None.
+
+    The one router of every worst-pair question. The whole vertex set of
+    the vertex variant takes ``_kappa_route``. Any other single set is one
+    plain scan up to ``_MASK_FLOOR`` entries; above it, ``_set_scan``
+    through parity (vertex variant, bipartite graph) and the sum-gap band
+    when it keeps at most ``_BAND_SHARE`` of the pairs. Two or more sets
+    take one ``_ChainSums`` scan of the union of their columns, over the
+    same-color pairs of a bipartite graph above ``_MASK_FLOOR``, each set's
+    hit then the ``min`` with its first odd pair at |S|.
+    """
+    bases = [list(S) for S in bases]
+    vertex = variant == Variant.VERTEX
+    if vertex and len(bases) == 1 and len(bases[0]) == g.n:
+        return [_kappa_route(g, count, workers)]
+    _, rows = _item_rows(g, variant)
+    pairs = len(rows) * (len(rows) - 1) // 2
+    if len(bases) < 2:
+        hits = []
+        for S in bases:
+            cols = rows[:, S]
+            same = sigma = seed = None
+            if pairs * len(S) > _MASK_FLOOR:
+                same = _same_color(g.coloring if vertex else None)
+                sigma, seed = _sum_band(g, variant, cols, S)
+            hits.append(_set_scan(g, cols, len(S), same, sigma, seed, count, workers))
+        return hits
+    # column 0 stands in for the union of empty sets; only sign-0 entries read it
+    union = sorted(set().union(*bases)) or [0]
+    rows = rows[:, union]
+    reducer = _ChainSums(bases, union)
+    parity = vertex and g.coloring is not None and pairs * len(union) > _MASK_FLOOR
+    (hits,) = lex_min(rows, [reducer], partners=_same_color(g.coloring) if parity else None)
+    if parity:
+        hits = [_least(*both) for both in zip(hits, _odd_hits(g, rows, reducer, map(len, bases)))]
+    return [(hit, None) for hit in hits]
+
+
 def _kappa_route(g: Graph, count: bool = False, workers: int = 1) -> tuple:
     """``((kappa, pair), kappa')``: the lex-first minimizing pair of the sum
     (None with fewer than two vertices) and, with ``count``, kappa' (else
     None), by one of four routes, the last two narrowed by parity on
-    bipartite graphs, each with the values and witness of the dense scan.
+    bipartite graphs, each with the values and witness of the dense scan:
+    the whole vertex set's part of ``_worst_pairs``.
 
     Trees (n >= 2; ``Graph.tree_shape``, no distance matrix). Take a pair
     at distance L >= 3 on the path p_0 ... p_L, and let each probe project
@@ -490,9 +805,14 @@ def _kappa_route(g: Graph, count: bool = False, workers: int = 1) -> tuple:
     kappa <= 4: a pair at distance 2 sums to 4 only as false twins and a
     pair at distance >= 3 sums to at least 6. So kappa is the ``min`` of
     the adjacent pairs' scan and ``(4, first false-twin pair)``, the
-    lex-first of the false-twin pairs, which all sum to exactly 4.
+    lex-first of the false-twin pairs, which all sum to exactly 4. An
+    adjacent pair sums to at least 2 + |N(x) Δ N(y) \\ {x, y}| and at
+    least its sum gap, so the scan reads only the edges where that set
+    has at most two vertices and the gap is at most 4
+    (``_twin_route_partners``).
 
-    Thin (twin-free, few equidistant pairs, above ``_SCAN_FLOOR``). Along
+    Thin (twin-free, few equidistant pairs, above ``_SCAN_FLOOR``, where
+    the sum-gap band would not be taken). Along
     a geodesic x = v0 ... vt = y the probe vi adds |2i - t|, so the sum
     of a pair at distance t is at least (t + 1)^2 // 2. The adjacent
     pairs seed the sum; the sum scan then visits only the pairs whose
@@ -507,27 +827,15 @@ def _kappa_route(g: Graph, count: bool = False, workers: int = 1) -> tuple:
     and over 200 on random graphs) and the accumulator fits beside the
     matrix in ``MAX_BYTES``.
 
-    Scan. Every other graph gets one ``lex_min`` pass over every pair,
-    split across ``workers`` threads and merged by ``(value, pair)``, so
-    the witness does not depend on the worker count. The twin and thin
-    routes scan their pairs on one thread.
-
-    Parity (bipartite graphs, ``Graph.coloring``, on the thin and scan
-    routes). A probe s has hop counts to x and y of the parities of
-    col(s) + col(x) and col(s) + col(y), so when d(x, y) is odd every
-    probe adds an odd amount, at least 1: an odd pair sums to at least n
-    and has exactly n distinguishers, and an adjacent pair, whose probes
-    each add at most 1, sums to exactly n. So both routes scan only the
-    same-color (even-distance) pairs, through a ``lex_min`` mask (the scan
-    route's still split across ``workers``), and kappa' is the smaller of
-    n and the even-pair count minimum. If the even-pair sum minimum is
-    below n, it is kappa, with its lex-first pair as witness, as every
-    odd pair comes above it. Otherwise kappa = n, and the hit is the
-    ``min`` of the even-pair hit and ``(n, (0, min adj[0]))``: an odd
-    pair at distance L >= 3 sums to at least n - 2 + 2L > n (x and y add
-    L each), so the odd pairs that sum to n are the adjacent ones, and
-    (0, min adj[0]) is the first of them; the even scan already gives
-    the lex-first even pair at its value.
+    Scan. Every other graph gets ``_set_scan`` over every pair, split
+    across ``workers`` threads and merged by ``(value, pair)``, so the
+    witness does not depend on the worker count: on bipartite graphs over
+    the same-color pairs (parity, in the module docstring) at every size,
+    and above ``_KAPPA_BAND`` entries over the sum-gap band too, when it
+    keeps at most ``_BAND_SHARE`` of the pairs; kappa' is then a second
+    scan over its count band. The twin and thin routes scan their pairs on
+    one thread; the thin route drops the odd pairs too, and its hit is
+    the ``min`` with the first odd pair at n, (0, min adj[0]).
     """
     if not kappa_reads_distances(g):
         shape = g.tree_shape
@@ -538,28 +846,21 @@ def _kappa_route(g: Graph, count: bool = False, workers: int = 1) -> tuple:
     if twins.first_true:
         return (2, twins.first_true), 2 if count else None
     if twins.first_false:
-        (hit,) = lex_min(d, [pair_sum], workers, _adjacent_partners(g))
-        return min(hit, (4, twins.first_false)), 2 if count else None
-    side = g.coloring
-    same = None if side is None else (lambda heads: side[heads, None] == side)
-    if _thin_pays(d, 1 + count):
+        (hit,) = lex_min(d, [pair_sum], workers, _twin_route_partners(g))
+        return _least(hit, (4, twins.first_false)), 2 if count else None
+    same = _same_color(g.coloring if n > 1 else None)
+    seed = sigma = None
+    if n * (n - 1) // 2 * n > _KAPPA_BAND:
+        sigma, seed = _sum_band(g, Variant.VERTEX, d, range(n))
+    if sigma is not None or not _thin_pays(d, 1 + count, same is not None):
+        return _set_scan(g, d, n, same, sigma, seed, count, workers)
+    if seed is None:
         ((seed, _),) = lex_min(d, [pair_sum], partners=_adjacent_partners(g))
-        reach = isqrt(2 * seed + 1) - 1  # the largest t with (t + 1)^2 // 2 <= seed
-
-        def near(heads):
-            keep = d[heads] <= reach
-            return keep if same is None else keep & same(heads)
-
-        (hit,) = lex_min(d, [pair_sum], partners=near)
-        kappa_prime = n - _max_equidistant(d) if count else None
-    else:
-        hit, *counted = lex_min(d, [pair_sum, pair_count] if count else [pair_sum], workers, same)
-        # with ``same``, the odd pairs left out each have count n
-        kappa_prime = min(n, counted[0][0] if counted[0] else n) if count else None
-    if same is not None and n > 1:
-        # the odd pairs' minimum is n, first attained at the first edge
-        hit = min(h for h in (hit, (n, (0, g.adjacency[0][0]))) if h is not None)
-    return hit, kappa_prime
+    reach = isqrt(2 * seed + 1) - 1  # the largest t with (t + 1)^2 // 2 <= seed
+    (hit,) = lex_min(d, [pair_sum], partners=_both(same, lambda heads: d[heads] <= reach))
+    if same is not None:
+        hit = _least(hit, *_odd_hits(g, d, pair_sum, [n]))
+    return hit, n - _max_equidistant(d) if count else None
 
 
 def compute_kappa(g: Graph, workers: int = 1, phases: dict | None = None) -> KappaReport:

@@ -7,20 +7,22 @@ edge vw the distance is min(d(., v), d(., w))). A set is feasible when
 its column sum reaches k on every row; the count criterion (k distinct
 distinguishers) is the same model on the profile's 0/1 support.
 
-The checks of a given set (``certificate_for``, ``verify_set``, the
-three vertex verifiers and the edge and mixed ``variant_kappa``) hold no
-model: one worst-pair call scans the item rows with ``resolve.lex_min``
-(sum or count, over all pairs or the adjacent ones) and one verdict
-compares the worst pair with k. The vertex kappa takes resolve's routes.
-A sweep of sets (``certificates_for``, which checks a ``wdim`` range) is
-one ``lex_min`` call over the union of their columns, with a matrix
-reducer: each set's pair sums are the previous set's plus the columns
-it adds and minus those it drops, one cumsum along the signed change
-columns read at the end of each step. The reducer stays in int64 on one
-thread. It makes no matrix product with a 0/±1 matrix: that would go
-through float BLAS, whose OpenBLAS worker threads spin for about 0.13 s
-of CPU after every call (2-core x86 host), more than the whole check of
-a typical sweep.
+The checks of a given set hold no model: one verdict compares the
+worst pair with k. The sum checks (``certificate_for``, ``verify_set``,
+``verify_weak_k_resolving``, ``variant_kappa`` and the sweeps of
+``certificates_for``) ask one router, ``resolve._worst_pairs``: the
+vertex variant's whole set takes the kappa routes, any other set the
+pair scan, through parity and sum-gap masks above a size floor, and a
+sweep of sets (a ``wdim`` range) one ``lex_min`` call over the union of
+their columns with a matrix reducer (``resolve._ChainSums``): each set's
+pair sums are the previous set's plus the columns it adds and minus
+those it drops, one cumsum along the signed change columns read at the
+end of each step, on one thread. It makes no matrix product with a
+0/±1 matrix: that would go through float BLAS, whose OpenBLAS worker
+threads spin for about 0.13 s of CPU after every call (2-core x86
+host), more than the whole check of a typical sweep. The count checks
+(``verify_k_resolving``, ``verify_local_k_resolving``) are one plain
+``lex_min`` of the count, over all pairs or the adjacent ones.
 
 ``write_lp`` renders the sum model as CPLEX-LP text, one row per item
 pair. The rows are made in blocks of profile entries with no Python
@@ -83,7 +85,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from itertools import combinations, islice
 from typing import Iterable, Iterator, NamedTuple, Union
@@ -92,17 +93,12 @@ import numpy as np
 
 from .errors import TooLarge, check_k
 from .graph import Graph, _check_peak
-from .resolve import _adjacent_partners, _check_set, _kappa_route, lex_min, pair_count, pair_sum
+from .resolve import (Variant, _adjacent_partners, _check_set, _item_rows, _items, _worst_pairs,
+                      lex_min, pair_count)
 
 Item = Union[int, tuple[int, int]]
 
 DEFAULT_SIZE_CAP = 16
-
-
-class Variant(str, Enum):
-    VERTEX = "vertex"
-    EDGE = "edge"
-    MIXED = "mixed"
 
 
 @dataclass(frozen=True)
@@ -141,21 +137,6 @@ def item_label(item: Item) -> str:
     if isinstance(item, tuple):
         return f"e{item[0]}_{item[1]}"
     return f"v{item}"
-
-
-def _item_rows(g: Graph, variant: Variant) -> tuple[list[Item], np.ndarray]:
-    """Items of the variant and their distance rows: a vertex's row is its
-    distance-matrix row (the vertex variant returns the matrix itself, no
-    copy); an edge vw gets min(d[v], d[w])."""
-    d = g.distance_matrix
-    if variant == Variant.VERTEX:
-        return list(range(g.n)), d
-    edges = g.edges()
-    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
-    edge_rows = np.minimum(d[ends[:, 0]], d[ends[:, 1]])
-    if variant == Variant.EDGE:
-        return edges, edge_rows
-    return list(range(g.n)) + edges, np.concatenate([d, edge_rows])
 
 
 @dataclass(frozen=True)
@@ -227,13 +208,11 @@ class VerifyResult(NamedTuple):
     value: int | None
 
 
-def _worst_pair(g: Graph, variant: Variant, S: Iterable[int], reducer=pair_sum,
-                partners=None) -> "Certificate | None":
-    """Lex-first item pair (of ``partners``, if given) minimizing ``reducer``
-    over the columns of ``S``, by the pair scan; None without item pairs."""
-    items, rows = _item_rows(g, variant)
-    (hit,) = lex_min(rows[:, _check_set(g, S)], [reducer], partners=partners)
-    return _certificate(items, hit)
+def _worst_count(g: Graph, S: Iterable[int], partners=None) -> "Certificate | None":
+    """Lex-first vertex pair (of ``partners``, if given) with the fewest
+    distinguishers in ``S``, by the pair scan; None without vertex pairs."""
+    (hit,) = lex_min(g.distance_matrix[:, _check_set(g, S)], [pair_count], partners=partners)
+    return _certificate(list(range(g.n)), hit)
 
 
 def _certificate(items: list[Item], hit) -> "Certificate | None":
@@ -252,79 +231,35 @@ def _verdict(worst: "Certificate | None", k: int) -> VerifyResult:
 
 
 def certificate_for(g: Graph, variant: Variant, S: Iterable[int]) -> "Certificate | None":
-    """Worst item pair of ``S``: the lex-first minimizer of delta_S."""
-    return _worst_pair(g, variant, S)
-
-
-class _ChainSums:
-    """``lex_min`` matrix reducer: per item pair, its difference sum over
-    each basis of a sweep, from a block over the union of their columns.
-
-    Basis r's sums are basis r - 1's (none before the first) plus the
-    columns it adds and minus those it drops. The change columns of all
-    steps are gathered once and signed, and one ``cumsum`` along them, in
-    int64, is read at the last entry of each step. A step without changes
-    gets one entry of sign 0, so every step ends at an entry of its own.
-    """
-
-    def __init__(self, bases: list[list[int]], union: list[int]):
-        at = {c: i for i, c in enumerate(union)}
-        cols, signs, ends = [], [], []
-        held: set[int] = set()
-        for basis in bases:
-            now = set(basis)
-            change = [(at[c], 1) for c in sorted(now - held)]
-            change += [(at[c], -1) for c in sorted(held - now)]
-            for c, sign in change or [(0, 0)]:
-                cols.append(c)
-                signs.append(sign)
-            ends.append(len(cols) - 1)
-            held = now
-        self.cols = np.array(cols, dtype=np.intp)
-        self.signs = np.array(signs, dtype=np.int8)
-        # with one entry per step the running sums are the basis sums
-        self.ends = None if len(ends) == len(cols) else np.array(ends, dtype=np.intp)
-        self.columns = len(bases)
-        self.width = len(cols)
-
-    def __call__(self, block: np.ndarray) -> np.ndarray:
-        steps = block.take(self.cols, axis=1)
-        steps *= self.signs  # |entries| < n, so the distance dtype holds them
-        sums = steps.astype(np.int64)
-        np.cumsum(sums, axis=1, out=sums)
-        return sums if self.ends is None else sums.take(self.ends, axis=1)
+    """Worst item pair of ``S``: the lex-first minimizer of delta_S, by the
+    worst-pair router (``resolve._worst_pairs``); None without item pairs."""
+    (worst,) = certificates_for(g, variant, [S])
+    return worst
 
 
 def certificates_for(g: Graph, variant: Variant,
                      bases: Iterable[Iterable[int]]) -> "list[Certificate | None]":
-    """``certificate_for`` of each set in ``bases``, by one pair scan of the
-    union of their columns that reduces every set's sums at once
-    (``_ChainSums``). One set keeps ``certificate_for``'s early-abandoning
-    scan, which beats a full pass on a single set."""
-    bases = [_check_set(g, S) for S in bases]
-    if len(bases) < 2:
-        return [certificate_for(g, variant, S) for S in bases]
-    # column 0 stands in for the union of empty sets; only sign-0 entries read it
-    union = sorted(set().union(*bases)) or [0]
-    items, rows = _item_rows(g, variant)
-    (hits,) = lex_min(rows[:, union], [_ChainSums(bases, union)])
-    return [_certificate(items, hit) for hit in hits]
+    """``certificate_for`` of each set in ``bases``, by the worst-pair router:
+    two or more sets take one pair scan of the union of their columns that
+    reduces every set's sums at once (``resolve._ChainSums``)."""
+    hits = _worst_pairs(g, variant, [_check_set(g, S) for S in bases])
+    items = _items(g, variant)
+    return [_certificate(items, hit) for hit, _ in hits]
 
 
 def variant_kappa(g: Graph, variant: Variant = Variant.VERTEX):
     """Largest feasible k for the variant: min over item pairs of the
     profile total. Returns (kappa, witness_pair), or (None, None) when
     the variant has no item pairs (every k is then vacuously feasible).
-    Vertex pairs take ``compute_kappa``'s routes, no worst-pair scan."""
-    if variant == Variant.VERTEX:
-        return _kappa_route(g)[0] or (None, None)
-    worst = _worst_pair(g, variant, range(g.n))
+    The worst-pair router sends the vertex variant's whole set to
+    ``compute_kappa``'s routes."""
+    worst = certificate_for(g, variant, range(g.n))
     return (None, None) if worst is None else (worst.delta, (worst.a, worst.b))
 
 
 def verify_set(g: Graph, variant: Variant, S: Iterable[int], k: int) -> VerifyResult:
     """Variant-aware feasibility check of a candidate vertex set."""
-    return _verdict(_worst_pair(g, variant, S), k)
+    return _verdict(certificate_for(g, variant, S), k)
 
 
 def verify_weak_k_resolving(g: Graph, S: Iterable[int], k: int) -> VerifyResult:
@@ -334,12 +269,12 @@ def verify_weak_k_resolving(g: Graph, S: Iterable[int], k: int) -> VerifyResult:
 
 def verify_k_resolving(g: Graph, S: Iterable[int], k: int) -> VerifyResult:
     """Check every pair is distinguished by >= k distinct members of S."""
-    return _verdict(_worst_pair(g, Variant.VERTEX, S, pair_count), k)
+    return _verdict(_worst_count(g, S), k)
 
 
 def verify_local_k_resolving(g: Graph, S: Iterable[int], k: int) -> VerifyResult:
     """Check every edge's endpoints are distinguished by >= k members of S."""
-    return _verdict(_worst_pair(g, Variant.VERTEX, S, pair_count, _adjacent_partners(g)), k)
+    return _verdict(_worst_count(g, S, _adjacent_partners(g)), k)
 
 
 # 8-byte entries per brute-force array (a block's subset ids, its

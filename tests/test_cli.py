@@ -305,18 +305,21 @@ class TestWdimCommand:
         ["--family", "cycle:7", "--k", "2..6", "--variant", "mixed"],
     ])
     def test_sweep_verified_by_one_scan(self, capsys, monkeypatch, argv):
-        """The basis check of a whole sweep is one ``lex_min`` call (an edge
-        or mixed kappa makes one more, before the sweep)."""
+        """The basis check of a whole sweep is one ``lex_min`` call, the one
+        with a matrix reducer (an edge or mixed kappa makes one more, before
+        the sweep; the vertex kappa takes its own routes)."""
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return lex_min(*args, **kwargs)
+        def counting(rows, reducers, *args, **kwargs):
+            calls.append(any(hasattr(r, "columns") for r in reducers))
+            return lex_min(rows, reducers, *args, **kwargs)
 
-        monkeypatch.setattr(solver, "lex_min", counting)
+        monkeypatch.setattr(resolve, "lex_min", counting)
         report = run_json(capsys, "wdim", *argv)
         assert len(report["results"]) > 1
-        assert len(calls) == (2 if "--variant" in argv else 1)
+        assert calls.count(True) == 1
+        if "--variant" in argv:
+            assert calls == [False, True]
 
     def test_failed_basis_names_its_k(self, capsys, monkeypatch):
         """Every k is solved before the one check; a basis that fails it

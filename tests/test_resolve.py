@@ -16,6 +16,8 @@ from conftest import (
     plain_delta_set,
     plain_distances,
     plain_distinguisher_count,
+    plain_item_rows,
+    random_connected_graph,
     random_graph_corpus,
     random_tree_corpus,
     random_tree_graph,
@@ -46,7 +48,14 @@ from weakdim import (
 from weakdim import graph, resolve, solver
 from weakdim.graph import TwinSummary
 from weakdim.resolve import lex_min, pair_count, pair_sum
-from weakdim.solver import Certificate, Variant, certificate_for, variant_kappa, verify_set
+from weakdim.solver import (
+    Certificate,
+    Variant,
+    certificate_for,
+    certificates_for,
+    variant_kappa,
+    verify_set,
+)
 
 
 class TestDeltaPair:
@@ -182,7 +191,8 @@ class TestVerifiers:
     def test_against_plain_oracle(self, name, monkeypatch):
         """Ok flag, lex-first witness and value at k = worst - 1, worst and
         worst + 1 on random graphs and trees, n = 1 and 2, and K4 (ties),
-        with one ``lex_min`` call per check."""
+        with one ``lex_min`` call per check; the sum over the whole vertex
+        set takes the kappa routes, which on trees and true twins make none."""
         verifier, measure, local = VERIFIERS[name]
         calls = []
 
@@ -191,6 +201,7 @@ class TestVerifiers:
             return lex_min(*args, **kwargs)
 
         monkeypatch.setattr(solver, "lex_min", counting)
+        monkeypatch.setattr(resolve, "lex_min", counting)
         rng = random.Random(5309)
         graphs = random_graph_corpus() + random_tree_corpus()
         graphs += [build_graph(1, []), generate(path(2)), generate(complete(4))]
@@ -202,7 +213,7 @@ class TestVerifiers:
                 for k in [1] if worst is None else [worst[0] - 1, worst[0], worst[0] + 1]:
                     calls.clear()
                     res = verifier(g, S, k)
-                    assert len(calls) == 1
+                    assert len(calls) == 1 or (name == "weak" and len(S) == g.n and not calls)
                     if worst is None:
                         assert res == (True, None, None)
                     else:
@@ -639,8 +650,11 @@ class TestTwinShortcuts:
                                 pytest.param(generate(complete_bipartite(2, 88)), id="kqr:2,88")])
     def test_false_twins_scan_only_the_adjacent_pairs(self, g, monkeypatch):
         """The first false-twin pair is compared with the scan's hit by
-        ``min``, not scanned. ``kqr:2,88`` reaches the twin route by itself;
-        the tree ``star:90`` reaches it with the tree route off."""
+        ``min``, not scanned, and only edges (x, y) with
+        |N(x) Δ N(y) \\ {x, y}| <= 2 are, among them every edge that
+        sums to at most 4 (the sum gap drops more): every edge left out
+        sums to more than 4. ``kqr:2,88`` reaches the twin route by
+        itself; the tree ``star:90`` reaches it with the tree route off."""
         tree_route_off(monkeypatch)
         seen = []
 
@@ -653,7 +667,11 @@ class TestTwinShortcuts:
         compute_kappa(g)
         (reducers, pairs), = seen
         assert reducers == ["pair_sum"]
-        assert pairs == set(g.edges())
+        near = {(x, y) for x, y in g.edges()
+                if len(set(g.adjacency[x]) ^ set(g.adjacency[y])) <= 4}
+        D = np.array(plain_distances(g), dtype=np.int64)
+        low = {(x, y) for x, y in g.edges() if np.abs(D[x] - D[y]).sum() <= 4}
+        assert low <= pairs <= near
 
     def test_partner_scans_run_on_one_thread(self, monkeypatch):
         """A partner list scan's round-robin parts would not share an
@@ -720,7 +738,7 @@ def thin_route(g):
     count = resolve._max_equidistant
     with pytest.MonkeyPatch.context() as mp:
         tree_route_off(mp)
-        mp.setattr(resolve, "_thin_pays", lambda d, criteria: True)
+        mp.setattr(resolve, "_thin_pays", lambda d, criteria, bipartite: True)
         mp.setattr(resolve, "twin_summary", lambda g: TwinSummary(0, 0, None, None))
         mp.setattr(resolve, "_max_equidistant", lambda d: counted.append(d) or count(d))
         result = resolve._kappa_route(g, count=True)
@@ -872,14 +890,23 @@ class TestThinRoute:
         dense = ["grid:24x24", "grid:10x60"]
         graphs = [generate(parse_family(f)) for f in thin + dense]
         graphs.append(sparse_graph(9, 600))
-        picks = [resolve._thin_pays(g.distance_matrix, 1) for g in graphs]
+        picks = [resolve._thin_pays(g.distance_matrix, 1, g.coloring is not None) for g in graphs]
         assert picks == [True] * len(thin) + [False] * (len(dense) + 1)
         # an accumulator that cannot fit keeps the scan, with the same report
         g = graphs[0]
         expected = compute_kappa(g)
         monkeypatch.setattr(resolve, "MAX_BYTES", 2 * g.distance_matrix.nbytes)
-        assert not resolve._thin_pays(g.distance_matrix, 2)
+        assert not resolve._thin_pays(g.distance_matrix, 2, True)
         assert compute_kappa(g) == expected
+
+    def test_floor_by_bipartiteness(self):
+        """The thin route may run from ``_SCAN_FLOOR`` entries on bipartite
+        graphs, where the scan reads only the same-color pairs, and from a
+        sixteenth of it on others: 2 x 101 x C(101, 2) entries lie between."""
+        d = generate(parse_family("cycle:101")).distance_matrix
+        assert resolve._SCAN_FLOOR >> 4 < 2 * 101 * 5050 <= resolve._SCAN_FLOOR
+        assert resolve._thin_pays(d, 2, False)
+        assert not resolve._thin_pays(d, 2, True)
 
 
 def router_graphs():
@@ -900,14 +927,17 @@ def partner_lists(partners, n):
 
 def recorded_route(run):
     """The scans ``run()`` makes, in order: the partner lists of each
-    ``lex_min`` call (None for all pairs), and "count" for each call of the
-    equidistant count."""
+    ``lex_min`` call of the sum (None for all pairs), and "count" for each
+    call of the equidistant count or scan of the count alone."""
     log = []
 
     def recording(rows, reducers, workers=1, partners=None):
-        assert reducers[0] is pair_sum
-        log.append(None if partners is None
-                   else [p.tolist() for p in partner_lists(partners, len(rows))])
+        if reducers == [pair_count]:
+            log.append("count")
+        else:
+            assert reducers[0] is pair_sum
+            log.append(None if partners is None
+                       else [p.tolist() for p in partner_lists(partners, len(rows))])
         return lex_min(rows, reducers, workers, partners)
 
     def counting(d):
@@ -1205,7 +1235,7 @@ class TestBlockedPartnerScan:
     @pytest.mark.parametrize("batch", [1, 9, resolve._PAIR_BATCH])
     def test_count_verify_over_adjacent_partners(self, batch, monkeypatch):
         """``verify_local_k_resolving`` reads the count over the adjacent
-        pairs (``_worst_pair`` with ``_adjacent_partners``): the lex-first
+        pairs (``_worst_count`` with ``_adjacent_partners``): the lex-first
         worst adjacent pair of a per-row reference."""
         monkeypatch.setattr(resolve, "_PAIR_BATCH", batch)
         rng = random.Random(batch)
@@ -1215,8 +1245,7 @@ class TestBlockedPartnerScan:
             adjacent = [[b for b in g.adjacency[a] if b > a] for a in range(g.n)]
             for S in ([], [0], sorted(rng.sample(range(g.n), g.n // 2)), list(range(g.n))):
                 count, pair = per_row_min(D[:, S], adjacent, pair_count)
-                worst = solver._worst_pair(g, Variant.VERTEX, S, pair_count,
-                                           resolve._adjacent_partners(g))
+                worst = solver._worst_count(g, S, resolve._adjacent_partners(g))
                 assert (worst.delta, (worst.a, worst.b)) == (count, pair)
                 assert verify_local_k_resolving(g, S, count) == (True, None, count)
                 assert verify_local_k_resolving(g, S, count + 1) == (False, pair, count)
@@ -1290,7 +1319,7 @@ def both_routes(g, workers):
     for thin in (False, True):
         with pytest.MonkeyPatch.context() as mp:
             tree_route_off(mp)
-            mp.setattr(resolve, "_thin_pays", lambda d, criteria: thin)
+            mp.setattr(resolve, "_thin_pays", lambda d, criteria, bipartite: thin)
             results.append(resolve._kappa_route(g, count=True, workers=workers))
     return results
 
@@ -1345,7 +1374,7 @@ class TestParityRoute:
         g = generate(parse_family(f))
         side = g.coloring
         for thin in (False, True):
-            monkeypatch.setattr(resolve, "_thin_pays", lambda d, criteria: thin)
+            monkeypatch.setattr(resolve, "_thin_pays", lambda d, criteria, bipartite: thin)
             _, log = recorded_route(lambda: resolve._kappa_route(g, count=True))
             scanned = [scan for scan in log if scan != "count"][-1]
             assert {side[a] == side[b] for a, bs in enumerate(scanned) for b in bs} == {True}
@@ -1364,3 +1393,182 @@ class TestParityRoute:
         fresh = generate(parse_family("grid:12x12"))
         assert compute_kappa(fresh, workers=2) == expected
         assert started == [2]
+
+
+def masks_on(mp):
+    """Take every mask on any input with item pairs and a nonempty set: no
+    size floor, and the sum-gap band whatever share of the pairs it keeps."""
+    mp.setattr(resolve, "_MASK_FLOOR", 0)
+    mp.setattr(resolve, "_KAPPA_BAND", 0)
+    mp.setattr(resolve, "_BAND_SHARE", 1.0)
+
+
+def blown_twins(rng, n):
+    """A random connected graph with some vertices copied as true twins (the
+    copy joined to the original) and some as false twins (not joined)."""
+    g = random_connected_graph(rng, n)
+    edges, size = list(g.edges()), g.n
+    for v in rng.sample(range(g.n), rng.randint(1, max(1, g.n // 3))):
+        edges += [(u, size) for u in g.adjacency[v]] + ([(v, size)] if rng.random() < 0.5 else [])
+        size += 1
+    return build_graph(size, edges)
+
+
+def path_with_a_far_tie():
+    """The path 0 - 3 - 2 - 1: with S = {3} the pair (0, 1), at distance 3,
+    sums to |S| = 1 and comes before the first adjacent pair (0, 3)."""
+    return build_graph(4, [(0, 3), (2, 3), (1, 2)])
+
+
+class TestWorstPairRouter:
+    """``_worst_pairs`` answers every set check with the value and lex-first
+    pair of the plain scan, through whichever masks it takes: parity on
+    bipartite graphs, the sum-gap band on any variant, both per set and,
+    for parity, over a sweep's ``_ChainSums`` scan."""
+
+    @staticmethod
+    def check_sets(g, sets, variant=Variant.VERTEX):
+        items, rows = plain_item_rows(g, variant.value)
+        for S in sets:
+            (total, pair), _ = dense_lex_min(rows, S) if len(items) > 1 else ((None, None), None)
+            expected = None if pair is None else Certificate(items[pair[0]], items[pair[1]], total)
+            assert certificate_for(g, variant, S) == expected, (g, S)
+        if len(sets) > 1:
+            assert certificates_for(g, variant, sets) == [certificate_for(g, variant, S)
+                                                           for S in sets]
+
+    @settings(max_examples=80, deadline=None)
+    @given(twin_free_bipartite_graphs(), st.randoms(use_true_random=False))
+    def test_parity_on_relabelled_bipartite_graphs(self, g, rng):
+        """Random sets on relabelled twin-free bipartite graphs, with every
+        mask on: the even-pair scan and the first odd pair at |S| give the
+        lex-first minimizer of the dense scan."""
+        g = relabelled(g, rng)
+        sets = [sorted(rng.sample(range(g.n), rng.randint(1, g.n))) for _ in range(4)]
+        with pytest.MonkeyPatch.context() as mp:
+            masks_on(mp)
+            self.check_sets(g, sets)
+
+    def test_odd_tie_at_distance_three(self):
+        """An odd pair at distance 3 can sum to |S| before the first adjacent
+        pair: the odd hit is read off row 0 up to (0, min adj[0])."""
+        g = path_with_a_far_tie()
+        d = g.distance_matrix
+        assert resolve._odd_hits(g, d[:, [3]], pair_sum, [1]) == [(1, (0, 1))]
+        assert resolve._odd_hits(g, d[:, [1, 2, 3]], pair_sum, [3]) == [(3, (0, 3))]
+        with pytest.MonkeyPatch.context() as mp:
+            masks_on(mp)
+            self.check_sets(g, [[3], [1, 2, 3], [0, 3], [2]])
+
+    def test_blown_twins_with_random_sets(self):
+        """Twin seeds t([x in S] + [y in S]) (0 when two twins of a class
+        are both outside S) and the adjacent seed bound the band: the same
+        pairs as the dense scan, also at sizes past the floor."""
+        rng = random.Random(0)
+        seen_zero = False
+        for _ in range(25):
+            g = blown_twins(rng, rng.randint(4, 14))
+            sets = [sorted(rng.sample(range(g.n), rng.randint(1, g.n))) for _ in range(4)]
+            for S in sets:
+                seed = resolve._twin_seed(g, S)
+                d = plain_distances(g)
+                twin_pairs = [pair for kind in find_twins(g) for pair in kind]
+                assert seed == min((plain_delta_set(d, x, y, S) for x, y in twin_pairs),
+                                   default=None)
+                seen_zero |= seed == 0
+            with pytest.MonkeyPatch.context() as mp:
+                masks_on(mp)
+                self.check_sets(g, sets)
+        assert seen_zero
+        g = blown_twins(random.Random(1), 120)
+        self.check_sets(g, [sorted(random.Random(2).sample(range(g.n), 3 * g.n // 4))])
+
+    @pytest.mark.parametrize("variant", [Variant.EDGE, Variant.MIXED])
+    def test_sum_gap_bound_on_item_rows(self, variant):
+        """|sigma_S(x) - sigma_S(y)| <= delta_S(x, y) on edge and mixed item
+        rows (the triangle inequality over the columns), so the band over
+        the seed pairs' least sum keeps the dense scan's answer."""
+        rng = random.Random(7)
+        for g in random_graph_corpus(count=12, max_n=10) + [generate(parse_family("grid:4x5"))]:
+            items, rows = plain_item_rows(g, variant.value)
+            R = np.array(rows, dtype=np.int64)
+            sets = [sorted(rng.sample(range(g.n), rng.randint(1, g.n))) for _ in range(3)]
+            for S in sets:
+                sigma = R[:, S].sum(axis=1)
+                for x, y in combinations(range(len(items)), 2):
+                    assert abs(sigma[x] - sigma[y]) <= np.abs(R[x, S] - R[y, S]).sum()
+            with pytest.MonkeyPatch.context() as mp:
+                masks_on(mp)
+                self.check_sets(g, sets, variant)
+
+    def test_parity_over_a_sweep(self):
+        """A sweep's one ``_ChainSums`` scan over the same-color pairs plus
+        each set's odd hit equals the per-set dense scans."""
+        rng = random.Random(3)
+        graphs = [relabelled(generate(parse_family(f)), rng)
+                  for f in ("grid:4x5", "grid:6x6", "cycle:12", "path:15")]
+        graphs.append(path_with_a_far_tie())
+        for g in graphs:
+            sets = [sorted(rng.sample(range(g.n), rng.randint(1, g.n))) for _ in range(6)]
+            sets += [[3]] if g.n == 4 else []
+            with pytest.MonkeyPatch.context() as mp:
+                masks_on(mp)
+                self.check_sets(g, sets)
+
+    def test_whole_set_band_matches_the_dense_oracle(self):
+        """With the band on for S = V, kappa, kappa' (the count band's second
+        scan) and the witness stay the dense scan's, and the vertex
+        ``variant_kappa`` makes the same sum scans as ``compute_kappa``."""
+        graphs = [generate(parse_family(f)) for f in ("grid:5x7", "grid:3x40", "cycle:31")]
+        graphs += [plus_chord("path:60", 0, 4), plus_chord("path:61", 0, 5),
+                   sparse_graph(1, 60), sparse_graph(2, 97)]
+        # the least count, 7, is at a pair whose sum gap exceeds the
+        # witness's count 8 but not 8 d(x, y)
+        graphs.append(build_graph(15, [(0, 10), (1, 2), (1, 4), (2, 4), (2, 8), (2, 11), (3, 6),
+                                       (3, 12), (3, 14), (4, 6), (4, 13), (5, 10), (5, 11), (7, 8),
+                                       (7, 14), (9, 14)]))
+        with pytest.MonkeyPatch.context() as mp:
+            masks_on(mp)
+            for g in graphs:
+                (kappa, pair), kappa_prime = oracle_route(g)
+                _, wdim_log = recorded_route(lambda: variant_kappa(g, Variant.VERTEX))
+                rep, kappa_log = recorded_route(lambda: compute_kappa(g))
+                assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
+                assert variant_kappa(g, Variant.VERTEX) == (kappa, pair)
+                assert wdim_log == [scan for scan in kappa_log if scan != "count"]
+
+    def test_tiny_inputs_keep_the_plain_scan(self, monkeypatch):
+        """A check of at most ``_MASK_FLOOR`` entries (item pairs x columns)
+        is one ``lex_min`` call over every pair; one entry more takes the
+        seed scan and a masked scan. The bnb-sweep sizes (n <= 24, so at most
+        276 x 24 entries) and the whole vertex set's band (``_KAPPA_BAND``,
+        tested on grid:12x12) stay below."""
+        assert 276 * 24 <= resolve._MASK_FLOOR < 10296 * 144 <= resolve._KAPPA_BAND
+        g = generate(parse_family("grid:6x6"))
+        S = list(range(0, 36, 3))
+        entries = g.n * (g.n - 1) // 2 * len(S)
+        for floor, masked in ((entries, False), (entries - 1, True)):
+            monkeypatch.setattr(resolve, "_MASK_FLOOR", floor)
+            calls = []
+
+            def recording(rows, reducers, workers=1, partners=None):
+                calls.append(partners is not None)
+                return lex_min(rows, reducers, workers, partners)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(resolve, "lex_min", recording)
+                worst = certificate_for(g, Variant.VERTEX, S)
+                sweep = certificates_for(g, Variant.VERTEX, [S, S[:4]])
+            assert calls == ([True, True, True] if masked else [False, False])
+            (total, pair), _ = dense_lex_min(plain_distances(g), S)
+            assert worst == sweep[0] == Certificate(*pair, total)
+
+    def test_chain_sums_widen_past_int32(self):
+        """The sweep reducer sums in int32 only while width x the dtype's
+        largest value stays below 2^31."""
+        reducer = resolve._ChainSums([[0], [0, 1], [1]], [0, 1])
+        block = np.array([[3, 4], [1, 0]], dtype=np.int16)
+        assert reducer(block).dtype == np.int32
+        assert reducer(block).tolist() == [[3, 7, 4], [1, 1, 0]]
+        wide = reducer(block.astype(np.int64))
+        assert wide.dtype == np.int64 and wide.tolist() == [[3, 7, 4], [1, 1, 0]]

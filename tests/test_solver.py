@@ -50,7 +50,7 @@ from weakdim import (
     verify_set,
     write_lp,
 )
-from weakdim import solver
+from weakdim import resolve, solver
 
 # regression constants fixed by exhaustive search over the 10-vertex
 # Petersen graph (increasing subset size)
@@ -575,14 +575,14 @@ class TestCertificatesFor:
 
     def test_one_scan_per_sweep(self, monkeypatch):
         calls = []
-        lex_min = solver.lex_min
+        lex_min = resolve.lex_min
 
         def counting(rows, reducers, *args, **kwargs):
             calls.append([getattr(r, "columns", None) for r in reducers])
             return lex_min(rows, reducers, *args, **kwargs)
 
         g = generate(grid(4, 5))
-        monkeypatch.setattr(solver, "lex_min", counting)
+        monkeypatch.setattr(resolve, "lex_min", counting)
         certificates_for(g, Variant.VERTEX, [[0, 1], [0, 1], [0, 2, 5], list(range(20))])
         certificates_for(g, Variant.VERTEX, [[0, 3]])  # a single set keeps the pair-sum scan
         assert calls == [[4], [None]]
