@@ -568,18 +568,19 @@ def _twin_route_partners(g: Graph) -> list[np.ndarray]:
     """``lex_min`` partners for the adjacent pairs (x, y) with
     |N(x) Δ N(y) \\ {x, y}| <= 2. An edge sums to at least 2 plus that
     many (x, y and each vertex next to only one of them add 1), and only
-    sums up to 4 can change the twin route's answer. Three cheap bounds
-    cut most edges before any distance row is read: the set has at least
-    |deg x - deg y| vertices, exactly deg x + deg y - 2 on a bipartite
-    graph (no common neighbor), and the sum is at least the sum gap
-    |sigma(x) - sigma(y)| of the row sums."""
+    sums up to 4 can change the twin route's answer. Two cheap bounds cut
+    most edges before any distance row is read: the sum is at least the
+    sum gap |sigma(x) - sigma(y)| of the row sums, and on a bipartite
+    graph (no common neighbor) the set has exactly deg x + deg y - 2
+    vertices (``kqr:800,800``, where every sum gap is 0: 1,222 ms without
+    it, 49 ms with it; a |deg x - deg y| bound saved nothing on the
+    sparse 640-vertex graphs, 0.69 ms either way)."""
     d, adj = g.distance_matrix, g.adjacency
     deg = np.array([len(a) for a in adj], dtype=np.intp)
     heads = np.repeat(np.arange(g.n), deg)
     tails = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=len(heads))
     sigma = d.sum(axis=1, dtype=np.int64)
-    keep = (heads < tails) & (np.abs(deg[heads] - deg[tails]) <= 2)
-    keep &= np.abs(sigma[heads] - sigma[tails]) <= 4
+    keep = (heads < tails) & (np.abs(sigma[heads] - sigma[tails]) <= 4)
     if g.coloring is not None:
         keep &= deg[heads] + deg[tails] <= 4
     heads, tails = heads[keep], tails[keep]
@@ -596,19 +597,18 @@ def _twin_route_partners(g: Graph) -> list[np.ndarray]:
 
 
 # Up to this many entries (item pairs x columns), a set check is one plain
-# scan with no mask: below it the masks' set-up (the seed scan, the row
-# sums, the band count, the odd pairs' row) costs more than it saves (a 3/4
-# set of a sparse n = 80 graph 0.27 ms plain against 0.31 masked), above
-# it the masks save (n = 200, 3.7e5 entries: 2.6 against 1.1 ms; the
-# grid:12x12 sweep over k = 1..44, 4.5e5 entries: 5.8 against 3.6 ms).
-# Measured on a 2-core x86 host, numpy 2.4.
+# scan with no mask, and the whole vertex set takes no sum-gap band: below
+# it the masks' set-up (the seed scan, the row sums, the band count, the
+# odd pairs' row) costs more than it saves (a 3/4 set of a sparse n = 80
+# graph 0.27 ms plain against 0.31 masked), above it the masks save
+# (n = 200, 3.7e5 entries: 2.6 against 1.1 ms; the grid:12x12 sweep over
+# k = 1..44, 4.5e5 entries: 5.8 against 3.6 ms; the vertex variant's kappa
+# of grid:12x12, 1.5e6 entries, 2.9 against 1.4 ms with the band, of
+# grid:20x20 14.5 against 6.8 ms; on path:400 plus the chord (0, 4), where
+# the band goes before the thin route, kappa alone takes 2.7 against 5.4 ms
+# and with kappa' 12.7 against 7.4 ms). Measured on a 2-core x86 host,
+# numpy 2.4.
 _MASK_FLOOR = 1 << 18
-# The whole vertex set (kappa) takes the sum-gap band above this many
-# entries: below it the parity scan alone, which needs no set-up, is as
-# fast, and the count's second scan does not pay back (grid:20x20, 3.2e7
-# entries, with kappa' 13.3 ms parity alone against 13.9 ms with the band;
-# grid:24x24 28.3 against 23.1 ms; same host).
-_KAPPA_BAND = 1 << 25
 # The sum-gap band is taken when it keeps at most this share of the pairs.
 _BAND_SHARE = 0.5
 
@@ -674,6 +674,14 @@ def _gap_at_most(sigma: np.ndarray, limit):
         limit(heads) if callable(limit) else limit)
 
 
+def _count_band(sigma: np.ndarray, d: np.ndarray, witness: int):
+    """The ``lex_min`` mask of the vertex pairs with |sigma(x) - sigma(y)| <=
+    ``witness`` d(x, y), which holds every pair counting at most ``witness``
+    distinguishers. The limit is made in int64: in the matrix's int8 or
+    int16 it would wrap once ``witness`` d(x, y) passes the dtype's maximum."""
+    return _gap_at_most(sigma, lambda heads: np.multiply(d[heads], witness, dtype=np.int64))
+
+
 def _least(*hits):
     return min((h for h in hits if h is not None), default=None)
 
@@ -716,9 +724,8 @@ def _set_scan(g: Graph, rows: np.ndarray, size: int, same, sigma, seed,
     if count and sigma is not None:
         a, b = hit[1]
         witness = int(np.count_nonzero(rows[a] != rows[b]))
-        d = g.distance_matrix
-        (low,) = lex_min(rows, [pair_count], workers, _both(
-            same, _gap_at_most(sigma, lambda heads: witness * d[heads])))
+        (low,) = lex_min(rows, [pair_count], workers,
+                         _both(same, _count_band(sigma, g.distance_matrix, witness)))
         least = _least(witness, low and low[0])
     if count and same is not None:
         least = _least(least, size)
@@ -731,7 +738,8 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
     the lex-first ``(value, (a, b))`` over the variant's item pairs a < b
     minimizing delta_S, as ``lex_min`` over every pair gives it (None with
     fewer than two items), and, with ``count`` (vertex variant, one basis),
-    the smallest distinguisher count, else None.
+    the smallest distinguisher count, else None. ``workers`` threads split
+    a single set's scans (``lex_min``); the answer does not depend on it.
 
     The one router of every worst-pair question. The whole vertex set of
     the vertex variant takes ``_kappa_route``. Any other single set is one
@@ -831,7 +839,7 @@ def _kappa_route(g: Graph, count: bool = False, workers: int = 1) -> tuple:
     across ``workers`` threads and merged by ``(value, pair)``, so the
     witness does not depend on the worker count: on bipartite graphs over
     the same-color pairs (parity, in the module docstring) at every size,
-    and above ``_KAPPA_BAND`` entries over the sum-gap band too, when it
+    and above ``_MASK_FLOOR`` entries over the sum-gap band too, when it
     keeps at most ``_BAND_SHARE`` of the pairs; kappa' is then a second
     scan over its count band. The twin and thin routes scan their pairs on
     one thread; the thin route drops the odd pairs too, and its hit is
@@ -850,7 +858,7 @@ def _kappa_route(g: Graph, count: bool = False, workers: int = 1) -> tuple:
         return _least(hit, (4, twins.first_false)), 2 if count else None
     same = _same_color(g.coloring if n > 1 else None)
     seed = sigma = None
-    if n * (n - 1) // 2 * n > _KAPPA_BAND:
+    if n * (n - 1) // 2 * n > _MASK_FLOOR:
         sigma, seed = _sum_band(g, Variant.VERTEX, d, range(n))
     if sigma is not None or not _thin_pays(d, 1 + count, same is not None):
         return _set_scan(g, d, n, same, sigma, seed, count, workers)
@@ -873,7 +881,8 @@ def compute_kappa(g: Graph, workers: int = 1, phases: dict | None = None) -> Kap
     if g.n < 2:
         raise TrivialGraph("kappa is undefined on a single vertex")
     with timed(phases, "kappa"):
-        (kappa, pair), kappa_prime = _kappa_route(g, count=True, workers=workers)
+        (route,) = _worst_pairs(g, Variant.VERTEX, [range(g.n)], count=True, workers=workers)
+        (kappa, pair), kappa_prime = route
     with timed(phases, "classify"):
         classification, evidence = _classify(g, kappa)
     return KappaReport(

@@ -118,12 +118,13 @@ class TestKappaCommand:
             return lex_min(rows, reducers, workers, partners)
 
         monkeypatch.setattr(resolve, "lex_min", recording)
-        # twin-free with many equidistant pairs, so kappa takes the threaded scan
+        # twin-free with many equidistant pairs, so kappa takes the threaded
+        # scans over the sum-gap band (sum and count) after its seed scan
         report = run_json(capsys, "kappa", "--family", "grid:12x12", "--workers", "5000")
-        assert requested == [2]
+        assert requested == [1, 2, 2]
         assert report["stats"]["workers"] == 2
         one = run_json(capsys, "kappa", "--family", "grid:12x12", "--workers", "1")
-        assert requested == [2, 1]
+        assert requested == [1, 2, 2, 1, 1, 1]
         assert one["results"] == report["results"]
         assert one["stats"]["workers"] == 1
 

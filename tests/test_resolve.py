@@ -562,6 +562,12 @@ def tree_route_off(mp):
     mp.setattr(resolve, "kappa_reads_distances", lambda g: True)
 
 
+def band_off(mp):
+    """Take no sum-gap band for the whole vertex set: its floor is above
+    every graph."""
+    mp.setattr(resolve, "_MASK_FLOOR", 1 << 62)
+
+
 def plus_chord(f, u, v):
     """The graph of family ``f`` plus the edge (u, v): a tree plus one chord
     is no tree, so the router sends it to the twin, thin or scan route."""
@@ -731,13 +737,15 @@ def oracle_route(g):
 
 def thin_route(g):
     """The router's thin route on any graph, trees and twin graphs too: the
-    tree route is off, the twin lookup reports no twins and the route's
-    estimate (with its floor) is taken as met. The equidistant count, which
-    only the thin route makes, must run."""
+    tree route is off, the twin lookup reports no twins, the sum-gap band,
+    which goes first, is not taken, and the route's estimate (with its
+    floor) is taken as met. The equidistant count, which only the thin
+    route makes, must run."""
     counted = []
     count = resolve._max_equidistant
     with pytest.MonkeyPatch.context() as mp:
         tree_route_off(mp)
+        band_off(mp)
         mp.setattr(resolve, "_thin_pays", lambda d, criteria, bipartite: True)
         mp.setattr(resolve, "twin_summary", lambda g: TwinSummary(0, 0, None, None))
         mp.setattr(resolve, "_max_equidistant", lambda d: counted.append(d) or count(d))
@@ -837,9 +845,11 @@ class TestThinRoute:
         t = d(x, y), exceeds the seed, and each dropped pair sums above it;
         on bipartite graphs the seed is n and the scan also drops exactly
         the odd pairs, each with sum at least n and n distinguishers.
-        The trees take the route with the tree route off."""
+        The trees take the route with the tree route off, and every graph
+        with the sum-gap band off."""
         monkeypatch.setattr(resolve, "_SCAN_FLOOR", 0)
         tree_route_off(monkeypatch)
+        band_off(monkeypatch)
         seen = []
 
         def recording(rows, reducers, workers=1, partners=None):
@@ -1005,8 +1015,9 @@ class TestKappaRouter:
     def test_vertex_variant_kappa_skips_the_dense_pass(self, f):
         """Every scan of the vertex ``variant_kappa`` runs over a partner
         subset, and kappa' (the equidistant count) is never made: no dense
-        pass, whatever the timing. ``path:400`` plus a chord and
-        ``cycle:401`` are above the floor and take the thin route; twin
+        pass, whatever the timing. ``path:400`` plus a chord takes the
+        sum-gap band; ``cycle:401``, whose row sums are all equal, is above
+        the floor and takes the thin route; twin
         graphs take the twin route at any size (above the floor:
         ``kqr:2,298``; below it: ``kqr:2,198``, ``kqr:100,100``, a tree on
         150 vertices plus a chord); true twins (``complete:250``) and trees
@@ -1380,6 +1391,8 @@ class TestParityRoute:
             assert {side[a] == side[b] for a, bs in enumerate(scanned) for b in bs} == {True}
 
     def test_workers_split_the_parity_scan(self, monkeypatch):
+        """Both scans over the sum-gap band, the sum's and the count's, are
+        split across the workers."""
         g = generate(parse_family("grid:12x12"))
         expected = compute_kappa(g)
         started = []
@@ -1392,14 +1405,13 @@ class TestParityRoute:
         monkeypatch.setattr(resolve, "ThreadPoolExecutor", recording)
         fresh = generate(parse_family("grid:12x12"))
         assert compute_kappa(fresh, workers=2) == expected
-        assert started == [2]
+        assert started == [2, 2]
 
 
 def masks_on(mp):
     """Take every mask on any input with item pairs and a nonempty set: no
     size floor, and the sum-gap band whatever share of the pairs it keeps."""
     mp.setattr(resolve, "_MASK_FLOOR", 0)
-    mp.setattr(resolve, "_KAPPA_BAND", 0)
     mp.setattr(resolve, "_BAND_SHARE", 1.0)
 
 
@@ -1537,13 +1549,34 @@ class TestWorstPairRouter:
                 assert variant_kappa(g, Variant.VERTEX) == (kappa, pair)
                 assert wdim_log == [scan for scan in kappa_log if scan != "count"]
 
+    def test_count_band_limit_does_not_wrap(self):
+        """The count band keeps every pair counting at most c distinguishers,
+        for every c, also where c d(x, y) passes the distance dtype's largest
+        value: int8 on grid:3x40, whose witness count times its diameter
+        is past 127 (kappa' then stays the dense scan's), and int16."""
+        g = generate(parse_family("grid:3x40"))
+        d = g.distance_matrix
+        D = d.astype(np.int64)
+        sigma = D.sum(axis=1)
+        counts = (D[:, None, :] != D[None, :, :]).sum(axis=2)
+        for c in np.unique(counts).tolist():
+            assert resolve._count_band(sigma, d, c)(np.arange(g.n))[counts <= c].all()
+        with pytest.MonkeyPatch.context() as mp:
+            masks_on(mp)
+            rep = compute_kappa(g)
+        a, b = rep.witness_pair
+        assert d.dtype == np.int8 and counts[a, b] * int(d.max()) > 127
+        assert rep.kappa_prime == dense_lex_min(plain_distances(g), range(g.n))[1][0]
+        far = np.array([[0, 1000], [1000, 0]], dtype=np.int16)
+        assert resolve._count_band(np.array([0, 10**6]), far, 1000)(np.array([0])).all()
+
     def test_tiny_inputs_keep_the_plain_scan(self, monkeypatch):
         """A check of at most ``_MASK_FLOOR`` entries (item pairs x columns)
         is one ``lex_min`` call over every pair; one entry more takes the
         seed scan and a masked scan. The bnb-sweep sizes (n <= 24, so at most
-        276 x 24 entries) and the whole vertex set's band (``_KAPPA_BAND``,
-        tested on grid:12x12) stay below."""
-        assert 276 * 24 <= resolve._MASK_FLOOR < 10296 * 144 <= resolve._KAPPA_BAND
+        276 x 24 entries, for a set or the whole vertex set's band) stay
+        below."""
+        assert 276 * 24 <= resolve._MASK_FLOOR
         g = generate(parse_family("grid:6x6"))
         S = list(range(0, 36, 3))
         entries = g.n * (g.n - 1) // 2 * len(S)
