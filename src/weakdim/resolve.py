@@ -10,21 +10,23 @@ for the count-based (k distinct distinguishers) criterion.
 ``lex_min`` is the one scan for the lex-first pair minimizing such a
 criterion, through two kernels: one block per head row for a full scan
 over more than ``_MIN_SLICE`` columns with column-additive reducers
-only, and blocks of a lex-ordered pair stream for every other scan.
+only, and blocks of a lex-ordered pair stream for every other scan. A
+pair subset is a pair list, two aligned index arrays (a, b), a < b, in
+lex order (``_edge_pairs`` gives the edges), or a mask function.
 
 ``_worst_pairs`` is the one router of every worst-pair question: kappa
 and kappa' (``compute_kappa``), every variant's kappa, and the sum
-checks of one set or a sweep of sets in ``solver``. For the whole
-vertex set of the vertex variant it takes one of four routes to kappa
-(``_kappa_route``): trees get kappa, the witness and kappa' from their
-thread decomposition, with no distance matrix; twins settle kappa' and
-all of kappa but a scan of a few adjacent pairs; long, thin twin-free
-graphs above a size floor get kappa from a scan of the pairs that a
-geodesic lower bound lets through and kappa' from a count of equidistant
-classes; other graphs get the set scan. Above a size floor the set scan
-(``_set_scan``), and the sweep scan by parity alone, read only the pairs
-that two lower bounds on delta_S leave in play; each keeps the plain
-scan's value and lex-first pair.
+checks of one set or a sweep of sets in ``solver``. A single set S,
+the whole vertex set one more, takes one body. For S = V on the vertex
+variant, trees get kappa, the witness and kappa' from their thread
+decomposition, with no distance matrix, and twins settle kappa' and all
+of kappa but a scan of a few adjacent pairs. Above a size floor the
+set scan reads only the pairs that two lower bounds on delta_S leave in
+play (parity and the sum gap); there long, thin twin-free graphs, where
+the sum-gap band would not be taken, get kappa from a scan of the pairs
+that a geodesic lower bound lets through and kappa' from a count of
+equidistant classes. A sweep of sets takes one scan, by parity alone
+above the floor. Each keeps the plain scan's value and lex-first pair.
 
 Parity (bipartite graphs, vertex variant). A probe s has hop counts to
 x and y of the parities of col(s) + col(x) and col(s) + col(y). When
@@ -54,11 +56,60 @@ delta_S(x, y) = t ([x in S] + [y in S]), read off the twin classes. For
 the count of a vertex pair, each term |d(x, s) - d(y, s)| is at most
 d(x, y) by the triangle inequality and only the count of them are
 nonzero, so the gap is at most the count times d(x, y).
+
+Trees (n >= 2; ``Graph.tree_shape``, no distance matrix). Take a pair
+at distance L >= 3 on the path p_0 ... p_L, and let each probe project
+to its nearest path vertex p_i: it adds |2i - L|. For odd L every probe
+adds at least 1 and each end adds L > 1, so the pair sums to more
+than n, the sum of every adjacent pair. For even L = 2m a probe adds
+2|i - m|, and the middle pair (p_{m-1}, p_{m+1}) gets 2 from it, or 0
+when i = m; the end p_0 adds 2m > 2, so the middle pair sums to less.
+So only pairs at distance <= 2 attain the minimum. A pair (a, c)
+around b sums to 2(|B_a| + |B_c|), where B_a and B_c are b's branches
+through a and c, and has |B_a| + |B_c| distinguishers; an adjacent
+pair has n. On a path a pair around b sums to 2(n - 1) >= n. Off
+paths, a branch that is not a thread holds a vertex of degree >= 3,
+and two of its own branches make a strictly smaller pair, so the
+distance-2 minimum lies at a root's two shortest threads: kappa is
+``TreeShape.kappa`` and the witness ``TreeShape.witness``. The
+midpoint probes of an even-L pair are exactly those of its middle
+pair, so the two have the same count, and kappa' is kappa_star / 2
+off paths, n - 1 on paths with n >= 3 and 2 at n = 2
+(``TreeShape.kappa_prime``).
+
+Twins (``twin_summary`` of the graph's cached twin classes). The
+probes x and y each add d(x, y) to the sum of a pair, so the sum is
+at least 2 d(x, y), with equality exactly for true twins; and every
+pair has its two distinguishers x and y, with no others exactly for
+twins. So any twins give kappa' = 2, and true twins give kappa = 2
+with the first true-twin pair as witness. With false twins alone,
+kappa <= 4: a pair at distance 2 sums to 4 only as false twins and a
+pair at distance >= 3 sums to at least 6. So kappa is the ``min`` of
+the adjacent pairs' scan and ``(4, first false-twin pair)``, the
+lex-first of the false-twin pairs, which all sum to exactly 4. An
+adjacent pair sums to at least 2 + |N(x) Δ N(y) \\ {x, y}| and at
+least its sum gap, so the scan reads only the edges where that set
+has at most two vertices and the gap is at most 4
+(``_twin_route_partners``).
+
+Thin (twin-free, few equidistant pairs, where the sum-gap band would
+not be taken). Along a geodesic x = v0 ... vt = y the probe vi adds
+|2i - t|, so the sum of a pair at distance t is at least
+(t + 1)^2 // 2. The band's seed is a pair sum; the sum scan then visits
+only the pairs whose bound is at most the seed, which include every
+pair that could reach or tie the minimum. The count of a pair is
+n - eq(x, y), where eq counts the sources equidistant from x and y, so
+kappa' = n - max eq, found by adding 1 to every pair of each distance
+class of each source row: E = sum over s and r of C(|level r of s|, 2)
+increments, no pair scan. The route runs when E, read off the level
+histograms before any pair is made, is at most 8 C(n, 2) (E / C(n, 2)
+is 0.5 on paths, 1 on odd cycles, 4.9 on ``grid:4x150``; 20.6 on
+``grid:24x24`` and over 200 on random graphs) and the accumulator fits
+beside the matrix in ``MAX_BYTES``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -200,11 +251,11 @@ def _survivors(vals: list, best: list) -> np.ndarray:
 
 
 def _pair_stream(partners, heads: np.ndarray, n: int, budget: int):
-    """The pairs (a, b) of ``partners`` (every b > a for None) over n items
-    with a in ``heads`` (ascending), in lex order, as arrays of the a's and
-    the b's, one head group at a time: all pairs' or a mask's group spans
-    about ``budget`` entries of n-wide head rows, a partner list's as many
-    rows as hold about ``budget`` pairs."""
+    """The pairs (a, b) of ``partners`` (every b > a for None) over n items,
+    in lex order, as arrays of the a's and the b's, one piece at a time:
+    for all pairs or a mask, those with a in ``heads`` (ascending), in
+    head groups of about ``budget`` entries of n-wide head rows; a pair
+    list, which runs on one thread, whole, in slices of ``budget`` pairs."""
     if partners is None or callable(partners):
         step = max(1, budget // max(1, n))
         for i in range(0, len(heads), step):
@@ -215,21 +266,9 @@ def _pair_stream(partners, heads: np.ndarray, n: int, budget: int):
             at, b = np.nonzero(keep)
             yield group[at], b
         return
-    group, total = [], 0
-    for a in heads.tolist():
-        if len(partners[a]):
-            group.append(a)
-            total += len(partners[a])
-        if total >= budget:
-            yield _listed_pairs(partners, group)
-            group, total = [], 0
-    if group:
-        yield _listed_pairs(partners, group)
-
-
-def _listed_pairs(partners, group: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    return (np.repeat(group, [len(partners[a]) for a in group]),
-            np.concatenate([partners[a] for a in group]))
+    a, b = partners
+    for i in range(0, len(a), budget):
+        yield a[i:i + budget], b[i:i + budget]
 
 
 def _partner_part(rows, reducers, heads, partners):
@@ -309,11 +348,11 @@ def _lex_min_part(rows, reducers, start, step, partners=None):
 
 
 def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1,
-            partners: Sequence[np.ndarray] | Callable | None = None) -> list:
+            partners: tuple[np.ndarray, np.ndarray] | Callable | None = None) -> list:
     """Per reducer, the lex-first minimizing ``(value, (a, b))`` over item
     pairs a < b of ``rows``, or None when there are fewer than two items.
-    With ``partners``, only the pairs (a, b) with b in ``partners[a]`` (an
-    ascending index array of items above a) take part; or, with a mask
+    With a pair list ``partners = (a, b)``, two aligned index arrays with
+    a < b in lex order, only those pairs take part; or, with a mask
     function, the pairs (a, b), b > a, where ``partners(heads)``, a bool
     block of (len(heads) x items) for an ascending index array of head
     items, is True in a's row and b's column.
@@ -327,15 +366,15 @@ def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1,
     columns takes one block per head row, which reads contiguous row
     slices. Every other scan takes the pairs in lex order from a pair
     stream, in blocks of about ``_PAIR_BATCH`` entries that group as many
-    head rows as fit, and never holds more than one head group of the
-    pairs at once.
+    pairs as fit, and never holds more than one head group of a mask's
+    or all pairs at once.
 
     With ``workers > 1`` the head items are split round-robin across
     threads and the parts are merged by ``(value, pair)``, so the result
     does not depend on the worker count. That holds for a mask too, but
-    a partner list runs on one thread whatever ``workers`` says: its
-    parts would not share incumbents, so a part whose partners hold no
-    small pair would abandon none.
+    a pair list runs on one thread whatever ``workers`` says: its parts
+    would not share incumbents, so a part whose pairs hold no small one
+    would abandon none.
 
     A matrix reducer has a ``columns`` attribute R and maps the block to
     a (pairs x R) array, one value column per criterion; its entry in the
@@ -464,10 +503,13 @@ def _classify(g: Graph, kappa: int) -> tuple[KappaClass, tuple[int, ...] | None]
     return KappaClass.OTHER, None
 
 
-def _adjacent_partners(g: Graph) -> list[np.ndarray]:
-    """``lex_min`` partners for the adjacent pairs."""
-    adj = g.adjacency
-    return [np.array(adj[a][bisect_right(adj[a], a):], dtype=np.intp) for a in range(g.n)]
+def _edge_pairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The edges (v, w), v < w, in lex order as a ``lex_min`` pair list:
+    each vertex's adjacency is ascending."""
+    heads = np.repeat(np.arange(g.n), [len(a) for a in g.adjacency])
+    tails = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=len(heads))
+    keep = heads < tails
+    return heads[keep], tails[keep]
 
 
 # The thin route runs while E, the equidistant (source, pair) triples, is at
@@ -536,36 +578,39 @@ def _max_equidistant(d: np.ndarray) -> int:
 
 def _thin_pays(d: np.ndarray, criteria: int, bipartite: bool) -> bool:
     """Whether the thin route is estimated to beat the scan for ``criteria``
-    (1 or 2): the scan would make more than ``_SCAN_FLOOR`` entries on a
-    bipartite graph, or a sixteenth of that on any other, E is at most
+    (1 or 2), on a graph above ``_MASK_FLOOR``: on a bipartite graph the
+    scan would make more than ``_SCAN_FLOOR`` entries, E is at most
     ``_THIN * C(n, 2)``, and the count accumulator (half the matrix) fits
     beside the matrix and sixteen int64 block temporaries in ``MAX_BYTES``."""
     n = len(d)
     pairs = n * (n - 1) // 2
-    floor = _SCAN_FLOOR if bipartite else _SCAN_FLOOR >> 4
-    return (criteria * n * pairs > floor and 1.5 * d.nbytes + 16 * 8 * _EQ_BLOCK <= MAX_BYTES
+    return ((not bipartite or criteria * n * pairs > _SCAN_FLOOR)
+            and 1.5 * d.nbytes + 16 * 8 * _EQ_BLOCK <= MAX_BYTES
             and _equidistant_total(d, _THIN * pairs) is not None)
 
 
 # Up to this many dense-scan entries (criteria x n x C(n, 2)), the scan can
 # beat the thin route on twin-free bipartite graphs, where it reads only
 # the same-color pairs (grid:4x60 with kappa': 8.1 against 11.8 ms at
-# 2^23.7 entries, grid:3x40 1.0 against 1.9 ms). On other graphs the thin
-# route wins from a sixteenth of it (cycle:101 with kappa' 1.0 against
-# 2.0 ms at 2^20, path:100 plus the chord (0, 4) 0.9 against 2.4 ms;
-# cycle:51 0.6 against 0.2 ms at 2^17). Measured with the twin summary
-# already made, on a 2-core x86 host, numpy 2.4.
+# 2^23.7 entries, grid:3x40 1.0 against 1.9 ms, C4xC30 1.5 against
+# 3.4 ms). On other graphs the thin route wins from ``_MASK_FLOOR``
+# (path:100 plus the chord (0, 4) with kappa' 0.9 against 2.4 ms; kappa
+# alone on cycle:83, cycle:101 and C3xC29, between 2^18 and 2^19
+# entries, 1.4, 2.0 and 1.7 against 0.5, 0.7 and 1.0 ms, with kappa'
+# 2.4, 3.2 and 1.8 against 1.1, 1.5 and 1.8 ms). Measured with the twin
+# summary already made, on a 2-core x86 host, numpy 2.4.
 _SCAN_FLOOR = 1 << 23
 
 
 def kappa_reads_distances(g: Graph) -> bool:
-    """Whether ``_kappa_route`` reads the distance matrix of ``g``: on every
-    graph but a tree with at least two vertices."""
+    """Whether kappa (``_worst_pairs`` on the whole vertex set) reads the
+    distance matrix of ``g``: on every graph but a tree with at least two
+    vertices."""
     return g.n < 2 or g.edge_count != g.n - 1
 
 
-def _twin_route_partners(g: Graph) -> list[np.ndarray]:
-    """``lex_min`` partners for the adjacent pairs (x, y) with
+def _twin_route_partners(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """``lex_min`` pair list of the adjacent pairs (x, y) with
     |N(x) Δ N(y) \\ {x, y}| <= 2. An edge sums to at least 2 plus that
     many (x, y and each vertex next to only one of them add 1), and only
     sums up to 4 can change the twin route's answer. Two cheap bounds cut
@@ -575,32 +620,28 @@ def _twin_route_partners(g: Graph) -> list[np.ndarray]:
     vertices (``kqr:800,800``, where every sum gap is 0: 1,222 ms without
     it, 49 ms with it; a |deg x - deg y| bound saved nothing on the
     sparse 640-vertex graphs, 0.69 ms either way)."""
-    d, adj = g.distance_matrix, g.adjacency
-    deg = np.array([len(a) for a in adj], dtype=np.intp)
-    heads = np.repeat(np.arange(g.n), deg)
-    tails = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=len(heads))
+    d = g.distance_matrix
+    heads, tails = _edge_pairs(g)
     sigma = d.sum(axis=1, dtype=np.int64)
-    keep = (heads < tails) & (np.abs(sigma[heads] - sigma[tails]) <= 4)
+    keep = np.abs(sigma[heads] - sigma[tails]) <= 4
     if g.coloring is not None:
+        deg = np.bincount(np.concatenate([heads, tails]), minlength=g.n)
         keep &= deg[heads] + deg[tails] <= 4
     heads, tails = heads[keep], tails[keep]
     step = max(1, _PAIR_BATCH // g.n)
     near = [((d[heads[lo:lo + step]] == 1) != (d[tails[lo:lo + step]] == 1)).sum(axis=1) <= 4
             for lo in range(0, len(heads), step)]
     keep = np.concatenate([np.empty(0, dtype=bool), *near])
-    heads, tails = heads[keep], tails[keep]
-    partners = [np.empty(0, dtype=np.intp)] * g.n
-    starts = np.flatnonzero(np.diff(heads, prepend=-1)).tolist()
-    for lo, hi in zip(starts, starts[1:] + [len(heads)]):
-        partners[int(heads[lo])] = tails[lo:hi]
-    return partners
+    return heads[keep], tails[keep]
 
 
-# Up to this many entries (item pairs x columns), a set check is one plain
-# scan with no mask, and the whole vertex set takes no sum-gap band: below
-# it the masks' set-up (the seed scan, the row sums, the band count, the
-# odd pairs' row) costs more than it saves (a 3/4 set of a sparse n = 80
-# graph 0.27 ms plain against 0.31 masked), above it the masks save
+# Up to this many entries (item pairs x columns), a set check, the whole
+# vertex set one more, is one plain scan with no mask and no thin route:
+# below it the masks' set-up (the seed scan, the row sums, the band count,
+# the odd pairs' row) costs more than it saves (a 3/4 set of a sparse n = 80
+# graph 0.27 ms plain against 0.31 masked; the whole vertex set of
+# grid:5x4 0.057 plain against 0.076 ms by parity, though grid:9x7,
+# 1.2e5 entries, takes 0.35 against 0.32 ms), above it the masks save
 # (n = 200, 3.7e5 entries: 2.6 against 1.1 ms; the grid:12x12 sweep over
 # k = 1..44, 4.5e5 entries: 5.8 against 3.6 ms; the vertex variant's kappa
 # of grid:12x12, 1.5e6 entries, 2.9 against 1.4 ms with the band, of
@@ -611,13 +652,6 @@ def _twin_route_partners(g: Graph) -> list[np.ndarray]:
 _MASK_FLOOR = 1 << 18
 # The sum-gap band is taken when it keeps at most this share of the pairs.
 _BAND_SHARE = 0.5
-
-
-def _seed_partners(g: Graph, variant: Variant) -> list[np.ndarray]:
-    """``lex_min`` partners for the adjacent vertex pairs among the items of
-    the variant (none on the edge variant)."""
-    vertices = _adjacent_partners(g) if variant != Variant.EDGE else []
-    return vertices + [np.empty(0, dtype=np.intp)] * (len(_items(g, variant)) - len(vertices))
 
 
 def _twin_seed(g: Graph, S: Sequence[int]) -> int | None:
@@ -637,14 +671,15 @@ def _sum_band(g: Graph, variant: Variant, rows: np.ndarray, S: Sequence[int]) ->
     the columns; it is None when the pairs with a gap of at most ``seed``
     (counted off the sorted sums) are more than ``_BAND_SHARE`` of all.
     The seed is a pair sum, so the band holds every pair that reaches or
-    ties the minimum: the least sum of the adjacent vertex pairs, of each
-    item and the next two in sigma order (near sums make near rows
-    likely), and, on the vertex variant, of the twin pairs
-    (``_twin_seed``)."""
+    ties the minimum: the least sum of the adjacent vertex pairs (vertex
+    and mixed variants, whose first items are the vertices), of each item
+    and the next two in sigma order (near sums make near rows likely),
+    and, on the vertex variant, of the twin pairs (``_twin_seed``)."""
     sigma = rows.sum(axis=1, dtype=np.int64)
     order = np.argsort(sigma, kind="stable")
     a, b = np.concatenate([order[:-1], order[:-2]]), np.concatenate([order[1:], order[2:]])
-    (hit,) = lex_min(rows, [pair_sum], partners=_seed_partners(g, variant))
+    (hit,) = ([None] if variant == Variant.EDGE
+              else lex_min(rows, [pair_sum], partners=_edge_pairs(g)))
     step = max(1, _PAIR_BATCH // max(1, rows.shape[1]))
     near = min(int(pair_sum(_abs_diff(rows[b[i:i + step]], rows[a[i:i + step]])).min())
                for i in range(0, len(a), step))
@@ -698,40 +733,6 @@ def _odd_hits(g: Graph, rows: np.ndarray, reducer, sizes: Iterable[int]) -> list
             for size, column in zip(sizes, vals.T)]
 
 
-def _set_scan(g: Graph, rows: np.ndarray, size: int, same, sigma, seed,
-              count: bool = False, workers: int = 1) -> tuple:
-    """``(hit, least count)`` over the item pairs of ``rows``, the item rows
-    on the columns of a set S of ``size`` vertices: the lex-first minimizing
-    pair of the sum and, with ``count`` (vertex variant), the smallest
-    distinguisher count, else None; each as the plain scan gives it.
-
-    ``same`` is the parity mask or None, ``sigma`` the row sums of the
-    sum-gap band of ``seed`` or None; the scan reads the pairs in both.
-    With parity the hit is the ``min`` of the scan's and the first odd
-    pair at |S| (``_odd_hits``), and the count at most |S|. With the band
-    the count is a second scan, over the pairs with
-    |sigma(x) - sigma(y)| <= c d(x, y), c the witness's count: each
-    nonzero term of the gap is at most d(x, y), so a pair outside counts
-    more than c distinguishers."""
-    least = None
-    if sigma is None:
-        hit, *counted = lex_min(rows, [pair_sum, pair_count] if count else [pair_sum], workers, same)
-        least = counted[0][0] if count and counted[0] else None
-    else:
-        (hit,) = lex_min(rows, [pair_sum], workers, _both(same, _gap_at_most(sigma, seed)))
-    if same is not None:
-        hit = _least(hit, *_odd_hits(g, rows, pair_sum, [size]))
-    if count and sigma is not None:
-        a, b = hit[1]
-        witness = int(np.count_nonzero(rows[a] != rows[b]))
-        (low,) = lex_min(rows, [pair_count], workers,
-                         _both(same, _count_band(sigma, g.distance_matrix, witness)))
-        least = _least(witness, low and low[0])
-    if count and same is not None:
-        least = _least(least, size)
-    return hit, least
-
-
 def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
                  count: bool = False, workers: int = 1) -> list:
     """Per basis (an ascending list of vertex ids), ``(hit, least count)``:
@@ -741,31 +742,85 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
     the smallest distinguisher count, else None. ``workers`` threads split
     a single set's scans (``lex_min``); the answer does not depend on it.
 
-    The one router of every worst-pair question. The whole vertex set of
-    the vertex variant takes ``_kappa_route``. Any other single set is one
-    plain scan up to ``_MASK_FLOOR`` entries; above it, ``_set_scan``
-    through parity (vertex variant, bipartite graph) and the sum-gap band
-    when it keeps at most ``_BAND_SHARE`` of the pairs. Two or more sets
-    take one ``_ChainSums`` scan of the union of their columns, over the
-    same-color pairs of a bipartite graph above ``_MASK_FLOOR``, each set's
-    hit then the ``min`` with its first odd pair at |S|.
+    The one router of every worst-pair question, with one body for a
+    single set S; each step keeps the plain scan's value and witness (the
+    proofs are in the module docstring):
+
+    1. The whole vertex set S = V of the vertex variant first takes the
+       tree route (no distance matrix), then the twin routes: true twins
+       give kappa = 2 with no scan, false twins alone the ``min`` of
+       (4, the first false-twin pair) and one scan of a few edges
+       (``_twin_route_partners``). Any twins give kappa' = 2.
+    2. Up to ``_MASK_FLOOR`` entries (item pairs x |S|) the set is one
+       plain scan. Above it the scan reads only the pairs in both masks:
+       parity (vertex variant, bipartite graph), and the sum-gap band of
+       ``_sum_band`` when it keeps at most ``_BAND_SHARE`` of the pairs.
+    3. There, for S = V where the band is not taken, the thin route runs
+       when ``_thin_pays``: kappa from a scan of the pairs whose geodesic
+       bound is at most the band's seed, kappa' = n - max eq.
+    4. Every other set check is the set scan. On either, with parity the
+       hit is the ``min`` of the scan's and the first odd pair at |S|
+       (``_odd_hits``), and the count at most |S|. With the band the
+       count is a second scan, over the pairs with
+       |sigma(x) - sigma(y)| <= c d(x, y), c the witness's count: each
+       nonzero term of the gap is at most d(x, y), so a pair outside
+       counts more than c distinguishers.
+
+    The scans of a mask or of every pair are split across ``workers``
+    threads and merged by ``(value, pair)``; the twin and thin routes
+    scan their pairs on one thread. Two or more sets take one
+    ``_ChainSums`` scan of the union of their columns, over the
+    same-color pairs of a bipartite graph above ``_MASK_FLOOR``, each
+    set's hit then the ``min`` with its first odd pair at |S|.
     """
     bases = [list(S) for S in bases]
     vertex = variant == Variant.VERTEX
-    if vertex and len(bases) == 1 and len(bases[0]) == g.n:
-        return [_kappa_route(g, count, workers)]
+    if len(bases) == 1:
+        (S,) = bases
+        kappa = vertex and len(S) == g.n
+        if kappa:
+            if not kappa_reads_distances(g):
+                shape = g.tree_shape
+                hit = shape.kappa, shape.witness((0, g.adjacency[0][0]))
+                return [(hit, shape.kappa_prime if count else None)]
+            twins = twin_summary(g)
+            if twins.first_true:
+                return [((2, twins.first_true), 2 if count else None)]
+            if twins.first_false:
+                (hit,) = lex_min(g.distance_matrix, [pair_sum], workers, _twin_route_partners(g))
+                return [(_least(hit, (4, twins.first_false)), 2 if count else None)]
+        _, rows = _item_rows(g, variant)
+        rows = rows if len(S) == g.n else rows[:, S]  # the whole set reads the rows, no copy
+        same = sigma = reach = None
+        if len(rows) * (len(rows) - 1) // 2 * len(S) > _MASK_FLOOR:
+            same = _same_color(g.coloring if vertex else None)
+            sigma, seed = _sum_band(g, variant, rows, S)
+            if kappa and sigma is None and _thin_pays(rows, 1 + count, same is not None):
+                reach = isqrt(2 * seed + 1) - 1  # the largest t with (t + 1)^2 // 2 <= seed
+        least = None
+        if sigma is not None:
+            (hit,) = lex_min(rows, [pair_sum], workers, _both(same, _gap_at_most(sigma, seed)))
+        elif reach is not None:
+            (hit,) = lex_min(rows, [pair_sum],
+                             partners=_both(same, lambda heads: rows[heads] <= reach))
+            least = g.n - _max_equidistant(rows) if count else None
+        else:
+            hit, *counted = lex_min(rows, [pair_sum, pair_count] if count else [pair_sum],
+                                    workers, same)
+            least = counted[0][0] if count and counted[0] else None
+        if same is not None:
+            hit = _least(hit, *_odd_hits(g, rows, pair_sum, [len(S)]))
+        if count and sigma is not None:
+            a, b = hit[1]
+            witness = int(np.count_nonzero(rows[a] != rows[b]))
+            (low,) = lex_min(rows, [pair_count], workers,
+                             _both(same, _count_band(sigma, g.distance_matrix, witness)))
+            least = _least(witness, low and low[0])
+        if count and same is not None:
+            least = _least(least, len(S))
+        return [(hit, least)]
     _, rows = _item_rows(g, variant)
     pairs = len(rows) * (len(rows) - 1) // 2
-    if len(bases) < 2:
-        hits = []
-        for S in bases:
-            cols = rows[:, S]
-            same = sigma = seed = None
-            if pairs * len(S) > _MASK_FLOOR:
-                same = _same_color(g.coloring if vertex else None)
-                sigma, seed = _sum_band(g, variant, cols, S)
-            hits.append(_set_scan(g, cols, len(S), same, sigma, seed, count, workers))
-        return hits
     # column 0 stands in for the union of empty sets; only sign-0 entries read it
     union = sorted(set().union(*bases)) or [0]
     rows = rows[:, union]
@@ -775,100 +830,6 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
     if parity:
         hits = [_least(*both) for both in zip(hits, _odd_hits(g, rows, reducer, map(len, bases)))]
     return [(hit, None) for hit in hits]
-
-
-def _kappa_route(g: Graph, count: bool = False, workers: int = 1) -> tuple:
-    """``((kappa, pair), kappa')``: the lex-first minimizing pair of the sum
-    (None with fewer than two vertices) and, with ``count``, kappa' (else
-    None), by one of four routes, the last two narrowed by parity on
-    bipartite graphs, each with the values and witness of the dense scan:
-    the whole vertex set's part of ``_worst_pairs``.
-
-    Trees (n >= 2; ``Graph.tree_shape``, no distance matrix). Take a pair
-    at distance L >= 3 on the path p_0 ... p_L, and let each probe project
-    to its nearest path vertex p_i: it adds |2i - L|. For odd L every probe
-    adds at least 1 and each end adds L > 1, so the pair sums to more
-    than n, the sum of every adjacent pair. For even L = 2m a probe adds
-    2|i - m|, and the middle pair (p_{m-1}, p_{m+1}) gets 2 from it, or 0
-    when i = m; the end p_0 adds 2m > 2, so the middle pair sums to less.
-    So only pairs at distance <= 2 attain the minimum. A pair (a, c)
-    around b sums to 2(|B_a| + |B_c|), where B_a and B_c are b's branches
-    through a and c, and has |B_a| + |B_c| distinguishers; an adjacent
-    pair has n. On a path a pair around b sums to 2(n - 1) >= n. Off
-    paths, a branch that is not a thread holds a vertex of degree >= 3,
-    and two of its own branches make a strictly smaller pair, so the
-    distance-2 minimum lies at a root's two shortest threads: kappa is
-    ``TreeShape.kappa`` and the witness ``TreeShape.witness``. The
-    midpoint probes of an even-L pair are exactly those of its middle
-    pair, so the two have the same count, and kappa' is kappa_star / 2
-    off paths, n - 1 on paths with n >= 3 and 2 at n = 2
-    (``TreeShape.kappa_prime``).
-
-    Twins (``twin_summary`` of the graph's cached twin classes). The
-    probes x and y each add d(x, y) to the sum of a pair, so the sum is
-    at least 2 d(x, y), with equality exactly for true twins; and every
-    pair has its two distinguishers x and y, with no others exactly for
-    twins. So any twins give kappa' = 2, and true twins give kappa = 2
-    with the first true-twin pair as witness. With false twins alone,
-    kappa <= 4: a pair at distance 2 sums to 4 only as false twins and a
-    pair at distance >= 3 sums to at least 6. So kappa is the ``min`` of
-    the adjacent pairs' scan and ``(4, first false-twin pair)``, the
-    lex-first of the false-twin pairs, which all sum to exactly 4. An
-    adjacent pair sums to at least 2 + |N(x) Δ N(y) \\ {x, y}| and at
-    least its sum gap, so the scan reads only the edges where that set
-    has at most two vertices and the gap is at most 4
-    (``_twin_route_partners``).
-
-    Thin (twin-free, few equidistant pairs, above ``_SCAN_FLOOR``, where
-    the sum-gap band would not be taken). Along
-    a geodesic x = v0 ... vt = y the probe vi adds |2i - t|, so the sum
-    of a pair at distance t is at least (t + 1)^2 // 2. The adjacent
-    pairs seed the sum; the sum scan then visits only the pairs whose
-    bound is at most the seed, which include every pair that could reach
-    or tie the minimum. The count of a pair is n - eq(x, y), where eq
-    counts the sources equidistant from x and y, so kappa' = n - max eq,
-    found by adding 1 to every pair of each distance class of each
-    source row: E = sum over s and r of C(|level r of s|, 2) increments,
-    no pair scan. The route runs when E, read off the level histograms
-    before any pair is made, is at most 8 C(n, 2) (E / C(n, 2) is 0.5 on
-    paths, 1 on odd cycles, 4.9 on ``grid:4x150``; 20.6 on ``grid:24x24``
-    and over 200 on random graphs) and the accumulator fits beside the
-    matrix in ``MAX_BYTES``.
-
-    Scan. Every other graph gets ``_set_scan`` over every pair, split
-    across ``workers`` threads and merged by ``(value, pair)``, so the
-    witness does not depend on the worker count: on bipartite graphs over
-    the same-color pairs (parity, in the module docstring) at every size,
-    and above ``_MASK_FLOOR`` entries over the sum-gap band too, when it
-    keeps at most ``_BAND_SHARE`` of the pairs; kappa' is then a second
-    scan over its count band. The twin and thin routes scan their pairs on
-    one thread; the thin route drops the odd pairs too, and its hit is
-    the ``min`` with the first odd pair at n, (0, min adj[0]).
-    """
-    if not kappa_reads_distances(g):
-        shape = g.tree_shape
-        hit = shape.kappa, shape.witness((0, g.adjacency[0][0]))
-        return hit, shape.kappa_prime if count else None
-    d, n = g.distance_matrix, g.n
-    twins = twin_summary(g)
-    if twins.first_true:
-        return (2, twins.first_true), 2 if count else None
-    if twins.first_false:
-        (hit,) = lex_min(d, [pair_sum], workers, _twin_route_partners(g))
-        return _least(hit, (4, twins.first_false)), 2 if count else None
-    same = _same_color(g.coloring if n > 1 else None)
-    seed = sigma = None
-    if n * (n - 1) // 2 * n > _MASK_FLOOR:
-        sigma, seed = _sum_band(g, Variant.VERTEX, d, range(n))
-    if sigma is not None or not _thin_pays(d, 1 + count, same is not None):
-        return _set_scan(g, d, n, same, sigma, seed, count, workers)
-    if seed is None:
-        ((seed, _),) = lex_min(d, [pair_sum], partners=_adjacent_partners(g))
-    reach = isqrt(2 * seed + 1) - 1  # the largest t with (t + 1)^2 // 2 <= seed
-    (hit,) = lex_min(d, [pair_sum], partners=_both(same, lambda heads: d[heads] <= reach))
-    if same is not None:
-        hit = _least(hit, *_odd_hits(g, d, pair_sum, [n]))
-    return hit, n - _max_equidistant(d) if count else None
 
 
 def compute_kappa(g: Graph, workers: int = 1, phases: dict | None = None) -> KappaReport:

@@ -11,9 +11,10 @@ The checks of a given set hold no model: one verdict compares the
 worst pair with k. The sum checks (``certificate_for``, ``verify_set``,
 ``verify_weak_k_resolving``, ``variant_kappa`` and the sweeps of
 ``certificates_for``) ask one router, ``resolve._worst_pairs``: the
-vertex variant's whole set takes the kappa routes, any other set the
-pair scan, through parity and sum-gap masks above a size floor, and a
-sweep of sets (a ``wdim`` range) one ``lex_min`` call over the union of
+vertex variant's whole set first takes the tree and twin routes, then
+any set the pair scan, through parity and sum-gap masks above a size
+floor (there the whole set the thin route where the band is not
+taken), and a sweep of sets (a ``wdim`` range) one ``lex_min`` call over the union of
 their columns with a matrix reducer (``resolve._ChainSums``): each set's
 pair sums are the previous set's plus the columns it adds and minus
 those it drops, one cumsum along the signed change columns read at the
@@ -93,7 +94,7 @@ import numpy as np
 
 from .errors import TooLarge, check_k
 from .graph import Graph, _check_peak
-from .resolve import (Variant, _adjacent_partners, _check_set, _item_rows, _items, _worst_pairs,
+from .resolve import (Variant, _check_set, _edge_pairs, _item_rows, _items, _worst_pairs,
                       lex_min, pair_count)
 
 Item = Union[int, tuple[int, int]]
@@ -274,7 +275,7 @@ def verify_k_resolving(g: Graph, S: Iterable[int], k: int) -> VerifyResult:
 
 def verify_local_k_resolving(g: Graph, S: Iterable[int], k: int) -> VerifyResult:
     """Check every edge's endpoints are distinguished by >= k members of S."""
-    return _verdict(_worst_count(g, S, _adjacent_partners(g)), k)
+    return _verdict(_worst_count(g, S, _edge_pairs(g)), k)
 
 
 # 8-byte entries per brute-force array (a block's subset ids, its

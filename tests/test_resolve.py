@@ -481,6 +481,11 @@ class Stacked:
                         axis=1)
 
 
+def pair_arrays(pairs):
+    """The ``lex_min`` pair list of ``pairs``, (a, b) tuples in lex order."""
+    return tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
+
+
 def column_subsets(g):
     rng = random.Random(g.n)
     return [sorted(rng.sample(range(g.n), m)) for m in (0, 1, rng.randint(2, g.n), g.n)]
@@ -546,7 +551,7 @@ class TestMatrixReducer:
             g = generate(parse_family(f))
             subsets = column_subsets(g)
             D = np.array(plain_distances(g), dtype=np.int64)
-            for partners in (random_partners(rng, g.n, 0.4), resolve._adjacent_partners(g)):
+            for partners in (random_partners(rng, g.n, 0.4), resolve._edge_pairs(g)):
                 expected = per_column_scans(g, subsets, partners)
                 assert expected == ([per_row_min(D[:, S], partners, pair_sum) for S in subsets]
                                     + [per_row_min(D, partners, pair_count)])
@@ -563,9 +568,18 @@ def tree_route_off(mp):
 
 
 def band_off(mp):
-    """Take no sum-gap band for the whole vertex set: its floor is above
-    every graph."""
-    mp.setattr(resolve, "_MASK_FLOOR", 1 << 62)
+    """Open the mask floor but refuse the sum-gap band, whatever share of
+    the pairs it keeps: every check of one item pair or more takes the
+    band's seed and parity, and the whole vertex set the thin route where
+    ``_thin_pays``."""
+    mp.setattr(resolve, "_MASK_FLOOR", 0)
+    mp.setattr(resolve, "_BAND_SHARE", -1)
+
+
+def kappa_route(g, workers=1):
+    """``((kappa, pair), kappa')`` from the router's whole-vertex-set body."""
+    (route,) = resolve._worst_pairs(g, Variant.VERTEX, [range(g.n)], count=True, workers=workers)
+    return route
 
 
 def plus_chord(f, u, v):
@@ -665,8 +679,7 @@ class TestTwinShortcuts:
         seen = []
 
         def recording(rows, reducers, workers=1, partners=None):
-            seen.append(([r.__name__ for r in reducers],
-                         {(a, int(b)) for a, bs in enumerate(partners) for b in bs}))
+            seen.append(([r.__name__ for r in reducers], set(listed_pairs(partners, len(rows)))))
             return lex_min(rows, reducers, workers, partners)
 
         monkeypatch.setattr(resolve, "lex_min", recording)
@@ -680,13 +693,13 @@ class TestTwinShortcuts:
         assert low <= pairs <= near
 
     def test_partner_scans_run_on_one_thread(self, monkeypatch):
-        """A partner list scan's round-robin parts would not share an
-        incumbent, so a part without a small pair would never abandon one."""
+        """A pair-list scan's round-robin parts would not share an incumbent,
+        so a part without a small pair would never abandon one."""
         def refuse(*args, **kwargs):
             raise AssertionError("a partner scan started threads")
 
         g = generate(parse_family("kqr:40,40"))
-        partners = resolve._adjacent_partners(g)
+        partners = resolve._edge_pairs(g)
         expected = compute_kappa(g), lex_min(g.distance_matrix, [pair_sum], 1, partners)
         monkeypatch.setattr(resolve, "ThreadPoolExecutor", refuse)
         assert compute_kappa(g, workers=2) == expected[0]
@@ -699,9 +712,8 @@ class TestTwinShortcuts:
         rng = random.Random(g.n)
         D = np.array(plain_distances(g), dtype=np.int64)
         for keep in (0.02, 0.3):
-            partners = [np.array([b for b in range(a + 1, g.n) if rng.random() < keep],
-                                 dtype=np.intp) for a in range(g.n)]
-            pairs = [(a, int(b)) for a in range(g.n) for b in partners[a]]
+            pairs = [(a, b) for a in range(g.n) for b in range(a + 1, g.n) if rng.random() < keep]
+            partners = pair_arrays(pairs)
             expected = [
                 min(((int(reduce(np.abs(D[b] - D[a])[None])[0]), (a, b)) for a, b in pairs),
                     default=None)
@@ -738,7 +750,7 @@ def oracle_route(g):
 def thin_route(g):
     """The router's thin route on any graph, trees and twin graphs too: the
     tree route is off, the twin lookup reports no twins, the sum-gap band,
-    which goes first, is not taken, and the route's estimate (with its
+    which goes first, is refused, and the route's estimate (with its
     floor) is taken as met. The equidistant count, which only the thin
     route makes, must run."""
     counted = []
@@ -749,7 +761,7 @@ def thin_route(g):
         mp.setattr(resolve, "_thin_pays", lambda d, criteria, bipartite: True)
         mp.setattr(resolve, "twin_summary", lambda g: TwinSummary(0, 0, None, None))
         mp.setattr(resolve, "_max_equidistant", lambda d: counted.append(d) or count(d))
-        result = resolve._kappa_route(g, count=True)
+        result = kappa_route(g)
     assert counted, "the thin route was not taken"
     return result
 
@@ -840,35 +852,44 @@ class TestThinRoute:
         for f in ["path:130", "cycle:131", "spider:40,45,50", "grid:3x40"]]
         + [chorded("path:130", 0, 4), chorded("spider:40,45,50", 40, 135)])
     def test_filter_drops_only_pairs_over_the_seed(self, g, monkeypatch):
-        """The seed scan runs over the adjacent pairs; the sum scan then
-        drops exactly the pairs whose geodesic bound (t + 1)^2 // 2, for
+        """The band's seed is at most the least sum of the adjacent pairs,
+        which its seed scan reads; the thin route's sum scan then drops
+        exactly the pairs whose geodesic bound (t + 1)^2 // 2, for
         t = d(x, y), exceeds the seed, and each dropped pair sums above it;
-        on bipartite graphs the seed is n and the scan also drops exactly
-        the odd pairs, each with sum at least n and n distinguishers.
-        The trees take the route with the tree route off, and every graph
-        with the sum-gap band off."""
+        on bipartite graphs, where every adjacent pair sums to n, the scan
+        also drops exactly the odd pairs, each with sum at least n and n
+        distinguishers. The trees take the route with the tree route off,
+        and every graph with the sum-gap band refused."""
         monkeypatch.setattr(resolve, "_SCAN_FLOOR", 0)
         tree_route_off(monkeypatch)
         band_off(monkeypatch)
-        seen = []
+        seen, seeds = [], []
+        sum_band = resolve._sum_band
 
         def recording(rows, reducers, workers=1, partners=None):
             hit = lex_min(rows, reducers, workers, partners)
-            seen.append(([r.__name__ for r in reducers],
-                         {(a, int(b)) for a, bs in enumerate(partner_lists(partners, len(rows)))
-                          for b in bs}, hit))
+            seen.append(([r.__name__ for r in reducers], set(listed_pairs(partners, len(rows))),
+                         hit))
             return hit
 
+        def banding(*args):
+            band = sum_band(*args)
+            seeds.append(band[1])
+            return band
+
         monkeypatch.setattr(resolve, "lex_min", recording)
-        resolve._kappa_route(g, count=True)
-        (seed_reducers, adjacent, [(seed, _)]), (reducers, kept, _) = seen
+        monkeypatch.setattr(resolve, "_sum_band", banding)
+        kappa_route(g)
+        (seed_reducers, adjacent, [(least_adjacent, _)]), (reducers, kept, _) = seen
+        (seed,) = seeds
         assert seed_reducers == reducers == ["pair_sum"]
         assert adjacent == set(g.edges())
+        assert seed <= least_adjacent
         d = plain_distances(g)
         D = np.array(d, dtype=np.int64)
         bipartite = all((d[0][u] - d[0][v]) % 2 for u, v in g.edges())
         assert bipartite == (g.coloring is not None)
-        assert not bipartite or seed == g.n
+        assert not bipartite or least_adjacent == g.n
         for x, y in combinations(range(g.n), 2):
             bound = (d[x][y] + 1) ** 2 // 2
             odd = bipartite and d[x][y] % 2 == 1
@@ -911,12 +932,23 @@ class TestThinRoute:
 
     def test_floor_by_bipartiteness(self):
         """The thin route may run from ``_SCAN_FLOOR`` entries on bipartite
-        graphs, where the scan reads only the same-color pairs, and from a
-        sixteenth of it on others: 2 x 101 x C(101, 2) entries lie between."""
+        graphs, where the scan reads only the same-color pairs, and on
+        others wherever the router reaches it, above ``_MASK_FLOOR``
+        entries (n x C(n, 2)): ``cycle:81``, whose row sums are all equal
+        so that the band is refused, takes it, and ``cycle:79`` below the
+        floor is one plain scan."""
         d = generate(parse_family("cycle:101")).distance_matrix
-        assert resolve._SCAN_FLOOR >> 4 < 2 * 101 * 5050 <= resolve._SCAN_FLOOR
+        assert 2 * 101 * 5050 <= resolve._SCAN_FLOOR
         assert resolve._thin_pays(d, 2, False)
         assert not resolve._thin_pays(d, 2, True)
+        assert resolve._thin_pays(generate(parse_family("cycle:11")).distance_matrix, 2, False)
+        for n, thin in ((79, False), (81, True)):
+            assert (n * n * (n - 1) // 2 > resolve._MASK_FLOOR) == thin
+            g = generate(parse_family(f"cycle:{n}"))
+            rep, log = recorded_route(lambda: compute_kappa(g))
+            assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (n - 1, n - 1, (0, 1))
+            assert ("count" in log) == thin
+            assert (log == [None]) == (not thin)
 
 
 def router_graphs():
@@ -926,17 +958,16 @@ def router_graphs():
                for make in (true_twin_path, leaves_and_bull, four_cycle_and_commons)])
 
 
-def partner_lists(partners, n):
-    """The ascending partner arrays of ``lex_min`` partners over n items: a
-    partner list as it is, a mask function row by row."""
-    if not callable(partners):
-        return partners
-    return [np.flatnonzero(partners(np.arange(a, a + 1))[0, a + 1:]) + (a + 1)
-            for a in range(n)]
+def listed_pairs(partners, n):
+    """The pairs (a, b) of ``lex_min`` partners over n items, in lex order:
+    a pair list's as given, a mask function's read off its rows."""
+    if callable(partners):
+        partners = np.nonzero(np.triu(partners(np.arange(n)), 1))
+    return list(zip(*(p.tolist() for p in partners)))
 
 
 def recorded_route(run):
-    """The scans ``run()`` makes, in order: the partner lists of each
+    """The scans ``run()`` makes, in order: the listed pairs of each
     ``lex_min`` call of the sum (None for all pairs), and "count" for each
     call of the equidistant count or scan of the count alone."""
     log = []
@@ -946,8 +977,7 @@ def recorded_route(run):
             log.append("count")
         else:
             assert reducers[0] is pair_sum
-            log.append(None if partners is None
-                       else [p.tolist() for p in partner_lists(partners, len(rows))])
+            log.append(None if partners is None else listed_pairs(partners, len(rows)))
         return lex_min(rows, reducers, workers, partners)
 
     def counting(d):
@@ -981,33 +1011,54 @@ def plus_chord_keeping_false_twins(g):
                 return h
 
 
+def thin_forced(mp):
+    """Set ``_SCAN_FLOOR`` to 0, open the mask floor and refuse the sum-gap
+    band: every twin-free graph that is no tree, and has few equidistant
+    pairs, as every router graph has, takes the thin route."""
+    mp.setattr(resolve, "_SCAN_FLOOR", 0)
+    band_off(mp)
+
+
+# Fixed ids, which do not follow the floor's value: "0" is the thin route
+# forced (``thin_forced``), "8388608" the policy as it stands.
+ROUTER_POLICIES = pytest.mark.parametrize("forced", [True, False], ids=["0", "8388608"])
+
+
 class TestKappaRouter:
     """One router, one policy, serves ``compute_kappa`` (sum and count) and
     the vertex ``variant_kappa`` (sum only): the twin summary first, read
-    off the graph's cached twin classes; ``_SCAN_FLOOR`` gates only the
-    thin route."""
+    off the graph's cached twin classes; ``_MASK_FLOOR``, the band and
+    ``_thin_pays`` gate the thin route."""
 
-    @pytest.mark.parametrize("floor", [0, resolve._SCAN_FLOOR])
+    @ROUTER_POLICIES
     @pytest.mark.parametrize("g", router_graphs())
-    def test_both_callers_match_the_dense_oracle(self, g, floor, monkeypatch):
-        monkeypatch.setattr(resolve, "_SCAN_FLOOR", floor)
+    def test_both_callers_match_the_dense_oracle(self, g, forced, monkeypatch):
+        if forced:
+            thin_forced(monkeypatch)
         (kappa, pair), kappa_prime = oracle_route(g)
         assert variant_kappa(g, Variant.VERTEX) == (kappa, pair)
-        rep = compute_kappa(g)
+        rep, log = recorded_route(lambda: compute_kappa(g))
         assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
         assert variant_kappa(build_graph(1, []), Variant.VERTEX) == (None, None)
+        if forced:
+            thin = resolve.kappa_reads_distances(g) and find_twins(g) == ([], [])
+            assert ("count" in log) == thin, "the equidistant count ran only on the thin route"
 
-    @pytest.mark.parametrize("floor", [0, resolve._SCAN_FLOOR])
+    @ROUTER_POLICIES
     @pytest.mark.parametrize("g", router_graphs())
-    def test_both_callers_make_the_same_sum_scans(self, g, floor, monkeypatch):
+    def test_both_callers_make_the_same_sum_scans(self, g, forced, monkeypatch):
         """The callers make the same sum scans over the same partners (or
         every pair), whichever of them builds the twin classes; only
         ``compute_kappa`` makes the equidistant count, for kappa'."""
-        monkeypatch.setattr(resolve, "_SCAN_FLOOR", floor)
+        if forced:
+            thin_forced(monkeypatch)
         _, wdim_log = recorded_route(lambda: variant_kappa(g, Variant.VERTEX))
         _, kappa_log = recorded_route(lambda: compute_kappa(g))
         assert "count" not in wdim_log
         assert wdim_log == [scan for scan in kappa_log if scan != "count"]
+        if forced:
+            thin = resolve.kappa_reads_distances(g) and find_twins(g) == ([], [])
+            assert ("count" in kappa_log) == thin
 
     @pytest.mark.parametrize("f", ["path:400", "cycle:401", "star:300", "star:200",
                                    "kqr:100,100", "pruefer150", "complete:250",
@@ -1124,27 +1175,26 @@ class TestTreeRoute:
 
 
 def per_row_min(D, partners, reduce):
-    """Plain reference of a partner scan: every listed pair, one head row at
-    a time, and the lex-first (value, pair) of the smallest value."""
-    hits = [(int(reduce(np.abs(D[b] - D[a])[None])[0]), (a, int(b)))
-            for a in range(len(D)) for b in partners[a]]
+    """Plain reference of a pair-list scan: every listed pair, one at a
+    time, and the lex-first (value, pair) of the smallest value."""
+    hits = [(int(reduce(np.abs(D[b] - D[a])[None])[0]), (a, b))
+            for a, b in zip(*(p.tolist() for p in partners))]
     return min(hits, default=None)
 
 
 def random_partners(rng, n, keep):
-    """Ascending partner arrays above each item; about a third of the rows
-    are left empty."""
-    return [np.array([b for b in range(a + 1, n) if rng.random() < keep], dtype=np.intp)
-            if rng.random() < 0.66 else np.empty(0, dtype=np.intp) for a in range(n)]
+    """A random ``lex_min`` pair list; about a third of the head items get
+    no pairs."""
+    return pair_arrays([(a, b) for a in range(n) if rng.random() < 0.66
+                        for b in range(a + 1, n) if rng.random() < keep])
 
 
 def as_mask(partners, n):
-    """The same partner sets as a ``lex_min`` mask function (with marks
-    below the diagonal too, which the scan must ignore)."""
+    """The same pairs as a ``lex_min`` mask function (with marks below the
+    diagonal too, which the scan must ignore)."""
     marks = np.zeros((n, n), dtype=bool)
-    for a, bs in enumerate(partners):
-        marks[a, bs] = True
-        marks[a, :a] = True
+    marks[partners] = True
+    marks[np.tril_indices(n, -1)] = True
     return lambda heads: marks[heads]
 
 
@@ -1179,13 +1229,13 @@ class TestBlockedPartnerScan:
 
     def test_empty_partner_rows(self):
         g = generate(parse_family("grid:4x5"))
-        empty = [np.empty(0, dtype=np.intp)] * g.n
+        empty = pair_arrays([])
         assert lex_min(g.distance_matrix, [pair_sum, pair_count], partners=empty) == [None, None]
         def nothing(heads):
             return np.zeros((len(heads), g.n), dtype=bool)
 
         assert lex_min(g.distance_matrix, [pair_sum], 2, nothing) == [None]
-        last = empty[:-2] + [np.array([g.n - 1])] + empty[-1:]
+        last = pair_arrays([(g.n - 2, g.n - 1)])
         expected = int(np.abs(g.distance_matrix[-1] - g.distance_matrix[-2]).sum())
         assert lex_min(g.distance_matrix, [pair_sum], partners=last) == [
             (expected, (g.n - 2, g.n - 1))]
@@ -1197,8 +1247,7 @@ class TestBlockedPartnerScan:
         when its tie partners come in later blocks or head groups."""
         monkeypatch.setattr(resolve, "_PAIR_BATCH", batch)
         g = generate(parse_family("complete:9"))
-        partners = [np.arange(a + 1, g.n) if a in (3, 5, 6) else np.empty(0, np.intp)
-                    for a in range(g.n)]
+        partners = pair_arrays([(a, b) for a in (3, 5, 6) for b in range(a + 1, g.n)])
         for workers in (1, 2):
             for given_as in (partners, as_mask(partners, g.n)):
                 assert lex_min(g.distance_matrix, [pair_sum, pair_count], workers,
@@ -1206,12 +1255,39 @@ class TestBlockedPartnerScan:
         # a smaller value in a later block beats the earlier ties; a tie with
         # it later still does not
         rows = np.array([[0, 0], [1, 0], [1, 1], [5, 5], [3, 1], [3, 1]], dtype=np.int16)
-        listed = [np.array([1, 2, 3]), np.array([4]), np.array([3, 5]), np.array([4, 5]),
-                  np.array([5]), np.empty(0, np.intp)]
+        listed = pair_arrays([(0, 1), (0, 2), (0, 3), (1, 4), (2, 3), (2, 5), (3, 4), (3, 5),
+                              (4, 5)])
         D = rows.astype(np.int64)
         expected = [per_row_min(D, listed, reduce) for reduce in (pair_sum, pair_count)]
         assert expected == [(0, (4, 5)), (0, (4, 5))]
         assert lex_min(rows, [pair_sum, pair_count], partners=listed) == expected
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_a_heads_pairs_split_across_pieces(self, batch, monkeypatch):
+        """A pair list is sliced into pieces of ``_PAIR_BATCH`` pairs, which
+        cut through one head's pairs: on cycle:12, where pairs at one
+        distance tie, the hits stay those of the per-pair reference, given
+        as arrays and as a mask."""
+        monkeypatch.setattr(resolve, "_PAIR_BATCH", batch)
+        g = generate(parse_family("cycle:12"))
+        D = np.array(plain_distances(g), dtype=np.int64)
+        rng = random.Random(batch)
+        pairs = [(a, b) for a in range(g.n) for b in range(a + 1, g.n)
+                 if a == 4 or rng.random() < 0.2]
+        assert sum(a == 4 for a, _ in pairs) == 7 >= batch
+        partners = pair_arrays(pairs)
+        for reducers in ([pair_sum], [pair_count], [pair_sum, pair_count]):
+            expected = [per_row_min(D, partners, reduce) for reduce in reducers]
+            assert lex_min(g.distance_matrix, reducers, partners=partners) == expected
+            for workers in (1, 2):
+                assert lex_min(g.distance_matrix, reducers, workers,
+                               as_mask(partners, g.n)) == expected
+
+    def test_edge_pairs_are_the_edges_in_order(self):
+        """``_edge_pairs`` lists ``Graph.edges()``, in the same lex order."""
+        graphs = family_corpus() + random_graph_corpus() + [sparse_graph(1, 80)]
+        for g in graphs + [build_graph(1, []), plus_chord("path:9", 0, 8)]:
+            assert listed_pairs(resolve._edge_pairs(g), g.n) == g.edges()
 
     def test_reducers_do_not_overflow(self):
         """``pair_sum`` sums narrow blocks in int32 only while the block's
@@ -1228,14 +1304,15 @@ class TestBlockedPartnerScan:
             assert pair_count(block).tolist() == [width, width // 2]
 
     def test_stream_holds_one_head_group(self):
-        """The pair stream makes one head group at a time, of about
-        ``budget`` pairs or mask entries (at least one head row), in lex
-        order over every listed pair, or over every pair for None."""
+        """The pair stream makes one piece at a time, in lex order over every
+        listed pair, or over every pair for None: a pair list's slices of
+        ``budget`` pairs, a mask's head groups of about ``budget`` entries
+        (at least one head row)."""
         g = generate(parse_family("grid:6x7"))
         partners = random_partners(random.Random(3), g.n, 0.5)
-        pairs = [(a, int(b)) for a in range(g.n) for b in partners[a]]
+        pairs = listed_pairs(partners, g.n)
         every = list(combinations(range(g.n), 2))
-        for given_as, cap, expected in ((partners, 50 + g.n, pairs),
+        for given_as, cap, expected in ((partners, 50, pairs),
                                         (as_mask(partners, g.n), g.n, pairs),
                                         (None, g.n, every)):
             groups = list(resolve._pair_stream(given_as, np.arange(g.n - 1), g.n, 50))
@@ -1246,17 +1323,17 @@ class TestBlockedPartnerScan:
     @pytest.mark.parametrize("batch", [1, 9, resolve._PAIR_BATCH])
     def test_count_verify_over_adjacent_partners(self, batch, monkeypatch):
         """``verify_local_k_resolving`` reads the count over the adjacent
-        pairs (``_worst_count`` with ``_adjacent_partners``): the lex-first
-        worst adjacent pair of a per-row reference."""
+        pairs (``_worst_count`` with ``_edge_pairs``): the lex-first worst
+        adjacent pair of a per-pair reference."""
         monkeypatch.setattr(resolve, "_PAIR_BATCH", batch)
         rng = random.Random(batch)
         for f in ("grid:5x6", "cycle:9", "path:70", "kqr:3,5"):
             g = generate(parse_family(f))
             D = np.array(plain_distances(g), dtype=np.int64)
-            adjacent = [[b for b in g.adjacency[a] if b > a] for a in range(g.n)]
+            adjacent = pair_arrays(g.edges())
             for S in ([], [0], sorted(rng.sample(range(g.n), g.n // 2)), list(range(g.n))):
                 count, pair = per_row_min(D[:, S], adjacent, pair_count)
-                worst = solver._worst_count(g, S, resolve._adjacent_partners(g))
+                worst = solver._worst_count(g, S, resolve._edge_pairs(g))
                 assert (worst.delta, (worst.a, worst.b)) == (count, pair)
                 assert verify_local_k_resolving(g, S, count) == (True, None, count)
                 assert verify_local_k_resolving(g, S, count + 1) == (False, pair, count)
@@ -1324,14 +1401,15 @@ def parity_graphs():
 
 
 def both_routes(g, workers):
-    """``_kappa_route`` with count on the scan and on the thin route, the
-    tree route off."""
+    """The whole vertex set's kappa and kappa' on the parity scan and on the
+    thin route, the tree route off and the sum-gap band refused."""
     results = []
     for thin in (False, True):
         with pytest.MonkeyPatch.context() as mp:
             tree_route_off(mp)
+            band_off(mp)
             mp.setattr(resolve, "_thin_pays", lambda d, criteria, bipartite: thin)
-            results.append(resolve._kappa_route(g, count=True, workers=workers))
+            results.append(kappa_route(g, workers))
     return results
 
 
@@ -1381,14 +1459,16 @@ class TestParityRoute:
 
     @pytest.mark.parametrize("f", ["grid:9x7", "cycle:40", "grid:3x40"])
     def test_scans_only_same_color_pairs(self, f, monkeypatch):
-        """Every pair either route scans past the seed is a same-color pair."""
+        """Every pair either route scans past the seed is a same-color pair
+        (the sum-gap band refused, at every size)."""
         g = generate(parse_family(f))
         side = g.coloring
+        band_off(monkeypatch)
         for thin in (False, True):
             monkeypatch.setattr(resolve, "_thin_pays", lambda d, criteria, bipartite: thin)
-            _, log = recorded_route(lambda: resolve._kappa_route(g, count=True))
+            _, log = recorded_route(lambda: kappa_route(g))
             scanned = [scan for scan in log if scan != "count"][-1]
-            assert {side[a] == side[b] for a, bs in enumerate(scanned) for b in bs} == {True}
+            assert {side[a] == side[b] for a, b in scanned} == {True}
 
     def test_workers_split_the_parity_scan(self, monkeypatch):
         """Both scans over the sum-gap band, the sum's and the count's, are
