@@ -398,8 +398,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (WeakDimError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (WeakDimError, OSError, MemoryError) as exc:
+        # exit 1 means "verification failed", never a crash
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INFEASIBLE if isinstance(exc, KaboveKappa) else EXIT_INPUT
 
 

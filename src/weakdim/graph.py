@@ -24,6 +24,7 @@ counts and the lex-first pair of each kind without listing every pair.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import chain, combinations
 from math import isqrt
 from typing import TYPE_CHECKING, Iterable, NamedTuple
@@ -195,21 +196,26 @@ class Graph:
                  family: "FamilySpec | None" = None):
         if n < 1:
             raise VertexOutOfRange(f"need at least one vertex, got n={n}")
-        neighbor_sets: list[set[int]] = [set() for _ in range(n)]
+        # only the vertices on some edge: a header's n allocates nothing before
+        # the connectivity check
+        neighbor_sets: defaultdict[int, set[int]] = defaultdict(set)
         m = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise VertexOutOfRange(f"edge ({u},{v}) outside 0..{n - 1}")
             if u == v:
                 raise SelfLoop(f"self-loop at vertex {u}")
-            if v in neighbor_sets[u]:
+            of_u = neighbor_sets[u]
+            if v in of_u:
                 raise DuplicateEdge(f"edge ({u},{v}) listed twice")
-            neighbor_sets[u].add(v)
+            of_u.add(v)
             neighbor_sets[v].add(u)
             m += 1
+        if n > 1 and len(neighbor_sets) < n:
+            raise NotConnected("graph is not connected")
         self.n = n
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in neighbor_sets
+            tuple(sorted(neighbor_sets[v])) for v in range(n)
         )
         self.edge_count = m
         self.family = family

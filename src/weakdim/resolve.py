@@ -8,11 +8,12 @@ minimum over pairs of the full-set sum. kappa'(G) is the analogous limit
 for the count-based (k distinct distinguishers) criterion.
 
 ``lex_min`` is the one scan for the lex-first pair minimizing such a
-criterion, through two kernels: one block per head row for a full scan
-over more than ``_MIN_SLICE`` columns with column-additive reducers
-only, and blocks of a lex-ordered pair stream for every other scan. A
-pair subset is a pair list, two aligned index arrays (a, b), a < b, in
-lex order (``_edge_pairs`` gives the edges), or a mask function.
+criterion: one early-abandoning loop over blocks from two pair sources,
+a head row with every later item, read in place, for a full scan over
+more than ``_MIN_SLICE`` columns with column-additive reducers only, and
+a lex-ordered pair stream for every other scan. A pair subset is a pair
+list, two aligned index arrays (a, b), a < b, in lex order
+(``_edge_pairs`` gives the edges), or a mask function.
 
 ``_worst_pairs`` is the one router of every worst-pair question: kappa
 and kappa' (``compute_kappa``), every variant's kappa, and the sum
@@ -99,9 +100,10 @@ not be taken). Along a geodesic x = v0 ... vt = y the probe vi adds
 only the pairs whose bound is at most the seed, which include every
 pair that could reach or tie the minimum. The count of a pair is
 n - eq(x, y), where eq counts the sources equidistant from x and y, so
-kappa' = n - max eq, found by adding 1 to every pair of each distance
-class of each source row: E = sum over s and r of C(|level r of s|, 2)
-increments, no pair scan. The route runs when E, read off the level
+kappa' = n - max eq, found by a gap pass over each source row sorted by
+level, which adds 1 to every pair inside one of its distance classes:
+E = sum over s and r of C(|level r of s|, 2) increments, no pair scan.
+The route runs when E, read off the level
 histograms before any pair is made, is at most 8 C(n, 2) (E / C(n, 2)
 is 0.5 on paths, 1 on odd cycles, 4.9 on ``grid:4x150``; 20.6 on
 ``grid:24x24`` and over 200 on random graphs) and the accumulator fits
@@ -271,80 +273,69 @@ def _pair_stream(partners, heads: np.ndarray, n: int, budget: int):
         yield a[i:i + budget], b[i:i + budget]
 
 
+def _pick(index, at):
+    """Entries ``at`` of a block's index: an index array, one head item
+    for every pair, or a slice of consecutive items."""
+    if isinstance(index, np.ndarray):
+        return index[at]
+    return index.start + at if isinstance(index, slice) else index
+
+
 def _partner_part(rows, reducers, heads, partners):
-    """Per reducer, the hit of each value column among the ``_pair_stream``
-    of ``partners`` and ``heads``, in blocks sized as ``lex_min`` says.
-    Without matrix reducers each block is read on a first column slice,
-    its pairs that reach every incumbent are dropped (a tie comes later
-    in lex order), and the rest are finished. The first argmin of a block
-    (per column) is its lex-first pair, and only a strictly smaller value
-    beats an earlier block's."""
-    rows = np.ascontiguousarray(rows)  # blocks gather whole rows, slow on a column subset
-    ncols = rows.shape[1]
+    """Per reducer, the hit of each value column among the pairs of
+    ``partners`` whose head is one of ``heads`` (ascending), in the blocks
+    that ``lex_min`` names: a head row a with every later item, its first
+    slice read in place as ``rows[a + 1:]``, or a block of the
+    ``_pair_stream``. Without matrix reducers each block is read on a
+    first column slice, its pairs that reach every incumbent are dropped
+    (a tie comes later in lex order), and the rest are finished. The
+    first argmin of a block (per column) is its lex-first pair, and only
+    a strictly smaller value beats an earlier block's."""
+    n, ncols = rows.shape
     matrix = [hasattr(r, "columns") for r in reducers]
     sliced = not any(matrix)
     budget = _PAIR_BATCH if sliced else _BATCH
+    widest = max([1] + [getattr(r, "width", 0) for r in reducers])  # a reducer's entries per pair
     best = [None] * len(reducers)
-    for heads, others in _pair_stream(partners, heads, len(rows), budget):
-        lo = 0
-        while lo < len(heads):
-            width = _slice_width(best, ncols) if sliced else ncols
-            hi = lo + max(1, budget // max([1, width] + [getattr(r, "width", 0) for r in reducers]))
-            a, b = heads[lo:hi], others[lo:hi]
-            lo = hi
-            block = _abs_diff(rows[b, :width], rows[a, :width])
-            vals = [reduce(block) for reduce in reducers]
-            if width < ncols:
-                survivors = _survivors(vals, best)
-                if survivors.size == 0:
-                    continue
-                a, b = a[survivors], b[survivors]
-                rest = _abs_diff(rows[b, width:], rows[a, width:])
-                vals = [v[survivors] + reduce(rest) for v, reduce in zip(vals, reducers)]
-            for r, v in enumerate(vals):
-                if matrix[r]:
-                    # per column: its first argmin's value, a and b
-                    at = v.argmin(axis=0)
-                    hit = np.stack([v[at, np.arange(v.shape[1])], a[at], b[at]])
-                    held = hit if best[r] is None else best[r]
-                    best[r] = np.where(hit[0] < held[0], hit, held)
-                    continue
-                i = int(v.argmin())
-                if best[r] is None or v[i] < best[r][0]:
-                    best[r] = (int(v[i]), (int(a[i]), int(b[i])))
-    return [[(v, (a, b)) for v, a, b in hit.T.tolist()] if m and hit is not None
-            else [hit] * getattr(reduce, "columns", 1)
-            for hit, reduce, m in zip(best, reducers, matrix)]
 
+    def blocks():
+        # (a, b, width): the head items, their partners and the first slice's width
+        if partners is None and sliced and ncols > _MIN_SLICE:
+            for a in heads.tolist():
+                yield a, slice(a + 1, n), _slice_width(best, ncols)
+            return
+        for a, b in _pair_stream(partners, heads, n, budget):
+            lo = 0
+            while lo < len(a):
+                width = _slice_width(best, ncols) if sliced else ncols
+                hi = lo + max(1, budget // max(width, widest))
+                yield a[lo:hi], b[lo:hi], width
+                lo = hi
 
-def _lex_min_part(rows, reducers, start, step, partners=None):
-    """Per reducer, the lex-first hit of each value column among the pairs
-    whose head item is one of start, start + step, ..., by the kernel that
-    ``lex_min`` names."""
-    heads = np.arange(start, len(rows) - 1, step)
-    ncols = rows.shape[1]
-    if partners is not None or ncols <= _MIN_SLICE or any(hasattr(r, "columns") for r in reducers):
-        return _partner_part(rows, reducers, heads, partners)
-    best = [None] * len(reducers)
-    for a in heads.tolist():
-        # item a is paired with every later item
-        head = rows[a]
-        width = _slice_width(best, ncols)
-        block = _abs_diff(rows[a + 1:, :width], head[:width])
+    for a, b, width in blocks():
+        block = _abs_diff(rows[b, :width], rows[a, :width])
         vals = [reduce(block) for reduce in reducers]
-        survivors = None
         if width < ncols:
             survivors = _survivors(vals, best)
             if survivors.size == 0:
                 continue
-            rest = _abs_diff(rows[survivors + a + 1, width:], head[width:])
+            a, b = _pick(a, survivors), _pick(b, survivors)
+            rest = _abs_diff(rows[b, width:], rows[a, width:])
             vals = [v[survivors] + reduce(rest) for v, reduce in zip(vals, reducers)]
         for r, v in enumerate(vals):
+            if matrix[r]:
+                # per column: its first argmin's value, a and b
+                at = v.argmin(axis=0)
+                hit = np.stack([v[at, np.arange(v.shape[1])], a[at], b[at]])
+                held = hit if best[r] is None else best[r]
+                best[r] = np.where(hit[0] < held[0], hit, held)
+                continue
             i = int(v.argmin())
             if best[r] is None or v[i] < best[r][0]:
-                j = i if survivors is None else int(survivors[i])
-                best[r] = (int(v[i]), (a, a + 1 + j))
-    return [[hit] for hit in best]
+                best[r] = (int(v[i]), (int(_pick(a, i)), int(_pick(b, i))))
+    return [[(v, (a, b)) for v, a, b in hit.T.tolist()] if m and hit is not None
+            else [hit] * getattr(reduce, "columns", 1)
+            for hit, reduce, m in zip(best, reducers, matrix)]
 
 
 def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1,
@@ -362,12 +353,14 @@ def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1,
     terms, as ``pair_sum`` and ``pair_count`` are: the scan evaluates
     each block on a first column slice and abandons the pairs that
     already reach every reducer's incumbent, then finishes the rest.
-    There are two kernels. A full scan over more than ``_MIN_SLICE``
-    columns takes one block per head row, which reads contiguous row
-    slices. Every other scan takes the pairs in lex order from a pair
-    stream, in blocks of about ``_PAIR_BATCH`` entries that group as many
-    pairs as fit, and never holds more than one head group of a mask's
-    or all pairs at once.
+    One loop (``_partner_part``) reads the blocks of two pair sources. A
+    full scan over more than ``_MIN_SLICE`` columns takes one block per
+    head row a, a with every later item, whose first slice is read in
+    place as ``rows[a + 1:]`` (a gather of the same pairs was 1.2-1.5x
+    slower on wide full scans). Every other scan takes the pairs in lex
+    order from a pair stream, in blocks of about ``_PAIR_BATCH`` entries
+    that group as many pairs as fit, and never holds more than one head
+    group of a mask's or all pairs at once.
 
     With ``workers > 1`` the head items are split round-robin across
     threads and the parts are merged by ``(value, pair)``, so the result
@@ -384,16 +377,18 @@ def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1,
     ``_BATCH`` entries of the widest of the columns and the reducers'
     ``width``s, the most entries per pair that each makes.
     """
+    rows = np.ascontiguousarray(rows)  # blocks gather whole rows, slow on a column subset
     matrix = [hasattr(r, "columns") for r in reducers]
-    workers = min(workers, len(rows) - 1) if partners is None or callable(partners) else 1
+    workers = max(1, min(workers, len(rows) - 1)) if partners is None or callable(partners) else 1
+
+    def part(i):
+        return _partner_part(rows, reducers, np.arange(i, len(rows) - 1, workers), partners)
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda i: _lex_min_part(rows, reducers, i, workers, partners),
-                range(workers),
-            ))
+            parts = list(pool.map(part, range(workers)))
     else:
-        parts = [_lex_min_part(rows, reducers, 0, 1, partners)]
+        parts = [part(0)]
     merged = [[min((h for h in hits if h is not None), default=None) for hits in zip(*columns)]
               for columns in zip(*parts)]
     return [hits if m else hits[0] for hits, m in zip(merged, matrix)]
@@ -538,13 +533,15 @@ def _equidistant_total(d: np.ndarray, stop: int) -> int | None:
 def _max_equidistant(d: np.ndarray) -> int:
     """The largest eq(x, y) = #{s : d(s, x) = d(s, y)} over pairs x < y.
 
-    Each source row is sorted, and every pair inside one of its distance
-    classes gets 1 added in a C(n, 2) accumulator of the distance dtype
-    (eq <= n - 2) that holds the pairs x < y in lex order: the stable sort
-    keeps a class's vertices ascending, and pair (x, y) sits at
-    x (2n - x - 1) / 2 + y - x - 1. Pairs are made and added in groups of
-    about ``_EQ_BLOCK``: the work is E increments, the temporaries stay
-    small.
+    A gap pass over each block of about ``_EQ_BLOCK`` source rows: each row
+    is sorted by level, stably, so that a level's vertices stay ascending
+    and fill consecutive positions. For j = 1, 2, ... the pass adds 1 at
+    (order[p], order[p + j]) wherever the sorted levels at p and p + j
+    match, in a C(n, 2) accumulator of the distance dtype (eq <= n - 2)
+    that holds the pairs x < y in lex order at x (2n - x - 1) / 2 + y - x - 1,
+    and stops at the first gap with no match: no larger one can have any.
+    The work is E increments and one compare per gap, the temporaries stay
+    the size of a block.
     """
     n = len(d)
     step = max(1, _EQ_BLOCK // n)
@@ -555,24 +552,15 @@ def _max_equidistant(d: np.ndarray) -> int:
     for lo in range(0, n, step):
         block = d[lo:lo + step]
         order = np.argsort(block, axis=1, kind="stable")
-        # a class starts at each row start and wherever the level changes
-        starts = np.flatnonzero(np.diff(np.take_along_axis(block, order, axis=1), prepend=-1))
+        levels = np.take_along_axis(block, order, axis=1)
+        # lifted by n per row, so that equal keys share a row
+        key = (levels + np.arange(0, block.size, n)[:, None]).ravel()
         order = order.ravel()
-        ends = np.append(starts[1:], order.size)
-        # later[p]: the members of p's class after position p
-        later = np.repeat(ends, ends - starts)
-        later -= np.arange(1, order.size + 1)
-        cum = np.cumsum(later)
-        # each group starts at the position that makes its first pair
-        cuts = np.unique(np.searchsorted(cum, np.arange(0, cum[-1], _EQ_BLOCK), side="right"))
-        for p0, p1 in zip(cuts.tolist(), [*cuts[1:].tolist(), order.size]):
-            counts = later[p0:p1]
-            before = cum[p0:p1] - counts  # the pairs of the positions before each
-            # pair j of the block, made by position p, is (p, p + 1 + j - before[p])
-            first = np.repeat(np.arange(p0, p1), counts)
-            shift = np.repeat(np.arange(p0 + 1, p1 + 1) - before, counts)
-            second = np.arange(before[0], cum[p1 - 1]) + shift
-            np.add.at(acc, offset[order[first]] + order[second], one)
+        for gap in range(1, n):
+            p = np.flatnonzero(key[gap:] == key[:-gap])
+            if p.size == 0:
+                break
+            np.add.at(acc, offset[order[p]] + order[p + gap], one)
     return int(acc.max(initial=0))
 
 

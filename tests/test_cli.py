@@ -518,6 +518,21 @@ class TestErrors:
         code, _, err = run_cli(capsys, "kappa", "--file", str(f))
         assert code == 2 and "connected" in err
 
+    @pytest.mark.parametrize("raised, message", [(MemoryError(), "out of memory"),
+                                                 (MemoryError("no room"), "no room")])
+    def test_out_of_memory_exit_2(self, capsys, monkeypatch, raised, message):
+        """Running out of memory is an input too large, exit 2, not exit 1,
+        which means that verification failed."""
+        def exhausted(args):
+            raise raised
+
+        monkeypatch.setattr(cli, "_load_graph", exhausted)
+        for command in (["kappa", "--family", "path:5"],
+                        ["verify", "--family", "path:5", "--set-file", "/nonexistent/s.txt",
+                         "--k", "1"]):
+            code, out, err = run_cli(capsys, *command)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_bad_k_spec_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "wdim", "--family", "path:5", "--k", "2..x")
         assert code == 2

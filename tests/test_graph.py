@@ -428,6 +428,21 @@ class TestEdgeListFormat:
         with pytest.raises(EdgeListFormatError):
             parse_edgelist("x y\n")
 
+    @pytest.mark.parametrize("text", ["100000000 0\n", "100000000 1\n0 1\n"])
+    def test_vertex_count_past_the_edges_fails_fast(self, text):
+        """A header whose n outruns its edges is not connected, raised
+        before any per-vertex structure is made."""
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(NotConnected, match="graph is not connected"):
+                parse_edgelist(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1
+        assert peak < 2**20
+
     def test_vertex_set_parsing(self):
         assert parse_vertex_set("3 1\n2 # tail\n", 5) == (1, 2, 3)
         with pytest.raises(VertexOutOfRange):

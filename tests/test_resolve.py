@@ -371,9 +371,12 @@ def dense_lex_min(d, cols):
     """Plain dense scan over every pair: the lex-first (value, pair)
     minimizing the difference sum and the distinguisher count over ``cols``."""
     D = np.array(d, dtype=np.int64)[:, list(cols)]
-    blocks = [np.abs(D[a + 1:] - D[a]) for a in range(len(D) - 1)]
-    sums = np.concatenate([b.sum(axis=1) for b in blocks])
-    counts = np.concatenate([(b != 0).sum(axis=1) for b in blocks])
+    sums, counts = [], []
+    for a in range(len(D) - 1):  # one head row at a time: all blocks at once take n^3 words
+        block = np.abs(D[a + 1:] - D[a])
+        sums.append(block.sum(axis=1))
+        counts.append((block != 0).sum(axis=1))
+    sums, counts = np.concatenate(sums), np.concatenate(counts)
     pairs = [(a, b) for a in range(len(D)) for b in range(a + 1, len(D))]
     i, j = int(sums.argmin()), int(counts.argmin())
     return (int(sums[i]), pairs[i]), (int(counts[j]), pairs[j])
@@ -727,7 +730,10 @@ class TestTwinShortcuts:
 def plain_equidistant(d):
     """eq[x, y] = #{s : d(s, x) = d(s, y)} for every pair, by a dense compare."""
     D = np.array(d, dtype=np.int64)
-    return (D[:, :, None] == D[:, None, :]).sum(axis=0)
+    eq = np.zeros((len(D), len(D)), dtype=np.int64)
+    for row in D:  # one source at a time: the whole compare takes n^3 bytes
+        eq += row[:, None] == row
+    return eq
 
 
 def plain_thin_figures(g):
@@ -837,11 +843,18 @@ class TestThinRoute:
 
     @pytest.mark.parametrize("block", [1, 7, 50, 700])
     def test_count_pass_chunk_boundaries(self, monkeypatch, block):
-        """Wherever the row blocks and pair groups of about ``_EQ_BLOCK``
-        entries split the classes, E and the largest eq stay exact."""
+        """Wherever the row blocks of about ``_EQ_BLOCK`` entries split the
+        classes, E and the largest eq stay exact. The last graph, cycle:600
+        plus a hub joined to every 15th cycle vertex (E / C(n, 2) about 74),
+        has large level classes: the hub's row holds seven of 80 vertices
+        and every cycle row one of 78 or 80, so the gap pass runs about 80
+        gaps per block, against at most 2 on cycle:31."""
         monkeypatch.setattr(resolve, "_EQ_BLOCK", block)
-        for f in ("path:30", "cycle:31", "spider:3,4,6", "grid:3x12", "complete:9", "star:12"):
-            g = generate(parse_family(f))
+        graphs = [generate(parse_family(f)) for f in
+                  ("path:30", "cycle:31", "spider:3,4,6", "grid:3x12", "complete:9", "star:12")]
+        ring = generate(parse_family("cycle:600")).edges()
+        graphs.append(build_graph(601, ring + [(v, 600) for v in range(0, 600, 15)]))
+        for g in graphs:
             E, top = plain_thin_figures(g)
             assert resolve._equidistant_total(g.distance_matrix, E) == E
             assert resolve._max_equidistant(g.distance_matrix) == top
