@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FormulaNotCovered, NotATree, ParameterOutOfRange, check_k
+from .errors import FormulaNotCovered, ParameterOutOfRange, check_k
 from .families import FamilySpec, complete, generate, grid, grid_vertex_id
 from .graph import Graph
 from .trees import TreeShape, root_basis_size, spider3_basis, tree_basis
@@ -42,10 +42,9 @@ class GridBorderLabeling:
 def _shape_for(g: Graph) -> TreeShape:
     if g.n < 2:
         raise FormulaNotCovered("no closed form: a tree file needs n >= 2")
-    try:
-        return g.tree_shape
-    except NotATree as exc:
-        raise FormulaNotCovered("no closed form: raw graph inputs must be trees") from exc
+    if not g.is_tree:
+        raise FormulaNotCovered("no closed form: raw graph inputs must be trees")
+    return g.tree_shape
 
 
 def _tree_kappa(shape: TreeShape) -> KappaFormula:

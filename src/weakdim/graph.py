@@ -268,9 +268,14 @@ class Graph:
         """(true, false) twin classes of ``_twin_classes``, built once and
         cached; on a tree read off its leaves (``_tree_twin_classes``)."""
         if self._twins is None:
-            tree = self.edge_count == self.n - 1
-            self._twins = (_tree_twin_classes if tree else _twin_classes)(self)
+            self._twins = (_tree_twin_classes if self.is_tree else _twin_classes)(self)
         return self._twins
+
+    @property
+    def is_tree(self) -> bool:
+        """Whether the graph is a tree: connected, so exactly when it has
+        n - 1 edges; the one tree test of the package."""
+        return self.edge_count == self.n - 1
 
     @property
     def coloring(self) -> np.ndarray | None:
@@ -288,8 +293,9 @@ class Graph:
 
     @property
     def tree_shape(self) -> "TreeShape":
-        """``trees.decompose_tree`` of the graph, built once and cached;
-        NotATree (not cached: the edge count settles it at once) otherwise."""
+        """``trees.decompose_tree`` of the graph, built once and cached, when
+        ``is_tree``; NotATree (not cached: ``is_tree`` settles it at once)
+        otherwise."""
         if self._tree is None:
             from .trees import decompose_tree
 

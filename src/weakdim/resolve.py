@@ -13,7 +13,10 @@ a head row with every later item, read in place, for a full scan over
 more than ``_MIN_SLICE`` columns with column-additive reducers only, and
 a lex-ordered pair stream for every other scan. A pair subset is a pair
 list, two aligned index arrays (a, b), a < b, in lex order
-(``_edge_pairs`` gives the edges), or a mask function.
+(``_edge_pairs`` gives the edges), or a mask function. ``lex_min`` alone
+decides threads: with ``workers > 1`` a mask or a full scan splits by
+head item across them, and a pair list runs whole; its callers pass
+``workers`` on and take no thread decision of their own.
 
 ``_worst_pairs`` is the one router of every worst-pair question: kappa
 and kappa' (``compute_kappa``), every variant's kappa, and the sum
@@ -362,12 +365,13 @@ def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1,
     that group as many pairs as fit, and never holds more than one head
     group of a mask's or all pairs at once.
 
-    With ``workers > 1`` the head items are split round-robin across
+    This is the package's one thread decision. With ``workers > 1`` a
+    mask's or a full scan's head items are split round-robin across
     threads and the parts are merged by ``(value, pair)``, so the result
-    does not depend on the worker count. That holds for a mask too, but
-    a pair list runs on one thread whatever ``workers`` says: its parts
-    would not share incumbents, so a part whose pairs hold no small one
-    would abandon none.
+    does not depend on the worker count. A pair list runs whole on one
+    thread whatever ``workers`` says: its parts would not share
+    incumbents, so a part whose pairs hold no small one would abandon
+    none.
 
     A matrix reducer has a ``columns`` attribute R and maps the block to
     a (pairs x R) array, one value column per criterion; its entry in the
@@ -594,32 +598,41 @@ def kappa_reads_distances(g: Graph) -> bool:
     """Whether kappa (``_worst_pairs`` on the whole vertex set) reads the
     distance matrix of ``g``: on every graph but a tree with at least two
     vertices."""
-    return g.n < 2 or g.edge_count != g.n - 1
+    return g.n < 2 or not g.is_tree
 
 
 def _twin_route_partners(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """``lex_min`` pair list of the adjacent pairs (x, y) with
-    |N(x) Δ N(y) \\ {x, y}| <= 2. An edge sums to at least 2 plus that
-    many (x, y and each vertex next to only one of them add 1), and only
-    sums up to 4 can change the twin route's answer. Two cheap bounds cut
-    most edges before any distance row is read: the sum is at least the
-    sum gap |sigma(x) - sigma(y)| of the row sums, and on a bipartite
-    graph (no common neighbor) the set has exactly deg x + deg y - 2
-    vertices (``kqr:800,800``, where every sum gap is 0: 1,222 ms without
-    it, 49 ms with it; a |deg x - deg y| bound saved nothing on the
-    sparse 640-vertex graphs, 0.69 ms either way)."""
+    |N(x) Δ N(y)| <= 4, that is |N(x) Δ N(y) \\ {x, y}| <= 2. An edge sums
+    to at least 2 plus that many (x, y and each vertex next to only one of
+    them add 1), and only sums up to 4 can change the twin route's answer.
+    The sum gap |sigma(x) - sigma(y)| of the row sums, a lower bound on
+    the sum, cuts first; then one exact test of |N(x) Δ N(y)| per graph
+    reads the survivors. On a bipartite graph (no common neighbor) it is
+    deg x + deg y, read off the adjacency (``kqr:800,800``, where every
+    sum gap is 0: 1,222 ms by the row compare, 49 ms by the degrees; a
+    |deg x - deg y| bound saved nothing on the sparse 640-vertex graphs,
+    0.69 ms either way). Elsewhere it is a compare of the two neighbour
+    rows, which stays as the route's exact filter: the list holds only
+    edges that can sum to at most 4. It buys no speed where the gap cuts
+    little, since the compare and the scan it spares each read a pair's
+    two rows once: on K_{150,150,150} the gap keeps all 67,500 edges and
+    the compare none, and ``compute_kappa`` took 33 ms with it against
+    24 ms scanning all 67,500 (medians of 15, 2-core x86 host, numpy
+    2.4). Dropping it is left to a measured change (ROADMAP item 15)."""
     d = g.distance_matrix
     heads, tails = _edge_pairs(g)
     sigma = d.sum(axis=1, dtype=np.int64)
     keep = np.abs(sigma[heads] - sigma[tails]) <= 4
-    if g.coloring is not None:
-        deg = np.bincount(np.concatenate([heads, tails]), minlength=g.n)
-        keep &= deg[heads] + deg[tails] <= 4
     heads, tails = heads[keep], tails[keep]
-    step = max(1, _PAIR_BATCH // g.n)
-    near = [((d[heads[lo:lo + step]] == 1) != (d[tails[lo:lo + step]] == 1)).sum(axis=1) <= 4
-            for lo in range(0, len(heads), step)]
-    keep = np.concatenate([np.empty(0, dtype=bool), *near])
+    if g.coloring is not None:
+        deg = np.array([len(a) for a in g.adjacency])
+        apart = deg[heads] + deg[tails]
+    else:
+        blocks = _pair_stream((heads, tails), None, g.n, max(1, _PAIR_BATCH // g.n))
+        apart = np.concatenate([np.empty(0, dtype=np.intp)]
+                               + [((d[a] == 1) != (d[b] == 1)).sum(axis=1) for a, b in blocks])
+    keep = apart <= 4
     return heads[keep], tails[keep]
 
 
@@ -727,8 +740,9 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
     the lex-first ``(value, (a, b))`` over the variant's item pairs a < b
     minimizing delta_S, as ``lex_min`` over every pair gives it (None with
     fewer than two items), and, with ``count`` (vertex variant, one basis),
-    the smallest distinguisher count, else None. ``workers`` threads split
-    a single set's scans (``lex_min``); the answer does not depend on it.
+    the smallest distinguisher count, else None. Every mask or full scan
+    gets ``workers``, and ``lex_min`` decides the threads; the answer does
+    not depend on it.
 
     The one router of every worst-pair question, with one body for a
     single set S; each step keeps the plain scan's value and witness (the
@@ -754,12 +768,10 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
        nonzero term of the gap is at most d(x, y), so a pair outside
        counts more than c distinguishers.
 
-    The scans of a mask or of every pair are split across ``workers``
-    threads and merged by ``(value, pair)``; the twin and thin routes
-    scan their pairs on one thread. Two or more sets take one
-    ``_ChainSums`` scan of the union of their columns, over the
-    same-color pairs of a bipartite graph above ``_MASK_FLOOR``, each
-    set's hit then the ``min`` with its first odd pair at |S|.
+    Two or more sets take one ``_ChainSums`` scan of the union of their
+    columns, over the same-color pairs of a bipartite graph above
+    ``_MASK_FLOOR``, each set's hit then the ``min`` with its first odd
+    pair at |S|.
     """
     bases = [list(S) for S in bases]
     vertex = variant == Variant.VERTEX
@@ -779,23 +791,19 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
                 return [(_least(hit, (4, twins.first_false)), 2 if count else None)]
         _, rows = _item_rows(g, variant)
         rows = rows if len(S) == g.n else rows[:, S]  # the whole set reads the rows, no copy
-        same = sigma = reach = None
+        same = sigma = bound = None
         if len(rows) * (len(rows) - 1) // 2 * len(S) > _MASK_FLOOR:
             same = _same_color(g.coloring if vertex else None)
             sigma, seed = _sum_band(g, variant, rows, S)
-            if kappa and sigma is None and _thin_pays(rows, 1 + count, same is not None):
+            if sigma is not None:
+                bound = _gap_at_most(sigma, seed)
+            elif kappa and _thin_pays(rows, 1 + count, same is not None):
                 reach = isqrt(2 * seed + 1) - 1  # the largest t with (t + 1)^2 // 2 <= seed
-        least = None
-        if sigma is not None:
-            (hit,) = lex_min(rows, [pair_sum], workers, _both(same, _gap_at_most(sigma, seed)))
-        elif reach is not None:
-            (hit,) = lex_min(rows, [pair_sum],
-                             partners=_both(same, lambda heads: rows[heads] <= reach))
-            least = g.n - _max_equidistant(rows) if count else None
-        else:
-            hit, *counted = lex_min(rows, [pair_sum, pair_count] if count else [pair_sum],
-                                    workers, same)
-            least = counted[0][0] if count and counted[0] else None
+                bound = lambda heads: rows[heads] <= reach  # the thin route's geodesic bound
+        # a mask keeps every pair that reaches the least sum, not the least count's
+        hit, *counted = lex_min(rows, [pair_sum, pair_count] if count and bound is None
+                                else [pair_sum], workers, _both(same, bound))
+        least = counted[0][0] if counted and counted[0] else None
         if same is not None:
             hit = _least(hit, *_odd_hits(g, rows, pair_sum, [len(S)]))
         if count and sigma is not None:
@@ -804,6 +812,8 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
             (low,) = lex_min(rows, [pair_count], workers,
                              _both(same, _count_band(sigma, g.distance_matrix, witness)))
             least = _least(witness, low and low[0])
+        elif count and bound is not None:
+            least = g.n - _max_equidistant(rows)
         if count and same is not None:
             least = _least(least, len(S))
         return [(hit, least)]
@@ -814,7 +824,7 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
     rows = rows[:, union]
     reducer = _ChainSums(bases, union)
     parity = vertex and g.coloring is not None and pairs * len(union) > _MASK_FLOOR
-    (hits,) = lex_min(rows, [reducer], partners=_same_color(g.coloring) if parity else None)
+    (hits,) = lex_min(rows, [reducer], workers, _same_color(g.coloring) if parity else None)
     if parity:
         hits = [_least(*both) for both in zip(hits, _odd_hits(g, rows, reducer, map(len, bases)))]
     return [(hit, None) for hit in hits]

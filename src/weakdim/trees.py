@@ -110,7 +110,7 @@ def _walk(g: Graph, deg: list[int], prev: int, cur: int) -> list[int]:
 def decompose_tree(g: Graph) -> TreeShape:
     """Find all root vertices of a tree, their threads and the basis
     order; callers read the cached ``Graph.tree_shape``."""
-    if g.edge_count != g.n - 1:
+    if not g.is_tree:
         raise NotATree(f"m={g.edge_count} but a tree on n={g.n} needs n-1 edges")
     deg = [g.degree(v) for v in range(g.n)]
     threads: dict[int, tuple[Thread, ...]] = {}
@@ -230,7 +230,7 @@ def delta_tree_pair(g: Graph, x: int, y: int, S) -> int:
     distance matrix, so it serves as a second method for cross-checks.
     The pair and ``S`` are checked as ``delta_over_set`` checks them.
     """
-    if g.edge_count != g.n - 1:
+    if not g.is_tree:
         raise NotATree(f"m={g.edge_count} but a tree on n={g.n} needs n-1 edges")
     _check_pair(g, x, y)
     members = set(_check_set(g, S))

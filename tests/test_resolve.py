@@ -943,6 +943,30 @@ class TestThinRoute:
         assert not resolve._thin_pays(g.distance_matrix, 2, True)
         assert compute_kappa(g) == expected
 
+    @pytest.mark.parametrize("f, thin, scans", [("cycle:601", True, 1), ("cycle:600", True, 1),
+                                                ("grid:4x150", False, 2)])
+    def test_workers_split_the_thin_scan(self, f, thin, scans, monkeypatch):
+        """The thin route's sum scan, over a mask (with parity on the even
+        cycle), is split across the workers as the band's sum and count
+        scans are (``grid:4x150`` takes the band), and the report is the
+        one-worker report and the dense scan's."""
+        g = generate(parse_family(f))
+        expected = compute_kappa(g)
+        started, counted = [], []
+        pool, count = resolve.ThreadPoolExecutor, resolve._max_equidistant
+
+        def recording(max_workers):
+            started.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(resolve, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(resolve, "_max_equidistant", lambda d: counted.append(d) or count(d))
+        rep = compute_kappa(generate(parse_family(f)), workers=2)
+        assert bool(counted) == thin
+        assert rep == expected and started == [2] * scans
+        (kappa, pair), kappa_prime = oracle_route(g)
+        assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
+
     def test_floor_by_bipartiteness(self):
         """The thin route may run from ``_SCAN_FLOOR`` entries on bipartite
         graphs, where the scan reads only the same-color pairs, and on
@@ -1698,3 +1722,91 @@ class TestWorstPairRouter:
         assert reducer(block).tolist() == [[3, 7, 4], [1, 1, 0]]
         wide = reducer(block.astype(np.int64))
         assert wide.dtype == np.int64 and wide.tolist() == [[3, 7, 4], [1, 1, 0]]
+
+
+def complete_multipartite(*parts):
+    """K_{parts}: every vertex joined to every vertex outside its own part."""
+    ends = np.cumsum((0,) + parts)
+    return build_graph(int(ends[-1]), [(u, v) for i, (lo, hi) in enumerate(zip(ends, ends[1:]))
+                                       for u in range(lo, hi) for v in range(hi, int(ends[-1]))])
+
+
+def relabelled_bipartite_twins():
+    """C4 (0 1 2 3) with the tail 0 - 4 - 5 - 6, randomly relabelled: 1 and
+    3 are false twins, the graph is bipartite and no tree, and four of its
+    edges have a degree sum of at most 4."""
+    perm = list(range(7))
+    random.Random(3).shuffle(perm)
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6)]
+    return build_graph(7, [(perm[u], perm[v]) for u, v in edges])
+
+
+def twin_route_spec(g):
+    """The edges (x, y) in lex order with a sum gap of at most 4 and
+    |N(x) Δ N(y)| <= 4, read off plain distances and neighbour sets."""
+    D = np.array(plain_distances(g), dtype=np.int64)
+    sigma = D.sum(axis=1)
+    return [(x, y) for x, y in g.edges() if abs(sigma[x] - sigma[y]) <= 4
+            and len(set(g.adjacency[x]) ^ set(g.adjacency[y])) <= 4]
+
+
+class TestTwinRoutePartners:
+    """``_twin_route_partners`` keeps the edges whose sum gap and
+    |N(x) Δ N(y)| are each at most 4, by the degree sum on bipartite
+    graphs and by the neighbour-row compare elsewhere; every edge that
+    sums to at most 4 stays, so the twin route's kappa and witness are the
+    dense scan's."""
+
+    @staticmethod
+    def check(g):
+        kept = resolve._twin_route_partners(g)
+        assert listed_pairs(kept, g.n) == twin_route_spec(g)
+        D = np.array(plain_distances(g), dtype=np.int64)
+        low = {(x, y) for x, y in g.edges() if np.abs(D[x] - D[y]).sum() <= 4}
+        assert low <= set(listed_pairs(kept, g.n))
+        (kappa, pair), kappa_prime = oracle_route(g)
+        for workers in (1, 2):
+            rep = compute_kappa(g, workers=workers)
+            assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
+        return kept
+
+    @pytest.mark.parametrize("parts", [(3, 3, 3), (2, 3, 4), (4, 4, 4, 4)])
+    def test_complete_multipartite_keeps_no_edge(self, parts):
+        """No bipartite graph: the sum gaps, at most the spread of the part
+        sizes, keep every edge, and the neighbour compare none (each edge's
+        ends differ at both their parts)."""
+        g = complete_multipartite(*parts)
+        sigma = g.distance_matrix.sum(axis=1)
+        assert g.coloring is None
+        assert all(abs(int(sigma[x]) - int(sigma[y])) <= 4 for x, y in g.edges())
+        heads, tails = self.check(g)
+        assert len(heads) == len(tails) == 0
+
+    @pytest.mark.parametrize("make", [lambda: generate(parse_family("kqr:3,5")),
+                                      relabelled_bipartite_twins], ids=["kqr:3,5", "relabelled"])
+    def test_bipartite_graphs_cut_by_degrees_alone(self, make, monkeypatch):
+        """On a bipartite graph deg x + deg y is |N(x) Δ N(y)| exactly, and
+        no neighbour row is read: the compare's pair stream is refused."""
+        g = make()
+        assert g.coloring is not None and find_twins(g)[1]
+
+        def refuse(*args):
+            raise AssertionError("the neighbour rows were compared")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(resolve, "_pair_stream", refuse)
+            kept = resolve._twin_route_partners(g)
+        deg = [len(a) for a in g.adjacency]
+        sigma = g.distance_matrix.sum(axis=1)
+        gap = [(x, y) for x, y in g.edges() if abs(int(sigma[x]) - int(sigma[y])) <= 4]
+        assert listed_pairs(kept, g.n) == [(x, y) for x, y in gap if deg[x] + deg[y] <= 4]
+        assert len(kept[0]) < len(gap)
+        self.check(g)
+
+    def test_random_twin_blown_graphs(self):
+        """Random graphs with copied vertices, bipartite or not."""
+        rng = random.Random(29)
+        graphs = [blown_twins(rng, rng.randint(4, 30)) for _ in range(40)]
+        graphs.append(plus_chord_keeping_false_twins(pruefer_tree_with_false_twins(40)))
+        for g in graphs:
+            self.check(g)
