@@ -24,13 +24,14 @@ checks of one set or a sweep of sets in ``solver``. A single set S,
 the whole vertex set one more, takes one body. For S = V on the vertex
 variant, trees get kappa, the witness and kappa' from their thread
 decomposition, with no distance matrix, and twins settle kappa' and all
-of kappa but a scan of a few adjacent pairs. Above a size floor the
-set scan reads only the pairs that two lower bounds on delta_S leave in
-play (parity and the sum gap); there long, thin twin-free graphs, where
-the sum-gap band would not be taken, get kappa from a scan of the pairs
-that a geodesic lower bound lets through and kappa' from a count of
-equidistant classes. A sweep of sets takes one scan, by parity alone
-above the floor. Each keeps the plain scan's value and lex-first pair.
+of kappa but, off bipartite graphs, a scan of a few adjacent pairs.
+Above a size floor the set scan reads only the pairs that two lower
+bounds on delta_S leave in play (parity and the sum gap); there long,
+thin twin-free graphs, where the sum-gap band would not be taken, get
+kappa from a scan of the pairs that a geodesic lower bound lets through
+and kappa' from a count of equidistant classes. A sweep of sets takes
+one scan, by parity alone above the floor. Each keeps the plain scan's
+value and lex-first pair.
 
 Parity (bipartite graphs, vertex variant). A probe s has hop counts to
 x and y of the parities of col(s) + col(x) and col(s) + col(y). When
@@ -81,20 +82,19 @@ pair, so the two have the same count, and kappa' is kappa_star / 2
 off paths, n - 1 on paths with n >= 3 and 2 at n = 2
 (``TreeShape.kappa_prime``).
 
-Twins (``twin_summary`` of the graph's cached twin classes). The
-probes x and y each add d(x, y) to the sum of a pair, so the sum is
-at least 2 d(x, y), with equality exactly for true twins; and every
-pair has its two distinguishers x and y, with no others exactly for
-twins. So any twins give kappa' = 2, and true twins give kappa = 2
-with the first true-twin pair as witness. With false twins alone,
-kappa <= 4: a pair at distance 2 sums to 4 only as false twins and a
-pair at distance >= 3 sums to at least 6. So kappa is the ``min`` of
-the adjacent pairs' scan and ``(4, first false-twin pair)``, the
-lex-first of the false-twin pairs, which all sum to exactly 4. An
-adjacent pair sums to at least 2 + |N(x) Δ N(y) \\ {x, y}| and at
-least its sum gap, so the scan reads only the edges where that set
-has at most two vertices and the gap is at most 4
-(``_twin_route_partners``).
+Twins (``_twin_hit`` of the graph's cached twin classes). The probes x
+and y each add d(x, y) to the sum of a pair, so the sum is at least
+2 d(x, y), with equality exactly for twins; and every pair has its two
+distinguishers x and y, with no others exactly for twins. So any twins
+give kappa' = 2, and true twins give kappa = 2 with the first true-twin
+pair as witness: the twin hit at S = V. With false twins alone the hit
+is (4, the first false-twin pair), and kappa <= 4: a pair at distance 2
+sums to 4 only as false twins and a pair at distance >= 3 sums to at
+least 6. So kappa is the ``min`` of the hit and the edges' least sum. On
+a bipartite graph every edge sums to exactly n (parity), so the edges'
+hit is the first edge, (0, min adj[0]), with no scan. Elsewhere an edge
+sums to at least its sum gap, and the scan reads only the edges with a
+gap of at most 4 (``_twin_route_partners``).
 
 Thin (twin-free, few equidistant pairs, where the sum-gap band would
 not be taken). Along a geodesic x = v0 ... vt = y the probe vi adds
@@ -120,12 +120,12 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from math import isqrt
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
 from .errors import SameVertex, TrivialGraph, VertexOutOfRange
-from .graph import MAX_BYTES, Graph, twin_summary
+from .graph import MAX_BYTES, Graph
 from .timing import timed
 
 
@@ -490,15 +490,15 @@ def weak3_structure_witness(g: Graph) -> tuple[int, int, int] | None:
 
 
 def _classify(g: Graph, kappa: int) -> tuple[KappaClass, tuple[int, ...] | None]:
-    twins = twin_summary(g)
-    if kappa == 2 and twins.first_true:
-        return KappaClass.TRUE_TWINS, twins.first_true
+    # the twin hit at S = V is (2, the first true-twin pair) or, with false
+    # twins alone, (4, the first false-twin pair)
+    twin = _twin_hit(g, range(g.n))
+    if twin is not None and twin[0] == kappa:
+        return (KappaClass.TRUE_TWINS if kappa == 2 else KappaClass.FALSE_TWINS), twin[1]
     if kappa == 3:
         witness = weak3_structure_witness(g)
         if witness is not None:
             return KappaClass.STRUCTURAL_3, witness
-    if kappa == 4 and twins.first_false and not twins.first_true:
-        return KappaClass.FALSE_TWINS, twins.first_false
     return KappaClass.OTHER, None
 
 
@@ -602,37 +602,17 @@ def kappa_reads_distances(g: Graph) -> bool:
 
 
 def _twin_route_partners(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """``lex_min`` pair list of the adjacent pairs (x, y) with
-    |N(x) Δ N(y)| <= 4, that is |N(x) Δ N(y) \\ {x, y}| <= 2. An edge sums
-    to at least 2 plus that many (x, y and each vertex next to only one of
-    them add 1), and only sums up to 4 can change the twin route's answer.
-    The sum gap |sigma(x) - sigma(y)| of the row sums, a lower bound on
-    the sum, cuts first; then one exact test of |N(x) Δ N(y)| per graph
-    reads the survivors. On a bipartite graph (no common neighbor) it is
-    deg x + deg y, read off the adjacency (``kqr:800,800``, where every
-    sum gap is 0: 1,222 ms by the row compare, 49 ms by the degrees; a
-    |deg x - deg y| bound saved nothing on the sparse 640-vertex graphs,
-    0.69 ms either way). Elsewhere it is a compare of the two neighbour
-    rows, which stays as the route's exact filter: the list holds only
-    edges that can sum to at most 4. It buys no speed where the gap cuts
-    little, since the compare and the scan it spares each read a pair's
-    two rows once: on K_{150,150,150} the gap keeps all 67,500 edges and
-    the compare none, and ``compute_kappa`` took 33 ms with it against
-    24 ms scanning all 67,500 (medians of 15, 2-core x86 host, numpy
-    2.4). Dropping it is left to a measured change (ROADMAP item 15)."""
-    d = g.distance_matrix
+    """``lex_min`` pair list of the edges (x, y) whose sum gap
+    |sigma(x) - sigma(y)| of the row sums is at most 4: an edge sums to at
+    least its gap, and only sums up to 4 can change the false-twin route's
+    answer. No exact |N(x) Δ N(y)| test follows: it and the scan it would
+    spare each read a pair's two rows once (on K_{150,150,150} the gap
+    keeps all 67,500 edges and the test none; ``compute_kappa`` took
+    28.0 ms with the test against 22.9 ms without, medians of 31
+    alternating pairs, 2-core x86 host, numpy 2.4)."""
     heads, tails = _edge_pairs(g)
-    sigma = d.sum(axis=1, dtype=np.int64)
+    sigma = pair_sum(g.distance_matrix)  # the row sums
     keep = np.abs(sigma[heads] - sigma[tails]) <= 4
-    heads, tails = heads[keep], tails[keep]
-    if g.coloring is not None:
-        deg = np.array([len(a) for a in g.adjacency])
-        apart = deg[heads] + deg[tails]
-    else:
-        blocks = _pair_stream((heads, tails), None, g.n, max(1, _PAIR_BATCH // g.n))
-        apart = np.concatenate([np.empty(0, dtype=np.intp)]
-                               + [((d[a] == 1) != (d[b] == 1)).sum(axis=1) for a, b in blocks])
-    keep = apart <= 4
     return heads[keep], tails[keep]
 
 
@@ -655,16 +635,6 @@ _MASK_FLOOR = 1 << 18
 _BAND_SHARE = 0.5
 
 
-def _twin_seed(g: Graph, S: Sequence[int]) -> int | None:
-    """The smallest delta_S of a twin pair, or None without twins. Twins x, y
-    differ only at x and y, by t = d(x, y) (1 for true twins, 2 for false
-    ones), so delta_S(x, y) = t ([x in S] + [y in S]): least at the two
-    members of a class with the fewest in S."""
-    members = set(S)
-    return min((t * sum(sorted(v in members for v in grp)[:2])
-                for t, classes in enumerate(g.twin_classes, 1) for grp in classes), default=None)
-
-
 def _sum_band(g: Graph, variant: Variant, rows: np.ndarray, S: Sequence[int]) -> tuple:
     """``(sigma, seed)`` of the sum-gap band over the item rows ``rows`` (two
     or more, on the columns of S). sigma is each item's row sum, and
@@ -675,8 +645,8 @@ def _sum_band(g: Graph, variant: Variant, rows: np.ndarray, S: Sequence[int]) ->
     ties the minimum: the least sum of the adjacent vertex pairs (vertex
     and mixed variants, whose first items are the vertices), of each item
     and the next two in sigma order (near sums make near rows likely),
-    and, on the vertex variant, of the twin pairs (``_twin_seed``)."""
-    sigma = rows.sum(axis=1, dtype=np.int64)
+    and, on the vertex variant, of the twin pairs (``_twin_hit``)."""
+    sigma = pair_sum(rows)
     order = np.argsort(sigma, kind="stable")
     a, b = np.concatenate([order[:-1], order[:-2]]), np.concatenate([order[1:], order[2:]])
     (hit,) = ([None] if variant == Variant.EDGE
@@ -684,7 +654,8 @@ def _sum_band(g: Graph, variant: Variant, rows: np.ndarray, S: Sequence[int]) ->
     step = max(1, _PAIR_BATCH // max(1, rows.shape[1]))
     near = min(int(pair_sum(_abs_diff(rows[b[i:i + step]], rows[a[i:i + step]])).min())
                for i in range(0, len(a), step))
-    seed = _least(hit and hit[0], near, _twin_seed(g, S) if variant == Variant.VERTEX else None)
+    twin = _twin_hit(g, set(S)) if variant == Variant.VERTEX else None
+    seed = _least(hit and hit[0], near, twin and twin[0])
     ranked = sigma[order]
     kept = np.searchsorted(ranked, ranked + seed, side="right") - np.arange(1, len(rows) + 1)
     share = int(kept.sum()) / (len(rows) * (len(rows) - 1) // 2)
@@ -722,6 +693,25 @@ def _least(*hits):
     return min((h for h in hits if h is not None), default=None)
 
 
+def _twin_hit(g: Graph, S: Collection[int]) -> tuple | None:
+    """``(delta_S(x, y), (x, y))`` of the lex-first twin pair at the least
+    delta_S, or None without twins; S is a set, or ``range(g.n)`` for the
+    whole vertex set. Twins x, y differ only at x and y, by t = d(x, y)
+    (1 for true twins, 2 for false ones), so delta_S(x, y) =
+    t ([x in S] + [y in S]). In a class the least pair is its first two
+    members in (in S, id) order, which is also the class's lex-first pair
+    at that value. At S = V every pair of a kind sums to 2t, so the hit
+    is (2, the first true-twin pair), else (4, the first false-twin
+    pair), read off the classes' first two members."""
+    kinds = enumerate(g.twin_classes, 1)
+    if len(S) == g.n:
+        return next(((2 * t, min(grp[:2] for grp in classes)) for t, classes in kinds if classes),
+                    None)
+    return _least(*((t * sum(v in S for v in pair), tuple(sorted(pair)))
+                    for t, classes in kinds for grp in classes
+                    for pair in [sorted(grp, key=lambda v: (v in S, v))[:2]]))
+
+
 def _odd_hits(g: Graph, rows: np.ndarray, reducer, sizes: Iterable[int]) -> list:
     """Per value column of ``reducer`` (one per set S, of the sizes given),
     ``(|S|, (0, b))`` for the first b of the other color than vertex 0 whose
@@ -749,9 +739,11 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
     proofs are in the module docstring):
 
     1. The whole vertex set S = V of the vertex variant first takes the
-       tree route (no distance matrix), then the twin routes: true twins
-       give kappa = 2 with no scan, false twins alone the ``min`` of
-       (4, the first false-twin pair) and one scan of a few edges
+       tree route (no distance matrix), then the twin routes off
+       ``_twin_hit``: true twins give kappa = 2 with no scan, false twins
+       alone the ``min`` of (4, the first false-twin pair) and the edges'
+       least sum, the first edge at n on a bipartite graph (no scan),
+       else one scan of the edges with a sum gap of at most 4
        (``_twin_route_partners``). Any twins give kappa' = 2.
     2. Up to ``_MASK_FLOOR`` entries (item pairs x |S|) the set is one
        plain scan. Above it the scan reads only the pairs in both masks:
@@ -783,12 +775,16 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
                 shape = g.tree_shape
                 hit = shape.kappa, shape.witness((0, g.adjacency[0][0]))
                 return [(hit, shape.kappa_prime if count else None)]
-            twins = twin_summary(g)
-            if twins.first_true:
-                return [((2, twins.first_true), 2 if count else None)]
-            if twins.first_false:
-                (hit,) = lex_min(g.distance_matrix, [pair_sum], workers, _twin_route_partners(g))
-                return [(_least(hit, (4, twins.first_false)), 2 if count else None)]
+            hit = _twin_hit(g, range(g.n))
+            if hit is not None and hit[0] == 4:  # false twins alone: only edges sum below 4
+                if g.coloring is not None:  # every edge sums to n
+                    edge = (g.n, (0, g.adjacency[0][0]))
+                else:
+                    (edge,) = lex_min(g.distance_matrix, [pair_sum], workers,
+                                      _twin_route_partners(g))
+                hit = _least(hit, edge)
+            if hit is not None:
+                return [(hit, 2 if count else None)]
         _, rows = _item_rows(g, variant)
         rows = rows if len(S) == g.n else rows[:, S]  # the whole set reads the rows, no copy
         same = sigma = bound = None

@@ -718,5 +718,7 @@ def _lp_blocks(model: CoverModel, variant: Variant, k: int) -> Iterator[str]:
 def write_lp(g: Graph, variant: Variant = Variant.VERTEX, k: int = 1) -> str:
     """Render the covering model in CPLEX-LP text: one binary per vertex,
     one row per item pair, coefficients equal to the profile entries.
-    ``export-lp`` writes the same text block by block as it is made."""
+    ``export-lp`` writes the same text block by block as it is made, after
+    the same k check."""
+    check_k(k)
     return "".join(_lp_blocks(cover_model(g, variant), variant, k))

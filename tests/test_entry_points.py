@@ -72,6 +72,7 @@ ENTRY_POINTS = [
                  (7, None, "sum"), id="spider3_basis"),
     pytest.param(lambda k, _: solver.cover_model(C5, Variant.MIXED, "count").check(k),
                  (2, (0, (0, 1)), "count"), id="CoverModel.check"),
+    pytest.param(lambda k, _: solver.write_lp(C5, Variant.VERTEX, k), None, id="write_lp"),
     pytest.param(_cli("verify", "--set-file", "s.txt"), None, id="cli-verify"),
     pytest.param(_cli("export-lp", "--out", "m.lp"), None, id="cli-export-lp"),
     pytest.param(_cli("wdim"), None, id="cli-wdim"),

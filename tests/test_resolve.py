@@ -46,7 +46,6 @@ from weakdim import (
     weak3_structure_witness,
 )
 from weakdim import graph, resolve, solver
-from weakdim.graph import TwinSummary
 from weakdim.resolve import lex_min, pair_count, pair_sum
 from weakdim.solver import (
     Certificate,
@@ -624,7 +623,8 @@ def four_cycle_and_commons(n):
 class TestTwinShortcuts:
     """Twins settle kappa': any twin pair gives 2. True twins settle kappa
     (2, at the first true-twin pair) without a scan; false twins alone
-    leave only the adjacent pairs and the first false-twin pair to scan."""
+    leave the adjacent pairs and the first false-twin pair, with no scan
+    on a bipartite graph."""
 
     @pytest.mark.parametrize("n", [8, 80])
     def test_true_twins(self, n, monkeypatch):
@@ -672,12 +672,12 @@ class TestTwinShortcuts:
                              + [pytest.param(generate(star(90)), id="star:90"),
                                 pytest.param(generate(complete_bipartite(2, 88)), id="kqr:2,88")])
     def test_false_twins_scan_only_the_adjacent_pairs(self, g, monkeypatch):
-        """The first false-twin pair is compared with the scan's hit by
-        ``min``, not scanned, and only edges (x, y) with
-        |N(x) Δ N(y) \\ {x, y}| <= 2 are, among them every edge that
-        sums to at most 4 (the sum gap drops more): every edge left out
-        sums to more than 4. ``kqr:2,88`` reaches the twin route by
-        itself; the tree ``star:90`` reaches it with the tree route off."""
+        """The first false-twin pair is compared with the edges' hit by
+        ``min``, not scanned. Off bipartite graphs only edges with a sum
+        gap of at most 4 are scanned, among them every edge that sums to
+        at most 4; on a bipartite graph (``kqr:2,88``, which reaches the
+        twin route by itself, and the tree ``star:90``, which reaches it
+        with the tree route off) every edge sums to n and none is."""
         tree_route_off(monkeypatch)
         seen = []
 
@@ -686,14 +686,19 @@ class TestTwinShortcuts:
             return lex_min(rows, reducers, workers, partners)
 
         monkeypatch.setattr(resolve, "lex_min", recording)
-        compute_kappa(g)
+        rep = compute_kappa(g)
+        (kappa, pair), (kappa_prime, _) = dense_lex_min(plain_distances(g), range(g.n))
+        assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
+        if g.coloring is not None:
+            assert seen == []
+            return
         (reducers, pairs), = seen
         assert reducers == ["pair_sum"]
-        near = {(x, y) for x, y in g.edges()
-                if len(set(g.adjacency[x]) ^ set(g.adjacency[y])) <= 4}
         D = np.array(plain_distances(g), dtype=np.int64)
+        sigma = D.sum(axis=1)
+        near = {(x, y) for x, y in g.edges() if abs(sigma[x] - sigma[y]) <= 4}
         low = {(x, y) for x, y in g.edges() if np.abs(D[x] - D[y]).sum() <= 4}
-        assert low <= pairs <= near
+        assert low <= pairs == near
 
     def test_partner_scans_run_on_one_thread(self, monkeypatch):
         """A pair-list scan's round-robin parts would not share an incumbent,
@@ -765,7 +770,7 @@ def thin_route(g):
         tree_route_off(mp)
         band_off(mp)
         mp.setattr(resolve, "_thin_pays", lambda d, criteria, bipartite: True)
-        mp.setattr(resolve, "twin_summary", lambda g: TwinSummary(0, 0, None, None))
+        mp.setattr(resolve, "_twin_hit", lambda g, S: None)
         mp.setattr(resolve, "_max_equidistant", lambda d: counted.append(d) or count(d))
         result = kappa_route(g)
     assert counted, "the thin route was not taken"
@@ -1063,8 +1068,8 @@ ROUTER_POLICIES = pytest.mark.parametrize("forced", [True, False], ids=["0", "83
 
 class TestKappaRouter:
     """One router, one policy, serves ``compute_kappa`` (sum and count) and
-    the vertex ``variant_kappa`` (sum only): the twin summary first, read
-    off the graph's cached twin classes; ``_MASK_FLOOR``, the band and
+    the vertex ``variant_kappa`` (sum only): the twin hit first, read off
+    the graph's cached twin classes; ``_MASK_FLOOR``, the band and
     ``_thin_pays`` gate the thin route."""
 
     @ROUTER_POLICIES
@@ -1108,8 +1113,9 @@ class TestKappaRouter:
         the floor and takes the thin route; twin
         graphs take the twin route at any size (above the floor:
         ``kqr:2,298``; below it: ``kqr:2,198``, ``kqr:100,100``, a tree on
-        150 vertices plus a chord); true twins (``complete:250``) and trees
-        (``path:400``, the stars, the tree on 150 vertices) make no scan."""
+        150 vertices plus a chord); true twins (``complete:250``), false
+        twins on a bipartite graph (the kqr graphs) and trees (``path:400``,
+        the stars, the tree on 150 vertices) make no scan."""
         if f == "path:400+0-4":
             g = plus_chord("path:400", 0, 4)
         elif f.startswith("pruefer150"):
@@ -1121,7 +1127,8 @@ class TestKappaRouter:
         result, log = recorded_route(lambda: variant_kappa(g, Variant.VERTEX))
         assert result == (rep.kappa, rep.witness_pair)
         assert None not in log and "count" not in log
-        assert bool(log) == (resolve.kappa_reads_distances(g) and f != "complete:250")
+        scans = resolve.kappa_reads_distances(g) and g.coloring is None and f != "complete:250"
+        assert bool(log) == scans
 
 
 def relabelled(g, rng):
@@ -1543,6 +1550,38 @@ def blown_twins(rng, n):
     return build_graph(size, edges)
 
 
+def plain_twin_hit(g, S):
+    """The lex-first ``(delta_S(x, y), (x, y))`` over every twin pair, by a
+    plain sum over S; None without twins."""
+    d = plain_distances(g)
+    return min(((plain_delta_set(d, x, y, S), (x, y)) for kind in find_twins(g) for x, y in kind),
+               default=None)
+
+
+def bipartite_false_twins(rng, n):
+    """A random tree on n >= 3 vertices plus chords between its two color
+    classes, with some vertices copied (the copy joined to the original's
+    neighbours), randomly relabelled: bipartite, with no true twins, and
+    drawn again until a copy is left a false twin (a later copy of a
+    neighbour joins the original but not its copy)."""
+    while True:
+        tree = random_tree_graph(rng, n)
+        side = tree.coloring
+        edges = set(tree.edges())
+        for _ in range(rng.randint(0, n)):
+            u, v = sorted(rng.sample(range(n), 2))
+            if side[u] != side[v]:
+                edges.add((u, v))
+        g = build_graph(n, sorted(edges))
+        edges, size = list(g.edges()), g.n
+        for v in rng.sample(range(n), rng.randint(1, max(1, n // 3))):
+            edges += [(u, size) for u in g.adjacency[v]]
+            size += 1
+        g = relabelled(build_graph(size, edges), rng)
+        if find_twins(g)[1]:
+            return g
+
+
 def path_with_a_far_tie():
     """The path 0 - 3 - 2 - 1: with S = {3} the pair (0, 1), at distance 3,
     sums to |S| = 1 and comes before the first adjacent pair (0, 3)."""
@@ -1591,20 +1630,18 @@ class TestWorstPairRouter:
 
     def test_blown_twins_with_random_sets(self):
         """Twin seeds t([x in S] + [y in S]) (0 when two twins of a class
-        are both outside S) and the adjacent seed bound the band: the same
-        pairs as the dense scan, also at sizes past the floor."""
+        are both outside S, ``_twin_hit``'s value) and the adjacent seed
+        bound the band: the same pairs as the dense scan, also at sizes
+        past the floor."""
         rng = random.Random(0)
         seen_zero = False
         for _ in range(25):
             g = blown_twins(rng, rng.randint(4, 14))
             sets = [sorted(rng.sample(range(g.n), rng.randint(1, g.n))) for _ in range(4)]
             for S in sets:
-                seed = resolve._twin_seed(g, S)
-                d = plain_distances(g)
-                twin_pairs = [pair for kind in find_twins(g) for pair in kind]
-                assert seed == min((plain_delta_set(d, x, y, S) for x, y in twin_pairs),
-                                   default=None)
-                seen_zero |= seed == 0
+                hit = plain_twin_hit(g, S)
+                assert resolve._twin_hit(g, set(S)) == hit
+                seen_zero |= hit is not None and hit[0] == 0
             with pytest.MonkeyPatch.context() as mp:
                 masks_on(mp)
                 self.check_sets(g, sets)
@@ -1733,80 +1770,131 @@ def complete_multipartite(*parts):
 
 def relabelled_bipartite_twins():
     """C4 (0 1 2 3) with the tail 0 - 4 - 5 - 6, randomly relabelled: 1 and
-    3 are false twins, the graph is bipartite and no tree, and four of its
-    edges have a degree sum of at most 4."""
+    3 are false twins, and the graph is bipartite and no tree."""
     perm = list(range(7))
     random.Random(3).shuffle(perm)
     edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6)]
     return build_graph(7, [(perm[u], perm[v]) for u, v in edges])
 
 
-def twin_route_spec(g):
-    """The edges (x, y) in lex order with a sum gap of at most 4 and
-    |N(x) Δ N(y)| <= 4, read off plain distances and neighbour sets."""
-    D = np.array(plain_distances(g), dtype=np.int64)
-    sigma = D.sum(axis=1)
-    return [(x, y) for x, y in g.edges() if abs(sigma[x] - sigma[y]) <= 4
-            and len(set(g.adjacency[x]) ^ set(g.adjacency[y])) <= 4]
+class TestTwinHit:
+    """``_twin_hit`` is the lex-first twin pair at the least
+    t ([x in S] + [y in S]), t = d(x, y), with its value: at S = V
+    (2, the first true-twin pair) or (4, the first false-twin pair)."""
+
+    def test_against_the_plain_minimum(self):
+        """Random sets on twin-blown graphs, the whole vertex set (as a
+        range) and the empty set included: the value and pair of a plain
+        minimum over every twin pair."""
+        rng = random.Random(11)
+        values = set()
+        for _ in range(60):
+            g = blown_twins(rng, rng.randint(4, 16))
+            sets = [range(g.n), set()] + [set(rng.sample(range(g.n), rng.randint(1, g.n)))
+                                          for _ in range(5)]
+            for S in sets:
+                hit = resolve._twin_hit(g, S)
+                assert hit == plain_twin_hit(g, S), (g.edges(), S)
+                values.add(hit and hit[0])
+        assert values == {None, 0, 1, 2, 4}
+
+    def test_whole_vertex_set_reads_the_first_pair_of_a_kind(self):
+        for f in ("complete:5", "kqr:3,4", "star:6", "grid:2x2", "cycle:5"):
+            g = generate(parse_family(f))
+            true_pairs, false_pairs = find_twins(g)
+            expected = ((2, true_pairs[0]) if true_pairs
+                        else (4, false_pairs[0]) if false_pairs else None)
+            assert resolve._twin_hit(g, range(g.n)) == expected, f
 
 
 class TestTwinRoutePartners:
-    """``_twin_route_partners`` keeps the edges whose sum gap and
-    |N(x) Δ N(y)| are each at most 4, by the degree sum on bipartite
-    graphs and by the neighbour-row compare elsewhere; every edge that
-    sums to at most 4 stays, so the twin route's kappa and witness are the
-    dense scan's."""
+    """With false twins alone, kappa is the ``min`` of (4, the first
+    false-twin pair) and the edges' least sum. On a bipartite graph every
+    edge sums to n and the first edge is the hit, with no scan; elsewhere
+    ``_twin_route_partners`` keeps exactly the edges whose sum gap is at
+    most 4, among them every edge that sums to at most 4, so the route's
+    kappa and witness are the dense scan's at any worker count."""
 
     @staticmethod
     def check(g):
-        kept = resolve._twin_route_partners(g)
-        assert listed_pairs(kept, g.n) == twin_route_spec(g)
+        """On any graph: the gap list and the report at 1 and 2 workers. On a
+        twin graph also the route's scans and report with trees sent to the
+        twin route too."""
         D = np.array(plain_distances(g), dtype=np.int64)
+        sigma = D.sum(axis=1)
+        gap = [(x, y) for x, y in g.edges() if abs(sigma[x] - sigma[y]) <= 4]
         low = {(x, y) for x, y in g.edges() if np.abs(D[x] - D[y]).sum() <= 4}
-        assert low <= set(listed_pairs(kept, g.n))
+        kept = listed_pairs(resolve._twin_route_partners(g), g.n)
+        assert kept == gap and low <= set(kept)
+        true_pairs, false_pairs = find_twins(g)
+        scans = [] if true_pairs or g.coloring is not None else [kept]
         (kappa, pair), kappa_prime = oracle_route(g)
         for workers in (1, 2):
             rep = compute_kappa(g, workers=workers)
             assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
+            if not (true_pairs or false_pairs):
+                continue
+            with pytest.MonkeyPatch.context() as mp:
+                tree_route_off(mp)
+                rep, log = recorded_route(lambda: compute_kappa(g, workers=workers))
+            assert log == scans
+            assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
         return kept
 
     @pytest.mark.parametrize("parts", [(3, 3, 3), (2, 3, 4), (4, 4, 4, 4)])
-    def test_complete_multipartite_keeps_no_edge(self, parts):
+    def test_complete_multipartite_keeps_every_edge(self, parts):
         """No bipartite graph: the sum gaps, at most the spread of the part
-        sizes, keep every edge, and the neighbour compare none (each edge's
-        ends differ at both their parts)."""
+        sizes, keep every edge, and every edge is scanned."""
         g = complete_multipartite(*parts)
-        sigma = g.distance_matrix.sum(axis=1)
         assert g.coloring is None
-        assert all(abs(int(sigma[x]) - int(sigma[y])) <= 4 for x, y in g.edges())
-        heads, tails = self.check(g)
-        assert len(heads) == len(tails) == 0
+        assert self.check(g) == g.edges()
 
-    @pytest.mark.parametrize("make", [lambda: generate(parse_family("kqr:3,5")),
-                                      relabelled_bipartite_twins], ids=["kqr:3,5", "relabelled"])
-    def test_bipartite_graphs_cut_by_degrees_alone(self, make, monkeypatch):
-        """On a bipartite graph deg x + deg y is |N(x) Δ N(y)| exactly, and
-        no neighbour row is read: the compare's pair stream is refused."""
-        g = make()
-        assert g.coloring is not None and find_twins(g)[1]
+    @pytest.mark.parametrize("f", ["grid:2x2", "kqr:2,88", "kqr:3,5", "relabelled"])
+    def test_bipartite_graphs_make_no_scan(self, f, monkeypatch):
+        """On a bipartite false-twin graph kappa, kappa' and the witness come
+        with no ``lex_min`` call: the first edge sums to n; on C4 (grid:2x2,
+        n = 4) it ties the first false-twin pair and comes first."""
+        g = relabelled_bipartite_twins() if f == "relabelled" else generate(parse_family(f))
+        assert g.coloring is not None and resolve.kappa_reads_distances(g)
+        assert find_twins(g)[1] and not find_twins(g)[0]
+        (kappa, pair), kappa_prime = oracle_route(g)
 
-        def refuse(*args):
-            raise AssertionError("the neighbour rows were compared")
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bipartite false-twin graph was scanned")
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(resolve, "_pair_stream", refuse)
-            kept = resolve._twin_route_partners(g)
-        deg = [len(a) for a in g.adjacency]
-        sigma = g.distance_matrix.sum(axis=1)
-        gap = [(x, y) for x, y in g.edges() if abs(int(sigma[x]) - int(sigma[y])) <= 4]
-        assert listed_pairs(kept, g.n) == [(x, y) for x, y in gap if deg[x] + deg[y] <= 4]
-        assert len(kept[0]) < len(gap)
-        self.check(g)
+        monkeypatch.setattr(resolve, "lex_min", refuse)
+        for workers in (1, 2):
+            rep = compute_kappa(g, workers=workers)
+            assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
+        if f == "grid:2x2":
+            assert (kappa, pair) == (4, (0, 1))
+
+    def test_random_bipartite_false_twin_graphs(self, monkeypatch):
+        """Relabelled random bipartite graphs with false twins, trees among
+        them, take no scan either."""
+        rng = random.Random(17)
+        graphs = [bipartite_false_twins(rng, rng.randint(3, 24)) for _ in range(60)]
+        expected = [oracle_route(g) for g in graphs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bipartite false-twin graph was scanned")
+
+        tree_route_off(monkeypatch)
+        monkeypatch.setattr(resolve, "lex_min", refuse)
+        for g, ((kappa, pair), kappa_prime) in zip(graphs, expected):
+            assert g.coloring is not None and find_twins(g)[1] and not find_twins(g)[0]
+            for workers in (1, 2):
+                rep = compute_kappa(g, workers=workers)
+                assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
 
     def test_random_twin_blown_graphs(self):
         """Random graphs with copied vertices, bipartite or not."""
         rng = random.Random(29)
         graphs = [blown_twins(rng, rng.randint(4, 30)) for _ in range(40)]
         graphs.append(plus_chord_keeping_false_twins(pruefer_tree_with_false_twins(40)))
+        # a later copy of a neighbour can leave a graph without twins; those
+        # still check the gap list and the report
+        assert any(g.coloring is None and find_twins(g)[1] and not find_twins(g)[0]
+                   for g in graphs)
         for g in graphs:
             self.check(g)
