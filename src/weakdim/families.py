@@ -2,15 +2,21 @@
 
 Every generator uses a documented canonical vertex numbering and attaches
 its :class:`FamilySpec` to the produced graph, so closed-form dispatch
-never has to recognize a family from a raw edge list.
+never has to recognize a family from a raw edge list. In that numbering
+each family's distances are a closed form too (``spec_distances``): a
+generated graph's ``distance_matrix`` is filled from it, with no BFS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidFamilyParameters
-from .graph import Graph
+from .graph import _UNPACK_BLOCK, Graph
 
 KINDS = ("path", "cycle", "star", "complete", "complete_bipartite", "spider", "grid")
 
@@ -154,6 +160,82 @@ def generate(spec: FamilySpec) -> Graph:
             if i < q:
                 edges.append((here, grid_vertex_id(spec, i + 1, j)))
     return Graph(q * r, edges, family=spec)
+
+
+def _offset_rows(values: np.ndarray) -> np.ndarray:
+    """The n x n matrix whose entry (u, v) is ``values[v - u + n - 1]``, from
+    the 2n - 1 values of v - u: a read-only view, nothing copied."""
+    return sliding_window_view(values, (len(values) + 1) // 2)[::-1]
+
+
+def spec_distances(spec: FamilySpec, dtype) -> np.ndarray:
+    """The distance matrix of ``generate(spec)`` in closed form, in ``dtype``:
+
+    path      |u - v|
+    cycle     min(|u - v|, n - |u - v|)
+    star      1 to the centre 0, 2 between leaves
+    complete  1 off the diagonal
+    kqr       1 across the parts (part A is 0..q-1), 2 within a part
+    spider    |u - v| on one thread, depth u + depth v across threads
+              (the root 0 is a thread of its own, at depth 0)
+    grid      |i - i'| + |j - j'| for u = i * r + j
+
+    The ids fall into runs: a spider's threads, the parts of a complete
+    multipartite graph (a star is K_{1,n-1}, K_n has n parts of one
+    vertex), and one run on the other families. The matrix is filled in
+    row blocks of about ``_UNPACK_BLOCK`` entries within a run, as the
+    bit-parallel BFS unpacks its bit-planes, so that the peak is the
+    matrix plus one block. No entry exceeds n - 1, so ``dtype`` holds
+    every sum written; read through ``Graph.distance_matrix``, which
+    checks the peak first.
+    """
+    k = spec.kind
+    if k == "spider":
+        runs = list(accumulate((1, *spec.lengths), initial=0))
+    elif k == "star":
+        runs = [0, 1, spec.n]
+    elif k == "complete":
+        runs = list(range(spec.n + 1))
+    elif k == "complete_bipartite":
+        runs = [0, spec.q, spec.q + spec.r]
+    elif k == "grid":
+        q, r = spec.q, spec.r
+        runs = [0, q * r]
+        down, across = (_offset_rows(np.abs(np.arange(1 - size, size)).astype(dtype))
+                        for size in (q, r))
+    else:
+        runs = [0, spec.n]
+    n = runs[-1]
+    if k in ("path", "cycle", "spider"):
+        gaps = np.abs(np.arange(1 - n, n))
+        if k == "cycle":
+            gaps = np.minimum(gaps, n - gaps)
+        rows = _offset_rows(gaps.astype(dtype))
+    if k == "spider":  # on a thread from id `first`, u has depth u - (first - 1)
+        origins = np.repeat([0, *(first - 1 for first in runs[1:-1])], np.diff(runs))
+        depth = np.arange(n, dtype=dtype) - origins.astype(dtype)
+
+    d = np.empty((n, n), dtype=dtype)
+    step = max(1, _UNPACK_BLOCK // n)
+    for s, e in zip(runs, runs[1:]):
+        for lo in range(s, e, step):
+            hi = min(lo + step, e)
+            out = d[lo:hi]
+            if k in ("path", "cycle"):
+                out[:] = rows[lo:hi]
+            elif k == "grid":
+                i, j = np.divmod(np.arange(lo, hi), r)
+                np.add(down[i][:, :, None], across[j][:, None, :], out=out.reshape(-1, q, r))
+            elif k == "spider":
+                np.add(depth[lo:hi, None], depth[:s], out=out[:, :s])
+                out[:, s:e] = rows[lo:hi, s:e]
+                np.add(depth[lo:hi, None], depth[e:], out=out[:, e:])
+            else:  # complete multipartite: 1 across the parts, 2 within one
+                out.fill(1)
+                out[:, s:e] = 2
+    if k in ("star", "complete", "complete_bipartite"):
+        np.fill_diagonal(d, 0)
+    return d
 
 
 def parse_family(text: str) -> FamilySpec:

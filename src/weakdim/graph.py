@@ -1,19 +1,25 @@
-"""Immutable simple connected graph with cached BFS distances and structure.
+"""Immutable simple connected graph with cached distances and structure.
 
 Vertices are dense integer ids ``0..n-1``. The all-pairs shortest-path
 matrix is computed once and cached on the graph; everything downstream
 indexes into it. Its dtype is the narrowest signed integer holding n - 1,
 an upper bound on every hop count.
 
-Two BFS routes compute the same matrix. The bit-parallel one runs a BFS
-from every source at once: each vertex holds a packed uint64 bitset of
-the sources whose frontier reached it, so one level costs about
-(2m + n) * n / 64 word operations whatever the degrees. The plain-list
-one runs a BFS per source, about n * (n + 2m) interpreter steps. The
-graph picks the cheaper by an estimate from n, m and the eccentricity of
-vertex 0 (the diameter lies between it and its double), which its
-connectivity check already found: long paths and cycles in the thousands
-stay on the list BFS, everything denser or shallower goes bit-parallel.
+A graph made by ``families.generate`` fills the matrix from its spec's
+closed form (``families.spec_distances``), with no BFS. A graph read from
+an edge list runs one of two BFS routes. All three give the same dtype,
+contents, read-only flag and C order, and each runs only after the peak
+check, which estimates the BFS route's peak in every case.
+
+The bit-parallel BFS runs a BFS from every source at once: each vertex
+holds a packed uint64 bitset of the sources whose frontier reached it,
+so one level costs about (2m + n) * n / 64 word operations whatever the
+degrees. The plain-list one runs a BFS per source, about n * (n + 2m)
+interpreter steps. The graph picks the cheaper by an estimate from n, m
+and the eccentricity of vertex 0 (the diameter lies between it and its
+double), which its connectivity check already found: long paths and
+cycles in the thousands stay on the list BFS, everything denser or
+shallower goes bit-parallel.
 
 Twins are grouped into classes by their closed (true twins) or open
 (false twins) neighborhoods, built once per graph and cached like the
@@ -196,10 +202,12 @@ class Graph:
                  family: "FamilySpec | None" = None):
         if n < 1:
             raise VertexOutOfRange(f"need at least one vertex, got n={n}")
-        # only the vertices on some edge: a header's n allocates nothing before
-        # the connectivity check
-        neighbor_sets: defaultdict[int, set[int]] = defaultdict(set)
-        m = 0
+        edges = edges if isinstance(edges, (list, tuple)) else list(edges)
+        # a set per vertex only when the edges can connect them all; else one
+        # per vertex on some edge, so that a header's n allocates nothing
+        # before the connectivity check
+        neighbor_sets: list[set[int]] | defaultdict[int, set[int]] = (
+            [set() for _ in range(n)] if len(edges) >= n - 1 else defaultdict(set))
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise VertexOutOfRange(f"edge ({u},{v}) outside 0..{n - 1}")
@@ -210,14 +218,13 @@ class Graph:
                 raise DuplicateEdge(f"edge ({u},{v}) listed twice")
             of_u.add(v)
             neighbor_sets[v].add(u)
-            m += 1
         if n > 1 and len(neighbor_sets) < n:
             raise NotConnected("graph is not connected")
         self.n = n
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(neighbor_sets[v])) for v in range(n)
         )
-        self.edge_count = m
+        self.edge_count = len(edges)
         self.family = family
         self._dist = self._twins = self._tree = self._coloring = None  # filled on first use
         from_0 = self._bfs(0)
@@ -245,14 +252,19 @@ class Graph:
 
     @property
     def distance_matrix(self) -> np.ndarray:
-        """Read-only n x n matrix of hop counts, computed once and cached;
-        TooLarge, before allocating, when the route's peak would exceed MAX_BYTES."""
+        """Read-only n x n matrix of hop counts, computed once and cached: from
+        the family spec's closed form, else by BFS; TooLarge, before
+        allocating, when the BFS route's peak would exceed MAX_BYTES."""
         if self._dist is None:
             dtype = _distance_dtype(self.n)
             bit_parallel = _bit_parallel_pays(self.n, self.edge_count, self._ecc0)
             _check_peak(f"the distance matrix of {self.n} vertices", _apsp_bytes(
                 self.n, self.edge_count, self._ecc0, np.dtype(dtype).itemsize, bit_parallel))
-            if bit_parallel:
+            if self.family is not None:
+                from .families import spec_distances
+
+                d = spec_distances(self.family, dtype)
+            elif bit_parallel:
                 d = _all_sources_bfs(self.adjacency, dtype)
             else:
                 # row by row: a list of all n rows would hold 8 bytes per entry
@@ -326,7 +338,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
-    """Shortest-path distance matrix of ``g`` (BFS from every source)."""
+    """Shortest-path distance matrix of ``g`` (``Graph.distance_matrix``)."""
     return g.distance_matrix
 
 

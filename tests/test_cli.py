@@ -20,6 +20,7 @@ from weakdim import (
     cli,
     compute_kappa,
     cycle,
+    families,
     generate,
     graph,
     parse_family,
@@ -137,7 +138,8 @@ class TestKappaCommand:
 
 class TestTreeKappaWithoutTheMatrix:
     """``kappa`` answers trees from their thread decomposition: once the
-    graph is loaded, any start of the all-pairs BFS fails the run."""
+    graph is loaded, any start of the all-pairs BFS or of a family's
+    closed-form fill fails the run."""
 
     @pytest.fixture
     def no_apsp(self, monkeypatch):
@@ -150,6 +152,7 @@ class TestTreeKappaWithoutTheMatrix:
             loaded = load(args)
             monkeypatch.setattr(graph, "_all_sources_bfs", refuse)
             monkeypatch.setattr(graph.Graph, "_bfs", refuse)
+            monkeypatch.setattr(families, "spec_distances", refuse)
             return loaded
 
         monkeypatch.setattr(cli, "_load_graph", loading)

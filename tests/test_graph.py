@@ -46,7 +46,7 @@ from weakdim import (
     star,
     twin_summary,
 )
-from weakdim import graph
+from weakdim import families, graph
 
 
 class TestBuildGraph:
@@ -171,8 +171,14 @@ def _both_routes(g):
     return g.distance_matrix, graph._all_sources_bfs(g.adjacency, graph._distance_dtype(g.n))
 
 
+def _edge_list(g):
+    """``g`` rebuilt from its edge list, without its family spec: its matrix
+    comes from a BFS route, not from the spec's closed form."""
+    return build_graph(g.n, g.edges())
+
+
 def _single_vertex_or(family, n):
-    return build_graph(1, []) if n == 1 else generate(family(n))
+    return build_graph(1, []) if n == 1 else _edge_list(generate(family(n)))
 
 
 class TestAllSourcesBfs:
@@ -200,7 +206,7 @@ class TestAllSourcesBfs:
             assert graph._bit_parallel_pays(g.n, g.edge_count, g._ecc0)
 
     def test_long_path_keeps_the_list_bfs(self, monkeypatch):
-        g = generate(path(1600))
+        g = _edge_list(generate(path(1600)))
         assert not graph._bit_parallel_pays(g.n, g.edge_count, g._ecc0)
 
         def refuse(*args):
@@ -247,7 +253,7 @@ class TestApspBudget:
         """path:40000 takes the list route (about 6 GiB of int32). On
         star:20000 the matrix alone (0.8 GB of int16) would pass, but not
         with the bit-parallel route's bitsets (six of 50 MB)."""
-        g = generate(parse_family(spec))
+        g = _edge_list(generate(parse_family(spec)))
         assert graph._bit_parallel_pays(g.n, g.edge_count, g._ecc0) == bits
 
         def refuse(*args):  # past a missing guard, fail before filling memory
@@ -266,13 +272,64 @@ class TestApspBudget:
     @pytest.mark.parametrize("spec", ["path:2", "path:40", "grid:4x4", "cycle:601", "grid:40x40",
                                       "star:3000", "complete:300", "kqr:200,200"])
     def test_estimate_bounds_the_measured_peak(self, spec):
-        g = generate(parse_family(spec))
+        g = _edge_list(generate(parse_family(spec)))
         bits = graph._bit_parallel_pays(g.n, g.edge_count, g._ecc0)
         with traced() as mem:
             d = g.distance_matrix
         estimate = graph._apsp_bytes(g.n, g.edge_count, g._ecc0, d.itemsize, bits)
         assert d.nbytes <= estimate
         assert mem["peak"] <= 1.05 * estimate + (64 << 10)
+
+
+class TestSpecDistances:
+    """A generated graph's matrix comes from its spec's closed form
+    (``families.spec_distances``), not from a BFS: the same dtype,
+    contents, read-only flag and C order as the BFS on its edge list, in
+    the matrix plus one block, and TooLarge by the BFS route's estimate."""
+
+    @staticmethod
+    def no_bfs(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a BFS route ran")
+
+        monkeypatch.setattr(graph, "_all_sources_bfs", refuse)
+        monkeypatch.setattr(graph.Graph, "_bfs", refuse)
+
+    @pytest.mark.parametrize("spec", [g.family.label() for g in family_corpus()] + [
+        "cycle:2001", "grid:40x40", "path:1500", "kqr:300,300", "star:300", "spider:1,2,50",
+        "spider:1,1,1", "spider:1,1,9", "spider:2,3,5,8", "kqr:1,6", "kqr:6,1",
+    ] + [  # the int8/int16 switch at 128/129; path:128 reaches the int8 maximum 127
+        spec.format(n=n, m=n - 64, s=n - 3, g={128: "8x16", 129: "3x43"}[n]) for n in (128, 129)
+        for spec in ("path:{n}", "cycle:{n}", "star:{n}", "complete:{n}", "kqr:64,{m}",
+                     "spider:1,1,{s}", "grid:{g}")])
+    def test_matches_plain_bfs_on_the_edge_list(self, spec, monkeypatch):
+        g = generate(parse_family(spec))
+        plain = np.array(plain_distances(parse_edgelist(format_edgelist(g))))
+        self.no_bfs(monkeypatch)
+        d = g.distance_matrix
+        assert d.dtype == graph._distance_dtype(g.n)
+        assert np.array_equal(d, plain)
+        assert not d.flags.writeable and d.flags.c_contiguous
+
+    @pytest.mark.parametrize("spec", ["path:1500", "cycle:2001", "grid:40x40", "star:3000",
+                                      "complete:1500", "kqr:800,800", "spider:300,300,301"])
+    def test_peak_is_the_matrix_and_one_block(self, spec):
+        g = generate(parse_family(spec))
+        with traced() as mem:
+            d = g.distance_matrix
+        assert mem["peak"] <= d.nbytes + max(graph._UNPACK_BLOCK, g.n) * d.itemsize
+
+    @pytest.mark.parametrize("spec", ["star:20000", "path:40000"])
+    def test_too_large_before_allocating(self, spec, monkeypatch):
+        g = generate(parse_family(spec))
+
+        def refuse(*args):
+            raise AssertionError("the closed form ran")
+
+        monkeypatch.setattr(families, "spec_distances", refuse)
+        with traced() as mem, pytest.raises(TooLarge, match="GiB"):
+            g.distance_matrix
+        assert mem["peak"] < 1 << 20
 
 
 class TestGenerators:

@@ -45,7 +45,7 @@ from weakdim import (
     verify_weak_k_resolving,
     weak3_structure_witness,
 )
-from weakdim import graph, resolve, solver
+from weakdim import families, graph, resolve, solver
 from weakdim.resolve import lex_min, pair_count, pair_sum
 from weakdim.solver import (
     Certificate,
@@ -1174,12 +1174,14 @@ def relabelled_trees(draw, max_n=40):
 
 
 def no_apsp(mp):
-    """Make any start of the all-pairs BFS fail."""
+    """Make any start of the all-pairs BFS or of a family's closed-form
+    fill fail."""
     def refuse(*args):
         raise AssertionError("APSP started")
 
     mp.setattr(graph, "_all_sources_bfs", refuse)
     mp.setattr(graph.Graph, "_bfs", refuse)
+    mp.setattr(families, "spec_distances", refuse)
 
 
 class TestTreeRoute:
