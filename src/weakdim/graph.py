@@ -22,10 +22,14 @@ cycles in the thousands stay on the list BFS, everything denser or
 shallower goes bit-parallel.
 
 Twins are grouped into classes by their closed (true twins) or open
-(false twins) neighborhoods, built once per graph and cached like the
-matrix, as are a tree's thread decomposition (``trees.decompose_tree``)
-and the 2-coloring of a bipartite graph; ``twin_summary`` gives the pair
-counts and the lex-first pair of each kind without listing every pair.
+(false twins) neighborhoods; ``twin_summary`` gives the pair counts and
+the lex-first pair of each kind without listing every pair.
+
+Everything derived from a graph lives in its one cache (``Graph._cached``),
+built on first use and kept as long as the graph: the matrix, the twin
+classes, a tree's thread decomposition (``trees.decompose_tree``), the
+2-coloring of a bipartite graph, the edge arrays (``resolve._edge_pairs``)
+and the cover model of each variant and criterion (``solver.cover_model``).
 """
 
 from __future__ import annotations
@@ -191,12 +195,14 @@ class Graph:
     Construction rejects self-loops, duplicate edges, out-of-range
     endpoints and disconnected inputs. Neighbor lists are sorted tuples,
     so instances are safe to share across workers; the only internal
-    mutations are four one-shot caches, one per structure: the distance
-    matrix, the twin classes, the tree shape and the 2-coloring.
+    mutation is one cache (``_cached``) of what is derived from the graph,
+    each built on first use and kept as long as the graph: the distance
+    matrix, the twin classes, the tree shape, the 2-coloring, the edge
+    arrays (``resolve._edge_pairs``) and one cover model per variant and
+    criterion (``solver.cover_model``).
     """
 
-    __slots__ = ("n", "adjacency", "edge_count", "family", "_dist", "_ecc0", "_twins", "_tree",
-                 "_coloring")
+    __slots__ = ("n", "adjacency", "edge_count", "family", "_ecc0", "_cache")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  family: "FamilySpec | None" = None):
@@ -226,7 +232,7 @@ class Graph:
         )
         self.edge_count = len(edges)
         self.family = family
-        self._dist = self._twins = self._tree = self._coloring = None  # filled on first use
+        self._cache: dict = {}
         from_0 = self._bfs(0)
         if -1 in from_0:
             raise NotConnected("graph is not connected")
@@ -250,38 +256,25 @@ class Graph:
             frontier = reached
         return dist
 
+    def _cached(self, key, build):
+        """The structure under ``key``, made by ``build(self)`` on first use
+        and kept for the graph's life; a build that raises keeps nothing."""
+        if key not in self._cache:
+            self._cache[key] = build(self)
+        return self._cache[key]
+
     @property
     def distance_matrix(self) -> np.ndarray:
         """Read-only n x n matrix of hop counts, computed once and cached: from
         the family spec's closed form, else by BFS; TooLarge, before
         allocating, when the BFS route's peak would exceed MAX_BYTES."""
-        if self._dist is None:
-            dtype = _distance_dtype(self.n)
-            bit_parallel = _bit_parallel_pays(self.n, self.edge_count, self._ecc0)
-            _check_peak(f"the distance matrix of {self.n} vertices", _apsp_bytes(
-                self.n, self.edge_count, self._ecc0, np.dtype(dtype).itemsize, bit_parallel))
-            if self.family is not None:
-                from .families import spec_distances
-
-                d = spec_distances(self.family, dtype)
-            elif bit_parallel:
-                d = _all_sources_bfs(self.adjacency, dtype)
-            else:
-                # row by row: a list of all n rows would hold 8 bytes per entry
-                d = np.empty((self.n, self.n), dtype=dtype)
-                for s in range(self.n):
-                    d[s] = self._bfs(s)
-            d.setflags(write=False)
-            self._dist = d
-        return self._dist
+        return self._cached("distances", _distance_matrix)
 
     @property
     def twin_classes(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """(true, false) twin classes of ``_twin_classes``, built once and
         cached; on a tree read off its leaves (``_tree_twin_classes``)."""
-        if self._twins is None:
-            self._twins = (_tree_twin_classes if self.is_tree else _twin_classes)(self)
-        return self._twins
+        return self._cached("twins", _tree_twin_classes if self.is_tree else _twin_classes)
 
     @property
     def is_tree(self) -> bool:
@@ -294,25 +287,16 @@ class Graph:
         """Read-only bool side of every vertex in the 2-coloring that puts
         vertex 0 on side False (the parity of its hop count from vertex 0),
         or None when the graph is not bipartite; built once and cached."""
-        if self._coloring is None:
-            side = [level & 1 for level in self._bfs(0)]
-            colors = None
-            if all(side[v] != s for u, s in enumerate(side) for v in self.adjacency[u]):
-                colors = np.array(side, dtype=bool)
-                colors.setflags(write=False)
-            self._coloring = (colors,)  # boxed, so that None is cached too
-        return self._coloring[0]
+        return self._cached("coloring", _coloring)
 
     @property
     def tree_shape(self) -> "TreeShape":
         """``trees.decompose_tree`` of the graph, built once and cached, when
         ``is_tree``; NotATree (not cached: ``is_tree`` settles it at once)
         otherwise."""
-        if self._tree is None:
-            from .trees import decompose_tree
+        from .trees import decompose_tree
 
-            self._tree = decompose_tree(self)
-        return self._tree
+        return self._cached("tree", decompose_tree)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -340,6 +324,39 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """Shortest-path distance matrix of ``g`` (``Graph.distance_matrix``)."""
     return g.distance_matrix
+
+
+def _distance_matrix(g: Graph) -> np.ndarray:
+    """``Graph.distance_matrix``: the peak check, then the spec's closed
+    form, the bit-parallel BFS or one list BFS per source."""
+    dtype = _distance_dtype(g.n)
+    bit_parallel = _bit_parallel_pays(g.n, g.edge_count, g._ecc0)
+    _check_peak(f"the distance matrix of {g.n} vertices", _apsp_bytes(
+        g.n, g.edge_count, g._ecc0, np.dtype(dtype).itemsize, bit_parallel))
+    if g.family is not None:
+        from .families import spec_distances
+
+        d = spec_distances(g.family, dtype)
+    elif bit_parallel:
+        d = _all_sources_bfs(g.adjacency, dtype)
+    else:
+        # row by row: a list of all n rows would hold 8 bytes per entry
+        d = np.empty((g.n, g.n), dtype=dtype)
+        for s in range(g.n):
+            d[s] = g._bfs(s)
+    d.setflags(write=False)
+    return d
+
+
+def _coloring(g: Graph) -> np.ndarray | None:
+    """``Graph.coloring``: the parity of the hop count from vertex 0, if no
+    edge joins two vertices of one parity."""
+    side = [level & 1 for level in g._bfs(0)]
+    if any(side[v] == s for u, s in enumerate(side) for v in g.adjacency[u]):
+        return None
+    colors = np.array(side, dtype=bool)
+    colors.setflags(write=False)
+    return colors
 
 
 def _twin_classes(g: Graph) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:

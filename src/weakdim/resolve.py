@@ -419,8 +419,8 @@ def _item_rows(g: Graph, variant: Variant) -> tuple[list, np.ndarray]:
     items = _items(g, variant)
     if variant == Variant.VERTEX:
         return items, d
-    ends = np.array(items[g.n if variant == Variant.MIXED else 0:], dtype=np.intp).reshape(-1, 2)
-    edge_rows = np.minimum(d[ends[:, 0]], d[ends[:, 1]])
+    heads, tails = _edge_pairs(g)
+    edge_rows = np.minimum(d[heads], d[tails])
     return items, edge_rows if variant == Variant.EDGE else np.concatenate([d, edge_rows])
 
 
@@ -503,12 +503,19 @@ def _classify(g: Graph, kappa: int) -> tuple[KappaClass, tuple[int, ...] | None]
 
 
 def _edge_pairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The edges (v, w), v < w, in lex order as a ``lex_min`` pair list:
-    each vertex's adjacency is ascending."""
+    """The edges (v, w), v < w, in lex order as a ``lex_min`` pair list of
+    read-only (heads, tails), built once per graph (``Graph._cached``)."""
+    return g._cached("edges", _edge_arrays)
+
+
+def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """``_edge_pairs``, made from the adjacency: each vertex's is ascending."""
     heads = np.repeat(np.arange(g.n), [len(a) for a in g.adjacency])
     tails = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=len(heads))
     keep = heads < tails
-    return heads[keep], tails[keep]
+    heads, tails = heads[keep], tails[keep]
+    heads.flags.writeable = tails.flags.writeable = False
+    return heads, tails
 
 
 # The thin route runs while E, the equidistant (source, pair) triples, is at

@@ -33,14 +33,17 @@ cell's text. The format is unchanged; ``export-lp`` writes each block
 as it is made, so its memory is bounded by one block, the model and
 the table (three strings per coefficient value and column).
 
-Two engines certify optima behind one shell, ``_solve``: it builds the
-model, checks k on it (``model.check``, by ``errors.check_k``, the one
-range check of every entry point taking one k), answers a model without
-item pairs with the empty set, runs the engine's plain search on
-(profile, k) and certifies the basis. The brute search (also the count
-criterion's ``solve_kmetric_dim``) checks subsets in increasing size
-and lex order, so it returns the canonical (lex-smallest) optimal set,
-with no numpy call per subset. It takes them in blocks of consecutive
+Two engines certify optima behind one shell, ``_solve``: it reads the
+model (``cover_model`` builds it once per graph, variant and criterion
+and keeps it, read-only, in the graph's cache: a model lives as long as
+its graph), checks k on it (``model.check``, against the full-set worst
+pair found once per model, by ``errors.check_k``, the one range check of
+every entry point taking one k), answers a model without item pairs
+with the empty set, runs the engine's plain search on (profile, k) and
+certifies the basis. The brute search (also the count criterion's
+``solve_kmetric_dim``) checks subsets in increasing size and lex order,
+so it returns the canonical (lex-smallest) optimal set, with no numpy
+call per subset. It takes them in blocks of consecutive
 lex ranks, unranked in numpy from tables of binomial coefficients. A
 block is filtered on one tight row in one step; only its survivors'
 columns are gathered and summed over all rows at once, in int64 on one
@@ -86,7 +89,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, islice
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -154,9 +157,12 @@ class CoverModel:
         """(a, b, profile row) per item pair, in lex order."""
         return ((a, b, row) for (a, b), row in zip(combinations(self.items, 2), self.profile))
 
-    def certificate(self, cols=slice(None)) -> "Certificate | None":
+    def certificate(self, cols=None) -> "Certificate | None":
         """Lex-first item pair of smallest row sum over ``cols`` (the first
-        argmin), or None without item pairs."""
+        argmin), or None without item pairs; over every column without
+        ``cols`` (``worst``)."""
+        if cols is None:
+            return self.worst
         if not len(self.profile):
             return None
         sums = self.profile[:, cols].sum(axis=1, dtype=np.int64)
@@ -164,10 +170,16 @@ class CoverModel:
         a, b = next(islice(combinations(self.items, 2), i, None))
         return Certificate(a, b, int(sums[i]))
 
+    @cached_property
+    def worst(self) -> "Certificate | None":
+        """``certificate`` over every column, found once per model."""
+        return self.certificate(slice(None))
+
     def check(self, k: int) -> None:
         """``check_k`` with the criterion's limit, the smallest row sum (its
-        lex-first pair is the witness); no limit without item pairs."""
-        worst = self.certificate()
+        lex-first pair, ``worst``, is the witness); no limit without item
+        pairs."""
+        worst = self.worst
         if worst is None:
             check_k(k)
         else:
@@ -175,11 +187,18 @@ class CoverModel:
 
 
 def cover_model(g: Graph, variant: Variant, criterion: str = "sum") -> CoverModel:
-    """The model under ``criterion`` ("sum" or "count"); TooLarge, before
-    anything is allocated, when its estimated peak exceeds graph.MAX_BYTES: the
-    profile plus, per entry, three int64 working copies the engines make of
-    it (the greedy start's clipped gains; the root bound's clipped, sorted
-    and cumulated matrices)."""
+    """The model under ``criterion`` ("sum" or "count"), built once per
+    graph, variant and criterion and kept in the graph's cache
+    (``Graph._cached``); its profile is read-only."""
+    return g._cached((variant, criterion), lambda g: _build_model(g, variant, criterion))
+
+
+def _build_model(g: Graph, variant: Variant, criterion: str) -> CoverModel:
+    """``cover_model``; TooLarge, before anything is allocated, when its
+    estimated peak exceeds graph.MAX_BYTES: the profile plus, per entry,
+    three int64 working copies the engines make of it (the greedy start's
+    clipped gains; the root bound's clipped, sorted and cumulated
+    matrices)."""
     items, rows = _item_rows(g, variant)
     npairs = len(items) * (len(items) - 1) // 2
     _check_peak(f"the cover model of {npairs} item pairs x {g.n} vertices",
@@ -189,6 +208,7 @@ def cover_model(g: Graph, variant: Variant, criterion: str = "sum") -> CoverMode
     profile = np.concatenate([np.empty((0, g.n), rows.dtype), *blocks])
     if criterion == "count":
         profile = (profile > 0).astype(np.int8)
+    profile.setflags(write=False)
     return CoverModel(criterion, items, profile)
 
 
@@ -380,9 +400,10 @@ def _brute(profile: np.ndarray, k: int) -> tuple[tuple[int, ...], dict]:
 def _solve(g: Graph, variant: Variant, k: int, search, criterion: str = "sum",
            size_cap: "int | None" = None) -> DimensionResult:
     """The engines' shell: the size cap (brute force's, checked before the
-    model is built), the model and its k check, then ``search(profile, k)``
-    -> (basis, counters) and the basis's certificate. ``stats`` leads with
-    ``oracle``, the search's name (``_bnb`` -> "bnb")."""
+    model is read), the cached model and its k check, then
+    ``search(profile, k)`` -> (basis, counters) and the basis's
+    certificate. ``stats`` leads with ``oracle``, the search's name
+    (``_bnb`` -> "bnb")."""
     if size_cap is not None and g.n > size_cap:
         raise TooLarge(f"n={g.n} exceeds size_cap={size_cap}")
     model = cover_model(g, variant, criterion)

@@ -196,6 +196,28 @@ class TestWdimCommand:
                 values[engine] = [r["value"] for r in report["results"]]
             assert values["formula"] == values["brute"] == values["bnb"]
 
+    def test_one_model_per_run(self, capsys, monkeypatch):
+        """A bnb or brute sweep over k builds its cover model once, as
+        does ``export-lp``: the graph keeps it."""
+        calls = []
+        build = solver._build_model
+
+        def counting(g, variant, criterion):
+            calls.append((variant, criterion))
+            return build(g, variant, criterion)
+
+        monkeypatch.setattr(solver, "_build_model", counting)
+        for engine in ("bnb", "brute"):
+            report = run_json(capsys, "wdim", "--family", "grid:4x4", "--k", "1..12",
+                              "--engine", engine)
+            assert [r["value"] for r in report["results"]] == [2, 2, 4, 4, 6, 6, 8, 8,
+                                                               10, 10, 12, 12]
+        run_json(capsys, "wdim", "--family", "grid:4x4", "--variant", "mixed", "--k", "1..2",
+                 "--engine", "bnb")
+        run_cli(capsys, "export-lp", "--family", "grid:4x4", "--variant", "edge", "--k", "2",
+                "--out", "-")
+        assert calls == [("vertex", "sum")] * 2 + [("mixed", "sum"), ("edge", "sum")]
+
     def test_file_engine_brute_cross_check(self, capsys, tmp_path):
         _, text, _ = run_cli(capsys, "gen", "--family", "spider:1,2,5")
         f = tmp_path / "spider_1_2_5.txt"

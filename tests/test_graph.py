@@ -465,6 +465,40 @@ class TestColoring:
             monkeypatch.undo()
 
 
+class TestCache:
+    """Every structure derived from a graph lives in its one cache: each is
+    built once, on first use, and a build that raises keeps nothing."""
+
+    def test_built_once_per_key(self):
+        g = generate(grid(3, 3))
+        calls = []
+
+        def build(h):
+            calls.append(h)
+            return None
+
+        assert g._cached("x", build) is None and g._cached("x", build) is None
+        assert calls == [g]
+
+        def refuse(h):
+            calls.append(h)
+            raise TooLarge("over the limit")
+
+        for _ in range(2):
+            with pytest.raises(TooLarge):
+                g._cached("y", refuse)
+        assert calls == [g] * 3 and "y" not in g._cache
+
+    def test_every_structure_is_kept(self):
+        for g in (generate(grid(3, 4)), generate(spider(1, 2, 3)), generate(cycle(5))):
+            for name in ("distance_matrix", "twin_classes", "coloring"):
+                assert getattr(g, name) is getattr(g, name), (g, name)
+        tree = generate(spider(1, 2, 3))
+        assert tree.tree_shape is tree.tree_shape
+        first, second = (build_graph(5, generate(cycle(5)).edges()) for _ in range(2))
+        assert first.distance_matrix is not second.distance_matrix
+
+
 class TestEdgeListFormat:
     def test_round_trip(self):
         g = generate(grid(3, 3))

@@ -1335,6 +1335,18 @@ class TestBlockedPartnerScan:
         for g in graphs + [build_graph(1, []), plus_chord("path:9", 0, 8)]:
             assert listed_pairs(resolve._edge_pairs(g), g.n) == g.edges()
 
+    def test_edge_pairs_are_built_once_and_read_only(self, monkeypatch):
+        """The arrays come from the graph's cache, and the edge and mixed
+        item rows take their edge ends from them."""
+        g = generate(parse_family("grid:3x4"))
+        heads, tails = resolve._edge_pairs(g)
+        assert not heads.flags.writeable and not tails.flags.writeable
+        monkeypatch.setattr(resolve, "_edge_arrays", lambda g: pytest.fail("rebuilt"))
+        assert all(a is b for a, b in zip(resolve._edge_pairs(g), (heads, tails)))
+        for variant in ("edge", "mixed"):
+            items, rows = resolve._item_rows(g, Variant(variant))
+            assert (items, rows.tolist()) == plain_item_rows(g, variant)
+
     def test_reducers_do_not_overflow(self):
         """``pair_sum`` sums narrow blocks in int32 only while the block's
         dtype and width keep a sum below 2^30, so a prefix sum and a rest

@@ -622,6 +622,92 @@ class TestCoverModel:
         assert time.perf_counter() - started < 10
 
 
+def counted_builds(monkeypatch) -> list:
+    """Record (graph, variant, criterion) of every cover model built."""
+    calls = []
+    build = solver._build_model
+
+    def counting(g, variant, criterion):
+        calls.append((g, variant, criterion))
+        return build(g, variant, criterion)
+
+    monkeypatch.setattr(solver, "_build_model", counting)
+    return calls
+
+
+class TestModelCache:
+    """One cover model per graph, variant and criterion, kept in the
+    graph's cache: read-only, never shared between graphs, and the same
+    model whichever reader builds it."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_build_per_sweep(self, variant, monkeypatch):
+        """A bnb sweep, then a brute sweep, then ``write_lp`` and
+        ``pair_profiles`` on one graph build one sum model; the count
+        criterion's sweep builds one more."""
+        calls = counted_builds(monkeypatch)
+        for g in (generate(grid(3, 4)), random_connected_graph(random.Random(3), 9)):
+            ks = range(1, min(variant_kappa(g, variant)[0], 6) + 1)
+            bnb = [solve_bnb(g, variant, k) for k in ks]
+            brute = [solve_bruteforce(g, variant, k) for k in ks]
+            assert [r.value for r in bnb] == [r.value for r in brute]
+            write_lp(g, variant, 2)
+            pair_profiles(g, variant)
+            assert calls == [(g, variant, "sum")]
+            for k in (1, 2):
+                solve_kmetric_dim(g, k)
+            assert calls[1:] == [(g, Variant.VERTEX, "count")]
+            calls.clear()
+
+    def test_worst_pair_found_once(self):
+        g = generate(grid(3, 3))
+        model = solver.cover_model(g, Variant.EDGE)
+        assert model.certificate() is model.worst is model.certificate()
+        for k in range(1, model.worst.delta + 1):
+            solve_bnb(g, Variant.EDGE, k)
+        assert solver.cover_model(g, Variant.EDGE) is model
+        assert model.certificate() is model.worst
+
+    @pytest.mark.parametrize("criterion", ["sum", "count"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_profile_is_read_only(self, variant, criterion):
+        for g in (generate(cycle(5)), build_graph(1, []), generate(path(2))):
+            profile = solver.cover_model(g, variant, criterion).profile
+            assert not profile.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                profile[...] = 0
+
+    def test_graphs_never_share_a_model(self):
+        edges = generate(grid(3, 3)).edges()
+        first, second = build_graph(9, edges), build_graph(9, edges)
+        for variant in VARIANTS:
+            for criterion in ("sum", "count"):
+                a, b = (solver.cover_model(g, variant, criterion) for g in (first, second))
+                assert a is not b and not np.shares_memory(a.profile, b.profile)
+                assert np.array_equal(a.profile, b.profile)
+                assert solver.cover_model(first, variant, criterion) is a
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_write_lp_after_a_solve_as_on_a_fresh_graph(self, variant):
+        for spec in ("grid:3x4", "cycle:7", "star:5", "spider:1,2,3"):
+            g = generate(parse_family(spec))
+            solve_bnb(g, variant, 1)
+            solve_bruteforce(g, variant, variant_kappa(g, variant)[0])
+            fresh = write_lp(generate(parse_family(spec)), variant, 3)
+            assert write_lp(g, variant, 3) == fresh
+
+    def test_too_large_keeps_nothing(self, monkeypatch):
+        """A build that raises TooLarge caches nothing: every call builds
+        again and raises again."""
+        calls = counted_builds(monkeypatch)
+        g = generate(grid(40, 25))
+        for _ in range(2):
+            with pytest.raises(TooLarge, match="GiB"):
+                solve_bnb(g, k=2)
+        assert len(calls) == 2
+        assert (Variant.VERTEX, "sum") not in g._cache
+
+
 # bnb bases captured from commit 32308e8, whose bnb had only the ratio and
 # mass bounds. A valid, stronger bound cuts nodes but never a subtree that
 # holds a better set, and the branching rule is unchanged, so the search
