@@ -2,9 +2,14 @@
 
 Every generator uses a documented canonical vertex numbering and attaches
 its :class:`FamilySpec` to the produced graph, so closed-form dispatch
-never has to recognize a family from a raw edge list. In that numbering
-each family's distances are a closed form too (``spec_distances``): a
-generated graph's ``distance_matrix`` is filled from it, with no BFS.
+never has to recognize a family from a raw edge list. The numbering is
+described once, as runs of consecutive ids (``_runs``), in one of three
+shapes: the parts of a complete multipartite graph (star, complete, kqr),
+threads (path, cycle, and a spider's root and legs) and the rows of a
+grid. ``generate`` reads its edges off the runs, one rule per shape, and
+``spec_distances`` reads each family's distances off the same runs as a
+closed form: a generated graph's ``distance_matrix`` is filled from it,
+with no BFS.
 """
 
 from __future__ import annotations
@@ -115,6 +120,23 @@ def grid_vertex_id(spec: FamilySpec, i: int, j: int) -> int:
     return (i - 1) * spec.r + (j - 1)
 
 
+def _runs(spec: FamilySpec) -> list[int]:
+    """The bounds of the id runs of ``generate(spec)``, run i holding the ids
+    ``runs[i]`` to ``runs[i + 1] - 1``: a spider's root, then its threads;
+    the parts of a complete multipartite graph (a star is K_{1,n-1}, K_n has
+    n parts of one vertex); one run on a path, a cycle and a grid."""
+    k = spec.kind
+    if k == "spider":
+        return list(accumulate((1, *spec.lengths), initial=0))
+    if k == "star":
+        return [0, 1, spec.n]
+    if k == "complete":
+        return list(range(spec.n + 1))
+    if k == "complete_bipartite":
+        return [0, spec.q, spec.q + spec.r]
+    return [0, spec.q * spec.r if k == "grid" else spec.n]
+
+
 def generate(spec: FamilySpec) -> Graph:
     """Build the canonical instance of ``spec`` with the spec attached.
 
@@ -122,44 +144,29 @@ def generate(spec: FamilySpec) -> Graph:
     with edge (n-1, 0)); star center is 0; complete-bipartite part A is
     0..q-1; spider root is 0 with threads laid out consecutively in
     ascending-length order; grid position (i, j) maps to (i-1)*r + (j-1).
+
+    The edges follow from the runs (``_runs``), by one rule per shape:
+    every pair across two parts of a complete multipartite graph;
+    consecutive ids within each thread, plus the spider's legs from the
+    root and the cycle's closing edge; and (u, u + 1) within a grid row
+    plus (u, u + r) down a column.
     """
     k = spec.kind
-    if k == "path":
-        edges = [(i, i + 1) for i in range(spec.n - 1)]
-        return Graph(spec.n, edges, family=spec)
-    if k == "cycle":
-        edges = [(i, i + 1) for i in range(spec.n - 1)] + [(spec.n - 1, 0)]
-        return Graph(spec.n, edges, family=spec)
-    if k == "star":
-        edges = [(0, i) for i in range(1, spec.n)]
-        return Graph(spec.n, edges, family=spec)
-    if k == "complete":
-        edges = [(u, v) for u in range(spec.n) for v in range(u + 1, spec.n)]
-        return Graph(spec.n, edges, family=spec)
-    if k == "complete_bipartite":
-        edges = [(a, spec.q + b) for a in range(spec.q) for b in range(spec.r)]
-        return Graph(spec.q + spec.r, edges, family=spec)
-    if k == "spider":
-        edges = []
-        nxt = 1
-        for length in spec.lengths:
-            prev = 0
-            for _ in range(length):
-                edges.append((prev, nxt))
-                prev = nxt
-                nxt += 1
-        return Graph(nxt, edges, family=spec)
-    # grid
-    q, r = spec.q, spec.r
-    edges = []
-    for i in range(1, q + 1):
-        for j in range(1, r + 1):
-            here = grid_vertex_id(spec, i, j)
-            if j < r:
-                edges.append((here, grid_vertex_id(spec, i, j + 1)))
-            if i < q:
-                edges.append((here, grid_vertex_id(spec, i + 1, j)))
-    return Graph(q * r, edges, family=spec)
+    runs = _runs(spec)
+    n = runs[-1]
+    if k == "grid":
+        r = spec.r
+        edges = [(u, u + 1) for u in range(n) if (u + 1) % r]
+        edges += [(u, u + r) for u in range(n - r)]
+    elif k in ("path", "cycle", "spider"):
+        edges = [(u, u + 1) for s, e in zip(runs, runs[1:]) for u in range(s, e - 1)]
+        if k == "spider":
+            edges += [(0, first) for first in runs[1:-1]]
+        elif k == "cycle":
+            edges.append((n - 1, 0))
+    else:  # complete multipartite: each part with every later part
+        edges = [(u, v) for s, e in zip(runs, runs[1:-1]) for u in range(s, e) for v in range(e, n)]
+    return Graph(n, edges, family=spec)
 
 
 def _offset_rows(values: np.ndarray) -> np.ndarray:
@@ -180,9 +187,9 @@ def spec_distances(spec: FamilySpec, dtype) -> np.ndarray:
               (the root 0 is a thread of its own, at depth 0)
     grid      |i - i'| + |j - j'| for u = i * r + j
 
-    The ids fall into runs: a spider's threads, the parts of a complete
-    multipartite graph (a star is K_{1,n-1}, K_n has n parts of one
-    vertex), and one run on the other families. The matrix is filled in
+    The ids fall into the runs of ``_runs``, which ``generate`` reads
+    too: a spider's root and threads, the parts of a complete multipartite
+    graph, and one run on the other families. The matrix is filled in
     row blocks of about ``_UNPACK_BLOCK`` entries within a run, as the
     bit-parallel BFS unpacks its bit-planes, so that the peak is the
     matrix plus one block. No entry exceeds n - 1, so ``dtype`` holds
@@ -190,22 +197,12 @@ def spec_distances(spec: FamilySpec, dtype) -> np.ndarray:
     checks the peak first.
     """
     k = spec.kind
-    if k == "spider":
-        runs = list(accumulate((1, *spec.lengths), initial=0))
-    elif k == "star":
-        runs = [0, 1, spec.n]
-    elif k == "complete":
-        runs = list(range(spec.n + 1))
-    elif k == "complete_bipartite":
-        runs = [0, spec.q, spec.q + spec.r]
-    elif k == "grid":
+    runs = _runs(spec)
+    n = runs[-1]
+    if k == "grid":
         q, r = spec.q, spec.r
-        runs = [0, q * r]
         down, across = (_offset_rows(np.abs(np.arange(1 - size, size)).astype(dtype))
                         for size in (q, r))
-    else:
-        runs = [0, spec.n]
-    n = runs[-1]
     if k in ("path", "cycle", "spider"):
         gaps = np.abs(np.arange(1 - n, n))
         if k == "cycle":
@@ -255,8 +252,6 @@ def parse_family(text: str) -> FamilySpec:
         if kind == "grid":
             q_s, r_s = rest.split("x")
             return FamilySpec("grid", q=int(q_s), r=int(r_s))
-    except InvalidFamilyParameters:
-        raise
     except ValueError as exc:
         raise InvalidFamilyParameters(f"malformed family string {text!r}") from exc
     raise InvalidFamilyParameters(f"unknown family kind {kind!r}")

@@ -533,6 +533,17 @@ class TestErrors:
         code, _, err = run_cli(capsys, "kappa", "--family", "blob:7")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ("path:1", "path needs n >= 2, got 1"),
+        ("kqr:2", "malformed family string 'kqr:2'"),
+        ("grid:3X4", "malformed family string 'grid:3X4'"),
+        ("spider:3,2,1", "spider thread lengths must be sorted ascending"),
+        (":5", "unknown family kind ''"),
+    ])
+    def test_rejected_family_exit_2(self, capsys, spec, message):
+        code, out, err = run_cli(capsys, "gen", "--family", spec)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "kappa", "--file", "/nonexistent/g.txt")
         assert code == 2

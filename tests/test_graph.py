@@ -23,6 +23,7 @@ from conftest import (
 from weakdim import (
     DuplicateEdge,
     EdgeListFormatError,
+    InvalidFamilyParameters,
     NotConnected,
     SelfLoop,
     TooLarge,
@@ -366,6 +367,38 @@ class TestGenerators:
         g = generate(grid(3, 4))
         assert g.has_edge(0, 1) and g.has_edge(0, 4)
         assert not g.has_edge(3, 4)  # row boundary
+
+    WRITTEN_OUT = {  # spec: (n, edges)
+        "path:2": (2, [(0, 1)]),
+        "cycle:3": (3, [(0, 1), (0, 2), (1, 2)]),
+        "star:2": (2, [(0, 1)]),
+        "star:4": (4, [(0, 1), (0, 2), (0, 3)]),
+        "complete:4": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+        "kqr:2,3": (5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]),
+        "kqr:1,3": (4, [(0, 1), (0, 2), (0, 3)]),
+        "kqr:3,1": (4, [(0, 3), (1, 3), (2, 3)]),
+        "spider:1,1,1": (4, [(0, 1), (0, 2), (0, 3)]),
+        "spider:1,2,3": (7, [(0, 1), (0, 2), (0, 4), (2, 3), (4, 5), (5, 6)]),
+        "grid:2x3": (6, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (4, 5)]),
+        "grid:3x2": (6, [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5)]),
+    }
+
+    @pytest.mark.parametrize("spec", WRITTEN_OUT)
+    def test_edges_written_out(self, spec):
+        """The documented numbering, pinned by hand: a BFS on the generated
+        edges would agree with ``spec_distances`` even on a wrong layout,
+        since both read the same id runs."""
+        g = generate(parse_family(spec))
+        assert (g.n, g.edges()) == self.WRITTEN_OUT[spec]
+
+    @pytest.mark.parametrize("text", [
+        "path:1", "cycle:2", "star:1", "complete:1", "kqr:0,3", "kqr:3,0", "kqr:2",
+        "kqr:2,3,4", "grid:1x5", "grid:5x1", "grid:3x", "grid:3X4", "spider:1,1",
+        "spider:0,1,2", "spider:3,2,1", "spider:1,2,", "path:", "path:x", ":5",
+    ])
+    def test_family_grammar_rejects(self, text):
+        with pytest.raises(InvalidFamilyParameters):
+            parse_family(text)
 
     def test_family_grammar_round_trip(self):
         for text in ["path:7", "cycle:9", "star:5", "complete:4",
