@@ -9,7 +9,9 @@ threads (path, cycle, and a spider's root and legs) and the rows of a
 grid. ``generate`` reads its edges off the runs, one rule per shape, and
 ``spec_distances`` reads each family's distances off the same runs as a
 closed form: a generated graph's ``distance_matrix`` is filled from it,
-with no BFS.
+with no BFS. ``orbit_leaders`` gives each vertex of a cycle or a grid the
+least vertex of its orbit under the spec's symmetries: the kappa scan
+reads only the pairs whose head is such a leader.
 """
 
 from __future__ import annotations
@@ -235,23 +237,62 @@ def spec_distances(spec: FamilySpec, dtype) -> np.ndarray:
     return d
 
 
+def _mirrors(spec: FamilySpec) -> list[np.ndarray]:
+    """The symmetries of grid ``spec`` that ``orbit_leaders`` reads, each as
+    the image of every vertex: the 4 mirror images of (i, j), the identity
+    among them, and, when q = r, the transpose of each (8 images)."""
+    q, r = spec.q, spec.r
+    i, j = np.divmod(np.arange(q * r), r)
+    images = [(a, b) for a in (i, q - 1 - i) for b in (j, r - 1 - j)]
+    if q == r:
+        images += [(b, a) for a, b in images]
+    return [a * r + b for a, b in images]
+
+
+def orbit_leaders(spec: FamilySpec) -> np.ndarray | None:
+    """For each vertex of ``generate(spec)``, the least vertex of its orbit
+    under the spec's symmetries, each an automorphism of the graph:
+
+    cycle  0 for every vertex (the rotations)
+    grid   the least of its images under ``_mirrors``, which form a group
+
+    None on the other kinds: paths, stars and spiders are trees, and K_n
+    and kqr have twins, so kappa is answered before any scan that could
+    read the leaders.
+    """
+    if spec.kind == "cycle":
+        return np.zeros(spec.n, dtype=np.intp)
+    if spec.kind == "grid":
+        return np.min(_mirrors(spec), axis=0)
+    return None
+
+
+def _number(text: str) -> int:
+    """A parameter of the family grammar: ASCII digits only, so that what
+    ``int`` would also take (a sign, spaces, underscores, other scripts'
+    digits) is malformed."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a number: {text!r}")
+    return int(text)
+
+
 def parse_family(text: str) -> FamilySpec:
     """Parse the family grammar: path:n | cycle:n | star:n | complete:n |
-    kqr:q,r | spider:l1,l2,... | grid:qxr."""
+    kqr:q,r | spider:l1,l2,... | grid:qxr, each number ASCII digits."""
     kind, sep, rest = text.partition(":")
     if not sep or not rest:
         raise InvalidFamilyParameters(f"malformed family string {text!r}")
     try:
         if kind in ("path", "cycle", "star", "complete"):
-            return FamilySpec(kind, n=int(rest))
+            return FamilySpec(kind, n=_number(rest))
         if kind == "kqr":
             q_s, r_s = rest.split(",")
-            return FamilySpec("complete_bipartite", q=int(q_s), r=int(r_s))
+            return FamilySpec("complete_bipartite", q=_number(q_s), r=_number(r_s))
         if kind == "spider":
-            return FamilySpec("spider", lengths=tuple(int(t) for t in rest.split(",")))
+            return FamilySpec("spider", lengths=tuple(_number(t) for t in rest.split(",")))
         if kind == "grid":
             q_s, r_s = rest.split("x")
-            return FamilySpec("grid", q=int(q_s), r=int(r_s))
+            return FamilySpec("grid", q=_number(q_s), r=_number(r_s))
     except ValueError as exc:
         raise InvalidFamilyParameters(f"malformed family string {text!r}") from exc
     raise InvalidFamilyParameters(f"unknown family kind {kind!r}")

@@ -13,7 +13,8 @@ a head row with every later item, read in place, for a full scan over
 more than ``_MIN_SLICE`` columns with column-additive reducers only, and
 a lex-ordered pair stream for every other scan. A pair subset is a pair
 list, two aligned index arrays (a, b), a < b, in lex order
-(``_edge_pairs`` gives the edges), or a mask function. ``lex_min`` alone
+(``_edge_pairs`` gives the edges), or a mask function; a mask or a full
+scan may also take only the pairs of some head items. ``lex_min`` alone
 decides threads: with ``workers > 1`` a mask or a full scan splits by
 head item across them, and a pair list runs whole; its callers pass
 ``workers`` on and take no thread decision of their own.
@@ -26,12 +27,14 @@ variant, trees get kappa, the witness and kappa' from their thread
 decomposition, with no distance matrix, and twins settle kappa' and all
 of kappa but, off bipartite graphs, a scan of a few adjacent pairs.
 Above a size floor the set scan reads only the pairs that two lower
-bounds on delta_S leave in play (parity and the sum gap); there long,
-thin twin-free graphs, where the sum-gap band would not be taken, get
-kappa from a scan of the pairs that a geodesic lower bound lets through
-and kappa' from a count of equidistant classes. A sweep of sets takes
-one scan, by parity alone above the floor. Each keeps the plain scan's
-value and lex-first pair.
+bounds on delta_S leave in play (parity and the sum gap); there, for
+S = V on a cycle or a grid made from its family spec, it reads only the
+pairs whose head leads its orbit under the spec's symmetries, with
+kappa' from the same scans, and elsewhere long, thin twin-free graphs,
+where the sum-gap band would not be taken, get kappa from a scan of the
+pairs that a geodesic lower bound lets through and kappa' from a count
+of equidistant classes. A sweep of sets takes one scan, by parity alone
+above the floor. Each keeps the plain scan's value and lex-first pair.
 
 Parity (bipartite graphs, vertex variant). A probe s has hop counts to
 x and y of the parities of col(s) + col(x) and col(s) + col(y). When
@@ -96,6 +99,18 @@ hit is the first edge, (0, min adj[0]), with no scan. Elsewhere an edge
 sums to at least its sum gap, and the scan reads only the edges with a
 gap of at most 4 (``_twin_route_partners``).
 
+Orbits (S = V, a family spec with symmetries; ``families.orbit_leaders``).
+An automorphism phi preserves d, so delta_V and the distinguisher count
+are constant on each pair orbit, and so are parity, the row sums sigma
+and with them the sum-gap and count bands: each mask keeps a union of
+pair orbits. Take the lex-first minimizer (x, y) of either criterion
+over such a pair set. If phi(x) < x for some phi, the image pair, whose
+head is at most phi(x), would be an earlier minimizer in the set, which
+is impossible; so x is the least vertex of its orbit, its leader. So a
+scan of the pairs with a leader head keeps the plain scan's value and
+pair, and the least count too. A spec of one orbit (a cycle) has every
+row sum the same, so its band would keep every pair and is not set up.
+
 Thin (twin-free, few equidistant pairs, where the sum-gap band would
 not be taken). Along a geodesic x = v0 ... vt = y the probe vi adds
 |2i - t|, so the sum of a pair at distance t is at least
@@ -125,6 +140,7 @@ from typing import Callable, Collection, Iterable, Sequence
 import numpy as np
 
 from .errors import SameVertex, TrivialGraph, VertexOutOfRange
+from .families import orbit_leaders
 from .graph import MAX_BYTES, Graph
 from .timing import timed
 
@@ -342,7 +358,8 @@ def _partner_part(rows, reducers, heads, partners):
 
 
 def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1,
-            partners: tuple[np.ndarray, np.ndarray] | Callable | None = None) -> list:
+            partners: tuple[np.ndarray, np.ndarray] | Callable | None = None,
+            heads: np.ndarray | None = None) -> list:
     """Per reducer, the lex-first minimizing ``(value, (a, b))`` over item
     pairs a < b of ``rows``, or None when there are fewer than two items.
     With a pair list ``partners = (a, b)``, two aligned index arrays with
@@ -365,6 +382,10 @@ def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1,
     that group as many pairs as fit, and never holds more than one head
     group of a mask's or all pairs at once.
 
+    With ``heads``, an ascending index array of items below the last,
+    a mask or a full scan takes only the pairs whose head a is one of
+    them; a pair list ignores it.
+
     This is the package's one thread decision. With ``workers > 1`` a
     mask's or a full scan's head items are split round-robin across
     threads and the parts are merged by ``(value, pair)``, so the result
@@ -383,10 +404,11 @@ def lex_min(rows: np.ndarray, reducers: Sequence, workers: int = 1,
     """
     rows = np.ascontiguousarray(rows)  # blocks gather whole rows, slow on a column subset
     matrix = [hasattr(r, "columns") for r in reducers]
-    workers = max(1, min(workers, len(rows) - 1)) if partners is None or callable(partners) else 1
+    heads = np.arange(len(rows) - 1) if heads is None else heads
+    workers = max(1, min(workers, len(heads))) if partners is None or callable(partners) else 1
 
     def part(i):
-        return _partner_part(rows, reducers, np.arange(i, len(rows) - 1, workers), partners)
+        return _partner_part(rows, reducers, heads[i::workers], partners)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -669,6 +691,15 @@ def _sum_band(g: Graph, variant: Variant, rows: np.ndarray, S: Sequence[int]) ->
     return sigma if share <= _BAND_SHARE else None, seed
 
 
+def _leaders(g: Graph) -> np.ndarray | None:
+    """The vertices below n - 1 that lead their orbit under the symmetries
+    of the graph's family spec (``families.orbit_leaders``), ascending: a
+    ``lex_min`` head subset. None on a graph without a spec and on the
+    kinds that have no leaders."""
+    leader = None if g.family is None else orbit_leaders(g.family)
+    return None if leader is None else np.flatnonzero(leader[:-1] == np.arange(g.n - 1))
+
+
 def _both(first, second):
     """The ``lex_min`` mask of the pairs in both masks (either may be None)."""
     if first is None or second is None:
@@ -753,12 +784,17 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
        else one scan of the edges with a sum gap of at most 4
        (``_twin_route_partners``). Any twins give kappa' = 2.
     2. Up to ``_MASK_FLOOR`` entries (item pairs x |S|) the set is one
-       plain scan. Above it the scan reads only the pairs in both masks:
+       plain scan. Above it S = V on a graph with orbit leaders (a cycle
+       or a grid from its family spec, ``_leaders``) has every scan take
+       only the pairs with a leader head, and the checks below count only
+       those pairs; a cycle, one orbit, sets up no band.
+    3. Above the floor the scan reads only the pairs in both masks:
        parity (vertex variant, bipartite graph), and the sum-gap band of
        ``_sum_band`` when it keeps at most ``_BAND_SHARE`` of the pairs.
-    3. There, for S = V where the band is not taken, the thin route runs
-       when ``_thin_pays``: kappa from a scan of the pairs whose geodesic
-       bound is at most the band's seed, kappa' = n - max eq.
+       There, for S = V without leaders where the band is not taken, the
+       thin route runs when ``_thin_pays``: kappa from a scan of the
+       pairs whose geodesic bound is at most the band's seed,
+       kappa' = n - max eq. With leaders kappa' comes from the scan.
     4. Every other set check is the set scan. On either, with parity the
        hit is the ``min`` of the scan's and the first odd pair at |S|
        (``_odd_hits``), and the count at most |S|. With the band the
@@ -794,18 +830,23 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
                 return [(hit, 2 if count else None)]
         _, rows = _item_rows(g, variant)
         rows = rows if len(S) == g.n else rows[:, S]  # the whole set reads the rows, no copy
+        pairs = len(rows) * (len(rows) - 1) // 2
+        leaders = _leaders(g) if kappa and pairs * len(S) > _MASK_FLOOR else None
         same = sigma = bound = None
-        if len(rows) * (len(rows) - 1) // 2 * len(S) > _MASK_FLOOR:
+        if leaders is not None:
+            pairs = int((g.n - 1 - leaders).sum())  # the pairs with a leader head
+        if pairs * len(S) > _MASK_FLOOR:
             same = _same_color(g.coloring if vertex else None)
-            sigma, seed = _sum_band(g, variant, rows, S)
+            if leaders is None or len(leaders) > 1:  # one orbit (a cycle): equal row sums
+                sigma, seed = _sum_band(g, variant, rows, S)
             if sigma is not None:
                 bound = _gap_at_most(sigma, seed)
-            elif kappa and _thin_pays(rows, 1 + count, same is not None):
+            elif kappa and leaders is None and _thin_pays(rows, 1 + count, same is not None):
                 reach = isqrt(2 * seed + 1) - 1  # the largest t with (t + 1)^2 // 2 <= seed
                 bound = lambda heads: rows[heads] <= reach  # the thin route's geodesic bound
-        # a mask keeps every pair that reaches the least sum, not the least count's
+        # a bound keeps every pair that reaches the least sum, not the least count's
         hit, *counted = lex_min(rows, [pair_sum, pair_count] if count and bound is None
-                                else [pair_sum], workers, _both(same, bound))
+                                else [pair_sum], workers, _both(same, bound), heads=leaders)
         least = counted[0][0] if counted and counted[0] else None
         if same is not None:
             hit = _least(hit, *_odd_hits(g, rows, pair_sum, [len(S)]))
@@ -813,7 +854,8 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
             a, b = hit[1]
             witness = int(np.count_nonzero(rows[a] != rows[b]))
             (low,) = lex_min(rows, [pair_count], workers,
-                             _both(same, _count_band(sigma, g.distance_matrix, witness)))
+                             _both(same, _count_band(sigma, g.distance_matrix, witness)),
+                             heads=leaders)
             least = _least(witness, low and low[0])
         elif count and bound is not None:
             least = g.n - _max_equidistant(rows)

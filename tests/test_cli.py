@@ -112,11 +112,11 @@ class TestKappaCommand:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         requested = []
 
-        def recording(rows, reducers, workers=1, partners=None):
+        def recording(rows, reducers, workers=1, partners=None, heads=None):
             requested.append(workers)
             if workers > 2:  # refuse before any thread starts
                 raise AssertionError(f"{workers} workers reached lex_min")
-            return lex_min(rows, reducers, workers, partners)
+            return lex_min(rows, reducers, workers, partners, heads)
 
         monkeypatch.setattr(resolve, "lex_min", recording)
         # twin-free with many equidistant pairs, so kappa takes the threaded
@@ -539,6 +539,12 @@ class TestErrors:
         ("grid:3X4", "malformed family string 'grid:3X4'"),
         ("spider:3,2,1", "spider thread lengths must be sorted ascending"),
         (":5", "unknown family kind ''"),
+        # ASCII digits only: int() alone would take each of these
+        ("path:1_0", "malformed family string 'path:1_0'"),
+        ("path: 5", "malformed family string 'path: 5'"),
+        ("grid:+3x4", "malformed family string 'grid:+3x4'"),
+        ("kqr:\uff12,3", "malformed family string 'kqr:\uff12,3'"),
+        ("cycle:\u0663", "malformed family string 'cycle:\u0663'"),
     ])
     def test_rejected_family_exit_2(self, capsys, spec, message):
         code, out, err = run_cli(capsys, "gen", "--family", spec)

@@ -578,6 +578,12 @@ def band_off(mp):
     mp.setattr(resolve, "_BAND_SHARE", -1)
 
 
+def orbit_off(mp):
+    """Send cycles and grids made from a family spec to the routes a file
+    takes: the router finds no orbit leaders on any graph."""
+    mp.setattr(resolve, "_leaders", lambda g: None)
+
+
 def kappa_route(g, workers=1):
     """``((kappa, pair), kappa')`` from the router's whole-vertex-set body."""
     (route,) = resolve._worst_pairs(g, Variant.VERTEX, [range(g.n)], count=True, workers=workers)
@@ -681,9 +687,9 @@ class TestTwinShortcuts:
         tree_route_off(monkeypatch)
         seen = []
 
-        def recording(rows, reducers, workers=1, partners=None):
+        def recording(rows, reducers, workers=1, partners=None, heads=None):
             seen.append(([r.__name__ for r in reducers], set(listed_pairs(partners, len(rows)))))
-            return lex_min(rows, reducers, workers, partners)
+            return lex_min(rows, reducers, workers, partners, heads)
 
         monkeypatch.setattr(resolve, "lex_min", recording)
         rep = compute_kappa(g)
@@ -759,15 +765,16 @@ def oracle_route(g):
 
 
 def thin_route(g):
-    """The router's thin route on any graph, trees and twin graphs too: the
-    tree route is off, the twin lookup reports no twins, the sum-gap band,
-    which goes first, is refused, and the route's estimate (with its
-    floor) is taken as met. The equidistant count, which only the thin
-    route makes, must run."""
+    """The router's thin route on any graph, trees, twin graphs, cycles and
+    grids too: the tree and orbit routes are off, the twin lookup reports
+    no twins, the sum-gap band, which goes first, is refused, and the
+    route's estimate (with its floor) is taken as met. The equidistant
+    count, which only the thin route makes, must run."""
     counted = []
     count = resolve._max_equidistant
     with pytest.MonkeyPatch.context() as mp:
         tree_route_off(mp)
+        orbit_off(mp)
         band_off(mp)
         mp.setattr(resolve, "_thin_pays", lambda d, criteria, bipartite: True)
         mp.setattr(resolve, "_twin_hit", lambda g, S: None)
@@ -877,15 +884,17 @@ class TestThinRoute:
         on bipartite graphs, where every adjacent pair sums to n, the scan
         also drops exactly the odd pairs, each with sum at least n and n
         distinguishers. The trees take the route with the tree route off,
-        and every graph with the sum-gap band refused."""
+        the cycle and the grid with the orbit route off, and every graph
+        with the sum-gap band refused."""
         monkeypatch.setattr(resolve, "_SCAN_FLOOR", 0)
         tree_route_off(monkeypatch)
+        orbit_off(monkeypatch)
         band_off(monkeypatch)
         seen, seeds = [], []
         sum_band = resolve._sum_band
 
-        def recording(rows, reducers, workers=1, partners=None):
-            hit = lex_min(rows, reducers, workers, partners)
+        def recording(rows, reducers, workers=1, partners=None, heads=None):
+            hit = lex_min(rows, reducers, workers, partners, heads)
             seen.append(([r.__name__ for r in reducers], set(listed_pairs(partners, len(rows))),
                          hit))
             return hit
@@ -954,7 +963,9 @@ class TestThinRoute:
         """The thin route's sum scan, over a mask (with parity on the even
         cycle), is split across the workers as the band's sum and count
         scans are (``grid:4x150`` takes the band), and the report is the
-        one-worker report and the dense scan's."""
+        one-worker report and the dense scan's. The cycles take the thin
+        route with the orbit route off, as from a file."""
+        orbit_off(monkeypatch)
         g = generate(parse_family(f))
         expected = compute_kappa(g)
         started, counted = [], []
@@ -977,8 +988,8 @@ class TestThinRoute:
         graphs, where the scan reads only the same-color pairs, and on
         others wherever the router reaches it, above ``_MASK_FLOOR``
         entries (n x C(n, 2)): ``cycle:81``, whose row sums are all equal
-        so that the band is refused, takes it, and ``cycle:79`` below the
-        floor is one plain scan."""
+        so that the band is refused, takes it with the orbit route off, and
+        ``cycle:79`` below the floor is one plain scan."""
         d = generate(parse_family("cycle:101")).distance_matrix
         assert 2 * 101 * 5050 <= resolve._SCAN_FLOOR
         assert resolve._thin_pays(d, 2, False)
@@ -987,7 +998,9 @@ class TestThinRoute:
         for n, thin in ((79, False), (81, True)):
             assert (n * n * (n - 1) // 2 > resolve._MASK_FLOOR) == thin
             g = generate(parse_family(f"cycle:{n}"))
-            rep, log = recorded_route(lambda: compute_kappa(g))
+            with pytest.MonkeyPatch.context() as mp:
+                orbit_off(mp)
+                rep, log = recorded_route(lambda: compute_kappa(g))
             assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (n - 1, n - 1, (0, 1))
             assert ("count" in log) == thin
             assert (log == [None]) == (not thin)
@@ -1000,12 +1013,18 @@ def router_graphs():
                for make in (true_twin_path, leaves_and_bull, four_cycle_and_commons)])
 
 
-def listed_pairs(partners, n):
+def listed_pairs(partners, n, heads=None):
     """The pairs (a, b) of ``lex_min`` partners over n items, in lex order:
-    a pair list's as given, a mask function's read off its rows."""
-    if callable(partners):
-        partners = np.nonzero(np.triu(partners(np.arange(n)), 1))
-    return list(zip(*(p.tolist() for p in partners)))
+    a pair list's as given, a mask function's read off its rows, every
+    pair for None; with ``heads``, only those whose a is one of them."""
+    if partners is None or callable(partners):
+        keep = np.ones((n, n), dtype=bool) if partners is None else partners(np.arange(n))
+        partners = np.nonzero(np.triu(keep, 1))
+    pairs = list(zip(*(p.tolist() for p in partners)))
+    if heads is None:
+        return pairs
+    kept = set(heads.tolist())
+    return [p for p in pairs if p[0] in kept]
 
 
 def recorded_route(run):
@@ -1014,13 +1033,14 @@ def recorded_route(run):
     call of the equidistant count or scan of the count alone."""
     log = []
 
-    def recording(rows, reducers, workers=1, partners=None):
+    def recording(rows, reducers, workers=1, partners=None, heads=None):
         if reducers == [pair_count]:
             log.append("count")
         else:
             assert reducers[0] is pair_sum
-            log.append(None if partners is None else listed_pairs(partners, len(rows)))
-        return lex_min(rows, reducers, workers, partners)
+            log.append(None if partners is None and heads is None
+                       else listed_pairs(partners, len(rows), heads))
+        return lex_min(rows, reducers, workers, partners, heads)
 
     def counting(d):
         log.append("count")
@@ -1054,10 +1074,12 @@ def plus_chord_keeping_false_twins(g):
 
 
 def thin_forced(mp):
-    """Set ``_SCAN_FLOOR`` to 0, open the mask floor and refuse the sum-gap
-    band: every twin-free graph that is no tree, and has few equidistant
-    pairs, as every router graph has, takes the thin route."""
+    """Set ``_SCAN_FLOOR`` to 0, turn the orbit route off, open the mask
+    floor and refuse the sum-gap band: every twin-free graph that is no
+    tree, and has few equidistant pairs, as every router graph has, takes
+    the thin route."""
     mp.setattr(resolve, "_SCAN_FLOOR", 0)
+    orbit_off(mp)
     band_off(mp)
 
 
@@ -1129,6 +1151,149 @@ class TestKappaRouter:
         assert None not in log and "count" not in log
         scans = resolve.kappa_reads_distances(g) and g.coloring is None and f != "complete:250"
         assert bool(log) == scans
+
+
+# every cycle and grid below the floor, where the orbit route runs only
+# with the floor opened, and larger ones that take it as the policy stands
+ORBIT_SMALL = ([f"cycle:{n}" for n in range(3, 65)]
+               + [f"grid:{q}x{r}" for q in range(2, 13) for r in range(2, 13)])
+ORBIT_LARGE = ["cycle:131", "cycle:601", "cycle:1000", "grid:3x40", "grid:24x24", "grid:20x35",
+               "grid:40x40"]
+
+
+def orbit_closure(maps, n):
+    """Per vertex, the least vertex reachable from it by ``maps`` (each the
+    image of every vertex), by a plain search: its orbit's least vertex."""
+    least = []
+    for v in range(n):
+        seen, todo = {v}, [v]
+        while todo:
+            u = todo.pop()
+            for image in maps:
+                w = int(image[u])
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        least.append(min(seen))
+    return least
+
+
+def spec_symmetries(spec):
+    """The maps the orbit leaders are read from: the rotation by one on a
+    cycle (its powers are the rotations), the mirror images on a grid."""
+    if spec.kind == "cycle":
+        return [(np.arange(spec.n) + 1) % spec.n]
+    return families._mirrors(spec)
+
+
+class TestOrbitRoute:
+    """Kappa on a cycle or grid spec above the floor scans only the pairs
+    whose head leads its orbit: an automorphism keeps every pair's sum and
+    count, so the lex-first minimizer of either, and of either over any
+    pair set the automorphisms keep (parity, the sum-gap and count bands),
+    has a leader head. The report is the one the same edges give without
+    the spec."""
+
+    @pytest.mark.parametrize("f", ORBIT_SMALL + ORBIT_LARGE)
+    def test_spec_matches_its_edge_list(self, f):
+        """At 1 and 2 workers, and on the small ones with the floor opened
+        (``masks_on``: the band whatever it keeps; ``band_off``: no band),
+        so that the orbit route runs with every mask, against the dense
+        scan."""
+        g = generate(parse_family(f))
+        plain = build_graph(g.n, g.edges())
+        expected = compute_kappa(plain)
+        small = f in ORBIT_SMALL
+        if small:
+            (kappa, pair), (kappa_prime, _) = dense_lex_min(plain_distances(g), range(g.n))
+            assert (expected.kappa, expected.kappa_prime, expected.witness_pair) == (
+                kappa, kappa_prime, pair)
+        for workers in (1, 2):
+            assert compute_kappa(plain, workers=workers) == expected
+            assert compute_kappa(g, workers=workers) == expected
+            for policy in (masks_on, band_off) if small else ():
+                with pytest.MonkeyPatch.context() as mp:
+                    policy(mp)
+                    assert compute_kappa(g, workers=workers) == expected
+                    assert variant_kappa(g, Variant.VERTEX) == (expected.kappa,
+                                                                 expected.witness_pair)
+
+    @pytest.mark.parametrize("f", ["cycle:3", "cycle:4", "cycle:9", "cycle:30", "grid:2x2",
+                                   "grid:2x7", "grid:7x2", "grid:3x8", "grid:8x3", "grid:5x5",
+                                   "grid:6x6", "grid:9x12", "grid:12x9"])
+    def test_symmetries_are_automorphisms(self, f):
+        """Each map the leaders are read from permutes the vertices and maps
+        the edge set of ``generate(spec)`` onto itself; the leader of v is
+        the least vertex of v's orbit under them, so at most v."""
+        spec = parse_family(f)
+        g = generate(spec)
+        edges = set(g.edges())
+        maps = spec_symmetries(spec)
+        for image in maps:
+            assert sorted(image.tolist()) == list(range(g.n))
+            assert {tuple(sorted((int(image[u]), int(image[v])))) for u, v in edges} == edges
+        leader = families.orbit_leaders(spec)
+        assert leader.tolist() == orbit_closure(maps, g.n)
+        assert (leader <= np.arange(g.n)).all()
+        assert len(maps) == (1 if spec.kind == "cycle" else 8 if spec.q == spec.r else 4)
+
+    @pytest.mark.parametrize("f", ["path:9", "star:7", "complete:6", "kqr:3,4", "spider:1,2,3"])
+    def test_other_kinds_have_no_leaders(self, f):
+        assert families.orbit_leaders(parse_family(f)) is None
+
+    def test_no_leaders_below_the_floor(self, monkeypatch):
+        """Up to ``_MASK_FLOOR`` entries (n x C(n, 2)) kappa builds no
+        leaders, and past it only kappa does: the edge and mixed variants'
+        kappa, a set check of S != V and a sweep take today's routes."""
+        built = []
+        leaders = resolve.orbit_leaders
+        monkeypatch.setattr(resolve, "orbit_leaders",
+                            lambda spec: built.append(spec.label()) or leaders(spec))
+        for f, above in (("cycle:79", False), ("cycle:81", True), ("grid:8x9", False),
+                         ("grid:9x9", True)):
+            g = generate(parse_family(f))
+            assert (g.n * g.n * (g.n - 1) // 2 > resolve._MASK_FLOOR) == above
+            built.clear()
+            rep = compute_kappa(g)
+            assert built == ([f] if above else [])
+            with pytest.MonkeyPatch.context() as mp:
+                orbit_off(mp)
+                assert compute_kappa(g) == rep
+        g = generate(parse_family("grid:20x20"))
+        built.clear()
+        S = list(range(0, g.n, 2))
+        for variant in (Variant.EDGE, Variant.MIXED):
+            variant_kappa(g, variant)
+        certificate_for(g, Variant.VERTEX, S)
+        certificates_for(g, Variant.VERTEX, [S, S[:50]])
+        assert built == []
+
+    @pytest.mark.parametrize("f", ["cycle:601", "cycle:1000"])
+    def test_cycle_scans_one_row(self, f, monkeypatch):
+        """A cycle is one orbit: one scan of the pairs (0, y), of the even y on
+        an even cycle (parity), gives kappa and kappa', with no band (every
+        row sums the same), no equidistant count and no thread."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the orbit scan of one head started threads")
+
+        g = generate(parse_family(f))
+        expected = compute_kappa(build_graph(g.n, g.edges()))
+        monkeypatch.setattr(resolve, "ThreadPoolExecutor", refuse)
+        rep, log = recorded_route(lambda: compute_kappa(g, workers=2))
+        assert rep == expected
+        step = 2 if g.coloring is not None else 1
+        assert log == [[(0, y) for y in range(step, g.n, step)]]
+
+    def test_grid_scans_leader_heads(self):
+        """On ``grid:24x24`` the band's seed scans the edges, and the sum and
+        count scans after it read only pairs with a leader head."""
+        g = generate(parse_family("grid:24x24"))
+        leader = families.orbit_leaders(g.family)
+        rep, log = recorded_route(lambda: compute_kappa(g))
+        assert rep == compute_kappa(build_graph(g.n, g.edges()))
+        seed, scan, counted = log
+        assert seed == g.edges() and counted == "count"
+        assert scan and all(leader[a] == a for a, _ in scan)
 
 
 def relabelled(g, rng):
@@ -1272,6 +1437,25 @@ class TestBlockedPartnerScan:
                 for workers in (1, 2):
                     assert lex_min(g.distance_matrix, reducers, workers,
                                    as_mask(partners, g.n)) == expected
+
+    @pytest.mark.parametrize("f", ["cycle:31", "grid:9x7", "path:130", "grid:20x20"])
+    def test_head_subset(self, f):
+        """With ``heads`` a full scan (head rows read in place past 64
+        columns) and a mask take only the pairs whose head is listed, for
+        any worker count: the per-row reference over those pairs."""
+        g = generate(parse_family(f))
+        rng = random.Random(g.n)
+        D = np.array(plain_distances(g), dtype=np.int64)
+        heads = np.array(sorted(rng.sample(range(g.n - 1), max(1, g.n // 5))))
+        every = pair_arrays([(a, b) for a in range(g.n) for b in range(a + 1, g.n)])
+        for partners in (every, random_partners(rng, g.n, 0.3)):
+            listed = pair_arrays([(a, b) for a, b in zip(*partners) if a in heads])
+            for reducers in self.REDUCERS:
+                expected = [per_row_min(D, listed, reduce) for reduce in reducers]
+                for workers in (1, 2):
+                    given = None if partners is every else as_mask(partners, g.n)
+                    assert lex_min(g.distance_matrix, reducers, workers, given,
+                                   heads) == expected
 
     def test_empty_partner_rows(self):
         g = generate(parse_family("grid:4x5"))
@@ -1460,11 +1644,12 @@ def parity_graphs():
 
 def both_routes(g, workers):
     """The whole vertex set's kappa and kappa' on the parity scan and on the
-    thin route, the tree route off and the sum-gap band refused."""
+    thin route, the tree and orbit routes off and the sum-gap band refused."""
     results = []
     for thin in (False, True):
         with pytest.MonkeyPatch.context() as mp:
             tree_route_off(mp)
+            orbit_off(mp)
             band_off(mp)
             mp.setattr(resolve, "_thin_pays", lambda d, criteria, bipartite: thin)
             results.append(kappa_route(g, workers))
@@ -1517,14 +1702,18 @@ class TestParityRoute:
 
     @pytest.mark.parametrize("f", ["grid:9x7", "cycle:40", "grid:3x40"])
     def test_scans_only_same_color_pairs(self, f, monkeypatch):
-        """Every pair either route scans past the seed is a same-color pair
-        (the sum-gap band refused, at every size)."""
+        """Every pair the scan, the thin route or the orbit route scans past
+        the seed is a same-color pair (the sum-gap band refused, at every
+        size)."""
         g = generate(parse_family(f))
         side = g.coloring
         band_off(monkeypatch)
-        for thin in (False, True):
-            monkeypatch.setattr(resolve, "_thin_pays", lambda d, criteria, bipartite: thin)
-            _, log = recorded_route(lambda: kappa_route(g))
+        for thin, orbit in ((False, False), (True, False), (False, True)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(resolve, "_thin_pays", lambda d, criteria, bipartite: thin)
+                if not orbit:
+                    orbit_off(mp)
+                _, log = recorded_route(lambda: kappa_route(g))
             scanned = [scan for scan in log if scan != "count"][-1]
             assert {side[a] == side[b] for a, b in scanned} == {True}
 
@@ -1698,7 +1887,9 @@ class TestWorstPairRouter:
     def test_whole_set_band_matches_the_dense_oracle(self):
         """With the band on for S = V, kappa, kappa' (the count band's second
         scan) and the witness stay the dense scan's, and the vertex
-        ``variant_kappa`` makes the same sum scans as ``compute_kappa``."""
+        ``variant_kappa`` makes the same sum scans as ``compute_kappa``; on
+        the grids and the cycle with the orbit route on (where the cycle,
+        one orbit, sets up no band) and off."""
         graphs = [generate(parse_family(f)) for f in ("grid:5x7", "grid:3x40", "cycle:31")]
         graphs += [plus_chord("path:60", 0, 4), plus_chord("path:61", 0, 5),
                    sparse_graph(1, 60), sparse_graph(2, 97)]
@@ -1707,15 +1898,19 @@ class TestWorstPairRouter:
         graphs.append(build_graph(15, [(0, 10), (1, 2), (1, 4), (2, 4), (2, 8), (2, 11), (3, 6),
                                        (3, 12), (3, 14), (4, 6), (4, 13), (5, 10), (5, 11), (7, 8),
                                        (7, 14), (9, 14)]))
-        with pytest.MonkeyPatch.context() as mp:
-            masks_on(mp)
-            for g in graphs:
-                (kappa, pair), kappa_prime = oracle_route(g)
-                _, wdim_log = recorded_route(lambda: variant_kappa(g, Variant.VERTEX))
-                rep, kappa_log = recorded_route(lambda: compute_kappa(g))
-                assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
-                assert variant_kappa(g, Variant.VERTEX) == (kappa, pair)
-                assert wdim_log == [scan for scan in kappa_log if scan != "count"]
+        for orbit in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                masks_on(mp)
+                if not orbit:
+                    orbit_off(mp)
+                for g in graphs:
+                    (kappa, pair), kappa_prime = oracle_route(g)
+                    _, wdim_log = recorded_route(lambda: variant_kappa(g, Variant.VERTEX))
+                    rep, kappa_log = recorded_route(lambda: compute_kappa(g))
+                    assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (
+                        kappa, kappa_prime, pair)
+                    assert variant_kappa(g, Variant.VERTEX) == (kappa, pair)
+                    assert wdim_log == [scan for scan in kappa_log if scan != "count"]
 
     def test_count_band_limit_does_not_wrap(self):
         """The count band keeps every pair counting at most c distinguishers,
@@ -1752,9 +1947,9 @@ class TestWorstPairRouter:
             monkeypatch.setattr(resolve, "_MASK_FLOOR", floor)
             calls = []
 
-            def recording(rows, reducers, workers=1, partners=None):
+            def recording(rows, reducers, workers=1, partners=None, heads=None):
                 calls.append(partners is not None)
-                return lex_min(rows, reducers, workers, partners)
+                return lex_min(rows, reducers, workers, partners, heads)
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(resolve, "lex_min", recording)
