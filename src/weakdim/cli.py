@@ -10,7 +10,6 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 import time
 
@@ -22,7 +21,7 @@ from .errors import (
     WeakDimError,
     check_k,
 )
-from .families import generate, parse_family
+from .families import _number, generate, parse_family
 from .graph import (
     Graph,
     all_pairs_distances,
@@ -61,9 +60,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 
-_K_RANGE = re.compile(r"^(-?\d+)(?:\.\.(\d+))?$")
-
-
 def _load_graph(args) -> tuple[Graph, dict]:
     if getattr(args, "family", None):
         spec = parse_family(args.family)
@@ -77,12 +73,22 @@ def _load_graph(args) -> tuple[Graph, dict]:
     return g, block
 
 
+def integer(text: str) -> int:
+    """An integer option or k bound, read by the family grammar's rule
+    (``families._number``): ASCII digits only, so that what ``int`` would
+    also take (a plus sign, spaces, underscores, other scripts' digits) is
+    malformed; a leading minus is kept for the range checks to report.
+    argparse names the function in its error ("invalid integer value")."""
+    return -_number(text[1:]) if text.startswith("-") else _number(text)
+
+
 def _parse_k_spec(text: str) -> tuple[int, int]:
-    m = _K_RANGE.match(text.strip())
-    if not m:
-        raise ParameterOutOfRange(f"bad k specification {text!r}; use K or A..B")
-    lo = int(m.group(1))
-    hi = int(m.group(2)) if m.group(2) else lo
+    lo, sep, hi = text.strip().partition("..")
+    try:
+        lo = integer(lo)
+        hi = _number(hi) if sep else lo
+    except ValueError:
+        raise ParameterOutOfRange(f"bad k specification {text!r}; use K or A..B") from None
     check_k(lo)
     if hi < lo:
         raise ParameterOutOfRange(f"bad k range {text!r}")
@@ -341,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p)
     p.add_argument(
         "--workers",
-        type=int,
+        type=integer,
         default=1,
         help="worker threads for the pair scan, capped at the CPU count (default 1)",
     )
@@ -360,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--size-cap",
-        type=int,
+        type=integer,
         default=DEFAULT_SIZE_CAP,
         help="max n for the brute engine",
     )
@@ -370,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p)
     _add_timing(p)
     p.add_argument("--set-file", required=True, help="whitespace-separated vertex ids")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=integer, required=True)
     p.add_argument(
         "--variant", choices=[v.value for v in Variant], default="vertex"
     )
@@ -379,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-lp", help="write the CPLEX-LP covering model")
     _add_input_options(p)
     _add_timing(p)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=integer, required=True)
     p.add_argument(
         "--variant", choices=[v.value for v in Variant], default="vertex"
     )

@@ -9,9 +9,9 @@ threads (path, cycle, and a spider's root and legs) and the rows of a
 grid. ``generate`` reads its edges off the runs, one rule per shape, and
 ``spec_distances`` reads each family's distances off the same runs as a
 closed form: a generated graph's ``distance_matrix`` is filled from it,
-with no BFS. ``orbit_leaders`` gives each vertex of a cycle or a grid the
-least vertex of its orbit under the spec's symmetries: the kappa scan
-reads only the pairs whose head is such a leader.
+with no BFS. ``orbit_leaders`` gives the ids of a cycle's or a grid's
+vertices that are the least of their orbit under the spec's symmetries:
+the kappa scan reads only the pairs whose head is such a leader.
 """
 
 from __future__ import annotations
@@ -237,33 +237,27 @@ def spec_distances(spec: FamilySpec, dtype) -> np.ndarray:
     return d
 
 
-def _mirrors(spec: FamilySpec) -> list[np.ndarray]:
-    """The symmetries of grid ``spec`` that ``orbit_leaders`` reads, each as
-    the image of every vertex: the 4 mirror images of (i, j), the identity
-    among them, and, when q = r, the transpose of each (8 images)."""
-    q, r = spec.q, spec.r
-    i, j = np.divmod(np.arange(q * r), r)
-    images = [(a, b) for a in (i, q - 1 - i) for b in (j, r - 1 - j)]
-    if q == r:
-        images += [(b, a) for a, b in images]
-    return [a * r + b for a, b in images]
-
-
 def orbit_leaders(spec: FamilySpec) -> np.ndarray | None:
-    """For each vertex of ``generate(spec)``, the least vertex of its orbit
-    under the spec's symmetries, each an automorphism of the graph:
+    """The ascending ids of the vertices of ``generate(spec)`` that are the
+    least of their orbit under the spec's symmetries, each an automorphism
+    of the graph:
 
-    cycle  0 for every vertex (the rotations)
-    grid   the least of its images under ``_mirrors``, which form a group
+    cycle  [0]: the rotations make one orbit
+    grid   every (i, j) with 2i < q and 2j < r, and i <= j when q = r: the
+           mirrors fold i toward the nearer of 0 and q - 1 and j toward
+           the nearer of 0 and r - 1, and on a square grid the transpose
+           puts the smaller coordinate first
 
     None on the other kinds: paths, stars and spiders are trees, and K_n
     and kqr have twins, so kappa is answered before any scan that could
     read the leaders.
     """
     if spec.kind == "cycle":
-        return np.zeros(spec.n, dtype=np.intp)
+        return np.zeros(1, dtype=np.intp)
     if spec.kind == "grid":
-        return np.min(_mirrors(spec), axis=0)
+        q, r = spec.q, spec.r
+        i, j = np.divmod(np.arange(q * r), r)
+        return np.flatnonzero((2 * i < q) & (2 * j < r) & ((i <= j) | (q != r)))
     return None
 
 

@@ -43,23 +43,25 @@ pair sums to at least |S|, with exactly |S| distinguishers. An adjacent
 pair, whose terms are each at most d(x, y) = 1, sums to exactly |S|. So
 min delta_S = min(|S|, the even-pair minimum), and only the same-color
 pairs are scanned. The hit is the ``min`` of the even scan's hit and the
-first odd pair at |S|: (0, min adj[0]) sums to |S| and every pair with a
-head above 0 comes after it, so that pair is the first (0, b),
-b <= min adj[0], of the other color that sums to |S|, read off one row
-prefix (``_odd_hits``). For S != V it need not be adjacent: on the path
-0 - 3 - 2 - 1 with S = {3}, (0, 1) sums to 1 = |S|. For S = V it is
-(0, min adj[0]): an odd pair at distance L >= 3 sums to at least
-n - 2 + 2L > n, as x and y add L each.
+lex-first odd pair at |S|: (0, min adj[0]) sums to |S| and every pair
+with a head above 0 comes after it, so that pair is the lex-first
+minimizer of one ``lex_min`` over the pairs (0, b), b <= min adj[0], of
+the other color (``_odd_pairs``), each of which sums to at least |S|.
+For S != V it need not be adjacent: on the path 0 - 3 - 2 - 1 with
+S = {3}, (0, 1) sums to 1 = |S|. For S = V it is (0, min adj[0]): an odd
+pair at distance L >= 3 sums to at least n - 2 + 2L > n, as x and y add
+L each.
 
 Sum gap (any variant). Let sigma_S(x) be the sum of item x's row over S.
 Then |sigma_S(x) - sigma_S(y)| = |sum over s of (r_x(s) - r_y(s))| <=
 delta_S(x, y). Any pair's sum u (the seed) is at least the minimum, so a
 pair whose gap exceeds u sums above the minimum: the band of the pairs
 with a gap of at most u holds the minimum and every pair that ties it,
-and so the lex-first one. The seed is the least sum of the adjacent
-pairs, of each item and the next two in sigma order, and, on the vertex
-variant, of the twin pairs: twins x, y are equidistant from every other
-vertex and d(x, y) = t (1 for true twins, 2 for false ones), so
+and so the lex-first one. The seed is the least sum that one ``lex_min``
+finds over one lex-ordered pair list (the adjacent pairs, and each item
+with the next two in sigma order), or, on the vertex variant, the twin
+pairs' closed form where lower: twins x, y are equidistant from every
+other vertex and d(x, y) = t (1 for true twins, 2 for false ones), so
 delta_S(x, y) = t ([x in S] + [y in S]), read off the twin classes. For
 the count of a vertex pair, each term |d(x, s) - d(y, s)| is at most
 d(x, y) by the triangle inequality and only the count of them are
@@ -99,8 +101,9 @@ hit is the first edge, (0, min adj[0]), with no scan. Elsewhere an edge
 sums to at least its sum gap, and the scan reads only the edges with a
 gap of at most 4 (``_twin_route_partners``).
 
-Orbits (S = V, a family spec with symmetries; ``families.orbit_leaders``).
-An automorphism phi preserves d, so delta_V and the distinguisher count
+Orbits (S = V, a family spec with symmetries; ``families.orbit_leaders``
+gives the ascending leader ids, a ``lex_min`` head subset). An
+automorphism phi preserves d, so delta_V and the distinguisher count
 are constant on each pair orbit, and so are parity, the row sums sigma
 and with them the sum-gap and count bands: each mask keeps a union of
 pair orbits. Take the lex-first minimizer (x, y) of either criterion
@@ -671,33 +674,28 @@ def _sum_band(g: Graph, variant: Variant, rows: np.ndarray, S: Sequence[int]) ->
     the columns; it is None when the pairs with a gap of at most ``seed``
     (counted off the sorted sums) are more than ``_BAND_SHARE`` of all.
     The seed is a pair sum, so the band holds every pair that reaches or
-    ties the minimum: the least sum of the adjacent vertex pairs (vertex
-    and mixed variants, whose first items are the vertices), of each item
-    and the next two in sigma order (near sums make near rows likely),
-    and, on the vertex variant, of the twin pairs (``_twin_hit``)."""
+    ties the minimum: the least sum, by one ``lex_min`` over one pair list,
+    of the adjacent vertex pairs (vertex and mixed variants, whose first
+    items are the vertices) and of each item and the next two in sigma
+    order (near sums make near rows likely), and, on the vertex variant,
+    of the twin pairs (``_twin_hit``)."""
     sigma = pair_sum(rows)
     order = np.argsort(sigma, kind="stable")
     a, b = np.concatenate([order[:-1], order[:-2]]), np.concatenate([order[1:], order[2:]])
-    (hit,) = ([None] if variant == Variant.EDGE
-              else lex_min(rows, [pair_sum], partners=_edge_pairs(g)))
-    step = max(1, _PAIR_BATCH // max(1, rows.shape[1]))
-    near = min(int(pair_sum(_abs_diff(rows[b[i:i + step]], rows[a[i:i + step]])).min())
-               for i in range(0, len(a), step))
+    if variant != Variant.EDGE:
+        heads, tails = _edge_pairs(g)
+        a, b = np.concatenate([heads, a]), np.concatenate([tails, b])
+    # each pair once, as (lower, higher), in lex order: a sort and a step test
+    # (np.unique took 10x as long on 6,300 keys, numpy 2.4)
+    keys = np.sort(np.minimum(a, b) * len(rows) + np.maximum(a, b))
+    (hit,) = lex_min(rows, [pair_sum], partners=np.divmod(keys[np.diff(keys, prepend=-1) > 0],
+                                                           len(rows)))
     twin = _twin_hit(g, set(S)) if variant == Variant.VERTEX else None
-    seed = _least(hit and hit[0], near, twin and twin[0])
+    seed = _least(hit[0], twin and twin[0])
     ranked = sigma[order]
     kept = np.searchsorted(ranked, ranked + seed, side="right") - np.arange(1, len(rows) + 1)
     share = int(kept.sum()) / (len(rows) * (len(rows) - 1) // 2)
     return sigma if share <= _BAND_SHARE else None, seed
-
-
-def _leaders(g: Graph) -> np.ndarray | None:
-    """The vertices below n - 1 that lead their orbit under the symmetries
-    of the graph's family spec (``families.orbit_leaders``), ascending: a
-    ``lex_min`` head subset. None on a graph without a spec and on the
-    kinds that have no leaders."""
-    leader = None if g.family is None else orbit_leaders(g.family)
-    return None if leader is None else np.flatnonzero(leader[:-1] == np.arange(g.n - 1))
 
 
 def _both(first, second):
@@ -750,16 +748,17 @@ def _twin_hit(g: Graph, S: Collection[int]) -> tuple | None:
                     for pair in [sorted(grp, key=lambda v: (v in S, v))[:2]]))
 
 
-def _odd_hits(g: Graph, rows: np.ndarray, reducer, sizes: Iterable[int]) -> list:
-    """Per value column of ``reducer`` (one per set S, of the sizes given),
-    ``(|S|, (0, b))`` for the first b of the other color than vertex 0 whose
-    pair sums to |S|: on a bipartite graph, the lex-first odd pair at |S|.
-    It lies at or before (0, min adj[0]), which sums to |S|."""
+def _odd_pairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """``lex_min`` pair list of the pairs (0, b), b <= min adj[0], with b of
+    the other color than vertex 0, on a bipartite graph. Over any set S
+    each is an odd pair, which sums to at least |S|, and (0, min adj[0]),
+    the last, sums to exactly |S| (module docstring, Parity). So the
+    list's least sum is |S|, and its lex-first minimizer is the lex-first
+    odd pair at |S|: every odd pair with a head above 0 comes after
+    (0, min adj[0])."""
     side = g.coloring
-    others = np.flatnonzero(side[1:g.adjacency[0][0] + 1] != side[0]) + 1
-    vals = reducer(_abs_diff(rows[others], rows[0])).reshape(len(others), -1)
-    return [(size, (0, int(others[int(np.argmax(column == size))])))
-            for size, column in zip(sizes, vals.T)]
+    b = np.flatnonzero(side[1:g.adjacency[0][0] + 1] != side[0]) + 1
+    return np.zeros_like(b), b
 
 
 def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
@@ -785,9 +784,10 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
        (``_twin_route_partners``). Any twins give kappa' = 2.
     2. Up to ``_MASK_FLOOR`` entries (item pairs x |S|) the set is one
        plain scan. Above it S = V on a graph with orbit leaders (a cycle
-       or a grid from its family spec, ``_leaders``) has every scan take
-       only the pairs with a leader head, and the checks below count only
-       those pairs; a cycle, one orbit, sets up no band.
+       or a grid from its family spec, whose ``families.orbit_leaders``
+       gives their ids) has every scan but the seed's and the odd pairs'
+       take only the pairs with a leader head, and the checks below count
+       only those pairs; a cycle, one orbit, sets up no band.
     3. Above the floor the scan reads only the pairs in both masks:
        parity (vertex variant, bipartite graph), and the sum-gap band of
        ``_sum_band`` when it keeps at most ``_BAND_SHARE`` of the pairs.
@@ -796,17 +796,17 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
        pairs whose geodesic bound is at most the band's seed,
        kappa' = n - max eq. With leaders kappa' comes from the scan.
     4. Every other set check is the set scan. On either, with parity the
-       hit is the ``min`` of the scan's and the first odd pair at |S|
-       (``_odd_hits``), and the count at most |S|. With the band the
-       count is a second scan, over the pairs with
+       hit is the ``min`` of the scan's and the lex-first odd pair at
+       |S|, a ``lex_min`` over ``_odd_pairs``, and the count at most |S|.
+       With the band the count is a second scan, over the pairs with
        |sigma(x) - sigma(y)| <= c d(x, y), c the witness's count: each
        nonzero term of the gap is at most d(x, y), so a pair outside
        counts more than c distinguishers.
 
     Two or more sets take one ``_ChainSums`` scan of the union of their
     columns, over the same-color pairs of a bipartite graph above
-    ``_MASK_FLOOR``, each set's hit then the ``min`` with its first odd
-    pair at |S|.
+    ``_MASK_FLOOR``, each set's hit then the ``min`` with its lex-first
+    odd pair at |S|, from one ``_ChainSums`` scan over ``_odd_pairs``.
     """
     bases = [list(S) for S in bases]
     vertex = variant == Variant.VERTEX
@@ -829,9 +829,12 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
             if hit is not None:
                 return [(hit, 2 if count else None)]
         _, rows = _item_rows(g, variant)
-        rows = rows if len(S) == g.n else rows[:, S]  # the whole set reads the rows, no copy
+        # the whole set reads the rows, no copy; a subset takes its columns in
+        # row-major order, which every ``lex_min`` call then reads uncopied
+        rows = rows if len(S) == g.n else rows.take(S, axis=1)
         pairs = len(rows) * (len(rows) - 1) // 2
-        leaders = _leaders(g) if kappa and pairs * len(S) > _MASK_FLOOR else None
+        spec = g.family if kappa and pairs * len(S) > _MASK_FLOOR else None
+        leaders = None if spec is None else orbit_leaders(spec)
         same = sigma = bound = None
         if leaders is not None:
             pairs = int((g.n - 1 - leaders).sum())  # the pairs with a leader head
@@ -849,7 +852,7 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
                                 else [pair_sum], workers, _both(same, bound), heads=leaders)
         least = counted[0][0] if counted and counted[0] else None
         if same is not None:
-            hit = _least(hit, *_odd_hits(g, rows, pair_sum, [len(S)]))
+            hit = _least(hit, *lex_min(rows, [pair_sum], workers, _odd_pairs(g)))
         if count and sigma is not None:
             a, b = hit[1]
             witness = int(np.count_nonzero(rows[a] != rows[b]))
@@ -866,12 +869,13 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
     pairs = len(rows) * (len(rows) - 1) // 2
     # column 0 stands in for the union of empty sets; only sign-0 entries read it
     union = sorted(set().union(*bases)) or [0]
-    rows = rows[:, union]
+    rows = rows.take(union, axis=1)
     reducer = _ChainSums(bases, union)
     parity = vertex and g.coloring is not None and pairs * len(union) > _MASK_FLOOR
     (hits,) = lex_min(rows, [reducer], workers, _same_color(g.coloring) if parity else None)
     if parity:
-        hits = [_least(*both) for both in zip(hits, _odd_hits(g, rows, reducer, map(len, bases)))]
+        (odd,) = lex_min(rows, [reducer], workers, _odd_pairs(g))
+        hits = [_least(*both) for both in zip(hits, odd)]
     return [(hit, None) for hit in hits]
 
 

@@ -120,12 +120,13 @@ class TestKappaCommand:
 
         monkeypatch.setattr(resolve, "lex_min", recording)
         # twin-free with many equidistant pairs, so kappa takes the threaded
-        # scans over the sum-gap band (sum and count) after its seed scan
+        # scans over the sum-gap band (sum and count) after its seed scan, and
+        # the odd pairs' scan, a pair list, gets the workers between them
         report = run_json(capsys, "kappa", "--family", "grid:12x12", "--workers", "5000")
-        assert requested == [1, 2, 2]
+        assert requested == [1, 2, 2, 2]
         assert report["stats"]["workers"] == 2
         one = run_json(capsys, "kappa", "--family", "grid:12x12", "--workers", "1")
-        assert requested == [1, 2, 2, 1, 1, 1]
+        assert requested == [1, 2, 2, 2, 1, 1, 1, 1]
         assert one["results"] == report["results"]
         assert one["stats"]["workers"] == 1
 
@@ -585,12 +586,44 @@ class TestErrors:
         ("-2", "k must be positive, got -2"),
         ("3..2", "bad k range '3..2'"),
         ("2..x", "bad k specification '2..x'; use K or A..B"),
+        # ASCII digits only, as in the family grammar
+        ("\uff13", "bad k specification '\uff13'; use K or A..B"),
+        ("1..\u0663", "bad k specification '1..\u0663'; use K or A..B"),
+        ("1_0", "bad k specification '1_0'; use K or A..B"),
+        ("+3", "bad k specification '+3'; use K or A..B"),
     ])
     def test_k_spec_checked_before_the_graph_loads(self, capsys, monkeypatch, spec, message):
         """A bad ``wdim --k`` is reported before the file is read."""
         monkeypatch.setattr(cli, "load_edgelist", lambda _: pytest.fail("graph loaded"))
         code, out, err = run_cli(capsys, "wdim", "--file", "/nonexistent/g.txt", "--k", spec)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command, value", [
+        (["verify", "--family", "path:4", "--set-file", "s.txt", "--k"], "1_0"),
+        (["verify", "--family", "path:4", "--set-file", "s.txt", "--k"], "+3"),
+        (["verify", "--family", "path:4", "--set-file", "s.txt", "--k"], "\uff13"),
+        (["export-lp", "--family", "path:4", "--out", "-", "--k"], "1_0"),
+        (["kappa", "--family", "cycle:9", "--workers"], "1_0"),
+        (["kappa", "--family", "cycle:9", "--workers"], "\u0663"),
+        (["wdim", "--family", "path:4", "--k", "1", "--size-cap"], "+3"),
+    ])
+    def test_integer_options_take_ascii_digits_only(self, capsys, command, value):
+        """The family grammar's rule: what ``int`` would also take (an
+        underscore, a plus sign, other scripts' digits) is an argparse
+        error, exit 2, before any graph loads."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + [value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and f"invalid integer value: {value!r}" in err
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--family", "path:4", "--set-file", "/nonexistent/s.txt"],
+        ["export-lp", "--family", "path:4", "--out", "-"],
+    ])
+    def test_negative_k_option_is_out_of_range(self, capsys, command):
+        """A leading minus still parses, so the range check reports it."""
+        code, out, err = run_cli(capsys, *command, "--k", "-1")
+        assert (code, out, err) == (2, "", "error: k must be positive, got -1\n")
 
     def test_formula_engine_on_non_vertex_variant(self, capsys):
         code, _, _ = run_cli(

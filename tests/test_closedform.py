@@ -13,6 +13,7 @@ from conftest import family_corpus, random_tree_corpus
 from weakdim import (
     FormulaNotCovered,
     KaboveKappa,
+    ParameterOutOfRange,
     Variant,
     build_graph,
     cli,
@@ -146,6 +147,11 @@ class TestWdimFormula:
 
 
 class TestGridMachinery:
+    @pytest.mark.parametrize("q, r", [(1, 5), (5, 1)])
+    def test_labeling_needs_two_rows_and_columns(self, q, r):
+        with pytest.raises(ParameterOutOfRange, match=f"grid needs q, r >= 2, got {q}x{r}"):
+            grid_border_labeling(q, r)
+
     def test_labeling_size_and_order(self):
         lab = grid_border_labeling(6, 4)
         assert len(lab.order) == 2 * 6 + 2 * 4 - 4

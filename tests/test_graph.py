@@ -23,6 +23,8 @@ from conftest import (
 from weakdim import (
     DuplicateEdge,
     EdgeListFormatError,
+    FamilySpec,
+    Graph,
     InvalidFamilyParameters,
     NotConnected,
     SelfLoop,
@@ -75,6 +77,10 @@ class TestBuildGraph:
     def test_out_of_range_rejected(self):
         with pytest.raises(VertexOutOfRange):
             build_graph(3, [(0, 3)])
+
+    def test_no_vertices_rejected(self):
+        with pytest.raises(VertexOutOfRange, match="need at least one vertex, got n=0"):
+            Graph(0, [])
 
     def test_adjacency_sorted_and_symmetric(self):
         g = build_graph(4, [(2, 0), (3, 1), (1, 0), (3, 2)])
@@ -400,6 +406,10 @@ class TestGenerators:
         with pytest.raises(InvalidFamilyParameters):
             parse_family(text)
 
+    def test_spec_of_an_unknown_kind_rejected(self):
+        with pytest.raises(InvalidFamilyParameters, match="unknown family kind 'foo'"):
+            FamilySpec("foo")
+
     def test_family_grammar_round_trip(self):
         for text in ["path:7", "cycle:9", "star:5", "complete:4",
                      "kqr:2,3", "spider:1,2,5", "grid:6x4"]:
@@ -551,6 +561,18 @@ class TestEdgeListFormat:
             parse_edgelist("2 1\n0 1 7\n")
         with pytest.raises(EdgeListFormatError):
             parse_edgelist("x y\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty edge-list input"),
+        ("# a comment\n\n", "empty edge-list input"),
+        ("3\n", "header must be 'n m', got '3'"),
+        ("2 1 0\n0 1\n", "header must be 'n m', got '2 1 0'"),
+        ("2 1\n0 x\n", "non-integer edge line '0 x'"),
+    ])
+    def test_rejected_text(self, text, message):
+        with pytest.raises(EdgeListFormatError) as exc:
+            parse_edgelist(text)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("text", ["100000000 0\n", "100000000 1\n0 1\n"])
     def test_vertex_count_past_the_edges_fails_fast(self, text):

@@ -581,7 +581,7 @@ def band_off(mp):
 def orbit_off(mp):
     """Send cycles and grids made from a family spec to the routes a file
     takes: the router finds no orbit leaders on any graph."""
-    mp.setattr(resolve, "_leaders", lambda g: None)
+    mp.setattr(resolve, "orbit_leaders", lambda spec: None)
 
 
 def kappa_route(g, workers=1):
@@ -877,15 +877,16 @@ class TestThinRoute:
         for f in ["path:130", "cycle:131", "spider:40,45,50", "grid:3x40"]]
         + [chorded("path:130", 0, 4), chorded("spider:40,45,50", 40, 135)])
     def test_filter_drops_only_pairs_over_the_seed(self, g, monkeypatch):
-        """The band's seed is at most the least sum of the adjacent pairs,
-        which its seed scan reads; the thin route's sum scan then drops
-        exactly the pairs whose geodesic bound (t + 1)^2 // 2, for
-        t = d(x, y), exceeds the seed, and each dropped pair sums above it;
-        on bipartite graphs, where every adjacent pair sums to n, the scan
-        also drops exactly the odd pairs, each with sum at least n and n
-        distinguishers. The trees take the route with the tree route off,
-        the cycle and the grid with the orbit route off, and every graph
-        with the sum-gap band refused."""
+        """The band's seed is the least sum of its seed scan's pair list,
+        which holds every adjacent pair, so at most their least sum; the
+        thin route's sum scan then drops exactly the pairs whose geodesic
+        bound (t + 1)^2 // 2, for t = d(x, y), exceeds the seed, and each
+        dropped pair sums above it; on bipartite graphs, where every
+        adjacent pair sums to n, the scan also drops exactly the odd pairs,
+        each with sum at least n and n distinguishers, and a last scan
+        reads the odd pairs of ``_odd_pairs``. The trees take the route
+        with the tree route off, the cycle and the grid with the orbit
+        route off, and every graph with the sum-gap band refused."""
         monkeypatch.setattr(resolve, "_SCAN_FLOOR", 0)
         tree_route_off(monkeypatch)
         orbit_off(monkeypatch)
@@ -907,16 +908,19 @@ class TestThinRoute:
         monkeypatch.setattr(resolve, "lex_min", recording)
         monkeypatch.setattr(resolve, "_sum_band", banding)
         kappa_route(g)
-        (seed_reducers, adjacent, [(least_adjacent, _)]), (reducers, kept, _) = seen
+        (seed_reducers, seeded, [(least_seeded, _)]), (reducers, kept, _), *odd = seen
         (seed,) = seeds
         assert seed_reducers == reducers == ["pair_sum"]
-        assert adjacent == set(g.edges())
-        assert seed <= least_adjacent
+        assert set(g.edges()) <= seeded
         d = plain_distances(g)
         D = np.array(d, dtype=np.int64)
+        least_adjacent = min(int(np.abs(D[x] - D[y]).sum()) for x, y in g.edges())
+        assert seed == least_seeded <= least_adjacent
         bipartite = all((d[0][u] - d[0][v]) % 2 for u, v in g.edges())
         assert bipartite == (g.coloring is not None)
         assert not bipartite or least_adjacent == g.n
+        assert [pairs for _, pairs, _ in odd] == (
+            [set(listed_pairs(resolve._odd_pairs(g), g.n))] if bipartite else [])
         for x, y in combinations(range(g.n), 2):
             bound = (d[x][y] + 1) ** 2 // 2
             odd = bipartite and d[x][y] % 2 == 1
@@ -1179,11 +1183,18 @@ def orbit_closure(maps, n):
 
 
 def spec_symmetries(spec):
-    """The maps the orbit leaders are read from: the rotation by one on a
-    cycle (its powers are the rotations), the mirror images on a grid."""
+    """The spec's symmetries, each as the image of every vertex: the
+    rotation by one on a cycle (its powers are the rotations); on a grid
+    the 4 mirror images of (i, j), the identity among them, and, when
+    q = r, the transpose of each."""
     if spec.kind == "cycle":
         return [(np.arange(spec.n) + 1) % spec.n]
-    return families._mirrors(spec)
+    q, r = spec.q, spec.r
+    i, j = np.divmod(np.arange(q * r), r)
+    images = [(a, b) for a in (i, q - 1 - i) for b in (j, r - 1 - j)]
+    if q == r:
+        images += [(b, a) for a, b in images]
+    return [a * r + b for a, b in images]
 
 
 class TestOrbitRoute:
@@ -1222,9 +1233,10 @@ class TestOrbitRoute:
                                    "grid:2x7", "grid:7x2", "grid:3x8", "grid:8x3", "grid:5x5",
                                    "grid:6x6", "grid:9x12", "grid:12x9"])
     def test_symmetries_are_automorphisms(self, f):
-        """Each map the leaders are read from permutes the vertices and maps
-        the edge set of ``generate(spec)`` onto itself; the leader of v is
-        the least vertex of v's orbit under them, so at most v."""
+        """Each of the spec's symmetries permutes the vertices and maps the
+        edge set of ``generate(spec)`` onto itself, and the leaders are
+        exactly the vertices that are the least of their orbit under
+        them, ascending."""
         spec = parse_family(f)
         g = generate(spec)
         edges = set(g.edges())
@@ -1232,9 +1244,8 @@ class TestOrbitRoute:
         for image in maps:
             assert sorted(image.tolist()) == list(range(g.n))
             assert {tuple(sorted((int(image[u]), int(image[v])))) for u, v in edges} == edges
-        leader = families.orbit_leaders(spec)
-        assert leader.tolist() == orbit_closure(maps, g.n)
-        assert (leader <= np.arange(g.n)).all()
+        least = orbit_closure(maps, g.n)
+        assert families.orbit_leaders(spec).tolist() == [v for v in range(g.n) if least[v] == v]
         assert len(maps) == (1 if spec.kind == "cycle" else 8 if spec.q == spec.r else 4)
 
     @pytest.mark.parametrize("f", ["path:9", "star:7", "complete:6", "kqr:3,4", "spider:1,2,3"])
@@ -1272,7 +1283,8 @@ class TestOrbitRoute:
     def test_cycle_scans_one_row(self, f, monkeypatch):
         """A cycle is one orbit: one scan of the pairs (0, y), of the even y on
         an even cycle (parity), gives kappa and kappa', with no band (every
-        row sums the same), no equidistant count and no thread."""
+        row sums the same), no equidistant count and no thread; an even
+        cycle adds the odd pairs' scan of (0, 1), a pair list."""
         def refuse(*args, **kwargs):
             raise AssertionError("the orbit scan of one head started threads")
 
@@ -1282,18 +1294,20 @@ class TestOrbitRoute:
         rep, log = recorded_route(lambda: compute_kappa(g, workers=2))
         assert rep == expected
         step = 2 if g.coloring is not None else 1
-        assert log == [[(0, y) for y in range(step, g.n, step)]]
+        assert log == [[(0, y) for y in range(step, g.n, step)]] + [[(0, 1)]] * (step - 1)
 
     def test_grid_scans_leader_heads(self):
-        """On ``grid:24x24`` the band's seed scans the edges, and the sum and
-        count scans after it read only pairs with a leader head."""
+        """On ``grid:24x24`` the band's seed scans a pair list that holds
+        every edge, the sum and count scans after it read only pairs with a
+        leader head, and the odd pairs' scan comes between them."""
         g = generate(parse_family("grid:24x24"))
-        leader = families.orbit_leaders(g.family)
+        leaders = set(families.orbit_leaders(g.family).tolist())
         rep, log = recorded_route(lambda: compute_kappa(g))
         assert rep == compute_kappa(build_graph(g.n, g.edges()))
-        seed, scan, counted = log
-        assert seed == g.edges() and counted == "count"
-        assert scan and all(leader[a] == a for a, _ in scan)
+        seed, scan, odd, counted = log
+        assert set(g.edges()) <= set(seed) and counted == "count"
+        assert odd == listed_pairs(resolve._odd_pairs(g), g.n)
+        assert scan and all(a in leaders for a, _ in scan)
 
 
 def relabelled(g, rng):
@@ -1704,7 +1718,8 @@ class TestParityRoute:
     def test_scans_only_same_color_pairs(self, f, monkeypatch):
         """Every pair the scan, the thin route or the orbit route scans past
         the seed is a same-color pair (the sum-gap band refused, at every
-        size)."""
+        size), and the last scan reads only the odd pairs of
+        ``_odd_pairs``."""
         g = generate(parse_family(f))
         side = g.coloring
         band_off(monkeypatch)
@@ -1714,8 +1729,9 @@ class TestParityRoute:
                 if not orbit:
                     orbit_off(mp)
                 _, log = recorded_route(lambda: kappa_route(g))
-            scanned = [scan for scan in log if scan != "count"][-1]
+            *_, scanned, odd = [scan for scan in log if scan != "count"]
             assert {side[a] == side[b] for a, b in scanned} == {True}
+            assert odd == listed_pairs(resolve._odd_pairs(g), g.n)
 
     def test_workers_split_the_parity_scan(self, monkeypatch):
         """Both scans over the sum-gap band, the sum's and the count's, are
@@ -1791,6 +1807,29 @@ def path_with_a_far_tie():
     return build_graph(4, [(0, 3), (2, 3), (1, 2)])
 
 
+def separate_minima_band(g, variant, rows, S):
+    """``(sigma, seed)`` of the sum-gap band, each minimum on its own by a
+    plain sum: the seed is the least of the edges' sums (vertex and mixed
+    variants), the sums of each item and the next two in sigma order, and
+    the twin hit (vertex variant); sigma is None when the pairs with a gap
+    of at most the seed, counted pair by pair, are more than
+    ``_BAND_SHARE`` of all."""
+    R = np.array(rows, dtype=np.int64)
+    sigma = R.sum(axis=1)
+    order = np.argsort(sigma, kind="stable").tolist()
+    pairs = list(zip(order, order[1:])) + list(zip(order, order[2:]))
+    pairs += g.edges() if variant != Variant.EDGE else []
+    seed = min(int(np.abs(R[a] - R[b]).sum()) for a, b in pairs)
+    twin = plain_twin_hit(g, S) if variant == Variant.VERTEX else None
+    seed = min(seed, twin[0]) if twin else seed
+    kept = int(np.triu(np.abs(sigma[:, None] - sigma) <= seed, 1).sum())
+    return (sigma if kept / (len(R) * (len(R) - 1) // 2) <= resolve._BAND_SHARE else None), seed
+
+
+def bipartite_router_graphs():
+    return [p for p in router_graphs() + parity_graphs() if p.values[0].coloring is not None]
+
+
 class TestWorstPairRouter:
     """``_worst_pairs`` answers every set check with the value and lex-first
     pair of the plain scan, through whichever masks it takes: parity on
@@ -1822,11 +1861,14 @@ class TestWorstPairRouter:
 
     def test_odd_tie_at_distance_three(self):
         """An odd pair at distance 3 can sum to |S| before the first adjacent
-        pair: the odd hit is read off row 0 up to (0, min adj[0])."""
+        pair: the odd hit is the lex-first minimizer over the pairs (0, b),
+        b <= min adj[0], of the other color."""
         g = path_with_a_far_tie()
         d = g.distance_matrix
-        assert resolve._odd_hits(g, d[:, [3]], pair_sum, [1]) == [(1, (0, 1))]
-        assert resolve._odd_hits(g, d[:, [1, 2, 3]], pair_sum, [3]) == [(3, (0, 3))]
+        odd = resolve._odd_pairs(g)
+        assert listed_pairs(odd, g.n) == [(0, 1), (0, 3)]
+        assert lex_min(d[:, [3]], [pair_sum], partners=odd) == [(1, (0, 1))]
+        assert lex_min(d[:, [1, 2, 3]], [pair_sum], partners=odd) == [(3, (0, 3))]
         with pytest.MonkeyPatch.context() as mp:
             masks_on(mp)
             self.check_sets(g, [[3], [1, 2, 3], [0, 3], [2]])
@@ -1936,9 +1978,10 @@ class TestWorstPairRouter:
     def test_tiny_inputs_keep_the_plain_scan(self, monkeypatch):
         """A check of at most ``_MASK_FLOOR`` entries (item pairs x columns)
         is one ``lex_min`` call over every pair; one entry more takes the
-        seed scan and a masked scan. The bnb-sweep sizes (n <= 24, so at most
-        276 x 24 entries, for a set or the whole vertex set's band) stay
-        below."""
+        seed scan, a masked scan and, on this bipartite grid, the odd pairs'
+        scan, and a sweep the masked scan and the odd pairs'. The bnb-sweep
+        sizes (n <= 24, so at most 276 x 24 entries, for a set or the whole
+        vertex set's band) stay below."""
         assert 276 * 24 <= resolve._MASK_FLOOR
         g = generate(parse_family("grid:6x6"))
         S = list(range(0, 36, 3))
@@ -1955,9 +1998,64 @@ class TestWorstPairRouter:
                 mp.setattr(resolve, "lex_min", recording)
                 worst = certificate_for(g, Variant.VERTEX, S)
                 sweep = certificates_for(g, Variant.VERTEX, [S, S[:4]])
-            assert calls == ([True, True, True] if masked else [False, False])
+            assert calls == ([True] * 5 if masked else [False, False])
             (total, pair), _ = dense_lex_min(plain_distances(g), S)
             assert worst == sweep[0] == Certificate(*pair, total)
+
+    @pytest.mark.parametrize("g", router_graphs() + parity_graphs())
+    def test_sum_band_matches_the_separate_minima(self, g, monkeypatch):
+        """At every band set-up, with the mask floor opened, of kappa, each
+        variant's kappa, random set checks and a sweep, ``_sum_band``'s
+        one ``lex_min`` over one pair list gives the seed, sigma and band
+        decision of the separate minima; and the router still gives the
+        dense scan's kappa."""
+        monkeypatch.setattr(resolve, "_MASK_FLOOR", 0)
+        sum_band = resolve._sum_band
+        variants = []
+
+        def checking(g, variant, rows, S):
+            sigma, seed = sum_band(g, variant, rows, S)
+            expected_sigma, expected_seed = separate_minima_band(g, variant, rows, S)
+            assert seed == expected_seed
+            assert (sigma is None) == (expected_sigma is None)
+            assert sigma is None or sigma.tolist() == expected_sigma.tolist()
+            variants.append(variant)
+            return sigma, seed
+
+        monkeypatch.setattr(resolve, "_sum_band", checking)
+        tree_route_off(monkeypatch)
+        (kappa, pair), kappa_prime = oracle_route(g)
+        rep = compute_kappa(g)
+        assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
+        rng = random.Random(g.n)
+        sets = [sorted(rng.sample(range(g.n), rng.randint(1, g.n))) for _ in range(3)]
+        for variant in Variant:
+            variant_kappa(g, variant)
+            for S in sets:
+                certificate_for(g, variant, S)
+        certificates_for(g, Variant.VERTEX, sets)
+        assert Variant.VERTEX in variants and Variant.MIXED in variants
+
+    @pytest.mark.parametrize("g", bipartite_router_graphs())
+    def test_odd_pairs_give_the_plain_odd_minimum(self, g):
+        """On a bipartite graph, for the whole vertex set and random sets,
+        ``lex_min`` over ``_odd_pairs`` with ``pair_sum``, and with one
+        ``_ChainSums`` over all the sets, gives the lex-first minimizer over
+        every odd pair by a plain scan, at |S|."""
+        D = np.array(plain_distances(g), dtype=np.int64)
+        rng = random.Random(g.n)
+        sets = [list(range(g.n))] + [sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+                                     for _ in range(4)]
+        odd = [(x, y) for x, y in combinations(range(g.n), 2) if D[x, y] % 2]
+        expected = [min((int(np.abs(D[x, S] - D[y, S]).sum()), (x, y)) for x, y in odd)
+                    for S in sets]
+        assert [value for value, _ in expected] == [len(S) for S in sets]
+        pairs = resolve._odd_pairs(g)
+        for S, hit in zip(sets, expected):
+            assert lex_min(g.distance_matrix[:, S], [pair_sum], partners=pairs) == [hit]
+        union = sorted(set().union(*sets))
+        assert lex_min(g.distance_matrix[:, union], [resolve._ChainSums(sets, union)],
+                       partners=pairs) == [expected]
 
     def test_chain_sums_widen_past_int32(self):
         """The sweep reducer sums in int32 only while width x the dtype's

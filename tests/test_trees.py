@@ -173,6 +173,24 @@ class TestTreeBasis:
             tree_basis(g, 5)
 
 
+@pytest.mark.parametrize("call, raised", [
+    (lambda: tree_basis(generate(path(2)), 1), WrongTreeClass),
+    (lambda: tree_basis(generate(spider(3, 4, 5)), 1), WrongTreeClass),
+    (lambda: spider3_basis(generate(path(5)), 1), WrongTreeClass),
+    (lambda: spider3_basis(DOUBLE_SPIDER, 1), WrongTreeClass),
+    (lambda: decompose_tree(generate(cycle(3))), NotATree),
+    (lambda: delta_tree_pair(generate(cycle(3)), 0, 1, [2]), NotATree),
+], ids=["tree_basis-path:2", "tree_basis-spider:3,4,5", "spider3_basis-path:5",
+        "spider3_basis-two-roots", "decompose_tree-cycle:3", "delta_tree_pair-cycle:3"])
+def test_wrong_tree_inputs_raise(call, raised):
+    """Each tree routine rejects a graph outside its class: a path or a
+    three-thread spider for ``tree_basis``, any other tree for
+    ``spider3_basis``, and a cycle for the thread decomposition and the
+    path-split sum."""
+    with pytest.raises(raised):
+        call()
+
+
 class TestSpider3Basis:
     def test_star_two_leaves(self):
         g = generate(spider(1, 1, 1))
