@@ -21,11 +21,12 @@ from .errors import (
     WeakDimError,
     check_k,
 )
-from .families import _number, generate, parse_family
+from .families import generate, parse_family
 from .graph import (
     Graph,
     all_pairs_distances,
     format_edgelist,
+    integer,
     load_edgelist,
     parse_vertex_set,
     twin_summary,
@@ -73,20 +74,11 @@ def _load_graph(args) -> tuple[Graph, dict]:
     return g, block
 
 
-def integer(text: str) -> int:
-    """An integer option or k bound, read by the family grammar's rule
-    (``families._number``): ASCII digits only, so that what ``int`` would
-    also take (a plus sign, spaces, underscores, other scripts' digits) is
-    malformed; a leading minus is kept for the range checks to report.
-    argparse names the function in its error ("invalid integer value")."""
-    return -_number(text[1:]) if text.startswith("-") else _number(text)
-
-
 def _parse_k_spec(text: str) -> tuple[int, int]:
     lo, sep, hi = text.strip().partition("..")
     try:
         lo = integer(lo)
-        hi = _number(hi) if sep else lo
+        hi = integer(hi) if sep else lo
     except ValueError:
         raise ParameterOutOfRange(f"bad k specification {text!r}; use K or A..B") from None
     check_k(lo)

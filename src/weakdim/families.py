@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidFamilyParameters
-from .graph import _UNPACK_BLOCK, Graph
+from .graph import _UNPACK_BLOCK, Graph, integer
 
 KINDS = ("path", "cycle", "star", "complete", "complete_bipartite", "spider", "grid")
 
@@ -261,32 +261,25 @@ def orbit_leaders(spec: FamilySpec) -> np.ndarray | None:
     return None
 
 
-def _number(text: str) -> int:
-    """A parameter of the family grammar: ASCII digits only, so that what
-    ``int`` would also take (a sign, spaces, underscores, other scripts'
-    digits) is malformed."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"not a number: {text!r}")
-    return int(text)
-
-
 def parse_family(text: str) -> FamilySpec:
     """Parse the family grammar: path:n | cycle:n | star:n | complete:n |
-    kqr:q,r | spider:l1,l2,... | grid:qxr, each number ASCII digits."""
+    kqr:q,r | spider:l1,l2,... | grid:qxr, each number read by
+    ``graph.integer``: ASCII digits, a leading minus left to the range
+    checks of ``FamilySpec``."""
     kind, sep, rest = text.partition(":")
     if not sep or not rest:
         raise InvalidFamilyParameters(f"malformed family string {text!r}")
     try:
         if kind in ("path", "cycle", "star", "complete"):
-            return FamilySpec(kind, n=_number(rest))
+            return FamilySpec(kind, n=integer(rest))
         if kind == "kqr":
             q_s, r_s = rest.split(",")
-            return FamilySpec("complete_bipartite", q=_number(q_s), r=_number(r_s))
+            return FamilySpec("complete_bipartite", q=integer(q_s), r=integer(r_s))
         if kind == "spider":
-            return FamilySpec("spider", lengths=tuple(_number(t) for t in rest.split(",")))
+            return FamilySpec("spider", lengths=tuple(integer(t) for t in rest.split(",")))
         if kind == "grid":
             q_s, r_s = rest.split("x")
-            return FamilySpec("grid", q=_number(q_s), r=_number(r_s))
+            return FamilySpec("grid", q=integer(q_s), r=integer(r_s))
     except ValueError as exc:
         raise InvalidFamilyParameters(f"malformed family string {text!r}") from exc
     raise InvalidFamilyParameters(f"unknown family kind {kind!r}")

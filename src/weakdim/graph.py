@@ -423,6 +423,18 @@ def twin_summary(g: Graph) -> TwinSummary:
                        *(min((grp[:2] for grp in kind), default=None) for kind in kinds))
 
 
+def integer(text: str) -> int:
+    """A number read from outside (an edge-list or set-file number, a
+    family parameter, an integer option or a k bound): ASCII digits with
+    at most a leading minus, so that what ``int`` would also take (a plus
+    sign, spaces, underscores, other scripts' digits) is malformed, and a
+    negative value reaches the range check that reports it. argparse
+    names the function in its error ("invalid integer value")."""
+    if not (text.isascii() and (text.isdigit() or text[:1] == "-" and text[1:].isdigit())):
+        raise ValueError(f"not a number: {text!r}")
+    return int(text)
+
+
 def _strip_comment(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
@@ -439,7 +451,7 @@ def parse_edgelist(text: str) -> Graph:
     if len(header) != 2:
         raise EdgeListFormatError(f"header must be 'n m', got {rows[0]!r}")
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = integer(header[0]), integer(header[1])
     except ValueError as exc:
         raise EdgeListFormatError(f"non-integer header {rows[0]!r}") from exc
     if len(rows) - 1 != m:
@@ -452,7 +464,7 @@ def parse_edgelist(text: str) -> Graph:
         if len(parts) != 2:
             raise EdgeListFormatError(f"edge line must be 'u v', got {row!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append((integer(parts[0]), integer(parts[1])))
         except ValueError as exc:
             raise EdgeListFormatError(f"non-integer edge line {row!r}") from exc
     return Graph(n, edges)
@@ -479,7 +491,7 @@ def parse_vertex_set(text: str, n: int) -> tuple[int, ...]:
     for line in text.splitlines():
         for t in _strip_comment(line).split():
             try:
-                found.add(int(t))
+                found.add(integer(t))
             except ValueError as exc:
                 raise EdgeListFormatError(f"non-integer vertex id {t!r} in set file") from exc
     ids = sorted(found)

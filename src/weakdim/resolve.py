@@ -36,6 +36,14 @@ pairs that a geodesic lower bound lets through and kappa' from a count
 of equidistant classes. A sweep of sets takes one scan, by parity alone
 above the floor. Each keeps the plain scan's value and lex-first pair.
 
+``_item_rows`` is the one reader of a set's columns. The router's
+single-set body, its sweep (over the union of the sets' columns) and the
+count verifiers in ``solver`` read their rows through it: the matrix
+itself for every vertex on the vertex variant, one row-major ``take`` of
+the set's columns otherwise, and an edge vw's min(d[v], d[w]) over the
+taken columns only, so an edge or mixed check of a set S reads |S|
+columns and never makes an edge row over all n vertices.
+
 Parity (bipartite graphs, vertex variant). A probe s has hop counts to
 x and y of the parities of col(s) + col(x) and col(s) + col(y). When
 d(x, y) is odd they differ, so s adds an odd amount, at least 1: an odd
@@ -431,22 +439,28 @@ class Variant(str, Enum):
 
 def _items(g: Graph, variant: Variant) -> list:
     """The items of the variant: the vertices, then (edge and mixed) the
-    edges (v, w), v < w, in lex order."""
-    return (list(range(g.n)) if variant != Variant.EDGE else []) + (
-        g.edges() if variant != Variant.VERTEX else [])
+    edges (v, w), v < w, in lex order, read off the ``_edge_pairs`` arrays
+    whose ends ``_item_rows`` takes."""
+    edges = [] if variant == Variant.VERTEX else list(zip(*(a.tolist() for a in _edge_pairs(g))))
+    return (list(range(g.n)) if variant != Variant.EDGE else []) + edges
 
 
-def _item_rows(g: Graph, variant: Variant) -> tuple[list, np.ndarray]:
-    """Items of the variant and their distance rows: a vertex's row is its
-    distance-matrix row (the vertex variant returns the matrix itself, no
-    copy); an edge vw gets min(d[v], d[w])."""
+def _item_rows(g: Graph, variant: Variant, cols: Sequence[int] | None = None) -> np.ndarray:
+    """The item rows of the variant on the columns ``cols`` (ascending
+    distinct vertex ids; every vertex for None), one row per item in
+    ``_items``' order: a vertex's distances to ``cols``, and an edge vw's
+    min(d[v], d[w]) made over those columns only. The one reader of a
+    set's columns (module docstring). For every vertex the vertex variant
+    returns the matrix itself, no copy; a subset takes its columns with
+    one row-major ``take``, which every ``lex_min`` call then reads
+    uncopied (a column-major ``d[:, cols]`` slice it would copy again)."""
     d = g.distance_matrix
-    items = _items(g, variant)
+    d = d if cols is None or len(cols) == g.n else d.take(cols, axis=1)
     if variant == Variant.VERTEX:
-        return items, d
+        return d
     heads, tails = _edge_pairs(g)
     edge_rows = np.minimum(d[heads], d[tails])
-    return items, edge_rows if variant == Variant.EDGE else np.concatenate([d, edge_rows])
+    return edge_rows if variant == Variant.EDGE else np.concatenate([d, edge_rows])
 
 
 class _ChainSums:
@@ -828,10 +842,7 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
                 hit = _least(hit, edge)
             if hit is not None:
                 return [(hit, 2 if count else None)]
-        _, rows = _item_rows(g, variant)
-        # the whole set reads the rows, no copy; a subset takes its columns in
-        # row-major order, which every ``lex_min`` call then reads uncopied
-        rows = rows if len(S) == g.n else rows.take(S, axis=1)
+        rows = _item_rows(g, variant, S)
         pairs = len(rows) * (len(rows) - 1) // 2
         spec = g.family if kappa and pairs * len(S) > _MASK_FLOOR else None
         leaders = None if spec is None else orbit_leaders(spec)
@@ -865,11 +876,10 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
         if count and same is not None:
             least = _least(least, len(S))
         return [(hit, least)]
-    _, rows = _item_rows(g, variant)
-    pairs = len(rows) * (len(rows) - 1) // 2
     # column 0 stands in for the union of empty sets; only sign-0 entries read it
     union = sorted(set().union(*bases)) or [0]
-    rows = rows.take(union, axis=1)
+    rows = _item_rows(g, variant, union)
+    pairs = len(rows) * (len(rows) - 1) // 2
     reducer = _ChainSums(bases, union)
     parity = vertex and g.coloring is not None and pairs * len(union) > _MASK_FLOOR
     (hits,) = lex_min(rows, [reducer], workers, _same_color(g.coloring) if parity else None)

@@ -23,7 +23,9 @@ end of each step, on one thread. It makes no matrix product with a
 threads spin for about 0.13 s of CPU after every call (2-core x86
 host), more than the whole check of a typical sweep. The count checks
 (``verify_k_resolving``, ``verify_local_k_resolving``) are one plain
-``lex_min`` of the count, over all pairs or the adjacent ones.
+``lex_min`` of the count, over all pairs or the adjacent ones. Every
+check reads its set's columns through one reader, ``resolve._item_rows``,
+so an edge or mixed check reads only |S| columns of the item rows.
 
 ``write_lp`` renders the sum model as CPLEX-LP text, one row per item
 pair. The rows are made in blocks of profile entries with no Python
@@ -199,7 +201,7 @@ def _build_model(g: Graph, variant: Variant, criterion: str) -> CoverModel:
     three int64 working copies the engines make of it (the greedy start's
     clipped gains; the root bound's clipped, sorted and cumulated
     matrices)."""
-    items, rows = _item_rows(g, variant)
+    items, rows = _items(g, variant), _item_rows(g, variant)
     npairs = len(items) * (len(items) - 1) // 2
     _check_peak(f"the cover model of {npairs} item pairs x {g.n} vertices",
                 npairs * g.n * (rows.itemsize + 3 * 8))
@@ -232,8 +234,8 @@ class VerifyResult(NamedTuple):
 def _worst_count(g: Graph, S: Iterable[int], partners=None) -> "Certificate | None":
     """Lex-first vertex pair (of ``partners``, if given) with the fewest
     distinguishers in ``S``, by the pair scan; None without vertex pairs."""
-    (hit,) = lex_min(g.distance_matrix[:, _check_set(g, S)], [pair_count], partners=partners)
-    return _certificate(list(range(g.n)), hit)
+    rows = _item_rows(g, Variant.VERTEX, _check_set(g, S))
+    return _certificate(list(range(g.n)), *lex_min(rows, [pair_count], partners=partners))
 
 
 def _certificate(items: list[Item], hit) -> "Certificate | None":

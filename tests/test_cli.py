@@ -546,6 +546,10 @@ class TestErrors:
         ("grid:+3x4", "malformed family string 'grid:+3x4'"),
         ("kqr:\uff12,3", "malformed family string 'kqr:\uff12,3'"),
         ("cycle:\u0663", "malformed family string 'cycle:\u0663'"),
+        # a leading minus parses (``graph.integer``), so the range check reports it
+        ("path:-5", "path needs n >= 2, got -5"),
+        ("grid:3x-4", "grid needs q, r >= 2, got q=3, r=-4"),
+        ("path:--5", "malformed family string 'path:--5'"),
     ])
     def test_rejected_family_exit_2(self, capsys, spec, message):
         code, out, err = run_cli(capsys, "gen", "--family", spec)
@@ -591,6 +595,9 @@ class TestErrors:
         ("1..\u0663", "bad k specification '1..\u0663'; use K or A..B"),
         ("1_0", "bad k specification '1_0'; use K or A..B"),
         ("+3", "bad k specification '+3'; use K or A..B"),
+        # both bounds are read by ``graph.integer``: a negative upper bound
+        # is below the lower one
+        ("1..-3", "bad k range '1..-3'"),
     ])
     def test_k_spec_checked_before_the_graph_loads(self, capsys, monkeypatch, spec, message):
         """A bad ``wdim --k`` is reported before the file is read."""
@@ -631,6 +638,20 @@ class TestErrors:
             "--variant", "edge", "--engine", "formula",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command, text, message", [
+        (["kappa", "--file"], "3 2\n0 1\n1 \uff12\n", "non-integer edge line '1 \uff12'"),
+        (["kappa", "--file"], "3 2\n0 1\n1 +2\n", "non-integer edge line '1 +2'"),
+        (["verify", "--family", "grid:5x5", "--k", "1", "--set-file"], "0 2_0\n",
+         "non-integer vertex id '2_0' in set file"),
+    ])
+    def test_file_numbers_take_ascii_digits_only(self, capsys, tmp_path, command, text, message):
+        """Every number read from a file follows the family grammar's rule,
+        so what ``int`` would also take is malformed: exit 2."""
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, *command, str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestParserBuiltOnce:

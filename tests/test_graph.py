@@ -568,6 +568,15 @@ class TestEdgeListFormat:
         ("3\n", "header must be 'n m', got '3'"),
         ("2 1 0\n0 1\n", "header must be 'n m', got '2 1 0'"),
         ("2 1\n0 x\n", "non-integer edge line '0 x'"),
+        # ASCII digits only, as in the family grammar: what ``int`` would
+        # also take (other scripts' digits, a plus sign, an underscore) is
+        # malformed
+        ("3 1\n1 \uff12\n", "non-integer edge line '1 \uff12'"),
+        ("3 1\n1 +2\n", "non-integer edge line '1 +2'"),
+        ("3 1\n1 0_2\n", "non-integer edge line '1 0_2'"),
+        ("+3 1\n1 2\n", "non-integer header '+3 1'"),
+        ("3 0_1\n1 2\n", "non-integer header '3 0_1'"),
+        ("\u0663 1\n1 2\n", "non-integer header '\u0663 1'"),
     ])
     def test_rejected_text(self, text, message):
         with pytest.raises(EdgeListFormatError) as exc:
@@ -593,3 +602,18 @@ class TestEdgeListFormat:
         assert parse_vertex_set("3 1\n2 # tail\n", 5) == (1, 2, 3)
         with pytest.raises(VertexOutOfRange):
             parse_vertex_set("0 9", 5)
+        # ASCII digits only: `2_0` is not vertex 20
+        for token in ["2_0", "+2", "\uff12", "\u0663", "x", "--1", "-"]:
+            with pytest.raises(EdgeListFormatError) as exc:
+                parse_vertex_set(f"1 {token} 3", 30)
+            assert str(exc.value) == f"non-integer vertex id {token!r} in set file"
+
+    def test_negative_ids_are_out_of_range(self):
+        """A leading minus still parses, so a negative id is reported as
+        out of range, in a set file and in an edge line."""
+        with pytest.raises(VertexOutOfRange) as exc:
+            parse_vertex_set("0 -1", 5)
+        assert str(exc.value) == "set member -1 outside 0..4"
+        with pytest.raises(VertexOutOfRange) as exc:
+            parse_edgelist("3 1\n-1 2\n")
+        assert str(exc.value) == "edge (-1,2) outside 0..2"

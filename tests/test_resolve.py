@@ -1542,7 +1542,7 @@ class TestBlockedPartnerScan:
         monkeypatch.setattr(resolve, "_edge_arrays", lambda g: pytest.fail("rebuilt"))
         assert all(a is b for a, b in zip(resolve._edge_pairs(g), (heads, tails)))
         for variant in ("edge", "mixed"):
-            items, rows = resolve._item_rows(g, Variant(variant))
+            items, rows = resolve._items(g, Variant(variant)), resolve._item_rows(g, Variant(variant))
             assert (items, rows.tolist()) == plain_item_rows(g, variant)
 
     def test_reducers_do_not_overflow(self):
@@ -1593,6 +1593,44 @@ class TestBlockedPartnerScan:
                 assert (worst.delta, (worst.a, worst.b)) == (count, pair)
                 assert verify_local_k_resolving(g, S, count) == (True, None, count)
                 assert verify_local_k_resolving(g, S, count + 1) == (False, pair, count)
+
+
+class TestItemRows:
+    """``_item_rows(g, variant, cols)`` is the one reader of a set's
+    columns: every item's row on ``cols``, with d(s, vw) = min(d(s, v),
+    d(s, w)) for an edge, and the matrix itself for every vertex on the
+    vertex variant."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_rows_on_columns_equal_the_plain_rows(self, variant):
+        rng = random.Random(36)
+        for g in family_corpus() + random_graph_corpus():
+            items, plain = plain_item_rows(g, variant.value)
+            assert resolve._items(g, variant) == items
+            assert resolve._item_rows(g, variant).tolist() == plain
+            for cols in ([], sorted(rng.sample(range(g.n), rng.randint(1, g.n))), list(range(g.n))):
+                rows = resolve._item_rows(g, variant, cols)
+                assert rows.dtype == g.distance_matrix.dtype and rows.flags.c_contiguous
+                assert rows.shape == (len(items), len(cols))
+                assert rows.tolist() == [[row[c] for c in cols] for row in plain], (g, cols)
+
+    def test_vertex_variant_on_every_vertex_is_the_matrix(self):
+        for g in family_corpus(max_n=12) + random_graph_corpus(count=5):
+            for cols in (None, list(range(g.n))):
+                assert resolve._item_rows(g, Variant.VERTEX, cols) is g.distance_matrix
+
+    @pytest.mark.parametrize("variant", [Variant.EDGE, Variant.MIXED])
+    def test_set_checks_build_no_edge_list(self, variant, monkeypatch):
+        """``certificate_for`` and ``certificates_for`` label and read the
+        edges off the cached ``_edge_pairs`` arrays: ``Graph.edges`` is
+        never called, and the certificates are the plain scan's."""
+        rng = random.Random(7)
+        graphs = [generate(parse_family(f)) for f in ("grid:4x5", "cycle:9", "kqr:3,4")]
+        graphs += random_graph_corpus(count=6)
+        monkeypatch.setattr(graph.Graph, "edges", lambda g: pytest.fail("Graph.edges called"))
+        for g in graphs:
+            sets = [[], sorted(rng.sample(range(g.n), g.n // 2)), list(range(g.n))]
+            TestWorstPairRouter.check_sets(g, sets, variant)
 
 
 def hypercube(dim):
