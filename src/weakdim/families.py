@@ -9,9 +9,10 @@ threads (path, cycle, and a spider's root and legs) and the rows of a
 grid. ``generate`` reads its edges off the runs, one rule per shape, and
 ``spec_distances`` reads each family's distances off the same runs as a
 closed form: a generated graph's ``distance_matrix`` is filled from it,
-with no BFS. ``orbit_leaders`` gives the ids of a cycle's or a grid's
-vertices that are the least of their orbit under the spec's symmetries:
-the kappa scan reads only the pairs whose head is such a leader.
+with no BFS. ``orbit_leaders`` gives the ids of the vertices of any
+cycle, or of a grid spec's graph, that are the least of their orbit
+under its symmetries: the kappa scan reads only the pairs whose head is
+such a leader.
 """
 
 from __future__ import annotations
@@ -237,24 +238,26 @@ def spec_distances(spec: FamilySpec, dtype) -> np.ndarray:
     return d
 
 
-def orbit_leaders(spec: FamilySpec) -> np.ndarray | None:
-    """The ascending ids of the vertices of ``generate(spec)`` that are the
-    least of their orbit under the spec's symmetries, each an automorphism
-    of the graph:
+def orbit_leaders(g: Graph) -> np.ndarray | None:
+    """The ascending ids of the vertices of ``g`` that are the least of
+    their orbit under a group of its automorphisms:
 
-    cycle  [0]: the rotations make one orbit
-    grid   every (i, j) with 2i < q and 2j < r, and i <= j when q = r: the
-           mirrors fold i toward the nearer of 0 and q - 1 and j toward
-           the nearer of 0 and r - 1, and on a square grid the transpose
-           puts the smaller coordinate first
+    cycle  [0] on any cycle (connected, m = n, every degree 2), however
+           labelled: the rotations make one orbit
+    grid   on ``generate(spec)`` of a grid spec, every (i, j) with 2i < q
+           and 2j < r, and i <= j when q = r: the mirrors fold i toward
+           the nearer of 0 and q - 1 and j toward the nearer of 0 and
+           r - 1, and on a square grid the transpose puts the smaller
+           coordinate first
 
-    None on the other kinds: paths, stars and spiders are trees, and K_n
-    and kqr have twins, so kappa is answered before any scan that could
-    read the leaders.
+    None on every other graph; among the other specs paths, stars and
+    spiders are trees, and K_n and kqr have twins, so kappa is answered
+    before any scan that could read the leaders.
     """
-    if spec.kind == "cycle":
+    if g.edge_count == g.n and all(len(a) == 2 for a in g.adjacency):
         return np.zeros(1, dtype=np.intp)
-    if spec.kind == "grid":
+    spec = g.family
+    if spec is not None and spec.kind == "grid":
         q, r = spec.q, spec.r
         i, j = np.divmod(np.arange(q * r), r)
         return np.flatnonzero((2 * i < q) & (2 * j < r) & ((i <= j) | (q != r)))

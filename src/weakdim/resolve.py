@@ -28,13 +28,11 @@ decomposition, with no distance matrix, and twins settle kappa' and all
 of kappa but, off bipartite graphs, a scan of a few adjacent pairs.
 Above a size floor the set scan reads only the pairs that two lower
 bounds on delta_S leave in play (parity and the sum gap); there, for
-S = V on a cycle or a grid made from its family spec, it reads only the
-pairs whose head leads its orbit under the spec's symmetries, with
-kappa' from the same scans, and elsewhere long, thin twin-free graphs,
-where the sum-gap band would not be taken, get kappa from a scan of the
-pairs that a geodesic lower bound lets through and kappa' from a count
-of equidistant classes. A sweep of sets takes one scan, by parity alone
-above the floor. Each keeps the plain scan's value and lex-first pair.
+S = V on any cycle or on a grid made from its family spec, it reads only
+the pairs whose head leads its orbit under the graph's symmetries, with
+kappa' from the same scans. A sweep of sets takes one scan, by parity
+alone above the floor. Each keeps the plain scan's value and lex-first
+pair.
 
 ``_item_rows`` is the one reader of a set's columns. The router's
 single-set body, its sweep (over the union of the sets' columns) and the
@@ -109,34 +107,19 @@ hit is the first edge, (0, min adj[0]), with no scan. Elsewhere an edge
 sums to at least its sum gap, and the scan reads only the edges with a
 gap of at most 4 (``_twin_route_partners``).
 
-Orbits (S = V, a family spec with symmetries; ``families.orbit_leaders``
-gives the ascending leader ids, a ``lex_min`` head subset). An
-automorphism phi preserves d, so delta_V and the distinguisher count
-are constant on each pair orbit, and so are parity, the row sums sigma
-and with them the sum-gap and count bands: each mask keeps a union of
-pair orbits. Take the lex-first minimizer (x, y) of either criterion
+Orbits (S = V on any cycle, however labelled, or a grid spec;
+``families.orbit_leaders`` gives the ascending leader ids, a ``lex_min``
+head subset). An automorphism phi preserves d, so delta_V and the
+distinguisher count are constant on each pair orbit, and so are parity,
+the row sums sigma and with them the sum-gap and count bands: each mask
+keeps a union of pair orbits. Take the lex-first minimizer (x, y) of either criterion
 over such a pair set. If phi(x) < x for some phi, the image pair, whose
 head is at most phi(x), would be an earlier minimizer in the set, which
 is impossible; so x is the least vertex of its orbit, its leader. So a
 scan of the pairs with a leader head keeps the plain scan's value and
-pair, and the least count too. A spec of one orbit (a cycle) has every
-row sum the same, so its band would keep every pair and is not set up.
-
-Thin (twin-free, few equidistant pairs, where the sum-gap band would
-not be taken). Along a geodesic x = v0 ... vt = y the probe vi adds
-|2i - t|, so the sum of a pair at distance t is at least
-(t + 1)^2 // 2. The band's seed is a pair sum; the sum scan then visits
-only the pairs whose bound is at most the seed, which include every
-pair that could reach or tie the minimum. The count of a pair is
-n - eq(x, y), where eq counts the sources equidistant from x and y, so
-kappa' = n - max eq, found by a gap pass over each source row sorted by
-level, which adds 1 to every pair inside one of its distance classes:
-E = sum over s and r of C(|level r of s|, 2) increments, no pair scan.
-The route runs when E, read off the level
-histograms before any pair is made, is at most 8 C(n, 2) (E / C(n, 2)
-is 0.5 on paths, 1 on odd cycles, 4.9 on ``grid:4x150``; 20.6 on
-``grid:24x24`` and over 200 on random graphs) and the accumulator fits
-beside the matrix in ``MAX_BYTES``.
+pair, and the least count too. A cycle is one orbit under its rotations,
+which are automorphisms whatever its ids, so it has every row sum the
+same: its band would keep every pair and is not set up.
 """
 
 from __future__ import annotations
@@ -145,14 +128,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from math import isqrt
 from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
 from .errors import SameVertex, TrivialGraph, VertexOutOfRange
 from .families import orbit_leaders
-from .graph import MAX_BYTES, Graph
+from .graph import Graph
 from .timing import timed
 
 
@@ -557,89 +539,6 @@ def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return heads, tails
 
 
-# The thin route runs while E, the equidistant (source, pair) triples, is at
-# most _THIN * C(n, 2): each is one increment of the count pass, which loses
-# to the scan from about there (fitted on a 2-core x86 host, numpy 2.4).
-_THIN = 8
-_EQ_BLOCK = 1 << 15  # entries in one block of the level histograms and the count pass
-
-
-def _equidistant_total(d: np.ndarray, stop: int) -> int | None:
-    """E = sum over sources s and levels r of C(#{v : d(s, v) = r}, 2), read
-    off per-row level histograms, or None as soon as it passes ``stop``."""
-    n = len(d)
-    step = max(1, _EQ_BLOCK // n)
-    total = 0
-    for lo in range(0, n, step):
-        block = d[lo:lo + step]
-        # level r of block row i is bin i * n + r; the sizes sum to block.size
-        sizes = np.bincount((block + np.arange(0, block.size, n)[:, None]).ravel())
-        total += (int(sizes @ sizes) - block.size) // 2
-        if total > stop:
-            return None
-    return total
-
-
-def _max_equidistant(d: np.ndarray) -> int:
-    """The largest eq(x, y) = #{s : d(s, x) = d(s, y)} over pairs x < y.
-
-    A gap pass over each block of about ``_EQ_BLOCK`` source rows: each row
-    is sorted by level, stably, so that a level's vertices stay ascending
-    and fill consecutive positions. For j = 1, 2, ... the pass adds 1 at
-    (order[p], order[p + j]) wherever the sorted levels at p and p + j
-    match, in a C(n, 2) accumulator of the distance dtype (eq <= n - 2)
-    that holds the pairs x < y in lex order at x (2n - x - 1) / 2 + y - x - 1,
-    and stops at the first gap with no match: no larger one can have any.
-    The work is E increments and one compare per gap, the temporaries stay
-    the size of a block.
-    """
-    n = len(d)
-    step = max(1, _EQ_BLOCK // n)
-    acc = np.zeros(n * (n - 1) // 2, dtype=d.dtype)
-    x = np.arange(n)
-    offset = x * (2 * n - x - 1) // 2 - x - 1  # pair (x, y) at offset[x] + y
-    one = acc.dtype.type(1)
-    for lo in range(0, n, step):
-        block = d[lo:lo + step]
-        order = np.argsort(block, axis=1, kind="stable")
-        levels = np.take_along_axis(block, order, axis=1)
-        # lifted by n per row, so that equal keys share a row
-        key = (levels + np.arange(0, block.size, n)[:, None]).ravel()
-        order = order.ravel()
-        for gap in range(1, n):
-            p = np.flatnonzero(key[gap:] == key[:-gap])
-            if p.size == 0:
-                break
-            np.add.at(acc, offset[order[p]] + order[p + gap], one)
-    return int(acc.max(initial=0))
-
-
-def _thin_pays(d: np.ndarray, criteria: int, bipartite: bool) -> bool:
-    """Whether the thin route is estimated to beat the scan for ``criteria``
-    (1 or 2), on a graph above ``_MASK_FLOOR``: on a bipartite graph the
-    scan would make more than ``_SCAN_FLOOR`` entries, E is at most
-    ``_THIN * C(n, 2)``, and the count accumulator (half the matrix) fits
-    beside the matrix and sixteen int64 block temporaries in ``MAX_BYTES``."""
-    n = len(d)
-    pairs = n * (n - 1) // 2
-    return ((not bipartite or criteria * n * pairs > _SCAN_FLOOR)
-            and 1.5 * d.nbytes + 16 * 8 * _EQ_BLOCK <= MAX_BYTES
-            and _equidistant_total(d, _THIN * pairs) is not None)
-
-
-# Up to this many dense-scan entries (criteria x n x C(n, 2)), the scan can
-# beat the thin route on twin-free bipartite graphs, where it reads only
-# the same-color pairs (grid:4x60 with kappa': 8.1 against 11.8 ms at
-# 2^23.7 entries, grid:3x40 1.0 against 1.9 ms, C4xC30 1.5 against
-# 3.4 ms). On other graphs the thin route wins from ``_MASK_FLOOR``
-# (path:100 plus the chord (0, 4) with kappa' 0.9 against 2.4 ms; kappa
-# alone on cycle:83, cycle:101 and C3xC29, between 2^18 and 2^19
-# entries, 1.4, 2.0 and 1.7 against 0.5, 0.7 and 1.0 ms, with kappa'
-# 2.4, 3.2 and 1.8 against 1.1, 1.5 and 1.8 ms). Measured with the twin
-# summary already made, on a 2-core x86 host, numpy 2.4.
-_SCAN_FLOOR = 1 << 23
-
-
 def kappa_reads_distances(g: Graph) -> bool:
     """Whether kappa (``_worst_pairs`` on the whole vertex set) reads the
     distance matrix of ``g``: on every graph but a tree with at least two
@@ -663,7 +562,7 @@ def _twin_route_partners(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Up to this many entries (item pairs x columns), a set check, the whole
-# vertex set one more, is one plain scan with no mask and no thin route:
+# vertex set one more, is one plain scan with no mask:
 # below it the masks' set-up (the seed scan, the row sums, the band count,
 # the odd pairs' row) costs more than it saves (a 3/4 set of a sparse n = 80
 # graph 0.27 ms plain against 0.31 masked; the whole vertex set of
@@ -672,10 +571,7 @@ def _twin_route_partners(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 # (n = 200, 3.7e5 entries: 2.6 against 1.1 ms; the grid:12x12 sweep over
 # k = 1..44, 4.5e5 entries: 5.8 against 3.6 ms; the vertex variant's kappa
 # of grid:12x12, 1.5e6 entries, 2.9 against 1.4 ms with the band, of
-# grid:20x20 14.5 against 6.8 ms; on path:400 plus the chord (0, 4), where
-# the band goes before the thin route, kappa alone takes 2.7 against 5.4 ms
-# and with kappa' 12.7 against 7.4 ms). Measured on a 2-core x86 host,
-# numpy 2.4.
+# grid:20x20 14.5 against 6.8 ms). Measured on a 2-core x86 host, numpy 2.4.
 _MASK_FLOOR = 1 << 18
 # The sum-gap band is taken when it keeps at most this share of the pairs.
 _BAND_SHARE = 0.5
@@ -797,18 +693,16 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
        else one scan of the edges with a sum gap of at most 4
        (``_twin_route_partners``). Any twins give kappa' = 2.
     2. Up to ``_MASK_FLOOR`` entries (item pairs x |S|) the set is one
-       plain scan. Above it S = V on a graph with orbit leaders (a cycle
-       or a grid from its family spec, whose ``families.orbit_leaders``
-       gives their ids) has every scan but the seed's and the odd pairs'
-       take only the pairs with a leader head, and the checks below count
-       only those pairs; a cycle, one orbit, sets up no band.
+       plain scan. Above it S = V on a graph with orbit leaders (any
+       cycle, however labelled, or a grid from its family spec, whose
+       ``families.orbit_leaders`` gives their ids) has every scan but the
+       seed's and the odd pairs' take only the pairs with a leader head,
+       and the checks below count only those pairs; a cycle, one orbit,
+       sets up no band.
     3. Above the floor the scan reads only the pairs in both masks:
        parity (vertex variant, bipartite graph), and the sum-gap band of
        ``_sum_band`` when it keeps at most ``_BAND_SHARE`` of the pairs.
-       There, for S = V without leaders where the band is not taken, the
-       thin route runs when ``_thin_pays``: kappa from a scan of the
-       pairs whose geodesic bound is at most the band's seed,
-       kappa' = n - max eq. With leaders kappa' comes from the scan.
+       Without the band the scan makes kappa' beside kappa.
     4. Every other set check is the set scan. On either, with parity the
        hit is the ``min`` of the scan's and the lex-first odd pair at
        |S|, a ``lex_min`` over ``_odd_pairs``, and the count at most |S|.
@@ -844,8 +738,7 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
                 return [(hit, 2 if count else None)]
         rows = _item_rows(g, variant, S)
         pairs = len(rows) * (len(rows) - 1) // 2
-        spec = g.family if kappa and pairs * len(S) > _MASK_FLOOR else None
-        leaders = None if spec is None else orbit_leaders(spec)
+        leaders = orbit_leaders(g) if kappa and pairs * len(S) > _MASK_FLOOR else None
         same = sigma = bound = None
         if leaders is not None:
             pairs = int((g.n - 1 - leaders).sum())  # the pairs with a leader head
@@ -855,10 +748,7 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
                 sigma, seed = _sum_band(g, variant, rows, S)
             if sigma is not None:
                 bound = _gap_at_most(sigma, seed)
-            elif kappa and leaders is None and _thin_pays(rows, 1 + count, same is not None):
-                reach = isqrt(2 * seed + 1) - 1  # the largest t with (t + 1)^2 // 2 <= seed
-                bound = lambda heads: rows[heads] <= reach  # the thin route's geodesic bound
-        # a bound keeps every pair that reaches the least sum, not the least count's
+        # the band keeps every pair that reaches the least sum, not the least count's
         hit, *counted = lex_min(rows, [pair_sum, pair_count] if count and bound is None
                                 else [pair_sum], workers, _both(same, bound), heads=leaders)
         least = counted[0][0] if counted and counted[0] else None
@@ -871,8 +761,6 @@ def _worst_pairs(g: Graph, variant: Variant, bases: Sequence[Sequence[int]],
                              _both(same, _count_band(sigma, g.distance_matrix, witness)),
                              heads=leaders)
             least = _least(witness, low and low[0])
-        elif count and bound is not None:
-            least = g.n - _max_equidistant(rows)
         if count and same is not None:
             least = _least(least, len(S))
         return [(hit, least)]

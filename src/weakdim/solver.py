@@ -13,11 +13,10 @@ worst pair with k. The sum checks (``certificate_for``, ``verify_set``,
 ``certificates_for``) ask one router, ``resolve._worst_pairs``: the
 vertex variant's whole set first takes the tree and twin routes, then
 any set the pair scan, through parity and sum-gap masks above a size
-floor (there the whole set the thin route where the band is not
-taken), and a sweep of sets (a ``wdim`` range) one ``lex_min`` call over the union of
-their columns with a matrix reducer (``resolve._ChainSums``): each set's
-pair sums are the previous set's plus the columns it adds and minus
-those it drops, one cumsum along the signed change columns read at the
+floor, and a sweep of sets (a ``wdim`` range) one ``lex_min`` call over
+the union of their columns with a matrix reducer
+(``resolve._ChainSums``): each set's pair sums are the previous set's
+plus the columns it adds and minus those it drops, one cumsum along the signed change columns read at the
 end of each step, on one thread. It makes no matrix product with a
 0/±1 matrix: that would go through float BLAS, whose OpenBLAS worker
 threads spin for about 0.13 s of CPU after every call (2-core x86
@@ -98,7 +97,7 @@ from typing import Iterable, Iterator, NamedTuple, Union
 import numpy as np
 
 from .errors import TooLarge, check_k
-from .graph import Graph, _check_peak
+from .graph import Graph, _check_peak, _distance_dtype
 from .resolve import (Variant, _check_set, _edge_pairs, _item_rows, _items, _worst_pairs,
                       lex_min, pair_count)
 
@@ -201,10 +200,11 @@ def _build_model(g: Graph, variant: Variant, criterion: str) -> CoverModel:
     three int64 working copies the engines make of it (the greedy start's
     clipped gains; the root bound's clipped, sorted and cumulated
     matrices)."""
-    items, rows = _items(g, variant), _item_rows(g, variant)
+    items = _items(g, variant)
     npairs = len(items) * (len(items) - 1) // 2
     _check_peak(f"the cover model of {npairs} item pairs x {g.n} vertices",
-                npairs * g.n * (rows.itemsize + 3 * 8))
+                npairs * g.n * (np.dtype(_distance_dtype(g.n)).itemsize + 3 * 8))
+    rows = _item_rows(g, variant)
     # item a's block holds the pairs (a, b > a), so rows run in lex pair order
     blocks = [np.abs(rows[a + 1:] - rows[a]) for a in range(len(items) - 1)]
     profile = np.concatenate([np.empty((0, g.n), rows.dtype), *blocks])

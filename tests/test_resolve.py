@@ -1,7 +1,6 @@
 """Difference profiles, kappa, classification, and the three verifiers."""
 
 import random
-import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -572,16 +571,15 @@ def tree_route_off(mp):
 def band_off(mp):
     """Open the mask floor but refuse the sum-gap band, whatever share of
     the pairs it keeps: every check of one item pair or more takes the
-    band's seed and parity, and the whole vertex set the thin route where
-    ``_thin_pays``."""
+    band's seed and parity, and the scan makes kappa' beside kappa."""
     mp.setattr(resolve, "_MASK_FLOOR", 0)
     mp.setattr(resolve, "_BAND_SHARE", -1)
 
 
 def orbit_off(mp):
-    """Send cycles and grids made from a family spec to the routes a file
-    takes: the router finds no orbit leaders on any graph."""
-    mp.setattr(resolve, "orbit_leaders", lambda spec: None)
+    """Send cycles and grid specs to the routes of every other graph: the
+    router finds no orbit leaders on any graph."""
+    mp.setattr(resolve, "orbit_leaders", lambda g: None)
 
 
 def kappa_route(g, workers=1):
@@ -592,7 +590,7 @@ def kappa_route(g, workers=1):
 
 def plus_chord(f, u, v):
     """The graph of family ``f`` plus the edge (u, v): a tree plus one chord
-    is no tree, so the router sends it to the twin, thin or scan route."""
+    is no tree, so the router sends it to the twin or scan route."""
     g = generate(parse_family(f))
     return build_graph(g.n, g.edges() + [(u, v)])
 
@@ -738,22 +736,6 @@ class TestTwinShortcuts:
                                partners) == expected
 
 
-def plain_equidistant(d):
-    """eq[x, y] = #{s : d(s, x) = d(s, y)} for every pair, by a dense compare."""
-    D = np.array(d, dtype=np.int64)
-    eq = np.zeros((len(D), len(D)), dtype=np.int64)
-    for row in D:  # one source at a time: the whole compare takes n^3 bytes
-        eq += row[:, None] == row
-    return eq
-
-
-def plain_thin_figures(g):
-    """E (the equidistant triples) and the largest eq over pairs x < y."""
-    eq = plain_equidistant(plain_distances(g))
-    upper = eq[np.triu_indices(g.n, 1)]
-    return int(upper.sum()), int(upper.max(initial=0))
-
-
 def scan_route(g):
     (kappa, pair), (kappa_prime, _) = lex_min(g.distance_matrix, [pair_sum, pair_count])
     return (kappa, pair), kappa_prime
@@ -764,24 +746,18 @@ def oracle_route(g):
     return (kappa, pair), kappa_prime
 
 
-def thin_route(g):
-    """The router's thin route on any graph, trees, twin graphs, cycles and
-    grids too: the tree and orbit routes are off, the twin lookup reports
-    no twins, the sum-gap band, which goes first, is refused, and the
-    route's estimate (with its floor) is taken as met. The equidistant
-    count, which only the thin route makes, must run."""
-    counted = []
-    count = resolve._max_equidistant
+def masked_route(g, workers=1):
+    """The router's masked scan on any graph, trees, twin graphs, cycles and
+    grid specs too: the tree and orbit routes are off, the twin lookup
+    reports no twins, and the floor is opened with the sum-gap band
+    refused, so that at every size the scan reads every pair, or on a
+    bipartite graph the same-color ones and then the odd pairs' list."""
     with pytest.MonkeyPatch.context() as mp:
         tree_route_off(mp)
         orbit_off(mp)
         band_off(mp)
-        mp.setattr(resolve, "_thin_pays", lambda d, criteria, bipartite: True)
         mp.setattr(resolve, "_twin_hit", lambda g, S: None)
-        mp.setattr(resolve, "_max_equidistant", lambda d: counted.append(d) or count(d))
-        result = kappa_route(g)
-    assert counted, "the thin route was not taken"
-    return result
+        return kappa_route(g, workers)
 
 
 # long, thin graphs; the small ones have twins, which compute_kappa settles
@@ -826,51 +802,86 @@ def twin_free_graphs(draw, max_n=40):
         edges.add((min(u, w), max(u, w)))
 
 
+def relabelled(g, rng):
+    """``g`` with its vertex ids permuted at random."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def torus(a, b):
+    """C_a x C_b (Cartesian) on the vertices i * b + j."""
+    edges = {tuple(sorted((i * b + j, w))) for i in range(a) for j in range(b)
+             for w in ((i + 1) % a * b + j, i * b + (j + 1) % b)}
+    return build_graph(a * b, sorted(edges))
+
+
+def prism(k):
+    """C_k x K_2: the cycles 0..k-1 and k..2k-1, with the rungs (i, k + i)."""
+    ring = [(i, (i + 1) % k) for i in range(k)]
+    return build_graph(2 * k, sorted({tuple(sorted(e)) for u, v in ring
+                                      for e in ((u, v), (k + u, k + v))}
+                                     | {(i, k + i) for i in range(k)}))
+
+
+def moebius_ladder(n):
+    """The cycle 0..n-1 (n even) plus the chords (i, i + n / 2)."""
+    edges = {tuple(sorted((i, (i + 1) % n))) for i in range(n)}
+    return build_graph(n, sorted(edges | {(i, i + n // 2) for i in range(n // 2)}))
+
+
+def vertex_transitive_graphs():
+    """Prisms, Moebius ladders and thin tori, vertex-transitive but no
+    cycles, below and above the floor, plain and relabelled."""
+    graphs = [(f"prism{k}", prism(k)) for k in (10, 60)]
+    graphs += [(f"moebius{n}", moebius_ladder(n)) for n in (20, 120)]
+    graphs += [(f"C3xC{b}", torus(3, b)) for b in (8, 40)]
+    graphs += [(name + "-relabelled", relabelled(g, random.Random(g.n))) for name, g in graphs]
+    return [pytest.param(g, id=name) for name, g in graphs]
+
+
+# graphs with large level classes (cycle:600 plus a hub joined to every
+# 15th cycle vertex has, in every row, one class of 78 or 80 vertices),
+# and a long grid whose spec takes the orbit route and the band
+LEVEL_FAMILIES = ["path:30", "spider:3,4,6", "grid:3x12", "complete:9", "star:12", "grid:4x150"]
+
+
+def level_graphs():
+    ring = generate(parse_family("cycle:600")).edges()
+    hub = build_graph(601, ring + [(v, 600) for v in range(0, 600, 15)])
+    return ([pytest.param(generate(parse_family(f)), id=f) for f in LEVEL_FAMILIES]
+            + [pytest.param(hub, id="cycle:600+hub")])
+
+
 class TestThinRoute:
-    """On twin-free graphs with few equidistant pairs, kappa is a sum scan
-    over the pairs the geodesic bound lets through, and kappa' is n minus
-    the largest equidistant class count: the same values and witness as the
-    dense scan."""
+    """Long, thin graphs (paths, cycles, spiders and thin grids, some with a
+    chord), graphs with large level classes, vertex-transitive graphs that
+    are no cycles, with no orbit leaders, and random twin-free graphs: the
+    plain scan,
+    the masked scan and both callers of the router give the dense scan's
+    values and witness at any worker count."""
+
+    @staticmethod
+    def check(g):
+        expected = oracle_route(g)
+        (kappa, pair), kappa_prime = expected
+        assert scan_route(g) == expected
+        for workers in (1, 2):
+            assert masked_route(g, workers) == expected
+            rep = compute_kappa(g, workers=workers)
+            assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
+        assert variant_kappa(g, Variant.VERTEX) == (kappa, pair)
 
     @pytest.mark.parametrize("g", scan_graphs() + thin_graphs() + [
-        pytest.param(generate(complete_bipartite(2, 88)), id="kqr:2,88")])
+        pytest.param(generate(complete_bipartite(2, 88)), id="kqr:2,88")] + level_graphs()
+        + vertex_transitive_graphs())
     def test_both_routes_match_the_dense_oracle(self, g):
-        expected = oracle_route(g)
-        assert scan_route(g) == expected
-        assert thin_route(g) == expected
-        (kappa, pair), kappa_prime = expected
-        rep = compute_kappa(g)
-        assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
+        self.check(g)
 
     @settings(max_examples=60, deadline=None)
     @given(twin_free_graphs())
     def test_both_routes_on_random_twin_free_graphs(self, g):
-        expected = oracle_route(g)
-        assert scan_route(g) == expected
-        assert thin_route(g) == expected
-        E, top = plain_thin_figures(g)
-        assert resolve._equidistant_total(g.distance_matrix, E) == E
-        assert resolve._equidistant_total(g.distance_matrix, E - 1) is None
-        assert resolve._max_equidistant(g.distance_matrix) == top
-
-    @pytest.mark.parametrize("block", [1, 7, 50, 700])
-    def test_count_pass_chunk_boundaries(self, monkeypatch, block):
-        """Wherever the row blocks of about ``_EQ_BLOCK`` entries split the
-        classes, E and the largest eq stay exact. The last graph, cycle:600
-        plus a hub joined to every 15th cycle vertex (E / C(n, 2) about 74),
-        has large level classes: the hub's row holds seven of 80 vertices
-        and every cycle row one of 78 or 80, so the gap pass runs about 80
-        gaps per block, against at most 2 on cycle:31."""
-        monkeypatch.setattr(resolve, "_EQ_BLOCK", block)
-        graphs = [generate(parse_family(f)) for f in
-                  ("path:30", "cycle:31", "spider:3,4,6", "grid:3x12", "complete:9", "star:12")]
-        ring = generate(parse_family("cycle:600")).edges()
-        graphs.append(build_graph(601, ring + [(v, 600) for v in range(0, 600, 15)]))
-        for g in graphs:
-            E, top = plain_thin_figures(g)
-            assert resolve._equidistant_total(g.distance_matrix, E) == E
-            assert resolve._max_equidistant(g.distance_matrix) == top
-            assert thin_route(g) == oracle_route(g)
+        self.check(g)
 
     @pytest.mark.parametrize("g", [
         pytest.param(generate(parse_family(f)), id=f)
@@ -879,18 +890,17 @@ class TestThinRoute:
     def test_filter_drops_only_pairs_over_the_seed(self, g, monkeypatch):
         """The band's seed is the least sum of its seed scan's pair list,
         which holds every adjacent pair, so at most their least sum; the
-        thin route's sum scan then drops exactly the pairs whose geodesic
-        bound (t + 1)^2 // 2, for t = d(x, y), exceeds the seed, and each
-        dropped pair sums above it; on bipartite graphs, where every
-        adjacent pair sums to n, the scan also drops exactly the odd pairs,
-        each with sum at least n and n distinguishers, and a last scan
-        reads the odd pairs of ``_odd_pairs``. The trees take the route
-        with the tree route off, the cycle and the grid with the orbit
-        route off, and every graph with the sum-gap band refused."""
-        monkeypatch.setattr(resolve, "_SCAN_FLOOR", 0)
+        band's sum scan then drops exactly the pairs whose sum gap
+        |sigma(x) - sigma(y)| exceeds the seed, and each dropped pair sums
+        at least its gap; on bipartite graphs, where every adjacent pair
+        sums to n, the scan also drops exactly the odd pairs, each with sum
+        at least n and n distinguishers, and a scan after it reads the odd
+        pairs of ``_odd_pairs``. The trees take the route with the tree
+        route off, the cycle and the grid with the orbit route off, and
+        every graph with the band taken whatever share it keeps."""
         tree_route_off(monkeypatch)
         orbit_off(monkeypatch)
-        band_off(monkeypatch)
+        masks_on(monkeypatch)
         seen, seeds = [], []
         sum_band = resolve._sum_band
 
@@ -908,12 +918,13 @@ class TestThinRoute:
         monkeypatch.setattr(resolve, "lex_min", recording)
         monkeypatch.setattr(resolve, "_sum_band", banding)
         kappa_route(g)
-        (seed_reducers, seeded, [(least_seeded, _)]), (reducers, kept, _), *odd = seen
+        (seed_reducers, seeded, [(least_seeded, _)]), (reducers, kept, _), *odd, counted = seen
         (seed,) = seeds
-        assert seed_reducers == reducers == ["pair_sum"]
+        assert seed_reducers == reducers == ["pair_sum"] and counted[0] == ["pair_count"]
         assert set(g.edges()) <= seeded
         d = plain_distances(g)
         D = np.array(d, dtype=np.int64)
+        sigma = D.sum(axis=1)
         least_adjacent = min(int(np.abs(D[x] - D[y]).sum()) for x, y in g.edges())
         assert seed == least_seeded <= least_adjacent
         bipartite = all((d[0][u] - d[0][v]) % 2 for u, v in g.edges())
@@ -922,92 +933,13 @@ class TestThinRoute:
         assert [pairs for _, pairs, _ in odd] == (
             [set(listed_pairs(resolve._odd_pairs(g), g.n))] if bipartite else [])
         for x, y in combinations(range(g.n), 2):
-            bound = (d[x][y] + 1) ** 2 // 2
+            gap = abs(int(sigma[x] - sigma[y]))
             odd = bipartite and d[x][y] % 2 == 1
-            assert ((x, y) in kept) == (bound <= seed and not odd)
-            if bound > seed:
-                assert int(np.abs(D[x] - D[y]).sum()) >= bound > seed
+            assert ((x, y) in kept) == (gap <= seed and not odd)
+            if gap > seed:
+                assert int(np.abs(D[x] - D[y]).sum()) >= gap > seed
             if odd:
                 assert int(np.abs(D[x] - D[y]).sum()) >= g.n == np.count_nonzero(D[x] - D[y])
-
-    def test_count_pass_peak_memory(self):
-        """The count accumulator holds the C(n, 2) pairs x < y in the distance
-        dtype: on path:2000 (int16) 3.8 MiB, where an n x n square took
-        7.6 MiB and the pass peaked at 9.9 MiB."""
-        resolve._max_equidistant(generate(parse_family("path:30")).distance_matrix)  # warm-up
-        d = generate(parse_family("path:2000")).distance_matrix
-        tracemalloc.start()
-        try:
-            assert resolve._max_equidistant(d) == 1
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6.5 * 2**20
-
-    def test_route_choice(self, monkeypatch):
-        """E / C(n, 2) is at most 5 on the long, thin graphs and at least 12
-        on the grids and random graphs where the scan wins; the estimate
-        stops at 8 C(n, 2)."""
-        thin = ["path:600", "cycle:601", "spider:200,200,200", "grid:4x150"]
-        dense = ["grid:24x24", "grid:10x60"]
-        graphs = [generate(parse_family(f)) for f in thin + dense]
-        graphs.append(sparse_graph(9, 600))
-        picks = [resolve._thin_pays(g.distance_matrix, 1, g.coloring is not None) for g in graphs]
-        assert picks == [True] * len(thin) + [False] * (len(dense) + 1)
-        # an accumulator that cannot fit keeps the scan, with the same report
-        g = graphs[0]
-        expected = compute_kappa(g)
-        monkeypatch.setattr(resolve, "MAX_BYTES", 2 * g.distance_matrix.nbytes)
-        assert not resolve._thin_pays(g.distance_matrix, 2, True)
-        assert compute_kappa(g) == expected
-
-    @pytest.mark.parametrize("f, thin, scans", [("cycle:601", True, 1), ("cycle:600", True, 1),
-                                                ("grid:4x150", False, 2)])
-    def test_workers_split_the_thin_scan(self, f, thin, scans, monkeypatch):
-        """The thin route's sum scan, over a mask (with parity on the even
-        cycle), is split across the workers as the band's sum and count
-        scans are (``grid:4x150`` takes the band), and the report is the
-        one-worker report and the dense scan's. The cycles take the thin
-        route with the orbit route off, as from a file."""
-        orbit_off(monkeypatch)
-        g = generate(parse_family(f))
-        expected = compute_kappa(g)
-        started, counted = [], []
-        pool, count = resolve.ThreadPoolExecutor, resolve._max_equidistant
-
-        def recording(max_workers):
-            started.append(max_workers)
-            return pool(max_workers=max_workers)
-
-        monkeypatch.setattr(resolve, "ThreadPoolExecutor", recording)
-        monkeypatch.setattr(resolve, "_max_equidistant", lambda d: counted.append(d) or count(d))
-        rep = compute_kappa(generate(parse_family(f)), workers=2)
-        assert bool(counted) == thin
-        assert rep == expected and started == [2] * scans
-        (kappa, pair), kappa_prime = oracle_route(g)
-        assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
-
-    def test_floor_by_bipartiteness(self):
-        """The thin route may run from ``_SCAN_FLOOR`` entries on bipartite
-        graphs, where the scan reads only the same-color pairs, and on
-        others wherever the router reaches it, above ``_MASK_FLOOR``
-        entries (n x C(n, 2)): ``cycle:81``, whose row sums are all equal
-        so that the band is refused, takes it with the orbit route off, and
-        ``cycle:79`` below the floor is one plain scan."""
-        d = generate(parse_family("cycle:101")).distance_matrix
-        assert 2 * 101 * 5050 <= resolve._SCAN_FLOOR
-        assert resolve._thin_pays(d, 2, False)
-        assert not resolve._thin_pays(d, 2, True)
-        assert resolve._thin_pays(generate(parse_family("cycle:11")).distance_matrix, 2, False)
-        for n, thin in ((79, False), (81, True)):
-            assert (n * n * (n - 1) // 2 > resolve._MASK_FLOOR) == thin
-            g = generate(parse_family(f"cycle:{n}"))
-            with pytest.MonkeyPatch.context() as mp:
-                orbit_off(mp)
-                rep, log = recorded_route(lambda: compute_kappa(g))
-            assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (n - 1, n - 1, (0, 1))
-            assert ("count" in log) == thin
-            assert (log == [None]) == (not thin)
 
 
 def router_graphs():
@@ -1034,7 +966,7 @@ def listed_pairs(partners, n, heads=None):
 def recorded_route(run):
     """The scans ``run()`` makes, in order: the listed pairs of each
     ``lex_min`` call of the sum (None for all pairs), and "count" for each
-    call of the equidistant count or scan of the count alone."""
+    scan of the count alone."""
     log = []
 
     def recording(rows, reducers, workers=1, partners=None, heads=None):
@@ -1046,14 +978,8 @@ def recorded_route(run):
                        else listed_pairs(partners, len(rows), heads))
         return lex_min(rows, reducers, workers, partners, heads)
 
-    def counting(d):
-        log.append("count")
-        return max_equidistant(d)
-
-    max_equidistant = resolve._max_equidistant
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resolve, "lex_min", recording)
-        mp.setattr(resolve, "_max_equidistant", counting)
         result = run()
     return result, log
 
@@ -1077,66 +1003,57 @@ def plus_chord_keeping_false_twins(g):
                 return h
 
 
-def thin_forced(mp):
-    """Set ``_SCAN_FLOOR`` to 0, turn the orbit route off, open the mask
-    floor and refuse the sum-gap band: every twin-free graph that is no
-    tree, and has few equidistant pairs, as every router graph has, takes
-    the thin route."""
-    mp.setattr(resolve, "_SCAN_FLOOR", 0)
+def scan_forced(mp):
+    """Turn the orbit route off, open the mask floor and refuse the sum-gap
+    band: every twin-free graph that is no tree takes the masked scan,
+    parity alone on bipartite graphs, with kappa' from the same scan."""
     orbit_off(mp)
     band_off(mp)
 
 
-# Fixed ids, which do not follow the floor's value: "0" is the thin route
-# forced (``thin_forced``), "8388608" the policy as it stands.
+# Fixed ids: "0" is the masked scan forced at every size (``scan_forced``),
+# "8388608" the policy as it stands.
 ROUTER_POLICIES = pytest.mark.parametrize("forced", [True, False], ids=["0", "8388608"])
 
 
 class TestKappaRouter:
     """One router, one policy, serves ``compute_kappa`` (sum and count) and
     the vertex ``variant_kappa`` (sum only): the twin hit first, read off
-    the graph's cached twin classes; ``_MASK_FLOOR``, the band and
-    ``_thin_pays`` gate the thin route."""
+    the graph's cached twin classes; ``_MASK_FLOOR`` and the band gate the
+    masks."""
 
     @ROUTER_POLICIES
     @pytest.mark.parametrize("g", router_graphs())
     def test_both_callers_match_the_dense_oracle(self, g, forced, monkeypatch):
         if forced:
-            thin_forced(monkeypatch)
+            scan_forced(monkeypatch)
         (kappa, pair), kappa_prime = oracle_route(g)
         assert variant_kappa(g, Variant.VERTEX) == (kappa, pair)
-        rep, log = recorded_route(lambda: compute_kappa(g))
+        rep = compute_kappa(g)
         assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
         assert variant_kappa(build_graph(1, []), Variant.VERTEX) == (None, None)
-        if forced:
-            thin = resolve.kappa_reads_distances(g) and find_twins(g) == ([], [])
-            assert ("count" in log) == thin, "the equidistant count ran only on the thin route"
 
     @ROUTER_POLICIES
     @pytest.mark.parametrize("g", router_graphs())
     def test_both_callers_make_the_same_sum_scans(self, g, forced, monkeypatch):
         """The callers make the same sum scans over the same partners (or
         every pair), whichever of them builds the twin classes; only
-        ``compute_kappa`` makes the equidistant count, for kappa'."""
+        ``compute_kappa`` scans the count alone, for kappa'."""
         if forced:
-            thin_forced(monkeypatch)
+            scan_forced(monkeypatch)
         _, wdim_log = recorded_route(lambda: variant_kappa(g, Variant.VERTEX))
         _, kappa_log = recorded_route(lambda: compute_kappa(g))
         assert "count" not in wdim_log
         assert wdim_log == [scan for scan in kappa_log if scan != "count"]
-        if forced:
-            thin = resolve.kappa_reads_distances(g) and find_twins(g) == ([], [])
-            assert ("count" in kappa_log) == thin
 
     @pytest.mark.parametrize("f", ["path:400", "cycle:401", "star:300", "star:200",
                                    "kqr:100,100", "pruefer150", "complete:250",
                                    "path:400+0-4", "kqr:2,298", "kqr:2,198", "pruefer150+chord"])
     def test_vertex_variant_kappa_skips_the_dense_pass(self, f):
         """Every scan of the vertex ``variant_kappa`` runs over a partner
-        subset, and kappa' (the equidistant count) is never made: no dense
-        pass, whatever the timing. ``path:400`` plus a chord takes the
-        sum-gap band; ``cycle:401``, whose row sums are all equal, is above
-        the floor and takes the thin route; twin
+        subset, and kappa' (the count) is never made: no dense pass,
+        whatever the timing. ``path:400`` plus a chord takes the sum-gap
+        band; ``cycle:401``, one orbit, scans the pairs of head 0; twin
         graphs take the twin route at any size (above the floor:
         ``kqr:2,298``; below it: ``kqr:2,198``, ``kqr:100,100``, a tree on
         150 vertices plus a chord); true twins (``complete:250``), false
@@ -1197,13 +1114,20 @@ def spec_symmetries(spec):
     return [a * r + b for a, b in images]
 
 
+def without_orbits(run):
+    """``run()`` with the orbit route off."""
+    with pytest.MonkeyPatch.context() as mp:
+        orbit_off(mp)
+        return run()
+
+
 class TestOrbitRoute:
-    """Kappa on a cycle or grid spec above the floor scans only the pairs
-    whose head leads its orbit: an automorphism keeps every pair's sum and
-    count, so the lex-first minimizer of either, and of either over any
-    pair set the automorphisms keep (parity, the sum-gap and count bands),
-    has a leader head. The report is the one the same edges give without
-    the spec."""
+    """Kappa on any cycle or on a grid spec above the floor scans only the
+    pairs whose head leads its orbit: an automorphism keeps every pair's
+    sum and count, so the lex-first minimizer of either, and of either over
+    any pair set the automorphisms keep (parity, the sum-gap and count
+    bands), has a leader head. The report is the one the same edges give
+    without the orbit route."""
 
     @pytest.mark.parametrize("f", ORBIT_SMALL + ORBIT_LARGE)
     def test_spec_matches_its_edge_list(self, f):
@@ -1213,7 +1137,7 @@ class TestOrbitRoute:
         scan."""
         g = generate(parse_family(f))
         plain = build_graph(g.n, g.edges())
-        expected = compute_kappa(plain)
+        expected = without_orbits(lambda: compute_kappa(plain))
         small = f in ORBIT_SMALL
         if small:
             (kappa, pair), (kappa_prime, _) = dense_lex_min(plain_distances(g), range(g.n))
@@ -1245,31 +1169,45 @@ class TestOrbitRoute:
             assert sorted(image.tolist()) == list(range(g.n))
             assert {tuple(sorted((int(image[u]), int(image[v])))) for u, v in edges} == edges
         least = orbit_closure(maps, g.n)
-        assert families.orbit_leaders(spec).tolist() == [v for v in range(g.n) if least[v] == v]
+        assert families.orbit_leaders(g).tolist() == [v for v in range(g.n) if least[v] == v]
         assert len(maps) == (1 if spec.kind == "cycle" else 8 if spec.q == spec.r else 4)
 
     @pytest.mark.parametrize("f", ["path:9", "star:7", "complete:6", "kqr:3,4", "spider:1,2,3"])
     def test_other_kinds_have_no_leaders(self, f):
-        assert families.orbit_leaders(parse_family(f)) is None
+        assert families.orbit_leaders(generate(parse_family(f))) is None
+
+    def test_leaders_of_graphs_without_a_spec(self):
+        """Any cycle, however labelled, has the leaders [0]; a grid from its
+        edge list, a triangle with a pendant (m = n, not every degree 2)
+        and the vertex-transitive prisms, Moebius ladders and tori have
+        none."""
+        rng = random.Random(3)
+        for n in (3, 4, 5, 80, 81):
+            g = relabelled(generate(cycle(n)), rng)
+            assert g.family is None and families.orbit_leaders(g).tolist() == [0]
+        grid_file = generate(parse_family("grid:5x6"))
+        others = [build_graph(grid_file.n, grid_file.edges()),
+                  build_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+                  prism(5), moebius_ladder(8), torus(3, 5)]
+        assert [families.orbit_leaders(g) for g in others] == [None] * len(others)
 
     def test_no_leaders_below_the_floor(self, monkeypatch):
         """Up to ``_MASK_FLOOR`` entries (n x C(n, 2)) kappa builds no
         leaders, and past it only kappa does: the edge and mixed variants'
-        kappa, a set check of S != V and a sweep take today's routes."""
+        kappa, a set check of S != V and a sweep take today's routes. The
+        cycles from edge lists, relabelled, cross the floor as the specs do."""
         built = []
         leaders = resolve.orbit_leaders
-        monkeypatch.setattr(resolve, "orbit_leaders",
-                            lambda spec: built.append(spec.label()) or leaders(spec))
-        for f, above in (("cycle:79", False), ("cycle:81", True), ("grid:8x9", False),
-                         ("grid:9x9", True)):
-            g = generate(parse_family(f))
+        monkeypatch.setattr(resolve, "orbit_leaders", lambda g: built.append(g) or leaders(g))
+        cases = [(generate(parse_family(f)), above) for f, above in (
+            ("cycle:79", False), ("cycle:81", True), ("grid:8x9", False), ("grid:9x9", True))]
+        cases += [(relabelled(generate(cycle(n)), random.Random(n)), n > 80) for n in (79, 81)]
+        for g, above in cases:
             assert (g.n * g.n * (g.n - 1) // 2 > resolve._MASK_FLOOR) == above
             built.clear()
             rep = compute_kappa(g)
-            assert built == ([f] if above else [])
-            with pytest.MonkeyPatch.context() as mp:
-                orbit_off(mp)
-                assert compute_kappa(g) == rep
+            assert built == ([g] if above else [])
+            assert without_orbits(lambda: compute_kappa(g)) == rep
         g = generate(parse_family("grid:20x20"))
         built.clear()
         S = list(range(0, g.n, 2))
@@ -1283,13 +1221,13 @@ class TestOrbitRoute:
     def test_cycle_scans_one_row(self, f, monkeypatch):
         """A cycle is one orbit: one scan of the pairs (0, y), of the even y on
         an even cycle (parity), gives kappa and kappa', with no band (every
-        row sums the same), no equidistant count and no thread; an even
-        cycle adds the odd pairs' scan of (0, 1), a pair list."""
+        row sums the same) and no thread; an even cycle adds the odd pairs'
+        scan of (0, 1), a pair list."""
         def refuse(*args, **kwargs):
             raise AssertionError("the orbit scan of one head started threads")
 
         g = generate(parse_family(f))
-        expected = compute_kappa(build_graph(g.n, g.edges()))
+        expected = without_orbits(lambda: compute_kappa(build_graph(g.n, g.edges())))
         monkeypatch.setattr(resolve, "ThreadPoolExecutor", refuse)
         rep, log = recorded_route(lambda: compute_kappa(g, workers=2))
         assert rep == expected
@@ -1301,20 +1239,46 @@ class TestOrbitRoute:
         every edge, the sum and count scans after it read only pairs with a
         leader head, and the odd pairs' scan comes between them."""
         g = generate(parse_family("grid:24x24"))
-        leaders = set(families.orbit_leaders(g.family).tolist())
+        leaders = set(families.orbit_leaders(g).tolist())
         rep, log = recorded_route(lambda: compute_kappa(g))
-        assert rep == compute_kappa(build_graph(g.n, g.edges()))
+        assert rep == without_orbits(lambda: compute_kappa(build_graph(g.n, g.edges())))
         seed, scan, odd, counted = log
         assert set(g.edges()) <= set(seed) and counted == "count"
         assert odd == listed_pairs(resolve._odd_pairs(g), g.n)
         assert scan and all(a in leaders for a, _ in scan)
 
+    @pytest.mark.parametrize("n", [79, 80, 81, 82, 512, 513, 514, 601])
+    def test_relabelled_cycle_scans_one_row(self, n, monkeypatch):
+        """A cycle from an edge list is one orbit whatever its ids: with its
+        vertices relabelled at random it gives the dense scan's report, the
+        paper's kappa (n - 1 on odd cycles, n on even ones), at 1 and 2
+        workers, and above the floor (n > 80) scans only the pairs of head
+        0, with no thread; below it, one plain scan. Parity needs the n - 1
+        pairs of head 0 themselves above the floor (n > 513): there an even
+        cycle scans the same-color ones and then the odd pairs' list."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the orbit scan of one head started threads")
 
-def relabelled(g, rng):
-    """``g`` with its vertex ids permuted at random."""
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        g = relabelled(generate(cycle(n)), random.Random(n))
+        (kappa, pair), kappa_prime = oracle_route(g)
+        assert kappa == (n - 1 if n % 2 else n)
+        above = n * n * (n - 1) // 2 > resolve._MASK_FLOOR
+        assert above == (n > 80)
+        if above:
+            monkeypatch.setattr(resolve, "ThreadPoolExecutor", refuse)
+        for workers in (1, 2):
+            rep, log = recorded_route(lambda: compute_kappa(g, workers=workers))
+            assert (rep.kappa, rep.kappa_prime, rep.witness_pair) == (kappa, kappa_prime, pair)
+        assert variant_kappa(g, Variant.VERTEX) == (kappa, pair)
+        if not above:
+            assert log == [None]
+            return
+        side = g.coloring
+        parity = side is not None and (n - 1) * n > resolve._MASK_FLOOR
+        assert parity == (n == 514)
+        head = [(0, y) for y in range(1, n) if not parity or side[y] == side[0]]
+        odd = [listed_pairs(resolve._odd_pairs(g), n)] if parity else []
+        assert log == [head] + odd
 
 
 def caterpillar(rng, spine, legs):
@@ -1639,13 +1603,6 @@ def hypercube(dim):
                                   for b in range(dim) if not v >> b & 1])
 
 
-def torus(a, b):
-    """C_a x C_b (Cartesian) on the vertices i * b + j."""
-    edges = {tuple(sorted((i * b + j, w))) for i in range(a) for j in range(b)
-             for w in ((i + 1) % a * b + j, i * b + (j + 1) % b)}
-    return build_graph(a * b, sorted(edges))
-
-
 def cube_with_a_far_first_neighbor():
     """Q3 relabelled so that vertex 1 is 011, at distance 2 from vertex 0,
     and the neighbors of 0 are 2, 3 and 4: the pair (0, 1) sums to n = 8,
@@ -1695,22 +1652,23 @@ def parity_graphs():
 
 
 def both_routes(g, workers):
-    """The whole vertex set's kappa and kappa' on the parity scan and on the
-    thin route, the tree and orbit routes off and the sum-gap band refused."""
+    """The whole vertex set's kappa and kappa' on the parity scan, the tree
+    route off and the sum-gap band refused, without and with the orbit
+    route (which the even cycles and grid specs take)."""
     results = []
-    for thin in (False, True):
+    for orbit in (False, True):
         with pytest.MonkeyPatch.context() as mp:
             tree_route_off(mp)
-            orbit_off(mp)
             band_off(mp)
-            mp.setattr(resolve, "_thin_pays", lambda d, criteria, bipartite: thin)
+            if not orbit:
+                orbit_off(mp)
             results.append(kappa_route(g, workers))
     return results
 
 
 class TestParityRoute:
-    """On a twin-free bipartite graph both the scan and the thin route scan
-    only the same-color pairs; an odd pair sums to at least n with n
+    """On a twin-free bipartite graph the scan, with or without the orbit
+    route, reads only the same-color pairs; an odd pair sums to at least n with n
     distinguishers, so kappa is the even-pair minimum if below n, else n at
     the first (0, j), j <= min adj[0], that sums to n; kappa' is the
     smaller of n and the even-pair count minimum."""
@@ -1754,16 +1712,14 @@ class TestParityRoute:
 
     @pytest.mark.parametrize("f", ["grid:9x7", "cycle:40", "grid:3x40"])
     def test_scans_only_same_color_pairs(self, f, monkeypatch):
-        """Every pair the scan, the thin route or the orbit route scans past
-        the seed is a same-color pair (the sum-gap band refused, at every
-        size), and the last scan reads only the odd pairs of
-        ``_odd_pairs``."""
+        """Every pair the scan or the orbit route scans past the seed is a
+        same-color pair (the sum-gap band refused, at every size), and the
+        last scan reads only the odd pairs of ``_odd_pairs``."""
         g = generate(parse_family(f))
         side = g.coloring
         band_off(monkeypatch)
-        for thin, orbit in ((False, False), (True, False), (False, True)):
+        for orbit in (False, True):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(resolve, "_thin_pays", lambda d, criteria, bipartite: thin)
                 if not orbit:
                     orbit_off(mp)
                 _, log = recorded_route(lambda: kappa_route(g))

@@ -707,6 +707,22 @@ class TestModelCache:
         assert len(calls) == 2
         assert (Variant.VERTEX, "sum") not in g._cache
 
+    def test_refused_model_builds_no_rows(self):
+        """The size check runs before the item rows are made, so a refused
+        model allocates neither the rows nor the distance matrix: the mixed
+        model of grid:60x60 (about 4,971 GiB) peaked at 172 MiB when the
+        rows came first."""
+        g = generate(grid(60, 60))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match="the cover model of .* GiB"):
+                solver.cover_model(g, Variant.MIXED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+        assert "distances" not in g._cache
+
 
 # bnb bases captured from commit 32308e8, whose bnb had only the ratio and
 # mass bounds. A valid, stronger bound cuts nodes but never a subtree that
